@@ -291,10 +291,27 @@ def run_pipeline(cfg: RunConfig, scene_path=None, weights_path=None):
     }
 
 
-def _set_size_summary(sets: list[qswap.SampleSet]) -> dict:
-    sizes = [s.size for s in sets]
-    return {"min": int(min(sizes)), "max": int(max(sizes)),
-            "mean": float(np.mean(sizes))}
+def _set_size_summary(bank: qswap.SampleBank) -> dict:
+    return {"min": int(bank.sizes.min()), "max": int(bank.sizes.max()),
+            "mean": float(np.mean(bank.sizes))}
+
+
+def _sample_dump(bank: qswap.SampleBank, positions: np.ndarray) -> list[dict]:
+    """Every query's points on one grid, with absolute BEV positions."""
+    names = {qswap.ORIGIN_BASE: "base", qswap.ORIGIN_SHARED: "shared"}
+    xy = (positions[:, None, :2] + bank.offsets).tolist()
+    origins = bank.origins.tolist()
+    sources = bank.sources.tolist()
+    scores = bank.scores.tolist()
+    weights = bank.weights.tolist()
+    return [
+        {"owner": i,
+         "points": [{"origin": names[origins[i][k]], "source": sources[i][k],
+                     "position": xy[i][k], "score": scores[i][k],
+                     "weight": weights[i][k]}
+                    for k in range(size)]}
+        for i, size in enumerate(bank.sizes.tolist())
+    ]
 
 
 def build_report(cfg: RunConfig, result) -> dict:
@@ -332,26 +349,8 @@ def build_report(cfg: RunConfig, result) -> dict:
                 "confidence": out.class_scores.max(axis=1).tolist(),
             }
         if cfg.emit.sample_dumps:
-            origin_names = {qswap.ORIGIN_BASE: "base", qswap.ORIGIN_SHARED: "shared"}
             rec["sample_dump"] = {
-                kind: [
-                    {
-                        "owner": s.owner,
-                        "points": [
-                            {
-                                "origin": origin_names[int(s.origins[k])],
-                                "source": int(s.sources[k]),
-                                "position": (out.sampling_positions[s.owner, :2]
-                                             + s.offsets[k]).tolist(),
-                                "score": float(s.scores[k]),
-                                "weight": (float(s.weights[k])
-                                           if s.weights is not None else None),
-                            }
-                            for k in range(s.size)
-                        ],
-                    }
-                    for s in out.sample_sets[kind]
-                ]
+                kind: _sample_dump(out.sample_sets[kind], out.sampling_positions)
                 for kind in qswap.BEV_KINDS
             }
         layers.append(rec)

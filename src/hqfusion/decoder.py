@@ -6,6 +6,10 @@ perspective-view sampling -> cross-attention feature aggregation -> optional
 cross-type mixing -> detection head -> iterative position refinement.
 One weight set is applied at every layer; there is no per-layer state other
 than the query embeddings, positions and box predictions.
+
+Sampling runs on whole arrays: each BEV grid's points live in one qswap
+SampleBank, and the token gather packs every query's tokens into one
+padded (N, T_max, d) tensor for the batched aggregation.
 """
 from __future__ import annotations
 
@@ -15,15 +19,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .numkernel import (AttentionMask, MhaWeights, bilinear_at,
+from .numkernel import (AttentionMask, MhaWeights, _softmax_rows, bilinear_at,
                         bilinear_sample_many, layer_norm, multi_head_attention)
 from .qinit import TYPE_IMG, TYPE_RAD, TYPE_W, QuerySet
 from .qmix import (QMixWeights, TypeAttentionStats, attention_block,
                    attention_type_stats, qmix_attention)
-from .qswap import (BEV_KINDS, IMG_BEV, QSwapConfig, SampleSet,
-                    base_sample_set, normalize_sample_scores,
-                    predict_base_samples, select_neighbors, swap_samples)
-from .scene import CameraRig, FeatureGrid, PvFeatureMap, project_points, project_to_view
+from .qswap import (BEV_KINDS, IMG_BEV, QSwapConfig, SampleBank, base_bank,
+                    normalize_sample_scores, predict_base_samples,
+                    select_neighbors, swap_samples)
+from .scene import CameraRig, FeatureGrid, PvFeatureMap, project_points
 from .weights_io import expected_shapes
 
 PLACEMENTS = ("post_agg", "pre_agg", "post_self", "post_self_cross")
@@ -81,7 +85,7 @@ class LayerOutput:
     self_stats: TypeAttentionStats
     qmix_attn: np.ndarray | None
     qmix_stats: TypeAttentionStats | None
-    sample_sets: dict[str, list[SampleSet]]
+    sample_sets: dict[str, SampleBank]
 
 
 # ---------------------------------------------------------------------------
@@ -157,128 +161,70 @@ def shared_self_attention(emb: np.ndarray, positions: np.ndarray, weights,
 
 
 def predict_base_sets(emb: np.ndarray, weights, k_base: int
-                      ) -> dict[str, list[SampleSet]]:
-    """Base deformable sampling sets for every query on both BEV grids."""
+                      ) -> dict[str, SampleBank]:
+    """Base deformable sampling banks for every query on both BEV grids."""
     t = weights.tensors
-    sets: dict[str, list[SampleSet]] = {}
-    for kind in BEV_KINDS:
-        offsets, scores = predict_base_samples(
-            emb, t[f"sample.{kind}.w"], t[f"sample.{kind}.b"],
-            float(t[f"sample.{kind}.range"][0]), k_base)
-        sets[kind] = [base_sample_set(i, kind, offsets[i], scores[i])
-                      for i in range(emb.shape[0])]
-    return sets
-
-
-@dataclass
-class Token:
-    """One sampled feature with its source tag and normalized weight."""
-
-    feature: np.ndarray
-    weight: float
-    kind: str
-
-
-def _softmax(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - x.max())
-    return e / e.sum()
-
-
-def sample_features(position: np.ndarray, embedding: np.ndarray,
-                    features: SceneFeatures, weights,
-                    sample_sets: dict[str, SampleSet], k_pv: int) -> list[Token]:
-    """Gather the token list of one query.
-
-    BEV tokens come from bilinear sampling at position + offset with the
-    set's normalized weights; PV tokens project the 3-D position into every
-    camera that sees it and sample k_pv learned pixel-offset points, with
-    their scores softmaxed separately from the BEV sets.
-    """
-    t = weights.tensors
-    tokens: list[Token] = []
-    for kind in BEV_KINDS:
-        sset = sample_sets[kind]
-        w = sset.weights if sset.weights is not None else normalize_sample_scores(sset)
-        feats = bilinear_sample_many(features.grid(kind), position[:2] + sset.offsets)
-        tokens.extend(Token(feats[k], float(w[k]), kind) for k in range(sset.size))
-    if k_pv == 0:
-        return tokens
-    pv_off = t["sample.pv.offsets"]
-    scores = embedding @ t["sample.pv.score.w"].T + t["sample.pv.score.b"]
-    groups = []
-    for cam, pv in zip(features.rig.cameras, features.pv_maps):
-        hit = project_to_view(position, cam)
-        if hit is None:
-            continue
-        u, v, _ = hit
-        pts = np.array([u, v]) + pv_off
-        fy, fx = pv.pixel_to_frac(pts[:, 0], pts[:, 1])
-        groups.append(bilinear_at(pv.data, fy, fx))
-    if groups:
-        w = _softmax(np.tile(scores, len(groups)))
-        feats = np.vstack(groups)
-        tokens.extend(Token(feats[k], float(w[k]), "pv")
-                      for k in range(feats.shape[0]))
-    return tokens
+    return {kind: base_bank(kind, *predict_base_samples(
+                emb, t[f"sample.{kind}.w"], t[f"sample.{kind}.b"],
+                float(t[f"sample.{kind}.range"][0]), k_base))
+            for kind in BEV_KINDS}
 
 
 def build_tokens(emb: np.ndarray, positions: np.ndarray, features: SceneFeatures,
-                 weights, sets_by_kind: dict[str, list[SampleSet]], k_pv: int
+                 weights, sets_by_kind: dict[str, SampleBank], k_pv: int
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched token gather: padded (feats, log-weight, valid-mask) tensors."""
+    """Batched token gather: padded (feats, log-weight, valid-mask) tensors.
+
+    Row i holds query i's img_bev points, then its rad_bev points (weighted
+    by the banks' normalized weights), then k_pv learned pixel-offset points
+    for each camera that sees the query, in rig order.  The PV scores of a
+    query are softmaxed jointly over all its cameras, apart from the BEV
+    weights.
+    """
     t = weights.tensors
     n, d = emb.shape
-    feats_per: list[list[np.ndarray]] = [[] for _ in range(n)]
-    logw_per: list[list[np.ndarray]] = [[] for _ in range(n)]
-
-    pos_bev = positions[:, :2]
-    for kind in BEV_KINDS:
-        sets = sets_by_kind[kind]
-        pts = np.concatenate([pos_bev[i] + sets[i].offsets for i in range(n)])
-        vals = bilinear_sample_many(features.grid(kind), pts)
-        start = 0
-        for i in range(n):
-            k = sets[i].size
-            feats_per[i].append(vals[start:start + k])
-            w = sets[i].weights
-            if w is None:
-                w = normalize_sample_scores(sets[i])
-            logw_per[i].append(np.log(w))
-            start += k
-
-    if k_pv > 0 and features.pv_maps:
-        pv_scores = emb @ t["sample.pv.score.w"].T + t["sample.pv.score.b"]
-        pv_off = t["sample.pv.offsets"]
-        pv_feats: list[list[np.ndarray]] = [[] for _ in range(n)]
-        pv_logits: list[list[np.ndarray]] = [[] for _ in range(n)]
+    banks = [sets_by_kind[kind] for kind in BEV_KINDS]
+    views = []  # (pv map, projected uv, ids of the queries the camera sees)
+    if k_pv > 0:
         for cam, pv in zip(features.rig.cameras, features.pv_maps):
             uv, _, vis = project_points(positions, cam)
-            idx = np.flatnonzero(vis)
-            if idx.size == 0:
-                continue
-            pts = uv[idx][:, None, :] + pv_off[None, :, :]
-            fy, fx = pv.pixel_to_frac(pts[..., 0], pts[..., 1])
-            vals = bilinear_at(pv.data, fy, fx)
-            for row, qi in enumerate(idx):
-                pv_feats[qi].append(vals[row])
-                pv_logits[qi].append(pv_scores[qi])
-        for i in range(n):
-            if pv_feats[i]:
-                w = _softmax(np.concatenate(pv_logits[i]))
-                feats_per[i].append(np.vstack(pv_feats[i]))
-                logw_per[i].append(np.log(w))
-
-    counts = [sum(f.shape[0] for f in fl) for fl in feats_per]
-    t_max = max(counts) if counts else 0
+            if vis.any():
+                views.append((pv, uv, np.flatnonzero(vis)))
+    seen = np.zeros((n, len(views)), dtype=bool)
+    for c, (_, _, idx) in enumerate(views):
+        seen[idx, c] = True
+    count = sum(b.sizes for b in banks) + k_pv * seen.sum(axis=1)
+    t_max = int(count.max(initial=0))
     tok = np.zeros((n, t_max, d))
     logw = np.full((n, t_max), -np.inf)
-    valid = np.zeros((n, t_max), dtype=bool)
-    for i in range(n):
-        if counts[i] == 0:
-            continue
-        tok[i, :counts[i]] = np.concatenate(feats_per[i])
-        logw[i, :counts[i]] = np.concatenate(logw_per[i])
-        valid[i, :counts[i]] = True
+    fill = np.zeros(n, dtype=np.int64)  # next free token column of each row
+
+    for kind, bank in zip(BEV_KINDS, banks):
+        rows, cols = np.nonzero(bank.valid)
+        at = fill[rows] + cols
+        tok[rows, at] = bilinear_sample_many(
+            features.grid(kind), positions[rows, :2] + bank.offsets[rows, cols])
+        logw[rows, at] = np.log(bank.weights[rows, cols])
+        fill += bank.sizes
+
+    if views:
+        pv_scores = emb @ t["sample.pv.score.w"].T + t["sample.pv.score.b"]
+        pv_off = t["sample.pv.offsets"]
+        # softmax only rows some camera sees: a fully blocked row is NaN
+        any_view = seen.any(axis=1)
+        pv_w = _softmax_rows(np.tile(pv_scores[any_view], len(views)),
+                             np.repeat(~seen[any_view], k_pv, axis=1))
+        pv_w = pv_w.reshape(-1, len(views), k_pv)
+        w_row = np.cumsum(any_view) - 1
+        for c, (pv, uv, idx) in enumerate(views):
+            pts = uv[idx][:, None, :] + pv_off[None, :, :]
+            fy, fx = pv.pixel_to_frac(pts[..., 0], pts[..., 1])
+            at = fill[idx][:, None] + np.arange(k_pv)
+            tok[idx[:, None], at] = bilinear_at(pv.data, fy, fx)
+            logw[idx[:, None], at] = np.log(pv_w[w_row[idx], c])
+            fill[idx] += k_pv
+
+    valid = np.arange(t_max) < count[:, None]
     return tok, logw, valid
 
 
@@ -313,17 +259,6 @@ def aggregate_features_batch(emb: np.ndarray, tok: np.ndarray, logw: np.ndarray,
     ctx = np.matmul(logits[:, None, :], vp)[:, 0, :]
     upd = ctx @ t["agg.wo"].T + t["agg.bo"]
     return np.where(any_tok[:, None], emb + upd, emb)
-
-
-def aggregate_features(embedding: np.ndarray, tokens: list[Token], weights
-                       ) -> np.ndarray:
-    """Per-query form of the aggregation stage; no tokens -> identity."""
-    if not tokens:
-        return embedding.copy()
-    tok = np.stack([tk.feature for tk in tokens])[None]
-    logw = np.log(np.array([tk.weight for tk in tokens]))[None]
-    valid = np.ones((1, len(tokens)), dtype=bool)
-    return aggregate_features_batch(embedding[None], tok, logw, valid, weights)[0]
 
 
 def detection_head(emb: np.ndarray, positions: np.ndarray, weights,
@@ -390,9 +325,8 @@ def decode(features: SceneFeatures, queries: QuerySet, weights,
                                    config.qswap)
                 for kind in BEV_KINDS
             }
-        for kind in BEV_KINDS:
-            for s in sets[kind]:
-                s.weights = normalize_sample_scores(s)
+        for bank in sets.values():
+            bank.weights = normalize_sample_scores(bank)
 
         tok, logw, valid = build_tokens(emb, pos, features, weights, sets,
                                         config.k_pv)

@@ -48,49 +48,21 @@ class Match:
     distance: float
 
 
-def match_detections(preds: list[Detection], gts: list[Detection],
-                     threshold_m: float) -> list[Match]:
-    """Greedy per-class matching in descending confidence.
+def _match_class(preds: list[Detection], gts: list[Detection], cid: int,
+                 threshold_m: float) -> tuple[list[int], list[Match]]:
+    """Greedy matching of one class: (prediction order, matches).
 
-    Each prediction grabs the nearest still-unmatched ground truth of its
-    class within the threshold; confidence ties break to the lower index.
+    Predictions go in descending confidence (ties: lower index); each grabs
+    the nearest still-unmatched ground truth within the threshold, equal
+    distances going to the later ground truth.
     """
-    matches: list[Match] = []
-    classes = {g.class_id for g in gts} | {p.class_id for p in preds}
-    for cid in sorted(classes):
-        gt_idx = [i for i, g in enumerate(gts) if g.class_id == cid]
-        if not gt_idx:
-            continue
-        taken = set()
-        order = sorted((i for i, p in enumerate(preds) if p.class_id == cid),
-                       key=lambda i: (-preds[i].confidence, i))
-        for pi in order:
-            best, best_d = -1, threshold_m
-            for gi in gt_idx:
-                if gi in taken:
-                    continue
-                d = float(np.hypot(*(preds[pi].center - gts[gi].center)))
-                if d <= best_d:
-                    best, best_d = gi, d
-            if best >= 0:
-                taken.add(best)
-                matches.append(Match(pi, best, best_d))
-    return matches
-
-
-def _class_ap(preds: list[Detection], gts: list[Detection], cid: int,
-              threshold: float) -> float:
-    """101-point interpolated AP of one class at one distance threshold."""
     gt_idx = [i for i, g in enumerate(gts) if g.class_id == cid]
-    n_gt = len(gt_idx)
-    if n_gt == 0:
-        return 0.0
     order = sorted((i for i, p in enumerate(preds) if p.class_id == cid),
                    key=lambda i: (-preds[i].confidence, i))
     taken = set()
-    tp = np.zeros(len(order))
-    for rank, pi in enumerate(order):
-        best, best_d = -1, threshold
+    matches: list[Match] = []
+    for pi in order:
+        best, best_d = -1, threshold_m
         for gi in gt_idx:
             if gi in taken:
                 continue
@@ -99,7 +71,27 @@ def _class_ap(preds: list[Detection], gts: list[Detection], cid: int,
                 best, best_d = gi, d
         if best >= 0:
             taken.add(best)
-            tp[rank] = 1.0
+            matches.append(Match(pi, best, best_d))
+    return order, matches
+
+
+def match_detections(preds: list[Detection], gts: list[Detection],
+                     threshold_m: float) -> list[Match]:
+    """Greedy per-class matching in descending confidence (see _match_class)."""
+    classes = {g.class_id for g in gts} | {p.class_id for p in preds}
+    return [m for cid in sorted(classes)
+            for m in _match_class(preds, gts, cid, threshold_m)[1]]
+
+
+def _class_ap(preds: list[Detection], gts: list[Detection], cid: int,
+              threshold: float) -> float:
+    """101-point interpolated AP of one class at one distance threshold."""
+    n_gt = sum(1 for g in gts if g.class_id == cid)
+    if n_gt == 0:
+        return 0.0
+    order, matches = _match_class(preds, gts, cid, threshold)
+    matched = {m.pred_index for m in matches}
+    tp = np.array([1.0 if pi in matched else 0.0 for pi in order])
     if len(order) == 0:
         return 0.0
     cum_tp = np.cumsum(tp)

@@ -61,14 +61,6 @@ class QuerySet:
             if np.abs(self.positions[:, :2]).max() > extent + 1e-9:
                 raise ConfigError("query positions exceed the scene extent")
 
-    def to_dict(self) -> dict:
-        """Snapshot for query-distribution dumps (positions, types, scores)."""
-        return {
-            "positions": self.positions.tolist(),
-            "types": [TYPE_NAMES[t] for t in self.types],
-            "init_score": self.init_score.tolist(),
-        }
-
 
 def empty_query_set(d: int) -> QuerySet:
     return QuerySet(np.zeros((0, d)), np.zeros((0, 3)),

@@ -10,17 +10,22 @@ greedily under per-neighbor and total caps, and either appended to the base
 set or swapped in for its weakest base points.  Point scores are then
 normalized jointly so aggregation sees a single weighting per set.
 
+The sets of all queries on one grid live in one SampleBank of padded
+(N, K) arrays; every stage works on whole banks, and `bank[i]` is a view of
+query i's set.
+
 Swap sampling applies to the BEV grids only; perspective-view sampling is
 too sensitive to geometric perturbation to benefit from shared points.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
+from .numkernel import _softmax_rows
 
 IMG_BEV = "img_bev"
 RAD_BEV = "rad_bev"
@@ -50,23 +55,13 @@ class QSwapConfig:
             raise ConfigError("swap caps must be non-negative")
         if self.affinity_floor <= 0.0:
             raise ConfigError("affinity_floor must be positive")
-
-
-@dataclass
-class SamplePoint:
-    """One sampling point, view onto a SampleSet row."""
-
-    offset: np.ndarray
-    score: float
-    owner: int
-    origin: int
-    source: int
-    grid_kind: str
+        if self.mode == "replace" and self.k_extra > self.k_base:
+            raise ConfigError("replace mode needs k_extra <= k_base")
 
 
 @dataclass
 class SampleSet:
-    """Ordered sampling points of one query on one grid."""
+    """Ordered sampling points of one query on one grid (a SampleBank row)."""
 
     owner: int
     grid_kind: str
@@ -80,24 +75,66 @@ class SampleSet:
     def size(self) -> int:
         return self.offsets.shape[0]
 
-    def points(self) -> list[SamplePoint]:
-        return [
-            SamplePoint(self.offsets[k], float(self.scores[k]), self.owner,
-                        int(self.origins[k]), int(self.sources[k]), self.grid_kind)
-            for k in range(self.size)
-        ]
-
     def shared_count(self) -> int:
         return int((self.origins == ORIGIN_SHARED).sum())
 
 
-def base_sample_set(owner: int, grid_kind: str, offsets: np.ndarray,
-                    scores: np.ndarray) -> SampleSet:
-    k = offsets.shape[0]
-    return SampleSet(owner, grid_kind, np.asarray(offsets, dtype=np.float64),
-                     np.asarray(scores, dtype=np.float64),
-                     np.full(k, ORIGIN_BASE, dtype=np.uint8),
-                     np.full(k, owner, dtype=np.int64))
+@dataclass
+class SampleBank:
+    """Sampling points of every query on one grid, padded to K columns.
+
+    Row i holds query i's points in its first sizes[i] columns; the padding
+    columns hold zeros and carry weight 0 once weights are set.
+    """
+
+    grid_kind: str
+    offsets: np.ndarray              # (N, K, 2)
+    scores: np.ndarray               # (N, K)
+    origins: np.ndarray              # (N, K) uint8
+    sources: np.ndarray              # (N, K) int64
+    sizes: np.ndarray                # (N,) int64
+    weights: np.ndarray | None = None  # (N, K), set by normalize_sample_scores
+
+    def __len__(self) -> int:
+        return self.sizes.shape[0]
+
+    def __getitem__(self, i: int) -> SampleSet:
+        """Query i's set as views into the bank's arrays."""
+        i = range(len(self))[i]
+        k = int(self.sizes[i])
+        return SampleSet(i, self.grid_kind, self.offsets[i, :k], self.scores[i, :k],
+                         self.origins[i, :k], self.sources[i, :k],
+                         None if self.weights is None else self.weights[i, :k])
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    @property
+    def valid(self) -> np.ndarray:
+        """(N, K) mask of the columns that hold points."""
+        return np.arange(self.scores.shape[1]) < self.sizes[:, None]
+
+    def padded(self, width: int) -> "SampleBank":
+        """Copy with `width` columns; new columns are padding."""
+        n, k = self.scores.shape
+
+        def grow(a):
+            out = np.zeros((n, width) + a.shape[2:], dtype=a.dtype)
+            out[:, :k] = a
+            return out
+
+        return SampleBank(self.grid_kind, grow(self.offsets), grow(self.scores),
+                          grow(self.origins), grow(self.sources), self.sizes.copy())
+
+
+def base_bank(grid_kind: str, offsets: np.ndarray, scores: np.ndarray) -> SampleBank:
+    """Bank of (N, K) predicted points per query, all of base origin."""
+    n, k = scores.shape
+    return SampleBank(grid_kind, np.asarray(offsets, dtype=np.float64),
+                      np.asarray(scores, dtype=np.float64),
+                      np.full((n, k), ORIGIN_BASE, dtype=np.uint8),
+                      np.repeat(np.arange(n, dtype=np.int64)[:, None], k, axis=1),
+                      np.full(n, k, dtype=np.int64))
 
 
 def predict_base_samples(embedding: np.ndarray, head_w: np.ndarray,
@@ -142,77 +179,71 @@ def score_shared_points(score, affinity, prior_strength: float,
     return score + prior_strength * np.log(np.maximum(affinity, affinity_floor))
 
 
-def swap_samples(base_sets: list[SampleSet], neighbor_lists: list[np.ndarray],
-                 affinities: np.ndarray, positions_bev: np.ndarray,
-                 cfg: QSwapConfig) -> list[SampleSet]:
-    """Exchange sampling points between neighbors, one grid at a time.
+def _rank_in_group(group: np.ndarray) -> np.ndarray:
+    """Per element, how many earlier elements share its group id."""
+    order = np.argsort(group, kind="stable")
+    g = group[order]
+    pos = np.arange(g.size)
+    start = np.maximum.accumulate(np.where(np.r_[True, g[1:] != g[:-1]], pos, 0))
+    rank = np.empty_like(pos)
+    rank[order] = pos - start
+    return rank
 
-    The candidate pool of query i holds every base point of its valid
-    neighbors, ranked by descending s-tilde (ties: lower neighbor id, then
-    lower point index).  Acceptance is greedy under the per-neighbor and
-    total caps.  Imported points keep their absolute BEV position and are
-    re-expressed as offsets from the receiving query.
+
+def swap_samples(base: SampleBank, neighbor_lists: list[np.ndarray],
+                 affinities: np.ndarray, positions_bev: np.ndarray,
+                 cfg: QSwapConfig) -> SampleBank:
+    """Exchange sampling points between neighbors on one grid.
+
+    The candidate pool of query i holds every point of its valid neighbors,
+    ranked by descending s-tilde (ties: lower neighbor id, then lower point
+    index).  Acceptance is greedy under the per-neighbor and total caps: a
+    candidate is taken when fewer than k_per points of its neighbor rank
+    before it and fewer than k_extra points were taken before it.  Imported
+    points keep their absolute BEV position and are re-expressed as offsets
+    from the receiving query.  Append mode writes them after the row's
+    points; replace mode overwrites the weakest points (ties: lower index),
+    so a row must hold at least as many points as it imports.
     """
     cfg.validate()
-    n = len(base_sets)
-    out: list[SampleSet] = []
-    for i in range(n):
-        base = base_sets[i]
-        cands = []
-        for j in neighbor_lists[i]:
-            j = int(j)
-            nb = base_sets[j]
-            st = score_shared_points(nb.scores, affinities[i, j],
-                                     cfg.prior_strength, cfg.affinity_floor)
-            absolute = positions_bev[j] + nb.offsets
-            cands.extend((float(st[k]), j, k, absolute[k]) for k in range(nb.size))
-        cands.sort(key=lambda c: (-c[0], c[1], c[2]))
+    n = len(base)
+    width = max((len(nb) for nb in neighbor_lists), default=0)
+    nbr = np.full((n, width), -1, dtype=np.int64)
+    for i, nb in enumerate(neighbor_lists):
+        nbr[i, :len(nb)] = nb
 
-        accepted = []
-        taken_per: dict[int, int] = {}
-        for st, j, k, abs_xy in cands:
-            if len(accepted) >= cfg.k_extra:
-                break
-            if taken_per.get(j, 0) >= cfg.k_per:
-                continue
-            taken_per[j] = taken_per.get(j, 0) + 1
-            accepted.append((st, j, abs_xy - positions_bev[i]))
+    # every candidate (receiver i, neighbor j, point k), in acceptance order
+    ci, slot, ck = np.nonzero((nbr >= 0)[:, :, None] & base.valid[nbr])
+    cj = nbr[ci, slot]
+    st = score_shared_points(base.scores[cj, ck], affinities[ci, cj],
+                             cfg.prior_strength, cfg.affinity_floor)
+    order = np.lexsort((ck, cj, -st, ci))
+    ci, cj, ck, st = ci[order], cj[order], ck[order], st[order]
 
-        if not accepted:
-            out.append(replace(base))
-            continue
+    eligible = _rank_in_group(ci * n + cj) < cfg.k_per
+    earlier = np.cumsum(eligible) - eligible  # eligible candidates before each
+    before = earlier - earlier[np.searchsorted(ci, ci)]
+    taken = eligible & (before < cfg.k_extra)
+    ti, tj, tk, rank = ci[taken], cj[taken], ck[taken], before[taken]
+    m = np.bincount(ti, minlength=n)
 
-        m = len(accepted)
-        new_offsets = np.array([a[2] for a in accepted])
-        new_scores = np.array([a[0] for a in accepted])
-        new_sources = np.array([a[1] for a in accepted], dtype=np.int64)
-        if cfg.mode == "append":
-            out.append(SampleSet(
-                base.owner, base.grid_kind,
-                np.concatenate([base.offsets, new_offsets]),
-                np.concatenate([base.scores, new_scores]),
-                np.concatenate([base.origins,
-                                np.full(m, ORIGIN_SHARED, dtype=np.uint8)]),
-                np.concatenate([base.sources, new_sources]),
-            ))
-        else:
-            # overwrite the m weakest base points (ties: lower point index)
-            victims = np.argsort(base.scores, kind="stable")[:m]
-            offsets = base.offsets.copy()
-            scores = base.scores.copy()
-            origins = base.origins.copy()
-            sources = base.sources.copy()
-            offsets[victims] = new_offsets
-            scores[victims] = new_scores
-            origins[victims] = ORIGIN_SHARED
-            sources[victims] = new_sources
-            out.append(SampleSet(base.owner, base.grid_kind, offsets, scores,
-                                 origins, sources))
+    if cfg.mode == "append":
+        out = base.padded(base.scores.shape[1] + int(m.max(initial=0)))
+        cols = base.sizes[ti] + rank
+        out.sizes += m
+    else:
+        out = base.padded(base.scores.shape[1])
+        weakest = np.argsort(np.where(base.valid, base.scores, np.inf), axis=1,
+                             kind="stable")
+        cols = weakest[ti, rank]
+    out.offsets[ti, cols] = (positions_bev[tj] + base.offsets[tj, tk]
+                             - positions_bev[ti])
+    out.scores[ti, cols] = st[taken]
+    out.origins[ti, cols] = ORIGIN_SHARED
+    out.sources[ti, cols] = tj
     return out
 
 
-def normalize_sample_scores(sample_set: SampleSet) -> np.ndarray:
-    """Joint softmax over base scores and imported s-tilde values."""
-    s = sample_set.scores
-    e = np.exp(s - s.max())
-    return e / e.sum()
+def normalize_sample_scores(bank: SampleBank) -> np.ndarray:
+    """Joint softmax per row over base scores and imported s-tilde values."""
+    return _softmax_rows(bank.scores, ~bank.valid)

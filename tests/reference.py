@@ -7,8 +7,15 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
+
+from hqfusion.decoder import aggregate_features_batch
+from hqfusion.numkernel import bilinear_at, bilinear_sample_many
+from hqfusion.qswap import (BEV_KINDS, ORIGIN_SHARED, SampleSet,
+                            score_shared_points)
+from hqfusion.scene import project_to_view
 
 
 def naive_affine(w, x, b):
@@ -186,3 +193,120 @@ def naive_type_stats(attn, types, num_types=3):
         for b in range(num_types):
             mpk[a, b] = mass[a, b] / counts[b] if counts[b] > 0 else 0.0
     return mass, mpk
+
+
+def naive_swap_samples(bank, neighbor_lists, affinities, positions_bev, cfg):
+    """Per-query swap loop over the rows of a SampleBank; list of SampleSets.
+
+    Candidates are sorted by (-s-tilde, neighbor id, point index) and taken
+    greedily under the per-neighbor and total caps; replace mode overwrites
+    the weakest points (stable argsort, lower index first).
+    """
+    out = []
+    for i in range(len(bank)):
+        base = bank[i]
+        cands = []
+        for j in neighbor_lists[i]:
+            j = int(j)
+            nb = bank[j]
+            st = score_shared_points(nb.scores, affinities[i, j],
+                                     cfg.prior_strength, cfg.affinity_floor)
+            absolute = positions_bev[j] + nb.offsets
+            cands.extend((float(st[k]), j, k, absolute[k]) for k in range(nb.size))
+        cands.sort(key=lambda c: (-c[0], c[1], c[2]))
+
+        accepted = []
+        taken_per = {}
+        for st, j, k, abs_xy in cands:
+            if len(accepted) >= cfg.k_extra:
+                break
+            if taken_per.get(j, 0) >= cfg.k_per:
+                continue
+            taken_per[j] = taken_per.get(j, 0) + 1
+            accepted.append((st, j, abs_xy - positions_bev[i]))
+
+        offsets = base.offsets.copy()
+        scores = base.scores.copy()
+        origins = base.origins.copy()
+        sources = base.sources.copy()
+        if accepted:
+            m = len(accepted)
+            new_offsets = np.array([a[2] for a in accepted])
+            new_scores = np.array([a[0] for a in accepted])
+            new_sources = np.array([a[1] for a in accepted], dtype=np.int64)
+            if cfg.mode == "append":
+                offsets = np.concatenate([offsets, new_offsets])
+                scores = np.concatenate([scores, new_scores])
+                origins = np.concatenate([origins,
+                                          np.full(m, ORIGIN_SHARED, dtype=np.uint8)])
+                sources = np.concatenate([sources, new_sources])
+            else:
+                victims = np.argsort(base.scores, kind="stable")[:m]
+                offsets[victims] = new_offsets
+                scores[victims] = new_scores
+                origins[victims] = ORIGIN_SHARED
+                sources[victims] = new_sources
+        out.append(SampleSet(i, base.grid_kind, offsets, scores, origins, sources))
+    return out
+
+
+@dataclass
+class Token:
+    """One sampled feature with its source tag and normalized weight."""
+
+    feature: np.ndarray
+    weight: float
+    kind: str
+
+
+def _softmax(x):
+    e = np.exp(x - x.max())
+    return e / e.sum()
+
+
+def sample_features(position, embedding, features, weights, sample_sets, k_pv):
+    """Per-query token gather: the oracle of the batched build_tokens.
+
+    sample_sets maps each BEV grid kind to the query's SampleSet.  BEV
+    tokens come from bilinear sampling at position + offset with the set's
+    normalized weights (a plain softmax of its scores when unset); PV tokens
+    project the 3-D position into every camera that sees it and sample k_pv
+    learned pixel-offset points, their scores softmaxed apart from the BEV
+    sets.
+    """
+    t = weights.tensors
+    tokens = []
+    for kind in BEV_KINDS:
+        sset = sample_sets[kind]
+        w = sset.weights if sset.weights is not None else _softmax(sset.scores)
+        feats = bilinear_sample_many(features.grid(kind), position[:2] + sset.offsets)
+        tokens.extend(Token(feats[k], float(w[k]), kind) for k in range(sset.size))
+    if k_pv == 0:
+        return tokens
+    pv_off = t["sample.pv.offsets"]
+    scores = embedding @ t["sample.pv.score.w"].T + t["sample.pv.score.b"]
+    groups = []
+    for cam, pv in zip(features.rig.cameras, features.pv_maps):
+        hit = project_to_view(position, cam)
+        if hit is None:
+            continue
+        u, v, _ = hit
+        pts = np.array([u, v]) + pv_off
+        fy, fx = pv.pixel_to_frac(pts[:, 0], pts[:, 1])
+        groups.append(bilinear_at(pv.data, fy, fx))
+    if groups:
+        w = _softmax(np.tile(scores, len(groups)))
+        feats = np.vstack(groups)
+        tokens.extend(Token(feats[k], float(w[k]), "pv")
+                      for k in range(feats.shape[0]))
+    return tokens
+
+
+def aggregate_features(embedding, tokens, weights):
+    """Per-query form of the aggregation stage; no tokens -> identity."""
+    if not tokens:
+        return embedding.copy()
+    tok = np.stack([tk.feature for tk in tokens])[None]
+    logw = np.log(np.array([tk.weight for tk in tokens]))[None]
+    valid = np.ones((1, len(tokens)), dtype=bool)
+    return aggregate_features_batch(embedding[None], tok, logw, valid, weights)[0]

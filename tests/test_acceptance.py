@@ -12,8 +12,7 @@ from hqfusion.numkernel import bilinear_sample
 from hqfusion.qinit import QuerySet
 from hqfusion.qmix import (attention_type_stats, build_cross_type_mask,
                            qmix_attention)
-from hqfusion.qswap import (IMG_BEV, ORIGIN_SHARED, QSwapConfig,
-                            adaptive_radius, base_sample_set,
+from hqfusion.qswap import (ORIGIN_SHARED, QSwapConfig, adaptive_radius,
                             normalize_sample_scores, score_shared_points,
                             select_neighbors, swap_samples)
 from hqfusion.scene import GridConfig, project_to_view, render_image_bev
@@ -23,7 +22,7 @@ from reference import (brute_force_selection, naive_bilinear,
                        project_with_matrix)
 from test_numkernel import make_grid
 from test_qmix import random_mixing_weights
-from test_qswap import random_swap_instance
+from test_qswap import make_bank, random_swap_instance
 from test_decoder import toy_config, toy_setup
 
 
@@ -114,8 +113,8 @@ def test_qswap_selection_oracle():
         pos = np.zeros((n, 2))
         pos[1:, 0] = rng.uniform(-2.0, 2.0, n_nb)
         aff = rng.uniform(0.01, 1.0, (n, n))
-        base = [base_sample_set(i, IMG_BEV, rng.normal(size=(k_base, 2)),
-                                rng.normal(0, 2, k_base)) for i in range(n)]
+        base = make_bank([(rng.normal(size=(k_base, 2)), rng.normal(0, 2, k_base))
+                          for i in range(n)])
         nbs = [np.arange(1, n)] + [np.array([], dtype=int)] * n_nb
         out = swap_samples(base, nbs, aff, pos, cfg)
 
@@ -194,22 +193,21 @@ def test_planted_evidence_end_to_end():
     pos = np.array([a_center, a_center + [3.0, 0.0]])
     cfg = QSwapConfig()  # k_base=20, k_per=2, k_extra=4
     rng = np.random.default_rng(108)
-    base0 = base_sample_set(0, IMG_BEV, rng.uniform(1.0, 4.0, (20, 2)),
-                            np.zeros(20))
+    off0 = rng.uniform(1.0, 4.0, (20, 2))
     off1 = rng.uniform(4.0, 8.0, (20, 2))
     off1[7] = a_center - pos[1]
     scores1 = np.full(20, -2.0)
     scores1[7] = 3.0
-    base1 = base_sample_set(1, IMG_BEV, off1, scores1)
+    base = make_bank([(off0, np.zeros(20)), (off1, scores1)])
     aff = np.array([[0.1, 0.9], [0.9, 0.1]])
     boxes = np.tile([2.0, 4.0], (2, 1))
     neighbors = [select_neighbors(0, aff[0], boxes, pos, cfg),
                  np.array([], dtype=int)]
     assert neighbors[0].tolist() == [1]
 
-    out = swap_samples([base0, base1], neighbors, aff, pos, cfg)
+    out = swap_samples(base, neighbors, aff, pos, cfg)
+    out.weights = normalize_sample_scores(out)
     swapped = out[0]
-    swapped.weights = normalize_sample_scores(swapped)
 
     abs_pts = pos[0] + swapped.offsets
     on_a = np.flatnonzero(np.linalg.norm(abs_pts - a_center, axis=1) < 1e-9)

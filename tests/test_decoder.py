@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from hqfusion.decoder import (DecoderConfig, SceneFeatures, Token,
-                              aggregate_features, apply_type_adapter,
+from hqfusion.decoder import (DecoderConfig, SceneFeatures, apply_type_adapter,
                               build_tokens, decode, detection_head,
                               mixing_weights, predict_base_sets,
-                              sample_features, shared_self_attention,
+                              shared_self_attention,
                               sinusoidal_position_encoding)
 from hqfusion.errors import ConfigError
 from hqfusion.numkernel import bilinear_sample
@@ -23,8 +22,9 @@ from hqfusion.scene import (GridConfig, RadarSimConfig, encode_radar_bev,
                             render_pv_features, simulate_radar_points)
 from hqfusion.weights_io import init_weights
 
-from reference import (naive_bilinear, naive_bilinear_frac, naive_layer_norm,
-                       naive_mha)
+from reference import (Token, aggregate_features, naive_bilinear,
+                       naive_bilinear_frac, naive_layer_norm, naive_mha,
+                       sample_features)
 
 
 def toy_config(**kw):
@@ -175,9 +175,9 @@ class TestSampleFeatures:
         rng = np.random.default_rng(5)
         emb = rng.normal(size=cfg.d)
         sets = predict_base_sets(emb[None], weights, cfg.qswap.k_base)
-        per_q = {kind: sets[kind][0] for kind in BEV_KINDS}
         for kind in BEV_KINDS:
-            per_q[kind].weights = normalize_sample_scores(per_q[kind])
+            sets[kind].weights = normalize_sample_scores(sets[kind])
+        per_q = {kind: sets[kind][0] for kind in BEV_KINDS}
         pos = np.array([6.0, 3.0, 0.5])
         tokens = sample_features(pos, emb, features, weights, per_q, cfg.k_pv)
 
@@ -211,6 +211,38 @@ class TestSampleFeatures:
             assert np.allclose(t.feature, want, atol=1e-12)
         if pv_tokens:
             assert np.isclose(sum(t.weight for t in pv_tokens), 1.0, atol=1e-9)
+
+
+class TestBuildTokens:
+    def test_rows_match_per_query_token_lists(self):
+        _, features, queries, weights, cfg = toy_setup()
+        n = queries.n
+        emb = queries.embeddings
+        pos = queries.positions.copy()
+        pos[0] = [0.0, 0.0, 1.6]  # the rig center: no camera sees it
+        sets = predict_base_sets(emb, weights, cfg.qswap.k_base)
+        aff = np.full((n, n), 1.0 / n)
+        boxes = np.tile([2.0, 4.0], (n, 1))
+        nbs = [select_neighbors(i, aff[i], boxes, pos[:, :2], cfg.qswap)
+               for i in range(n)]
+        sets = {kind: swap_samples(sets[kind], nbs, aff, pos[:, :2], cfg.qswap)
+                for kind in BEV_KINDS}
+        for kind in BEV_KINDS:
+            sets[kind].weights = normalize_sample_scores(sets[kind])
+        assert len(set(sets[BEV_KINDS[0]].sizes.tolist())) > 1  # ragged rows
+        tok, logw, valid = build_tokens(emb, pos, features, weights, sets,
+                                        cfg.k_pv)
+        for i in range(n):
+            tokens = sample_features(pos[i], emb[i], features, weights,
+                                     {k: sets[k][i] for k in BEV_KINDS},
+                                     cfg.k_pv)
+            assert valid[i].sum() == len(tokens)
+            assert valid[i, :len(tokens)].all()
+            for k, t in enumerate(tokens):
+                assert np.allclose(tok[i, k], t.feature, atol=1e-12)
+                assert np.isclose(logw[i, k], math.log(t.weight), atol=1e-12)
+        assert valid[0].sum() == sum(sets[k].sizes[0] for k in BEV_KINDS)
+        assert valid.sum(axis=1).max() == tok.shape[1]
 
 
 class TestAggregate:
@@ -263,8 +295,7 @@ class TestAggregate:
         emb = queries.embeddings
         sets = predict_base_sets(emb, weights, cfg.qswap.k_base)
         for kind in BEV_KINDS:
-            for s in sets[kind]:
-                s.weights = normalize_sample_scores(s)
+            sets[kind].weights = normalize_sample_scores(sets[kind])
         tok, logw, valid = build_tokens(emb, queries.positions, features,
                                         weights, sets, cfg.k_pv)
         from hqfusion.decoder import aggregate_features_batch
@@ -424,8 +455,7 @@ class TestDecode:
                                    pos0[:, :2], cfg.qswap)
                 for kind in BEV_KINDS}
         for kind in BEV_KINDS:
-            for s in sets[kind]:
-                s.weights = normalize_sample_scores(s)
+            sets[kind].weights = normalize_sample_scores(sets[kind])
         rows = []
         for i in range(queries.n):
             tokens = sample_features(pos0[i], emb[i], features, weights,

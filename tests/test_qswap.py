@@ -5,11 +5,24 @@ import pytest
 
 from hqfusion.errors import ConfigError
 from hqfusion.qswap import (IMG_BEV, ORIGIN_BASE, ORIGIN_SHARED, QSwapConfig,
-                            SampleSet, adaptive_radius, base_sample_set,
-                            normalize_sample_scores, predict_base_samples,
-                            score_shared_points, select_neighbors, swap_samples)
+                            adaptive_radius, base_bank, normalize_sample_scores,
+                            predict_base_samples, score_shared_points,
+                            select_neighbors, swap_samples)
 
-from reference import brute_force_selection, naive_affine
+from reference import brute_force_selection, naive_affine, naive_swap_samples
+
+
+def make_bank(rows, kind=IMG_BEV):
+    """Base bank from per-query (offsets, scores) pairs; sizes may differ."""
+    k = max(len(scores) for _, scores in rows)
+    offsets = np.zeros((len(rows), k, 2))
+    scores = np.zeros((len(rows), k))
+    for i, (off, sc) in enumerate(rows):
+        offsets[i, :len(sc)] = off
+        scores[i, :len(sc)] = sc
+    bank = base_bank(kind, offsets, scores)
+    bank.sizes = np.array([len(sc) for _, sc in rows], dtype=np.int64)
+    return bank
 
 
 def random_swap_instance(rng, n=8, k_base=20, cfg=None):
@@ -20,11 +33,10 @@ def random_swap_instance(rng, n=8, k_base=20, cfg=None):
     aff = np.exp(logits)
     aff /= aff.sum(axis=1, keepdims=True)
     boxes_wl = rng.uniform(0.5, 5.0, (n, 2))
-    base_sets = [
-        base_sample_set(i, IMG_BEV, rng.normal(0.0, 2.0, (k_base, 2)),
-                        rng.normal(0.0, 1.0, k_base))
+    base_sets = make_bank([
+        (rng.normal(0.0, 2.0, (k_base, 2)), rng.normal(0.0, 1.0, k_base))
         for i in range(n)
-    ]
+    ])
     neighbors = [select_neighbors(i, aff[i], boxes_wl, positions, cfg)
                  for i in range(n)]
     return base_sets, neighbors, aff, positions, boxes_wl, cfg
@@ -125,19 +137,18 @@ def two_query_instance(neighbor_scores, k_base=4, cfg=None, affinity=0.5):
     """Query 0 receives from query 1; geometry keeps 1 inside the radius."""
     cfg = cfg or QSwapConfig(k_base=k_base)
     positions = np.array([[0.0, 0.0], [3.0, 0.0]])
-    base0 = base_sample_set(0, IMG_BEV, np.zeros((k_base, 2)), np.zeros(k_base))
     off1 = np.arange(len(neighbor_scores) * 2, dtype=float).reshape(-1, 2) * 0.1
-    base1 = base_sample_set(1, IMG_BEV, off1, np.array(neighbor_scores, float))
+    bank = make_bank([(np.zeros((k_base, 2)), np.zeros(k_base)),
+                      (off1, np.array(neighbor_scores, float))])
     aff = np.array([[1.0 - affinity, affinity], [affinity, 1.0 - affinity]])
     neighbors = [np.array([1]), np.array([], dtype=int)]
-    return [base0, base1], neighbors, aff, positions, cfg
+    return bank, neighbors, aff, positions, cfg
 
 
 class TestSwapSamples:
     def test_no_neighbors_unchanged(self):
         rng = np.random.default_rng(0)
-        base = [base_sample_set(0, IMG_BEV, rng.normal(size=(4, 2)),
-                                rng.normal(size=4))]
+        base = make_bank([(rng.normal(size=(4, 2)), rng.normal(size=4))])
         out = swap_samples(base, [np.array([], dtype=int)],
                            np.eye(1), np.zeros((1, 2)), QSwapConfig(k_base=4))
         assert out[0].size == 4
@@ -159,8 +170,8 @@ class TestSwapSamples:
         positions = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
         boxes = np.tile([2.0, 4.0], (4, 1))
         aff = np.full((4, 4), 0.25)
-        base = [base_sample_set(i, IMG_BEV, rng.normal(size=(2, 2)),
-                                rng.normal(0, 3, 2)) for i in range(4)]
+        base = make_bank([(rng.normal(size=(2, 2)), rng.normal(0, 3, 2))
+                          for i in range(4)])
         neighbors = [np.array([1, 2, 3])] + [np.array([], dtype=int)] * 3
         out = swap_samples(base, neighbors, aff, positions, cfg)
         assert out[0].shared_count() == 4
@@ -174,11 +185,8 @@ class TestSwapSamples:
 
     def test_replace_mode_overwrites_lowest(self):
         cfg = QSwapConfig(k_base=20, mode="replace")
-        base0 = base_sample_set(0, IMG_BEV, np.zeros((20, 2)),
-                                np.arange(20, dtype=float))
-        base1 = base_sample_set(1, IMG_BEV, np.full((3, 2), 0.5),
-                                np.array([30.0, 40.0, -50.0]))
-        sets = [base0, base1]
+        sets = make_bank([(np.zeros((20, 2)), np.arange(20, dtype=float)),
+                          (np.full((3, 2), 0.5), np.array([30.0, 40.0, -50.0]))])
         aff = np.array([[0.5, 0.5], [0.5, 0.5]])
         pos = np.array([[0.0, 0.0], [2.0, 0.0]])
         out = swap_samples(sets, [np.array([1]), np.array([], dtype=int)],
@@ -233,9 +241,9 @@ class TestSwapSamples:
         positions = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         boxes = np.tile([2.0, 4.0], (3, 1))
         # neighbor 2 has tiny raw score but much larger affinity
-        base = [base_sample_set(0, IMG_BEV, np.zeros((1, 2)), np.zeros(1)),
-                base_sample_set(1, IMG_BEV, np.zeros((1, 2)), np.array([100.0])),
-                base_sample_set(2, IMG_BEV, np.zeros((1, 2)), np.array([-100.0]))]
+        base = make_bank([(np.zeros((1, 2)), np.zeros(1)),
+                          (np.zeros((1, 2)), np.array([100.0])),
+                          (np.zeros((1, 2)), np.array([-100.0]))])
         aff = np.array([[0.0, 0.01, 0.99], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         nbs = [np.array([1, 2]), np.array([], dtype=int), np.array([], dtype=int)]
         out = swap_samples(base, nbs, aff, positions, cfg)
@@ -269,28 +277,102 @@ class TestSwapSamples:
                 totals.append(out[0].scores[shared].sum())
             assert all(b >= a - 1e-12 for a, b in zip(totals, totals[1:]))
 
+    def test_replace_mode_needs_k_extra_within_k_base(self):
+        with pytest.raises(ConfigError):
+            QSwapConfig(k_base=2, k_extra=4, mode="replace").validate()
+        QSwapConfig(k_base=2, k_extra=4, mode="append").validate()
+
+    def test_matches_naive_loop_with_ragged_sets_and_ties(self):
+        # raw scores 1 and 1 + 2**-52 share one s-tilde once ln(0.9) * 1000
+        # is added, so per-neighbor ranks must follow s-tilde, not raw score
+        rng = np.random.default_rng(12)
+        score_pool = np.array([1.0, 1.0 + 2.0 ** -52, 0.5, -1.0, 2.0])
+        for trial in range(150):
+            n = int(rng.integers(2, 12))
+            mode = ("append", "replace")[trial % 2]
+            k_extra = int(rng.integers(0, 7))
+            cfg = QSwapConfig(n_neighbors=int(rng.integers(1, 7)),
+                              k_per=int(rng.integers(0, k_extra + 1)),
+                              k_extra=k_extra, k_base=8, mode=mode,
+                              radius_factor=float(rng.choice([0.5, 3.0])),
+                              prior_strength=float(rng.choice([0.0, 1.0, 1000.0])))
+            low = k_extra if mode == "replace" else 1
+            sizes = rng.integers(low, cfg.k_base + 1, n)
+            bank = make_bank([(rng.normal(0.0, 2.0, (k, 2)), rng.choice(score_pool, k))
+                              for k in sizes])
+            pos = rng.uniform(-3.0, 3.0, (n, 2))
+            aff = rng.choice([0.9, 0.5, 0.1, 0.0], (n, n))
+            boxes = rng.uniform(0.5, 3.0, (n, 2))
+            nbs = [select_neighbors(i, aff[i], boxes, pos, cfg) for i in range(n)]
+            got = swap_samples(bank, nbs, aff, pos, cfg)
+            want = naive_swap_samples(bank, nbs, aff, pos, cfg)
+            assert len(got) == n
+            for i in range(n):
+                g, w = got[i], want[i]
+                assert g.owner == i and g.size == w.size
+                assert np.array_equal(g.origins, w.origins)
+                assert np.array_equal(g.sources, w.sources)
+                assert np.array_equal(g.offsets, w.offsets)
+                assert np.array_equal(g.scores, w.scores)
+
+    def test_per_neighbor_rank_follows_s_tilde(self):
+        scores = [1.0 + 2.0 ** -52, 1.0]
+        cfg = QSwapConfig(k_base=2, k_per=1, k_extra=1, prior_strength=1000.0)
+        sets, nbs, _, pos, _ = two_query_instance(scores, k_base=2, cfg=cfg)
+        aff = np.full((2, 2), 0.9)
+        st = score_shared_points(np.array(scores), 0.9, 1000.0)
+        assert st[0] == st[1]
+        out = swap_samples(sets, nbs, aff, pos, cfg)
+        shared = out[0].origins == ORIGIN_SHARED
+        # the s-tilde tie goes to the lower point index
+        assert np.array_equal(out[0].offsets[shared],
+                              pos[1] + sets[1].offsets[:1] - pos[0])
+
+    def test_rows_are_views(self):
+        rng = np.random.default_rng(2)
+        bank = make_bank([(rng.normal(size=(k, 2)), rng.normal(size=k))
+                          for k in (3, 5)])
+        bank.weights = normalize_sample_scores(bank)
+        row = bank[0]
+        assert row.size == 3 and row.owner == 0 and bank[-1].owner == 1
+        for name in ("offsets", "scores", "origins", "sources", "weights"):
+            assert np.shares_memory(getattr(row, name), getattr(bank, name))
+        with pytest.raises(IndexError):
+            bank[2]
+
 
 class TestNormalize:
     def test_uniform(self):
-        s = base_sample_set(0, IMG_BEV, np.zeros((24, 2)), np.full(24, 1.3))
-        w = normalize_sample_scores(s)
+        s = make_bank([(np.zeros((24, 2)), np.full(24, 1.3))])
+        w = normalize_sample_scores(s)[0]
         assert np.allclose(w, 1.0 / 24.0, atol=1e-12)
         assert abs(w.sum() - 1.0) < 1e-9
 
     def test_dominant_score(self):
         scores = np.zeros(21)
         scores[7] = 10.0
-        s = base_sample_set(0, IMG_BEV, np.zeros((21, 2)), scores)
-        w = normalize_sample_scores(s)
+        s = make_bank([(np.zeros((21, 2)), scores)])
+        w = normalize_sample_scores(s)[0]
         assert w[7] > 0.99
 
     def test_matches_dense_softmax_oracle(self):
         rng = np.random.default_rng(0)
         scores = rng.normal(size=24)
-        s = base_sample_set(0, IMG_BEV, np.zeros((24, 2)), scores)
-        w = normalize_sample_scores(s)
+        s = make_bank([(np.zeros((24, 2)), scores)])
+        w = normalize_sample_scores(s)[0]
         ref = np.exp(scores) / np.exp(scores).sum()
         assert np.allclose(w, ref, atol=1e-12)
+
+    def test_ragged_rows_ignore_padding(self):
+        rng = np.random.default_rng(1)
+        rows = [(np.zeros((k, 2)), rng.normal(size=k)) for k in (24, 3, 20)]
+        bank = make_bank(rows)
+        bank.scores[1, 3:] = 50.0  # padding must not take any weight
+        w = normalize_sample_scores(bank)
+        for i, (_, scores) in enumerate(rows):
+            ref = np.exp(scores) / np.exp(scores).sum()
+            assert np.allclose(w[i, :len(scores)], ref, atol=1e-12)
+            assert (w[i, len(scores):] == 0.0).all()
 
 
 class TestPlantedEvidence:
@@ -307,15 +389,14 @@ class TestPlantedEvidence:
         a_center = scene.objects[0].center[:2]
         pos = np.array([a_center, a_center + [3.0, 0.0]])
         cfg = QSwapConfig(k_base=4)
-        base0 = base_sample_set(0, IMG_BEV, np.full((4, 2), 2.0), np.zeros(4))
         off1 = np.tile([5.0, 5.0], (4, 1))
         off1[2] = a_center - pos[1]  # lands exactly on A's center
         scores1 = np.array([0.0, 0.0, 3.0, 0.0])
-        base1 = base_sample_set(1, IMG_BEV, off1, scores1)
+        base = make_bank([(np.full((4, 2), 2.0), np.zeros(4)), (off1, scores1)])
         aff = np.array([[0.1, 0.9], [0.9, 0.1]])
         nbs = [np.array([1]), np.array([], dtype=int)]
-        out = swap_samples([base0, base1], nbs, aff, pos, cfg)
-        out[0].weights = normalize_sample_scores(out[0])
+        out = swap_samples(base, nbs, aff, pos, cfg)
+        out.weights = normalize_sample_scores(out)
 
         abs_pts = pos[0] + out[0].offsets
         on_a = np.flatnonzero(np.linalg.norm(abs_pts - a_center, axis=1) < 1e-9)
