@@ -5,7 +5,7 @@ from .numkernel import (AttentionMask, BLOCKED, MhaWeights, affine,
                         bilinear_sample, masked_softmax, multi_head_attention)
 from .qinit import (QuerySet, TYPE_IMG, TYPE_RAD, TYPE_W, concat_query_sets,
                     init_image_queries, init_radar_queries, init_world_queries)
-from .qmix import (CrossTypeLink, TypeAttentionStats, attention_type_stats,
+from .qmix import (TypeAttentionStats, attention_type_stats,
                    build_cross_type_mask, extract_top_links, qmix_attention)
 from .qswap import (QSwapConfig, SampleBank, SampleSet, normalize_sample_scores,
                     score_shared_points, select_neighbors, swap_samples)

@@ -23,7 +23,8 @@ import numpy as np
 from . import decoder as dec
 from . import metrics as met
 from . import qinit, qswap, scene as sc, weights_io
-from .errors import ConfigError, GenerationError, WeightFormatError
+from .errors import (ConfigError, GenerationError, NonFiniteError,
+                     WeightFormatError)
 from .qmix import extract_top_links
 
 REPORT_SCHEMA_VERSION = 1
@@ -196,25 +197,12 @@ def build_config(args) -> RunConfig:
 # JSON plumbing
 # ---------------------------------------------------------------------------
 
-def _plain(obj):
-    """Recursively convert to JSON-safe python values; NaN becomes null."""
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _plain(obj.tolist())
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        obj = float(obj)
-    if isinstance(obj, float) and math.isnan(obj):
-        return None
-    return obj
-
-
 def write_json(path, obj):
-    text = json.dumps(_plain(obj), sort_keys=True, indent=2) + "\n"
+    """Serialize in full, then write; NaN and infinities are refused."""
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NonFiniteError(f"refusing to write {path}: {exc}") from exc
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
@@ -320,7 +308,13 @@ def build_report(cfg: RunConfig, result) -> dict:
     layers = []
     mass_acc = {"self": [], "qmix": []}
     mpk_acc = {"self": [], "qmix": []}
-    for out, lm in zip(outputs, result["layer_metrics"]):
+    # ate/aoe are undefined (NaN) without matches; any other NaN is an error
+    layer_metrics = [
+        {k: None if k in ("ate", "aoe") and math.isnan(v) else v
+         for k, v in lm.items()}
+        for lm in result["layer_metrics"]
+    ]
+    for out, lm in zip(outputs, layer_metrics):
         rec = {
             "layer": out.layer,
             "metrics": lm,
@@ -340,8 +334,7 @@ def build_report(cfg: RunConfig, result) -> dict:
         if cfg.emit.links:
             attn = out.qmix_attn if out.qmix_attn is not None else out.self_attn
             conf = out.class_scores.max(axis=1)
-            rec["links"] = [lk.to_dict() for lk in
-                            extract_top_links(attn, queries.types, conf)]
+            rec["links"] = extract_top_links(attn, queries.types, conf)
         if cfg.emit.query_snapshots:
             rec["query_snapshot"] = {
                 "positions": out.positions.tolist(),
@@ -382,7 +375,7 @@ def build_report(cfg: RunConfig, result) -> dict:
             "padded_image_queries": result["padded"],
         },
         "layers": layers,
-        "final": result["layer_metrics"][-1],
+        "final": layer_metrics[-1],
         "attn_stats_mean": attn_mean,
     }
     if cfg.emit.include_timing:
@@ -589,8 +582,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, WeightFormatError, GenerationError, FileNotFoundError,
-            json.JSONDecodeError) as exc:
+    except (ConfigError, WeightFormatError, GenerationError, NonFiniteError,
+            FileNotFoundError, json.JSONDecodeError) as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(error, sort_keys=True), file=sys.stderr)
         return 2

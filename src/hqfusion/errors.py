@@ -19,3 +19,7 @@ class GenerationError(RuntimeError):
 
 class WeightFormatError(ValueError):
     """Weight file is malformed, truncated, or does not match the config."""
+
+
+class NonFiniteError(ValueError):
+    """A NaN or infinite value reached a report."""

@@ -99,44 +99,35 @@ def attention_type_stats(attn: np.ndarray, types: np.ndarray) -> TypeAttentionSt
     return TypeAttentionStats(mass, mean_per_key, counts)
 
 
-@dataclass
-class CrossTypeLink:
-    """One attention edge between queries of different types."""
-
-    source: int
-    target: int
-    weight: float
-    source_type: str
-    target_type: str
-    source_confidence: float
-
-    def to_dict(self) -> dict:
-        return {
-            "source": self.source, "target": self.target, "weight": self.weight,
-            "source_type": self.source_type, "target_type": self.target_type,
-            "source_confidence": self.source_confidence,
-        }
+LINK_CONF_THRESHOLD = 0.1   # sources must be more confident than this
+LINKS_PER_QUERY = 2
 
 
 def extract_top_links(attn: np.ndarray, types: np.ndarray,
-                      confidences: np.ndarray, conf_threshold: float = 0.1,
-                      k: int = 2) -> list[CrossTypeLink]:
-    """Top-k cross-type links of every query above the confidence threshold.
+                      confidences: np.ndarray) -> list[dict]:
+    """Top cross-type links of every query above the confidence threshold.
 
+    Sources go in ascending id, each with its LINKS_PER_QUERY heaviest
+    cross-type targets by descending weight, ties to the lower target id.
     Same-type targets (including self) are excluded explicitly, so the
     extractor is also valid on unmasked self-attention matrices.
     """
     types = np.asarray(types)
-    links: list[CrossTypeLink] = []
-    for i in np.flatnonzero(np.asarray(confidences) > conf_threshold):
-        partners = np.flatnonzero(types != types[i])
-        if partners.size == 0:
-            continue
-        ranked = sorted(partners, key=lambda j: (-attn[i, j], j))[:k]
-        links.extend(
-            CrossTypeLink(int(i), int(j), float(attn[i, j]),
-                          TYPE_NAMES[types[i]], TYPE_NAMES[types[j]],
-                          float(confidences[i]))
-            for j in ranked
-        )
-    return links
+    confidences = np.asarray(confidences)
+    sources = np.flatnonzero(confidences > LINK_CONF_THRESHOLD)
+    same = types[None, :] == types[sources, None]
+    # one stable sort of all rows: equal weights keep ascending target ids
+    order = np.argsort(np.where(same, np.inf, -attn[sources]), axis=1,
+                       kind="stable")[:, :LINKS_PER_QUERY]
+    partners = len(types) - same.sum(axis=1)
+    keep = np.arange(order.shape[1]) < partners[:, None]
+    src = np.broadcast_to(sources[:, None], order.shape)[keep]
+    dst = order[keep]
+    return [
+        {"source": i, "target": j, "weight": w, "source_type": TYPE_NAMES[a],
+         "target_type": TYPE_NAMES[b], "source_confidence": c}
+        for i, j, w, a, b, c in zip(
+            src.tolist(), dst.tolist(), attn[src, dst].tolist(),
+            types[src].tolist(), types[dst].tolist(),
+            confidences[src].tolist())
+    ]

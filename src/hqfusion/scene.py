@@ -516,29 +516,3 @@ def save_scene(scene: Scene, rig: CameraRig, path):
 def load_scene(path) -> tuple[Scene, CameraRig]:
     with open(path, encoding="utf-8") as fh:
         return scene_from_dict(json.load(fh))
-
-
-def save_grid(grid: FeatureGrid, path):
-    """Header JSON + '\\n\\n' + raw little-endian float32 blob."""
-    header = {
-        "shape": list(grid.data.shape),
-        "extent": [grid.x_min, grid.x_max, grid.y_min, grid.y_max],
-        "voxel": grid.voxel,
-        "kind": grid.kind,
-        "dtype": "<f4",
-    }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        fh.write(b"\n\n")
-        fh.write(grid.data.astype("<f4").tobytes())
-
-
-def load_grid(path) -> FeatureGrid:
-    blob = open(path, "rb").read()
-    sep = blob.index(b"\n\n")
-    header = json.loads(blob[:sep].decode("utf-8"))
-    shape = tuple(header["shape"])
-    data = np.frombuffer(blob[sep + 2:], dtype="<f4").reshape(shape).astype(np.float64)
-    x_min, x_max, y_min, y_max = header["extent"]
-    return FeatureGrid(data, x_min, x_max, y_min, y_max, header["voxel"],
-                       header["kind"])

@@ -150,7 +150,8 @@ def save_weights(weights: DecoderWeights, path):
 
 def load_weights(path, config) -> DecoderWeights:
     """Parse, validate against config, and reject anything inconsistent."""
-    raw = open(path, "rb").read()
+    with open(path, "rb") as fh:
+        raw = fh.read()
     sep = raw.find(b"\n\n")
     if sep < 0:
         raise WeightFormatError("missing manifest separator")

@@ -13,6 +13,7 @@ import numpy as np
 
 from hqfusion.decoder import aggregate_features_batch
 from hqfusion.numkernel import bilinear_at, bilinear_sample_many
+from hqfusion.qinit import TYPE_NAMES
 from hqfusion.qswap import (BEV_KINDS, ORIGIN_SHARED, SampleSet,
                             score_shared_points)
 from hqfusion.scene import project_to_view
@@ -194,6 +195,22 @@ def naive_type_stats(attn, types, num_types=3):
             mpk[a, b] = mass[a, b] / counts[b] if counts[b] > 0 else 0.0
     return mass, mpk
 
+
+
+def naive_top_links(attn, types, confidences, conf_threshold=0.1, k=2):
+    """Per-query sort of cross-type partners by (-weight, target id)."""
+    links = []
+    for i in np.flatnonzero(np.asarray(confidences) > conf_threshold):
+        partners = np.flatnonzero(types != types[i])
+        ranked = sorted(partners, key=lambda j: (-attn[i, j], j))[:k]
+        links.extend(
+            {"source": int(i), "target": int(j), "weight": float(attn[i, j]),
+             "source_type": TYPE_NAMES[types[i]],
+             "target_type": TYPE_NAMES[types[j]],
+             "source_confidence": float(confidences[i])}
+            for j in ranked
+        )
+    return links
 
 def naive_swap_samples(bank, neighbor_lists, affinities, positions_bev, cfg):
     """Per-query swap loop over the rows of a SampleBank; list of SampleSets.

@@ -229,6 +229,33 @@ class TestCliCommands:
         err = capsys.readouterr().err.strip().splitlines()[-1]
         assert json.loads(err)["error"] == "WeightFormatError"
 
+    def test_non_finite_value_refused(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        code = run_cli(["run", *TOY, "--set", "render.pv_noise=NaN",
+                        "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()[-1]
+        assert json.loads(err)["error"] == "NonFiniteError"
+        assert not out.exists()
+
+    def test_layer_without_matches_writes_null(self, tmp_path):
+        cfg = cli.config_from_dict({})
+        for key, value in cli.PRESETS["toy"].items():
+            cli.apply_override(cfg, key, value)
+        result = cli.run_pipeline(cfg)
+        out = result["outputs"][0]
+        preds = cli.met.detections_from_arrays(out.class_scores, out.centers,
+                                               out.sizes, out.yaws)
+        # no ground truth, so layer 0 has no matches and undefined errors
+        result["layer_metrics"][0] = cli.met.evaluate_layer(preds, [])
+        path = tmp_path / "r.json"
+        cli.write_json(path, cli.build_report(cfg, result))
+        report = json.loads(path.read_text())
+        first = report["layers"][0]["metrics"]
+        assert first["num_matches"] == 0
+        assert first["ate"] is None and first["aoe"] is None
+        assert report["final"]["ate"] is not None
+
 
 class TestAblate:
     def test_toy_ladder(self, tmp_path):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +11,7 @@ from hqfusion.qmix import (QMixWeights, attention_type_stats,
                            qmix_attention)
 
 from reference import (naive_cross_type_blocked, naive_mixing_block,
-                       naive_type_stats)
+                       naive_top_links, naive_type_stats)
 
 IMG, RAD, W = TYPE_IMG, TYPE_RAD, TYPE_W
 
@@ -175,14 +177,36 @@ class TestTopLinks:
     def test_ranked_cross_links(self):
         types = np.array([IMG, RAD, W])
         attn = np.array([[0.5, 0.3, 0.2], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        links = extract_top_links(attn, types, np.array([0.9, 0.0, 0.0]), k=2)
-        assert [(l.source, l.target) for l in links] == [(0, 1), (0, 2)]
-        assert links[0].weight == 0.3 and links[1].weight == 0.2
-        assert links[0].source_type == "img" and links[0].target_type == "rad"
+        links = extract_top_links(attn, types, np.array([0.9, 0.0, 0.0]))
+        assert [(l["source"], l["target"]) for l in links] == [(0, 1), (0, 2)]
+        assert links[0]["weight"] == 0.3 and links[1]["weight"] == 0.2
+        assert (links[0]["source_type"] == "img"
+                and links[0]["target_type"] == "rad")
 
     def test_single_partner_truncates(self):
         types = np.array([IMG, RAD])
         attn = np.array([[0.7, 0.3], [0.4, 0.6]])
-        links = extract_top_links(attn, types, np.array([1.0, 0.0]), k=2)
+        links = extract_top_links(attn, types, np.array([1.0, 0.0]))
         assert len(links) == 1
-        assert links[0].target == 1
+        assert links[0]["target"] == 1
+
+    def test_matches_per_query_sort(self):
+        rng = np.random.default_rng(3)
+        type_draws = [
+            lambda n: rng.integers(0, 3, n),                   # mixed
+            lambda n: np.array([IMG] + [RAD] * (n - 1)),       # one img query
+            lambda n: rng.choice([RAD, W], n),                 # two types only
+            lambda n: np.full(n, W),                           # no partners
+        ]
+        for trial in range(400):
+            n = int(rng.integers(1, 41))
+            types = type_draws[trial % len(type_draws)](n)
+            # quantized weights force ties; zeros come in both signs
+            attn = rng.integers(0, 4, (n, n)) / 4.0
+            attn[(attn == 0.0) & (rng.random((n, n)) < 0.5)] = -0.0
+            conf = rng.choice([0.0, 0.05, 0.1, 0.1 + 1e-12, 0.5, 1.0], n)
+            got = extract_top_links(attn, types, conf)
+            want = naive_top_links(attn, types, conf)
+            assert got == want
+            # == treats -0.0 and 0.0 alike; the report bytes do not
+            assert json.dumps(got) == json.dumps(want)

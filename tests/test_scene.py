@@ -8,9 +8,9 @@ from hqfusion.numkernel import bilinear_sample
 from hqfusion.scene import (Camera, CameraRig, FeatureGrid, GridConfig,
                             RadarPointCloud, RadarSimConfig, Scene, SceneConfig,
                             SceneObject, build_rig, encode_radar_bev,
-                            generate_scene, load_grid, load_scene, make_camera,
+                            generate_scene, load_scene, make_camera,
                             project_to_view, project_points, render_image_bev,
-                            render_pv_features, save_grid, save_scene,
+                            render_pv_features, save_scene,
                             scene_from_dict, scene_to_dict, simulate_radar_points)
 
 from reference import project_with_matrix
@@ -301,18 +301,6 @@ class TestGridTypes:
     def test_feature_grid_invariant(self):
         with pytest.raises(ShapeError):
             FeatureGrid(np.zeros((4, 4, 2)), -2.0, 2.0, -2.0, 2.1, 1.0, "img_bev")
-
-    def test_grid_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(0)
-        grid = FeatureGrid(rng.normal(size=(4, 6, 3)), -3.0, 3.0, -2.0, 2.0,
-                           1.0, "rad_bev")
-        path = tmp_path / "grid.bin"
-        save_grid(grid, path)
-        back = load_grid(path)
-        assert back.kind == "rad_bev"
-        assert np.array_equal(back.data,
-                              grid.data.astype("<f4").astype(np.float64))
-        assert (back.x_min, back.x_max) == (-3.0, 3.0)
 
 
 class TestSceneSerialization:
