@@ -9,7 +9,10 @@ than the query embeddings, positions and box predictions.
 
 Sampling runs on whole arrays: each BEV grid's points live in one qswap
 SampleBank, and the token gather packs every query's tokens into one
-padded (N, T_max, d) tensor for the batched aggregation.
+padded (N, T_max, d) tensor for the batched aggregation.  The aggregation
+folds its key and value projections into the query: the query is mapped
+into token space once (Wk^T q) and the attention-weighted token sum is
+projected once (Wv), so no per-token key or value is ever formed.
 """
 from __future__ import annotations
 
@@ -49,6 +52,8 @@ class DecoderConfig:
     def validate(self):
         if self.layers < 1:
             raise ConfigError("decoder needs at least one layer")
+        if self.heads < 1:
+            raise ConfigError("decoder needs at least one attention head")
         if self.d % self.heads != 0:
             raise ConfigError(f"heads ({self.heads}) must divide d ({self.d})")
         if self.qmix_placement not in PLACEMENTS:
@@ -233,19 +238,22 @@ def aggregate_features_batch(emb: np.ndarray, tok: np.ndarray, logw: np.ndarray,
     """Single-query cross-attention over sampled tokens (batched over queries).
 
     Logits are content similarity plus the log of the normalized sampling
-    weight; queries with no tokens pass through unchanged.
+    weight; queries with no tokens pass through unchanged.  The key and value
+    projections are folded into the query side, so no token is projected:
+    a logit is tok . (Wk^T qp) + bk . qp, and since a row's attention weights
+    sum to 1 its context is (sum_j a_j tok_j) Wv^T + bv.  Padded token slots
+    get weight exactly 0 and must hold finite values (build_tokens zero-fills
+    them), so they add nothing to the weighted token sum.
     """
     t = weights.tensors
-    n, d = emb.shape
-    n_tok = tok.shape[1]
-    if n_tok == 0:
+    d = emb.shape[1]
+    if tok.shape[1] == 0:
         return emb.copy()
     any_tok = valid.any(axis=1)
     qp = emb @ t["agg.wq"].T + t["agg.bq"]
-    flat = tok.reshape(n * n_tok, d)
-    kp = (flat @ t["agg.wk"].T + t["agg.bk"]).reshape(n, n_tok, d)
-    vp = (flat @ t["agg.wv"].T + t["agg.bv"]).reshape(n, n_tok, d)
-    logits = np.matmul(kp, qp[:, :, None])[:, :, 0]
+    u = qp @ t["agg.wk"]
+    logits = np.matmul(tok, u[:, :, None])[:, :, 0]
+    logits += (qp @ t["agg.bk"])[:, None]
     logits /= math.sqrt(d)
     logits += logw
     np.copyto(logits, -np.inf, where=~valid)
@@ -256,7 +264,8 @@ def aggregate_features_batch(emb: np.ndarray, tok: np.ndarray, logw: np.ndarray,
     denom = logits.sum(axis=1, keepdims=True)
     denom[denom == 0.0] = 1.0
     logits /= denom
-    ctx = np.matmul(logits[:, None, :], vp)[:, 0, :]
+    mixed = np.matmul(logits[:, None, :], tok)[:, 0, :]
+    ctx = mixed @ t["agg.wv"].T + t["agg.bv"]
     upd = ctx @ t["agg.wo"].T + t["agg.bo"]
     return np.where(any_tok[:, None], emb + upd, emb)
 

@@ -51,7 +51,9 @@ class QSwapConfig:
             raise ConfigError(f"unknown swap mode {self.mode!r}")
         if self.k_per > self.k_extra:
             raise ConfigError("k_per must not exceed k_extra")
-        if min(self.k_base, self.k_per, self.k_extra, self.n_neighbors) < 0:
+        if self.k_base < 1:
+            raise ConfigError("k_base must be at least 1")
+        if min(self.k_per, self.k_extra, self.n_neighbors) < 0:
             raise ConfigError("swap caps must be non-negative")
         if self.affinity_floor <= 0.0:
             raise ConfigError("affinity_floor must be positive")

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hqfusion.decoder import aggregate_features_batch
 from hqfusion.numkernel import bilinear_at, bilinear_sample_many
 from hqfusion.qinit import TYPE_NAMES
 from hqfusion.qswap import (BEV_KINDS, ORIGIN_SHARED, SampleSet,
@@ -320,10 +319,24 @@ def sample_features(position, embedding, features, weights, sample_sets, k_pv):
 
 
 def aggregate_features(embedding, tokens, weights):
-    """Per-query form of the aggregation stage; no tokens -> identity."""
+    """Per-query aggregation with every token projected; no tokens -> identity.
+
+    Each token gets its own key Wk tok + bk and value Wv tok + bv; the
+    logits are q . k / sqrt(d) plus the log sampling weight, and the update
+    is Wo (sum_j a_j v_j) + bo.
+    """
     if not tokens:
         return embedding.copy()
-    tok = np.stack([tk.feature for tk in tokens])[None]
-    logw = np.log(np.array([tk.weight for tk in tokens]))[None]
-    valid = np.ones((1, len(tokens)), dtype=bool)
-    return aggregate_features_batch(embedding[None], tok, logw, valid, weights)[0]
+    t = weights.tensors
+    d = len(embedding)
+    qp = _row_affine(t["agg.wq"], embedding, t["agg.bq"])
+    logits, values = [], []
+    for tk in tokens:
+        kp = _row_affine(t["agg.wk"], tk.feature, t["agg.bk"])
+        values.append(_row_affine(t["agg.wv"], tk.feature, t["agg.bv"]))
+        logits.append(np.dot(qp, kp) / math.sqrt(d) + np.log(tk.weight))
+    a = naive_masked_softmax(logits, [False] * len(tokens))
+    ctx = np.zeros(d)
+    for j, v in enumerate(values):
+        ctx += a[j] * v
+    return embedding + _row_affine(t["agg.wo"], ctx, t["agg.bo"])

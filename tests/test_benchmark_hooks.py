@@ -3,7 +3,8 @@
 perfbench/tracer.py patches the functions in its TRACED table by name, and
 perfbench/worker.py calls cli.extract_top_links and cli.write_json(path,
 obj); a rename would otherwise only surface in the benchmark's own smoke
-test, which is outside this suite.
+test, which is outside this suite.  The tracer's count hooks unpack the
+results they are given, so the token hook is also run on a real result.
 """
 import importlib
 import importlib.util
@@ -34,3 +35,27 @@ def test_cli_hooks():
     from hqfusion import cli, qmix
     assert cli.extract_top_links is qmix.extract_top_links
     assert list(inspect.signature(cli.write_json).parameters) == ["path", "obj"]
+
+
+def test_token_counts_on_a_toy_run(monkeypatch):
+    from hqfusion import cli, decoder
+    tracer = _load_tracer()
+    results = []
+    build_tokens = decoder.build_tokens
+
+    def keep(*args, **kwargs):
+        results.append(build_tokens(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(decoder, "build_tokens", keep)
+    cfg = cli.config_from_dict({})
+    for key, value in cli.PRESETS["toy"].items():
+        cli.apply_override(cfg, key, value)
+    cli.run_pipeline(cfg)
+    assert len(results) == cfg.decoder.layers
+    tok, _, valid = results[0]
+    tr = tracer.Tracer()
+    tracer._count_tokens(tr, (), {}, results[0])
+    assert tr.counts["decoder.tokens.mb"] == tok.nbytes / tracer.MB > 0
+    assert tr.counts["decoder.tokens.slots"] == valid.size
+    assert 0 < tr.counts["decoder.tokens.valid"] == valid.sum()

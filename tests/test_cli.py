@@ -196,6 +196,21 @@ class TestCliCommands:
         assert doc["error"] == "ConfigError"
         assert "sideways" in doc["message"]
 
+    @pytest.mark.parametrize("override, word", [
+        ("decoder.heads=0", "head"),
+        ("decoder.qswap.k_base=0", "k_base"),
+    ])
+    def test_zero_count_config_error_json(self, tmp_path, capsys, override,
+                                          word):
+        out = tmp_path / "r.json"
+        code = run_cli(["run", *TOY, "--set", override, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        doc = json.loads(err[-1])
+        assert doc["error"] == "ConfigError"
+        assert word in doc["message"]
+        assert not out.exists()
+
     def test_unknown_preset(self, tmp_path, capsys):
         code = run_cli(["run", "--preset", "nope", "--out",
                         str(tmp_path / "r.json")])

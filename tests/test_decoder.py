@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from hqfusion.decoder import (DecoderConfig, SceneFeatures, apply_type_adapter,
+from hqfusion.decoder import (DecoderConfig, SceneFeatures,
+                              aggregate_features_batch, apply_type_adapter,
                               build_tokens, decode, detection_head,
                               mixing_weights, predict_base_sets,
                               shared_self_attention,
@@ -298,7 +299,6 @@ class TestAggregate:
             sets[kind].weights = normalize_sample_scores(sets[kind])
         tok, logw, valid = build_tokens(emb, queries.positions, features,
                                         weights, sets, cfg.k_pv)
-        from hqfusion.decoder import aggregate_features_batch
         got = aggregate_features_batch(emb, tok, logw, valid, weights)
         for i in range(queries.n):
             tokens = sample_features(queries.positions[i], emb[i], features,
@@ -306,6 +306,42 @@ class TestAggregate:
                                      {k: sets[k][i] for k in BEV_KINDS},
                                      cfg.k_pv)
             want = aggregate_features(emb[i], tokens, weights)
+            assert np.allclose(got[i], want, rtol=1e-9, atol=1e-11)
+
+    def test_ragged_padding_at_paper_width(self):
+        """Padded token slots must be finite; build_tokens zero-fills them.
+
+        A padded slot gets attention weight exactly 0, so finite junk in its
+        token and log-weight leaves every row equal to the per-token oracle
+        on the row's valid prefix, and a row with no valid token comes back
+        bit-equal to its embedding.
+        """
+        cfg = toy_config(d=256, heads=8)
+        w = init_weights(4, cfg)
+        d = cfg.d
+        rng = np.random.default_rng(7)
+        for p in ("q", "k", "v", "o"):
+            w.tensors[f"agg.b{p}"] = rng.normal(0.0, 0.5, size=d)
+        counts = np.array([9, 3, 0, 6, 1])
+        n, t_max = len(counts), int(counts.max())
+        emb = rng.normal(size=(n, d))
+        tok = rng.normal(size=(n, t_max, d))
+        logw = np.zeros((n, t_max))
+        valid = np.arange(t_max) < counts[:, None]
+        rows = []
+        for i, c in enumerate(counts):
+            wts = rng.uniform(0.05, 1.0, size=c)
+            wts /= wts.sum()
+            logw[i, :c] = np.log(wts)
+            rows.append([Token(tok[i, k].copy(), float(wts[k]), "img_bev")
+                         for k in range(c)])
+        pad = ~valid
+        tok[pad] = rng.uniform(-1e3, 1e3, size=(pad.sum(), d))
+        logw[pad] = rng.uniform(-5.0, 5.0, size=pad.sum())
+        got = aggregate_features_batch(emb, tok, logw, valid, w)
+        assert np.array_equal(got[2], emb[2])
+        for i, tokens in enumerate(rows):
+            want = aggregate_features(emb[i], tokens, w)
             assert np.allclose(got[i], want, rtol=1e-9, atol=1e-11)
 
 
