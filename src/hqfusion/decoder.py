@@ -240,8 +240,9 @@ def aggregate_features_batch(emb: np.ndarray, tok: np.ndarray, logw: np.ndarray,
     Logits are content similarity plus the log of the normalized sampling
     weight; queries with no tokens pass through unchanged.  The key and value
     projections are folded into the query side, so no token is projected:
-    a logit is tok . (Wk^T qp) + bk . qp, and since a row's attention weights
-    sum to 1 its context is (sum_j a_j tok_j) Wv^T + bv.  Padded token slots
+    a logit is tok . (Wk^T qp) (the key bias adds bk . qp to every logit of a
+    row, which the softmax cancels), and since a row's attention weights sum
+    to 1 its context is (sum_j a_j tok_j) Wv^T + bv.  Padded token slots
     get weight exactly 0 and must hold finite values (build_tokens zero-fills
     them), so they add nothing to the weighted token sum.
     """
@@ -253,7 +254,6 @@ def aggregate_features_batch(emb: np.ndarray, tok: np.ndarray, logw: np.ndarray,
     qp = emb @ t["agg.wq"].T + t["agg.bq"]
     u = qp @ t["agg.wk"]
     logits = np.matmul(tok, u[:, :, None])[:, :, 0]
-    logits += (qp @ t["agg.bk"])[:, None]
     logits /= math.sqrt(d)
     logits += logw
     np.copyto(logits, -np.inf, where=~valid)

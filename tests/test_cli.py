@@ -187,29 +187,17 @@ class TestCliCommands:
         assert abs(sum(weights) - 1.0) < 1e-9
 
     def test_invalid_config_error_json(self, tmp_path, capsys):
-        out = tmp_path / "report.json"
-        code = run_cli(["run", "--set", "decoder.qswap.mode=sideways",
-                        "--out", str(out)])
-        assert code == 2
-        err = capsys.readouterr().err.strip().splitlines()[-1]
-        doc = json.loads(err)
-        assert doc["error"] == "ConfigError"
-        assert "sideways" in doc["message"]
-
-    @pytest.mark.parametrize("override, word", [
-        ("decoder.heads=0", "head"),
-        ("decoder.qswap.k_base=0", "k_base"),
-    ])
-    def test_zero_count_config_error_json(self, tmp_path, capsys, override,
-                                          word):
-        out = tmp_path / "r.json"
-        code = run_cli(["run", *TOY, "--set", override, "--out", str(out)])
-        assert code == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        doc = json.loads(err[-1])
-        assert doc["error"] == "ConfigError"
-        assert word in doc["message"]
-        assert not out.exists()
+        for override, word in [("decoder.qswap.mode=sideways", "sideways"),
+                               ("decoder.heads=0", "head"),
+                               ("decoder.qswap.k_base=0", "k_base")]:
+            out = tmp_path / "report.json"
+            code = run_cli(["run", *TOY, "--set", override, "--out", str(out)])
+            assert code == 2, override
+            err = capsys.readouterr().err.strip().splitlines()[-1]
+            doc = json.loads(err)
+            assert doc["error"] == "ConfigError"
+            assert word in doc["message"]
+            assert not out.exists()
 
     def test_unknown_preset(self, tmp_path, capsys):
         code = run_cli(["run", "--preset", "nope", "--out",

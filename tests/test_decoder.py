@@ -250,8 +250,13 @@ class TestAggregate:
     def test_no_tokens_identity(self):
         cfg = toy_config()
         w = init_weights(0, cfg)
-        emb = np.random.default_rng(0).normal(size=cfg.d)
-        assert np.array_equal(aggregate_features(emb, [], w), emb)
+        emb = np.random.default_rng(0).normal(size=(1, cfg.d))
+        got = aggregate_features_batch(emb, np.zeros((1, 0, cfg.d)),
+                                       np.zeros((1, 0)),
+                                       np.zeros((1, 0), dtype=bool), w)
+        assert np.array_equal(got, emb)
+        assert got is not emb
+        assert np.array_equal(aggregate_features(emb[0], [], w), emb[0])
 
     def test_single_token_identity_projections(self):
         cfg = toy_config()
@@ -263,8 +268,10 @@ class TestAggregate:
         rng = np.random.default_rng(1)
         emb = rng.normal(size=d)
         tok = rng.normal(size=d)
-        out = aggregate_features(emb, [Token(tok, 1.0, "img_bev")], w)
-        assert np.allclose(out, emb + tok, atol=1e-12)
+        out = aggregate_features_batch(emb[None], tok[None, None],
+                                       np.zeros((1, 1)),
+                                       np.ones((1, 1), dtype=bool), w)
+        assert np.allclose(out[0], emb + tok, atol=1e-12)
 
     def test_matches_dense_oracle(self):
         cfg = toy_config()
@@ -275,9 +282,9 @@ class TestAggregate:
         feats = rng.normal(size=(5, d))
         weights_ = rng.uniform(0.05, 1.0, size=5)
         weights_ /= weights_.sum()
-        tokens = [Token(feats[i], float(weights_[i]), "rad_bev")
-                  for i in range(5)]
-        got = aggregate_features(emb, tokens, w)
+        got = aggregate_features_batch(emb[None], feats[None],
+                                       np.log(weights_)[None],
+                                       np.ones((1, 5), dtype=bool), w)[0]
         qp = w["agg.wq"] @ emb + w["agg.bq"]
         logits = []
         for i in range(5):
@@ -290,6 +297,10 @@ class TestAggregate:
                   for i in range(5))
         want = emb + w["agg.wo"] @ ctx + w["agg.bo"]
         assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
+        tokens = [Token(feats[i], float(weights_[i]), "rad_bev")
+                  for i in range(5)]
+        assert np.allclose(aggregate_features(emb, tokens, w), want,
+                           rtol=1e-9, atol=1e-12)
 
     def test_batch_matches_per_query(self):
         _, features, queries, weights, cfg = toy_setup()
