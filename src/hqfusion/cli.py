@@ -44,6 +44,12 @@ class RenderConfig:
     pv_downsample: int = 16
     voxel: float = 0.8
 
+    def validate(self):
+        if not self.voxel > 0.0:
+            raise ConfigError(f"render.voxel must be positive, got {self.voxel}")
+        if self.pv_downsample < 1:
+            raise ConfigError("render.pv_downsample must be at least 1")
+
 
 @dataclass
 class QueryConfig:
@@ -54,6 +60,12 @@ class QueryConfig:
     per_view: int = 50
     center_noise_px: float = 2.0
     depth_noise: float = 1.0
+
+    def validate(self):
+        if self.rings < 1:
+            raise ConfigError("queries.rings must be at least 1")
+        if min(self.n_img, self.n_rad) < 0:
+            raise ConfigError("queries.n_img and queries.n_rad must be >= 0")
 
 
 @dataclass
@@ -87,6 +99,8 @@ class RunConfig:
                 f"({self.scene.feature_dim})")
         if abs(self.decoder.extent - self.scene.extent) > 1e-9:
             raise ConfigError("decoder.extent must equal scene.extent")
+        self.render.validate()
+        self.queries.validate()
         self.decoder.validate()
 
 
@@ -211,8 +225,12 @@ def write_json(path, obj):
 # Pipeline
 # ---------------------------------------------------------------------------
 
-def run_pipeline(cfg: RunConfig, scene_path=None, weights_path=None):
-    """Scene -> features -> queries -> decode -> per-layer metrics."""
+def prepare_inputs(cfg: RunConfig, scene_path=None, weights_path=None):
+    """Scene -> features -> queries -> weights: everything decode reads.
+
+    Returns (inputs, features): inputs holds the scene, rig, queries, image
+    pad count, weights and the stage timings so far.
+    """
     timing = {}
     t0 = time.perf_counter()
     if scene_path:
@@ -245,7 +263,7 @@ def run_pipeline(cfg: RunConfig, scene_path=None, weights_path=None):
         center_noise_px=cfg.queries.center_noise_px,
         depth_noise=cfg.queries.depth_noise, seed=cfg.seeds.scene)
     image, padded = qinit.init_image_queries(proposals, rig, cfg.queries.n_img,
-                                             cfg.scene.extent)
+                                             cfg.scene.extent, d)
     radar = qinit.init_radar_queries(heatmap, rad_bev, cfg.queries.n_rad)
     queries = qinit.concat_query_sets(world, image, radar)
     queries.validate(extent=cfg.scene.extent)
@@ -258,25 +276,32 @@ def run_pipeline(cfg: RunConfig, scene_path=None, weights_path=None):
         weights = weights_io.init_weights(cfg.seeds.weights, cfg.decoder)
     timing["weights"] = time.perf_counter() - t0
 
-    features = dec.SceneFeatures(img_bev, rad_bev, pv_maps, rig)
+    inputs = {"scene": scn, "rig": rig, "queries": queries, "padded": padded,
+              "weights": weights, "timing": timing}
+    return inputs, dec.SceneFeatures(img_bev, rad_bev, pv_maps, rig)
+
+
+def evaluate_outputs(outputs, objects) -> list[dict]:
+    """Per-layer detection metrics against the scene's ground truth."""
+    gts = met.gt_detections(objects)
+    return [met.evaluate_layer(met.detections_from_arrays(
+                out.class_scores, out.centers, out.sizes, out.yaws), gts)
+            for out in outputs]
+
+
+def run_pipeline(cfg: RunConfig, scene_path=None, weights_path=None):
+    """Scene -> features -> queries -> decode -> per-layer metrics."""
+    inputs, features = prepare_inputs(cfg, scene_path, weights_path)
+    timing = inputs["timing"]
     t0 = time.perf_counter()
-    outputs = dec.decode(features, queries, weights, cfg.decoder)
+    outputs = dec.decode(features, inputs["queries"], inputs["weights"],
+                         cfg.decoder)
     timing["decode"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    gts = met.gt_detections(scn.objects)
-    layer_metrics = []
-    for out in outputs:
-        preds = met.detections_from_arrays(out.class_scores, out.centers,
-                                           out.sizes, out.yaws)
-        layer_metrics.append(met.evaluate_layer(preds, gts))
+    layer_metrics = evaluate_outputs(outputs, inputs["scene"].objects)
     timing["metrics"] = time.perf_counter() - t0
-
-    return {
-        "scene": scn, "rig": rig, "queries": queries, "padded": padded,
-        "outputs": outputs, "layer_metrics": layer_metrics, "timing": timing,
-        "weights": weights,
-    }
+    return {**inputs, "outputs": outputs, "layer_metrics": layer_metrics}
 
 
 def _set_size_summary(bank: qswap.SampleBank) -> dict:
@@ -487,21 +512,26 @@ ABLATION_VARIANTS = [
 
 
 def cmd_ablate(args) -> int:
+    """Decode every variant on one set of inputs; equal variants decode once."""
     cfg = build_config(args)
     rows = []
+    finals = {}  # decoder overrides -> final-layer metrics
     total0 = time.perf_counter()
+    inputs, features = prepare_inputs(cfg)
     for name, overrides in ABLATION_VARIANTS:
-        vcfg = config_from_dict(config_to_dict(cfg))
-        for key, value in overrides.items():
-            setattr(vcfg.decoder, key, value)
-        vcfg.validate()
+        vdec = dataclasses.replace(cfg.decoder, **overrides)
+        key = tuple(sorted(overrides.items()))
         t0 = time.perf_counter()
-        result = run_pipeline(vcfg)
+        if key not in finals:
+            outputs = dec.decode(features, inputs["queries"], inputs["weights"],
+                                 vdec)
+            finals[key] = evaluate_outputs(outputs[-1:],
+                                           inputs["scene"].objects)[0]
         elapsed = time.perf_counter() - t0
-        final = result["layer_metrics"][-1]
+        final = finals[key]
         fmt = lambda v: "" if math.isnan(v) else repr(v)
-        rows.append([name, vcfg.decoder.enable_qmix, vcfg.decoder.enable_qswap,
-                     vcfg.decoder.qmix_placement, vcfg.decoder.qswap.mode,
+        rows.append([name, vdec.enable_qmix, vdec.enable_qswap,
+                     vdec.qmix_placement, vdec.qswap.mode,
                      fmt(final["map_center"]), fmt(final["ate"]),
                      fmt(final["aoe"]), final["num_matches"]])
         print(f"[hqfusion] ablation {name}: map_center={final['map_center']:.4f} "

@@ -22,8 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .numkernel import (AttentionMask, MhaWeights, _softmax_rows, bilinear_at,
-                        bilinear_sample_many, layer_norm, multi_head_attention)
+from .numkernel import (AttentionMask, MhaWeights, bilinear_at,
+                        bilinear_sample_many, layer_norm, multi_head_attention,
+                        softmax_rows)
 from .qinit import TYPE_IMG, TYPE_RAD, TYPE_W, QuerySet
 from .qmix import (QMixWeights, TypeAttentionStats, attention_block,
                    attention_type_stats, qmix_attention)
@@ -54,6 +55,8 @@ class DecoderConfig:
             raise ConfigError("decoder needs at least one layer")
         if self.heads < 1:
             raise ConfigError("decoder needs at least one attention head")
+        if self.num_classes < 1:
+            raise ConfigError("decoder needs num_classes >= 1")
         if self.d % self.heads != 0:
             raise ConfigError(f"heads ({self.heads}) must divide d ({self.d})")
         if self.qmix_placement not in PLACEMENTS:
@@ -215,18 +218,15 @@ def build_tokens(emb: np.ndarray, positions: np.ndarray, features: SceneFeatures
     if views:
         pv_scores = emb @ t["sample.pv.score.w"].T + t["sample.pv.score.b"]
         pv_off = t["sample.pv.offsets"]
-        # softmax only rows some camera sees: a fully blocked row is NaN
-        any_view = seen.any(axis=1)
-        pv_w = _softmax_rows(np.tile(pv_scores[any_view], len(views)),
-                             np.repeat(~seen[any_view], k_pv, axis=1))
-        pv_w = pv_w.reshape(-1, len(views), k_pv)
-        w_row = np.cumsum(any_view) - 1
+        pv_w = softmax_rows(np.tile(pv_scores, len(views)),
+                            np.repeat(~seen, k_pv, axis=1))
+        pv_w = pv_w.reshape(n, len(views), k_pv)
         for c, (pv, uv, idx) in enumerate(views):
             pts = uv[idx][:, None, :] + pv_off[None, :, :]
             fy, fx = pv.pixel_to_frac(pts[..., 0], pts[..., 1])
             at = fill[idx][:, None] + np.arange(k_pv)
             tok[idx[:, None], at] = bilinear_at(pv.data, fy, fx)
-            logw[idx[:, None], at] = np.log(pv_w[w_row[idx], c])
+            logw[idx[:, None], at] = np.log(pv_w[idx, c])
             fill[idx] += k_pv
 
     valid = np.arange(t_max) < count[:, None]
@@ -256,15 +256,8 @@ def aggregate_features_batch(emb: np.ndarray, tok: np.ndarray, logw: np.ndarray,
     logits = np.matmul(tok, u[:, :, None])[:, :, 0]
     logits /= math.sqrt(d)
     logits += logw
-    np.copyto(logits, -np.inf, where=~valid)
-    m = logits.max(axis=1, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    np.subtract(logits, m, out=logits)
-    np.exp(logits, out=logits)
-    denom = logits.sum(axis=1, keepdims=True)
-    denom[denom == 0.0] = 1.0
-    logits /= denom
-    mixed = np.matmul(logits[:, None, :], tok)[:, 0, :]
+    a = softmax_rows(logits, ~valid)
+    mixed = np.matmul(a[:, None, :], tok)[:, 0, :]
     ctx = mixed @ t["agg.wv"].T + t["agg.bv"]
     upd = ctx @ t["agg.wo"].T + t["agg.bo"]
     return np.where(any_tok[:, None], emb + upd, emb)

@@ -1,9 +1,9 @@
 """Dense float64 numeric kernels.
 
-Affine maps, softmax under an additive mask, multi-head attention that
-exposes its (head-averaged) attention weights, and bilinear sampling on
-metric feature grids.  Everything here is a pure function over immutable
-inputs; no kernel mutates its arguments.
+The one masked row softmax, multi-head attention that exposes its
+(head-averaged) attention weights, and bilinear sampling on metric feature
+grids.  Only softmax_rows works in place, on the logits it is given; no
+other kernel mutates its arguments.
 """
 from __future__ import annotations
 
@@ -14,19 +14,14 @@ import numpy as np
 
 from .errors import ConfigError, MaskError, ShapeError
 
-# Additive sentinel for "this key is not attendable".  It is excluded from
-# max-subtraction and exponentiation rather than added as a large negative
-# float, so blocked entries come out of the softmax as exact zeros.
-BLOCKED = float("-inf")
-
 LN_EPS = 1e-6
 
 
 class AttentionMask:
-    """Dense mask over {0, BLOCKED}.
+    """Dense attention mask, stored as a boolean matrix (True = blocked).
 
-    Stored as a boolean matrix (True = blocked).  Every row must keep at
-    least one key open so downstream softmaxes are always well defined.
+    Every row must keep at least one key open, so an attention row always
+    sums to 1.
     """
 
     def __init__(self, blocked: np.ndarray):
@@ -46,48 +41,26 @@ class AttentionMask:
         """Mask with every entry attendable."""
         return cls(np.zeros((n_q, n_k if n_k is not None else n_q), dtype=bool))
 
-    def to_additive(self) -> np.ndarray:
-        """Render as a float matrix of {0, BLOCKED}."""
-        return np.where(self.blocked, BLOCKED, 0.0)
 
+def softmax_rows(logits: np.ndarray, blocked: np.ndarray | None = None
+                 ) -> np.ndarray:
+    """Softmax over the last axis, in place; returns `logits`.
 
-def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """w @ x + b with strict shape checking."""
-    x = np.asarray(x, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if w.ndim != 2 or x.ndim != 1 or b.ndim != 1:
-        raise ShapeError("affine expects w (m,n), x (n,), b (m,)")
-    if w.shape[1] != x.shape[0] or w.shape[0] != b.shape[0]:
-        raise ShapeError(
-            f"affine shapes do not conform: w {w.shape}, x {x.shape}, b {b.shape}"
-        )
-    return w @ x + b
-
-
-def _softmax_rows(logits: np.ndarray, blocked: np.ndarray) -> np.ndarray:
-    """Row softmax with blocked entries forced to exact 0.
-
-    The row max is taken over open entries only; blocked logits are replaced
-    by -inf before exponentiation, so exp() yields exact zeros there.
+    Entries where `blocked` (broadcast against logits) is True are set to
+    -inf before the max-subtraction, so exp() turns them into exact zeros.
+    A row whose entries are all blocked (or -inf) comes out as exact zeros,
+    not NaN.
     """
-    z = np.where(blocked, -np.inf, logits)
-    m = z.max(axis=-1, keepdims=True)
-    e = np.exp(z - m)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def masked_softmax(logits: np.ndarray, blocked_row: np.ndarray) -> np.ndarray:
-    """Softmax of a logit vector under one mask row (True = blocked)."""
-    logits = np.asarray(logits, dtype=np.float64)
-    blocked_row = np.asarray(blocked_row, dtype=bool)
-    if logits.shape != blocked_row.shape or logits.ndim != 1:
-        raise ShapeError(
-            f"logits {logits.shape} and mask row {blocked_row.shape} must be equal 1-D"
-        )
-    if bool(blocked_row.all()):
-        raise MaskError("softmax over a fully blocked row")
-    return _softmax_rows(logits[None, :], blocked_row[None, :])[0]
+    if blocked is not None:
+        np.copyto(logits, -np.inf, where=blocked)
+    m = logits.max(axis=-1, keepdims=True)
+    m[~np.isfinite(m)] = 0.0
+    np.subtract(logits, m, out=logits)
+    np.exp(logits, out=logits)
+    total = logits.sum(axis=-1, keepdims=True)
+    total[total == 0.0] = 1.0
+    logits /= total
+    return logits
 
 
 def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -159,17 +132,9 @@ def multi_head_attention(
     kh = k.reshape(n_k, h, dh).transpose(1, 0, 2)
     vh = v.reshape(n_k, h, dh).transpose(1, 0, 2)
 
-    # in-place softmax with the blocked sentinel applied before exp, so
-    # blocked entries come out exactly zero (see _softmax_rows)
     logits = qh @ kh.transpose(0, 2, 1)
     logits /= math.sqrt(dh)
-    if mask.blocked.any():
-        np.copyto(logits, -np.inf, where=mask.blocked[None, :, :])
-    m = logits.max(axis=2, keepdims=True)
-    np.subtract(logits, m, out=logits)
-    np.exp(logits, out=logits)
-    logits /= logits.sum(axis=2, keepdims=True)
-    attn_h = logits
+    attn_h = softmax_rows(logits, mask.blocked if mask.blocked.any() else None)
 
     ctx = (attn_h @ vh).transpose(1, 0, 2).reshape(n_q, d)
     out = ctx @ weights.wo.T + weights.bo
@@ -209,31 +174,19 @@ def bilinear_at(data: np.ndarray, fy: np.ndarray, fx: np.ndarray) -> np.ndarray:
     return out[0] if scalar else out
 
 
-def bilinear_sample(grid, p) -> np.ndarray:
-    """Sample a metric BEV grid at a 2-D point (meters).
+def bilinear_sample_many(grid, points: np.ndarray) -> np.ndarray:
+    """Sample a metric BEV grid at an (M,2) array of points (meters).
 
     Points outside the grid extent return the zero vector; inside, the
     result is the bilinear blend of the four surrounding cell features.
     """
-    x = float(p[0])
-    y = float(p[1])
-    if not (grid.x_min <= x <= grid.x_max and grid.y_min <= y <= grid.y_max):
-        return np.zeros(grid.d, dtype=np.float64)
-    fx = (x - grid.x_min) / grid.voxel - 0.5
-    fy = (y - grid.y_min) / grid.voxel - 0.5
-    return bilinear_at(grid.data, fy, fx)
-
-
-def bilinear_sample_many(grid, points: np.ndarray) -> np.ndarray:
-    """Vectorized bilinear_sample over an (M,2) array of metric points."""
     points = np.asarray(points, dtype=np.float64)
     x = points[:, 0]
     y = points[:, 1]
     inside = (
         (x >= grid.x_min) & (x <= grid.x_max) & (y >= grid.y_min) & (y <= grid.y_max)
     )
-    fx = (x - grid.x_min) / grid.voxel - 0.5
-    fy = (y - grid.y_min) / grid.voxel - 0.5
+    fy, fx = grid.frac_coords(x, y)
     out = bilinear_at(grid.data, np.where(inside, fy, 0.0), np.where(inside, fx, 0.0))
     out[~inside] = 0.0
     return out

@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .numkernel import bilinear_at
-from .scene import Camera, CameraRig, FeatureGrid, PvFeatureMap, Scene, project_to_view
+from .scene import (Camera, CameraRig, FeatureGrid, PvFeatureMap, Scene,
+                    project_points)
 
 TYPE_IMG, TYPE_RAD, TYPE_W = 0, 1, 2
 TYPE_NAMES = ("img", "rad", "w")
@@ -153,22 +154,22 @@ def generate_2d_proposals(scene: Scene, rig: CameraRig, pv_maps: list[PvFeatureM
     [0, 0.05); the remaining slots are filled with distractors scoring
     below 0.2.  Each view returns exactly per_view proposals.
     """
+    centers = np.array([o.center for o in scene.objects]).reshape(-1, 3)
     out = []
     for ci, cam in enumerate(rig.cameras):
         rng = np.random.default_rng([seed, _STREAM_PROPOSALS, ci])
         pv = pv_maps[ci]
         props: list[Proposal] = []
-        for obj in scene.objects:
-            hit = project_to_view(obj.center, cam)
-            if hit is None:
-                continue
-            u0, v0, depth = hit
+        uv, depths, visible = project_points(centers, cam)
+        for k in np.flatnonzero(visible):
+            u0, v0 = uv[k]
+            depth = float(depths[k])
             u = float(np.clip(u0 + rng.normal(0.0, center_noise_px), 0, cam.width - 1))
             v = float(np.clip(v0 + rng.normal(0.0, center_noise_px), 0, cam.height - 1))
             score = 0.9 * math.exp(-depth / 60.0) + rng.uniform(0.0, 0.05)
             noisy_depth = max(depth + rng.normal(0.0, depth_noise), MINIMUM_DEPTH)
             props.append(Proposal(u, v, score, noisy_depth,
-                                  _sample_pv(pv, u, v), ci, obj.id))
+                                  _sample_pv(pv, u, v), ci, scene.objects[k].id))
         props.sort(key=lambda p: -p.score)
         props = props[:per_view]
         while len(props) < per_view:
@@ -190,11 +191,12 @@ def backproject(camera: Camera, u: float, v: float, depth: float) -> np.ndarray:
 
 
 def init_image_queries(proposals: list[list[Proposal]], rig: CameraRig,
-                       n_img: int, extent: float) -> tuple[QuerySet, int]:
+                       n_img: int, extent: float, d: int) -> tuple[QuerySet, int]:
     """Top-scoring proposals lifted to 3-D; returns (queries, padded count).
 
-    When fewer proposals exist than n_img, zero-score queries at the origin
-    pad the set and the pad count is reported for the run log.
+    When fewer proposals exist than n_img, zero-score queries with zero
+    d-dim embeddings at the origin pad the set, and the pad count is
+    reported for the run log.
     """
     flat = [(p, vi, i) for vi, view in enumerate(proposals)
             for i, p in enumerate(view)]
@@ -202,7 +204,6 @@ def init_image_queries(proposals: list[list[Proposal]], rig: CameraRig,
     chosen = flat[:n_img]
     padded = n_img - len(chosen)
 
-    d = chosen[0][0].feature.shape[0] if chosen else 1
     emb = np.zeros((n_img, d))
     pos = np.zeros((n_img, 3))
     score = np.zeros(n_img)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .numkernel import _softmax_rows
+from .numkernel import softmax_rows
 
 IMG_BEV = "img_bev"
 RAD_BEV = "rad_bev"
@@ -248,4 +248,4 @@ def swap_samples(base: SampleBank, neighbor_lists: list[np.ndarray],
 
 def normalize_sample_scores(bank: SampleBank) -> np.ndarray:
     """Joint softmax per row over base scores and imported s-tilde values."""
-    return _softmax_rows(bank.scores, ~bank.valid)
+    return softmax_rows(bank.scores.copy(), ~bank.valid)

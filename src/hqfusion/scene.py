@@ -167,8 +167,8 @@ class FeatureGrid:
              self.y_min + (row + 0.5) * self.voxel]
         )
 
-    def frac_coords(self, x: float, y: float) -> tuple[float, float]:
-        """Metric point -> fractional (fy, fx) cell-center coordinates."""
+    def frac_coords(self, x, y):
+        """Metric x, y (scalars or arrays) -> fractional (fy, fx) cell coords."""
         return ((y - self.y_min) / self.voxel - 0.5,
                 (x - self.x_min) / self.voxel - 0.5)
 
@@ -285,19 +285,6 @@ def generate_scene(seed: int, config: SceneConfig) -> tuple[Scene, CameraRig]:
     return Scene(objects, seed, config), build_rig(config)
 
 
-def project_to_view(p, camera: Camera):
-    """Pinhole projection; None when behind the camera or off the image."""
-    p_cam = camera.r_wc @ (np.asarray(p, dtype=np.float64) - camera.position)
-    depth = p_cam[2]
-    if depth <= MIN_CAMERA_DEPTH:
-        return None
-    u = camera.fx * p_cam[0] / depth + camera.cx
-    v = camera.fy * p_cam[1] / depth + camera.cy
-    if not (0.0 <= u < camera.width and 0.0 <= v < camera.height):
-        return None
-    return float(u), float(v), float(depth)
-
-
 def project_points(points: np.ndarray, camera: Camera):
     """Vectorized projection: (uv (N,2), depth (N,), visible (N,) bool)."""
     p_cam = (np.asarray(points, dtype=np.float64) - camera.position) @ camera.r_wc.T
@@ -371,6 +358,7 @@ def render_pv_features(scene: Scene, rig: CameraRig, d: int, noise_sigma: float,
     """Per-camera PV maps: noise background + signature splats at projected centers."""
     if d != scene.config.feature_dim:
         raise ConfigError("feature dim does not match scene signatures")
+    centers = np.array([o.center for o in scene.objects]).reshape(-1, 3)
     maps = []
     for ci, cam in enumerate(rig.cameras):
         hf = max(1, cam.height // downsample)
@@ -378,13 +366,11 @@ def render_pv_features(scene: Scene, rig: CameraRig, d: int, noise_sigma: float,
         rng = np.random.default_rng([seed, _STREAM_PV_NOISE, ci])
         data = rng.normal(0.0, 1.0, size=(hf, wf, d)) * noise_sigma
         pv = PvFeatureMap(data, downsample)
-        for obj in scene.objects:
-            hit = project_to_view(obj.center, cam)
-            if hit is None:
-                continue
-            u, v, _ = hit
-            fy, fx = pv.pixel_to_frac(u, v)
-            _splat(data, float(fy), float(fx), obj.signature, sigma=1.5)
+        uv, _, visible = project_points(centers, cam)
+        fy, fx = pv.pixel_to_frac(uv[:, 0], uv[:, 1])
+        for k in np.flatnonzero(visible):
+            _splat(data, float(fy[k]), float(fx[k]), scene.objects[k].signature,
+                   sigma=1.5)
         maps.append(pv)
     return maps
 

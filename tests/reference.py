@@ -15,7 +15,7 @@ from hqfusion.numkernel import bilinear_at, bilinear_sample_many
 from hqfusion.qinit import TYPE_NAMES
 from hqfusion.qswap import (BEV_KINDS, ORIGIN_SHARED, SampleSet,
                             score_shared_points)
-from hqfusion.scene import project_to_view
+from hqfusion.scene import MIN_CAMERA_DEPTH
 
 
 def naive_affine(w, x, b):
@@ -132,6 +132,24 @@ def naive_bilinear_frac(data, fy, fx):
             continue
         acc += wy * wx * data[min(max(yy, 0), h - 1), min(max(xx, 0), w - 1)]
     return acc
+
+
+def bilinear_sample(grid, p):
+    """One metric point (x, y) through the package's bilinear_sample_many."""
+    return bilinear_sample_many(grid, np.reshape(p, (1, 2)))[0]
+
+
+def project_to_view(p, camera):
+    """Per-point pinhole projection; None when behind the camera or off the image."""
+    p_cam = camera.r_wc @ (np.asarray(p, dtype=np.float64) - camera.position)
+    depth = p_cam[2]
+    if depth <= MIN_CAMERA_DEPTH:
+        return None
+    u = camera.fx * p_cam[0] / depth + camera.cx
+    v = camera.fy * p_cam[1] / depth + camera.cy
+    if not (0.0 <= u < camera.width and 0.0 <= v < camera.height):
+        return None
+    return float(u), float(v), float(depth)
 
 
 def projection_matrix(camera):

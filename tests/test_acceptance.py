@@ -8,16 +8,16 @@ import numpy as np
 
 from hqfusion import cli
 from hqfusion.decoder import decode
-from hqfusion.numkernel import bilinear_sample
+from hqfusion.numkernel import bilinear_sample_many
 from hqfusion.qinit import QuerySet
 from hqfusion.qmix import (attention_type_stats, build_cross_type_mask,
                            qmix_attention)
 from hqfusion.qswap import (ORIGIN_SHARED, QSwapConfig, adaptive_radius,
                             normalize_sample_scores, score_shared_points,
                             select_neighbors, swap_samples)
-from hqfusion.scene import GridConfig, project_to_view, render_image_bev
+from hqfusion.scene import GridConfig, project_points, render_image_bev
 
-from reference import (brute_force_selection, naive_bilinear,
+from reference import (bilinear_sample, brute_force_selection, naive_bilinear,
                        naive_cross_type_blocked, naive_mixing_block,
                        project_with_matrix)
 from test_numkernel import make_grid
@@ -153,7 +153,7 @@ def test_sampling_oracles():
     for _ in range(1000):
         x = rng.uniform(grid.x_min - 0.3 * span_x, grid.x_max + 0.3 * span_x)
         y = rng.uniform(grid.y_min - 0.3 * span_y, grid.y_max + 0.3 * span_y)
-        got = bilinear_sample(grid, (x, y))
+        got = bilinear_sample_many(grid, [(x, y)])[0]
         ref = naive_bilinear(grid, x, y)
         assert np.allclose(got, ref, rtol=1e-9, atol=1e-12)
         if not (grid.x_min <= x <= grid.x_max and grid.y_min <= y <= grid.y_max):
@@ -168,14 +168,14 @@ def test_sampling_oracles():
         p = rng.uniform(-40, 40, 3)
         p[2] = rng.uniform(0, 4)
         cam = rig.cameras[int(rng.integers(6))]
-        hit = project_to_view(p, cam)
-        if hit is None:
+        uv, depth, vis = project_points([p], cam)
+        if not vis[0]:
             continue
         visible += 1
         mu, mv, md = project_with_matrix(cam, p)
-        assert abs(hit[0] - mu) < 1e-9
-        assert abs(hit[1] - mv) < 1e-9
-        assert abs(hit[2] - md) < 1e-9
+        assert abs(uv[0, 0] - mu) < 1e-9
+        assert abs(uv[0, 1] - mv) < 1e-9
+        assert abs(depth[0] - md) < 1e-9
     assert visible > 100
 
 

@@ -4,21 +4,28 @@ perfbench/tracer.py patches the functions in its TRACED table by name, and
 perfbench/worker.py calls cli.extract_top_links and cli.write_json(path,
 obj); a rename would otherwise only surface in the benchmark's own smoke
 test, which is outside this suite.  The tracer's count hooks unpack the
-results they are given, so the token hook is also run on a real result.
+results they are given, so the token hook is also run on a real result,
+and a traced toy run must reach every wrapped function: a refactor that
+routes around one would make its per-layer metric read 0.
 """
 import importlib
 import importlib.util
 import inspect
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_tracer():
+    return _load("tracer")
 
 
 def test_traced_functions_resolve():
@@ -59,3 +66,21 @@ def test_token_counts_on_a_toy_run(monkeypatch):
     assert tr.counts["decoder.tokens.mb"] == tok.nbytes / tracer.MB > 0
     assert tr.counts["decoder.tokens.slots"] == valid.size
     assert 0 < tr.counts["decoder.tokens.valid"] == valid.sum()
+
+
+def test_traced_toy_run_reaches_every_wrapped_function(tmp_path):
+    from hqfusion import cli
+    tracer, worker = _load("tracer"), _load("worker")
+    args = cli.make_parser().parse_args(
+        ["run", "--preset", "toy", "--emit-links",
+         "--out", str(tmp_path / "r.json")])
+    tr = tracer.Tracer()
+    with tr.installed():
+        _, result = worker.one_run(cli, args)
+    spans = {rec[0] for rec in tr.spans}
+    missing = [f"{m}.{f}" for m, f, *_ in tracer.TRACED
+               if f"{m}.{f}" not in spans]
+    assert not missing
+    n_layers = len(result["outputs"])
+    assert n_layers == 2
+    assert tr.counts["qswap.neighbor_calls"] == result["queries"].n * n_layers

@@ -189,7 +189,13 @@ class TestCliCommands:
     def test_invalid_config_error_json(self, tmp_path, capsys):
         for override, word in [("decoder.qswap.mode=sideways", "sideways"),
                                ("decoder.heads=0", "head"),
-                               ("decoder.qswap.k_base=0", "k_base")]:
+                               ("decoder.qswap.k_base=0", "k_base"),
+                               ("decoder.num_classes=0", "num_classes"),
+                               ("render.voxel=0", "voxel"),
+                               ("render.voxel=-0.8", "voxel"),
+                               ("render.pv_downsample=0", "pv_downsample"),
+                               ("queries.rings=0", "rings"),
+                               ("queries.n_img=-1", "n_img")]:
             out = tmp_path / "report.json"
             code = run_cli(["run", *TOY, "--set", override, "--out", str(out)])
             assert code == 2, override
@@ -198,6 +204,19 @@ class TestCliCommands:
             assert doc["error"] == "ConfigError"
             assert word in doc["message"]
             assert not out.exists()
+
+    def test_no_image_proposals(self, tmp_path):
+        # no image query at all, and image queries that are all padding
+        # because no camera makes a proposal
+        for override, n_total, padded in [("queries.n_img=0", 90, 0),
+                                          ("scene.num_cameras=0", 120, 30)]:
+            out = tmp_path / "report.json"
+            assert run_cli(["run", *TOY, "--set", override,
+                            "--out", str(out)]) == 0, override
+            report = json.loads(out.read_text())
+            assert report["queries"]["n_total"] == n_total
+            assert report["queries"]["padded_image_queries"] == padded
+            assert len(report["layers"]) == 2
 
     def test_unknown_preset(self, tmp_path, capsys):
         code = run_cli(["run", "--preset", "nope", "--out",

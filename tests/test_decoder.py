@@ -10,7 +10,6 @@ from hqfusion.decoder import (DecoderConfig, SceneFeatures,
                               shared_self_attention,
                               sinusoidal_position_encoding)
 from hqfusion.errors import ConfigError
-from hqfusion.numkernel import bilinear_sample
 from hqfusion.qinit import (TYPE_IMG, TYPE_RAD, TYPE_W, QuerySet,
                             concat_query_sets, generate_2d_proposals,
                             init_image_queries, init_radar_queries,
@@ -19,13 +18,13 @@ from hqfusion.qmix import qmix_attention
 from hqfusion.qswap import (BEV_KINDS, QSwapConfig, normalize_sample_scores,
                             select_neighbors, swap_samples)
 from hqfusion.scene import (GridConfig, RadarSimConfig, encode_radar_bev,
-                            generate_scene, project_to_view, render_image_bev,
+                            generate_scene, render_image_bev,
                             render_pv_features, simulate_radar_points)
 from hqfusion.weights_io import init_weights
 
-from reference import (Token, aggregate_features, naive_bilinear,
-                       naive_bilinear_frac, naive_layer_norm, naive_mha,
-                       sample_features)
+from reference import (Token, aggregate_features, bilinear_sample,
+                       naive_bilinear, naive_bilinear_frac, naive_layer_norm,
+                       naive_mha, project_to_view, sample_features)
 
 
 def toy_config(**kw):
@@ -49,7 +48,7 @@ def toy_setup(seed=5, n_world=9, n_img=4, n_rad=4, num_objects=3, cfg=None):
     rad_bev, heatmap = encode_radar_bev(cloud, gc, cfg.d, seed=seed)
     world = init_world_queries(n_world, cfg.extent, cfg.d, seed, rings=3)
     props = generate_2d_proposals(scene, rig, pv, per_view=6, seed=seed)
-    image, _ = init_image_queries(props, rig, n_img, cfg.extent)
+    image, _ = init_image_queries(props, rig, n_img, cfg.extent, cfg.d)
     radar = init_radar_queries(heatmap, rad_bev, n_rad)
     queries = concat_query_sets(world, image, radar)
     features = SceneFeatures(img_bev, rad_bev, pv, rig)

@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hqfusion.errors import ConfigError, MaskError, ShapeError
-from hqfusion.numkernel import (AttentionMask, MhaWeights, affine, bilinear_at,
-                                bilinear_sample, bilinear_sample_many,
-                                masked_softmax, multi_head_attention)
+from hqfusion.errors import ConfigError, MaskError
+from hqfusion.numkernel import (AttentionMask, MhaWeights, bilinear_at,
+                                bilinear_sample_many, multi_head_attention,
+                                softmax_rows)
 from hqfusion.scene import FeatureGrid
 
-from reference import naive_affine, naive_bilinear, naive_masked_softmax, naive_mha
+from reference import naive_bilinear, naive_masked_softmax, naive_mha
 
 
 def random_mha_weights(rng, d, heads):
@@ -26,46 +26,45 @@ def random_open_diag_mask(rng, n):
     return AttentionMask(blocked)
 
 
-class TestAffine:
-    def test_identity(self):
-        out = affine([1.0, 0.0], np.eye(2), [0.0, 0.0])
-        assert np.array_equal(out, [1.0, 0.0])
-
-    def test_zero_weight_returns_bias(self):
-        out = affine([1.0, 2.0], np.zeros((2, 2)), [3.0, 4.0])
-        assert np.array_equal(out, [3.0, 4.0])
-
-    def test_random_matches_naive(self):
-        rng = np.random.default_rng(0)
-        w = rng.normal(size=(4, 4))
-        x = rng.normal(size=4)
-        b = rng.normal(size=4)
-        assert np.allclose(affine(x, w, b), naive_affine(w, x, b), atol=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            affine([1.0, 2.0, 3.0], np.eye(2), [0.0, 0.0])
+def softmax(logits, blocked):
+    """softmax_rows on a fresh float64 copy of one or more logit rows."""
+    return softmax_rows(np.array(logits, dtype=np.float64),
+                        np.array(blocked, dtype=bool))
 
 
 class TestMaskedSoftmax:
     def test_symmetric(self):
-        out = masked_softmax([0.0, 0.0], [False, False])
+        out = softmax([0.0, 0.0], [False, False])
         assert np.allclose(out, [0.5, 0.5])
 
     def test_single_open_entry_is_exact(self):
-        out = masked_softmax([5.0, 100.0], [False, True])
+        out = softmax([5.0, 100.0], [False, True])
         assert out[0] == 1.0
         assert out[1] == 0.0
 
     def test_direct_evaluation(self):
         # frozen from the naive oracle
         expected = [0.09003057317038046, 0.24472847105479767, 0.6652409557748219]
-        out = masked_softmax([1.0, 2.0, 3.0], [False, False, False])
+        out = softmax([1.0, 2.0, 3.0], [False, False, False])
         assert np.allclose(out, expected, atol=1e-9)
 
-    def test_all_blocked_raises(self):
-        with pytest.raises(MaskError):
-            masked_softmax([1.0, 2.0], [True, True])
+    def test_fully_blocked_row_is_exact_zeros(self):
+        logits = np.array([[1.0, 2.0, 3.0], [4.0, -5.0, 6.0], [0.0, 1.0, 2.0]])
+        blocked = np.array([[False, True, False], [True, True, True],
+                            [False, False, False]])
+        out = softmax_rows(logits, blocked)
+        assert out is logits  # in place
+        assert (out[1] == 0.0).all()
+        assert np.array_equal(out[0], softmax([1.0, 2.0, 3.0],
+                                              [False, True, False]))
+        assert np.allclose(out[2], naive_masked_softmax([0.0, 1.0, 2.0],
+                                                        [False] * 3), atol=1e-12)
+
+    def test_no_mask_matches_open_mask(self):
+        rng = np.random.default_rng(0)
+        logits = rng.normal(0, 5, (4, 7))
+        want = softmax(logits, np.zeros((4, 7), dtype=bool))
+        assert np.array_equal(softmax_rows(logits.copy()), want)
 
     @given(st.integers(2, 12), st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
@@ -74,7 +73,7 @@ class TestMaskedSoftmax:
         logits = rng.normal(0, 5, n)
         blocked = rng.random(n) < 0.5
         blocked[rng.integers(n)] = False
-        out = masked_softmax(logits, blocked)
+        out = softmax(logits, blocked)
         assert (out[blocked] == 0.0).all()
         assert (out[~blocked] > 0.0).all()
         assert abs(out.sum() - 1.0) <= 1e-9
@@ -85,12 +84,6 @@ class TestAttentionMask:
     def test_fully_blocked_row_rejected(self):
         with pytest.raises(MaskError):
             AttentionMask(np.array([[True, True], [False, False]]))
-
-    def test_additive_view(self):
-        m = AttentionMask(np.array([[False, True], [True, False]]))
-        add = m.to_additive()
-        assert add[0, 0] == 0.0
-        assert np.isneginf(add[0, 1])
 
 
 class TestMultiHeadAttention:
@@ -164,7 +157,8 @@ class TestBilinear:
         rng = np.random.default_rng(0)
         grid = make_grid(rng)
         p = grid.cell_center(2, 3)
-        assert np.allclose(bilinear_sample(grid, p), grid.data[2, 3], atol=1e-12)
+        assert np.allclose(bilinear_sample_many(grid, [p])[0], grid.data[2, 3],
+                           atol=1e-12)
 
     def test_midpoint_mean(self):
         rng = np.random.default_rng(1)
@@ -173,7 +167,8 @@ class TestBilinear:
         b = grid.cell_center(2, 2)
         mid = (a + b) / 2
         expected = (grid.data[2, 1] + grid.data[2, 2]) / 2
-        assert np.allclose(bilinear_sample(grid, mid), expected, atol=1e-12)
+        assert np.allclose(bilinear_sample_many(grid, [mid])[0], expected,
+                           atol=1e-12)
 
     def test_random_matches_naive(self):
         rng = np.random.default_rng(2)
@@ -181,14 +176,14 @@ class TestBilinear:
         for _ in range(200):
             x = rng.uniform(grid.x_min, grid.x_max)
             y = rng.uniform(grid.y_min, grid.y_max)
-            assert np.allclose(bilinear_sample(grid, (x, y)),
+            assert np.allclose(bilinear_sample_many(grid, [(x, y)])[0],
                                naive_bilinear(grid, x, y), atol=1e-12)
 
     def test_out_of_extent_zero(self):
         rng = np.random.default_rng(3)
         grid = make_grid(rng)
-        assert (bilinear_sample(grid, (grid.x_max + 0.1, 0.0)) == 0.0).all()
-        assert (bilinear_sample(grid, (0.0, grid.y_min - 1e-9)) == 0.0).all()
+        assert (bilinear_sample_many(grid, [(grid.x_max + 0.1, 0.0)]) == 0.0).all()
+        assert (bilinear_sample_many(grid, [(0.0, grid.y_min - 1e-9)]) == 0.0).all()
 
     def test_partition_of_unity(self):
         # constant grid stays constant wherever we sample inside the extent
@@ -198,7 +193,8 @@ class TestBilinear:
         for _ in range(100):
             x = rng.uniform(grid.x_min, grid.x_max)
             y = rng.uniform(grid.y_min, grid.y_max)
-            assert np.allclose(bilinear_sample(grid, (x, y)), 7.5, atol=1e-12)
+            assert np.allclose(bilinear_sample_many(grid, [(x, y)])[0], 7.5,
+                               atol=1e-12)
 
     def test_continuity_across_cell_boundary(self):
         rng = np.random.default_rng(6)
@@ -207,8 +203,8 @@ class TestBilinear:
         x_edge = grid.x_min + 2.0 * grid.voxel
         y = grid.cell_center(3, 0)[1]
         eps = 1e-10
-        left = bilinear_sample(grid, (x_edge - eps, y))
-        right = bilinear_sample(grid, (x_edge + eps, y))
+        left = bilinear_sample_many(grid, [(x_edge - eps, y)])[0]
+        right = bilinear_sample_many(grid, [(x_edge + eps, y)])[0]
         assert np.allclose(left, right, atol=1e-8)
 
     def test_many_matches_single(self):
@@ -218,7 +214,8 @@ class TestBilinear:
                                rng.uniform(grid.y_min - 1, grid.y_max + 1, 50)])
         many = bilinear_sample_many(grid, pts)
         for i, p in enumerate(pts):
-            assert np.allclose(many[i], bilinear_sample(grid, p), atol=1e-12)
+            assert np.allclose(many[i], bilinear_sample_many(grid, [p])[0],
+                               atol=1e-12)
 
     def test_bilinear_at_clamps_to_border(self):
         # half a cell above the first row: both interpolation rows clamp to

@@ -9,9 +9,9 @@ from hqfusion.qinit import (BOX_PRIOR, TYPE_IMG, TYPE_RAD, TYPE_W, QuerySet,
                             generate_2d_proposals, init_image_queries,
                             init_radar_queries, init_world_queries, ring_counts)
 from hqfusion.scene import (CameraRig, FeatureGrid, GridConfig, SceneConfig,
-                            build_rig, make_camera, project_to_view,
-                            render_pv_features)
+                            build_rig, make_camera, render_pv_features)
 
+from reference import project_to_view
 from test_scene import manual_scene
 
 
@@ -104,7 +104,7 @@ class TestProposals:
 class TestImageQueries:
     def test_exact_backprojection(self):
         scene, rig, _, props = proposals_setup([(8.0, 0.5, 0.9)])
-        qs, padded = init_image_queries(props, rig, 1, extent=16.0)
+        qs, padded = init_image_queries(props, rig, 1, extent=16.0, d=8)
         assert padded == 0
         assert np.allclose(qs.positions[0], scene.objects[0].center, atol=1e-6)
         assert qs.types[0] == TYPE_IMG
@@ -116,7 +116,7 @@ class TestImageQueries:
         from hqfusion.qinit import Proposal
         props = [[Proposal(5.0, 5.0, 0.1, 10.0, feat, 0, -1),
                   Proposal(6.0, 6.0, 0.9, 12.0, feat + 1.0, 0, 0)]]
-        qs, _ = init_image_queries(props, rig, 1, extent=30.0)
+        qs, _ = init_image_queries(props, rig, 1, extent=30.0, d=4)
         assert qs.init_score[0] == 0.9
         assert np.allclose(qs.embeddings[0], 1.0)
 
@@ -125,7 +125,7 @@ class TestImageQueries:
         rig = CameraRig([cam])
         from hqfusion.qinit import Proposal
         props = [[Proposal(5.0, 5.0, 0.4, 10.0, np.ones(4), 0, 0)]]
-        qs, padded = init_image_queries(props, rig, 3, extent=30.0)
+        qs, padded = init_image_queries(props, rig, 3, extent=30.0, d=4)
         assert padded == 2
         assert qs.n == 3
         assert (qs.init_score[1:] == 0.0).all()
@@ -133,7 +133,7 @@ class TestImageQueries:
 
     def test_embedding_is_pv_feature(self):
         scene, rig, pv_maps, props = proposals_setup([(8.0, 0.5, 0.9)])
-        qs, _ = init_image_queries(props, rig, 1, extent=16.0)
+        qs, _ = init_image_queries(props, rig, 1, extent=16.0, d=8)
         best = max((p for view in props for p in view), key=lambda p: p.score)
         assert np.array_equal(qs.embeddings[0], best.feature)
 
@@ -193,7 +193,8 @@ class TestConcat:
         cam = make_camera(100, 100, 10, 6, 0.0, (0, 0, 0), 20, 12)
         from hqfusion.qinit import Proposal
         props = [[Proposal(5.0, 5.0, 0.4, 10.0, np.ones(4), 0, 0)]]
-        image, _ = init_image_queries(props, CameraRig([cam]), 3, extent=20.0)
+        image, _ = init_image_queries(props, CameraRig([cam]), 3,
+                                      extent=20.0, d=4)
         qs = concat_query_sets(world, image, radar)
         assert qs.n == 20
         assert (qs.types[:3] == TYPE_IMG).all()

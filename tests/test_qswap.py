@@ -9,7 +9,8 @@ from hqfusion.qswap import (IMG_BEV, ORIGIN_BASE, ORIGIN_SHARED, QSwapConfig,
                             predict_base_samples, score_shared_points,
                             select_neighbors, swap_samples)
 
-from reference import brute_force_selection, naive_affine, naive_swap_samples
+from reference import (bilinear_sample, brute_force_selection, naive_affine,
+                       naive_swap_samples)
 
 
 def make_bank(rows, kind=IMG_BEV):
@@ -377,7 +378,6 @@ class TestNormalize:
 
 class TestPlantedEvidence:
     def test_signature_token_transfers(self):
-        from hqfusion.numkernel import bilinear_sample
         from hqfusion.scene import GridConfig, render_image_bev
         from test_scene import manual_scene
 

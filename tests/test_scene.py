@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from hqfusion.errors import ConfigError, GenerationError, ShapeError
-from hqfusion.numkernel import bilinear_sample
 from hqfusion.scene import (Camera, CameraRig, FeatureGrid, GridConfig,
                             RadarPointCloud, RadarSimConfig, Scene, SceneConfig,
                             SceneObject, build_rig, encode_radar_bev,
                             generate_scene, load_scene, make_camera,
-                            project_to_view, project_points, render_image_bev,
+                            project_points, render_image_bev,
                             render_pv_features, save_scene,
                             scene_from_dict, scene_to_dict, simulate_radar_points)
 
-from reference import project_with_matrix
+from reference import bilinear_sample, project_to_view, project_with_matrix
 
 
 def small_config(**kw):
@@ -72,14 +71,14 @@ class TestGenerateScene:
 class TestProjection:
     def test_principal_point(self):
         cam = make_camera(500, 500, 400, 225, 0.0, (0, 0, 1.6), 800, 450)
-        got = project_to_view((10.0, 0.0, 1.6), cam)
-        assert got is not None
-        u, v, depth = got
+        uv, depth, vis = project_points([(10.0, 0.0, 1.6)], cam)
+        assert vis[0]
+        (u, v), depth = uv[0], depth[0]
         assert abs(u - 400) < 1e-9 and abs(v - 225) < 1e-9 and abs(depth - 10) < 1e-9
 
     def test_behind_camera(self):
         cam = make_camera(500, 500, 400, 225, 0.0, (0, 0, 1.6), 800, 450)
-        assert project_to_view((-5.0, 0.0, 1.6), cam) is None
+        assert not project_points([(-5.0, 0.0, 1.6)], cam)[2][0]
 
     def test_matches_projection_matrix(self):
         rng = np.random.default_rng(0)
@@ -89,10 +88,10 @@ class TestProjection:
             p = rng.uniform(-15, 15, size=3)
             p[2] = rng.uniform(0.0, 3.0)
             for cam in rig.cameras:
-                got = project_to_view(p, cam)
-                if got is None:
+                uv, depth, vis = project_points([p], cam)
+                if not vis[0]:
                     continue
-                u, v, depth = got
+                (u, v), depth = uv[0], depth[0]
                 mu, mv, md = project_with_matrix(cam, p)
                 assert abs(u - mu) < 1e-9 and abs(v - mv) < 1e-9
                 assert abs(depth - md) < 1e-9
