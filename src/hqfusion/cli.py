@@ -47,6 +47,10 @@ class RenderConfig:
     def validate(self):
         if not self.voxel > 0.0:
             raise ConfigError(f"render.voxel must be positive, got {self.voxel}")
+        if isinstance(self.pv_downsample, bool) or not isinstance(
+                self.pv_downsample, int):
+            raise ConfigError("render.pv_downsample must be an integer, got "
+                              f"{self.pv_downsample!r}")
         if self.pv_downsample < 1:
             raise ConfigError("render.pv_downsample must be at least 1")
 
@@ -66,6 +70,8 @@ class QueryConfig:
             raise ConfigError("queries.rings must be at least 1")
         if min(self.n_img, self.n_rad) < 0:
             raise ConfigError("queries.n_img and queries.n_rad must be >= 0")
+        if self.per_view < 0:
+            raise ConfigError("queries.per_view must be >= 0")
 
 
 @dataclass
@@ -99,6 +105,8 @@ class RunConfig:
                 f"({self.scene.feature_dim})")
         if abs(self.decoder.extent - self.scene.extent) > 1e-9:
             raise ConfigError("decoder.extent must equal scene.extent")
+        if self.scene.num_cameras < 0:
+            raise ConfigError("scene.num_cameras must be >= 0")
         self.render.validate()
         self.queries.validate()
         self.decoder.validate()

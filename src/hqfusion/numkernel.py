@@ -1,9 +1,9 @@
-"""Dense float64 numeric kernels.
+"""Float64 numeric kernels.
 
 The one masked row softmax, multi-head attention that exposes its
 (head-averaged) attention weights, and bilinear sampling on metric feature
-grids.  Only softmax_rows works in place, on the logits it is given; no
-other kernel mutates its arguments.
+grids as a sparse corner-weight operator.  Only softmax_rows works in
+place, on the logits it is given; no other kernel mutates its arguments.
 """
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .errors import ConfigError, MaskError, ShapeError
 
@@ -146,32 +147,37 @@ def bilinear_at(data: np.ndarray, fy: np.ndarray, fx: np.ndarray) -> np.ndarray:
 
     Coordinates index cell centers (integer coords hit centers exactly);
     indices are clamped at the borders while the four weights keep summing
-    to one.  Accepts scalars or equally shaped arrays of coordinates.
+    to one.  fy and fx are equally shaped arrays; the result has their
+    shape plus a trailing d.
+
+    The interpolation is applied as one sparse operator: a CSR matrix of
+    points x H*W whose row holds the four corner weights in corner order
+    (00, 01, 10, 11), times the grid flattened to (H*W, d).  A corner
+    clamped onto another stays a duplicate column rather than being summed
+    into it, so every output row accumulates w00*c00 + w01*c01 + w10*c10 +
+    w11*c11 in that order.
     """
-    scalar = np.ndim(fy) == 0 and np.ndim(fx) == 0
-    fy = np.atleast_1d(np.asarray(fy, dtype=np.float64))
-    fx = np.atleast_1d(np.asarray(fx, dtype=np.float64))
-    h, w = data.shape[:2]
-    y0 = np.floor(fy).astype(int)
-    x0 = np.floor(fx).astype(int)
+    shape = np.shape(fy)
+    fy = np.asarray(fy, dtype=np.float64).ravel()
+    fx = np.asarray(fx, dtype=np.float64).ravel()
+    h, w, d = data.shape
+    y0 = np.floor(fy)
+    x0 = np.floor(fx)
     ty = fy - y0
     tx = fx - x0
-    y0c = np.clip(y0, 0, h - 1)
-    y1c = np.clip(y0 + 1, 0, h - 1)
-    x0c = np.clip(x0, 0, w - 1)
-    x1c = np.clip(x0 + 1, 0, w - 1)
-    w00 = (1.0 - ty) * (1.0 - tx)
-    w01 = (1.0 - ty) * tx
-    w10 = ty * (1.0 - tx)
-    w11 = ty * tx
-    # array indices force fancy-index gathers, which copy, so scaling the
-    # gathered terms in place never touches the grid itself
-    out = data[y0c, x0c] * w00[..., None]
-    for (yy, xx, wgt) in ((y0c, x1c, w01), (y1c, x0c, w10), (y1c, x1c, w11)):
-        term = data[yy, xx]
-        term *= wgt[..., None]
-        out += term
-    return out[0] if scalar else out
+    y0 = y0.astype(np.int64)
+    x0 = x0.astype(np.int64)
+    r0 = np.clip(y0, 0, h - 1) * w
+    r1 = np.clip(y0 + 1, 0, h - 1) * w
+    c0 = np.clip(x0, 0, w - 1)
+    c1 = np.clip(x0 + 1, 0, w - 1)
+    weights = np.stack([(1.0 - ty) * (1.0 - tx), (1.0 - ty) * tx,
+                        ty * (1.0 - tx), ty * tx], axis=1)
+    cols = np.stack([r0 + c0, r0 + c1, r1 + c0, r1 + c1], axis=1)
+    indptr = np.arange(0, cols.size + 1, 4)
+    op = sparse.csr_array((weights.ravel(), cols.ravel(), indptr),
+                          shape=(fy.size, h * w))
+    return (op @ data.reshape(h * w, d)).reshape(shape + (d,))
 
 
 def bilinear_sample_many(grid, points: np.ndarray) -> np.ndarray:

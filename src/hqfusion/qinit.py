@@ -139,11 +139,6 @@ class Proposal:
     object_id: int         # ground-truth source, -1 for distractors
 
 
-def _sample_pv(pv: PvFeatureMap, u: float, v: float) -> np.ndarray:
-    fy, fx = pv.pixel_to_frac(u, v)
-    return bilinear_at(pv.data, float(fy), float(fx))
-
-
 def generate_2d_proposals(scene: Scene, rig: CameraRig, pv_maps: list[PvFeatureMap],
                           per_view: int = 50, center_noise_px: float = 2.0,
                           depth_noise: float = 1.0, seed: int = 0
@@ -152,14 +147,15 @@ def generate_2d_proposals(scene: Scene, rig: CameraRig, pv_maps: list[PvFeatureM
 
     Object proposals score 0.9 * exp(-depth / 60) plus uniform jitter in
     [0, 0.05); the remaining slots are filled with distractors scoring
-    below 0.2.  Each view returns exactly per_view proposals.
+    below 0.2.  Each view returns exactly per_view proposals, whose PV
+    features are sampled in one bilinear call per view.
     """
     centers = np.array([o.center for o in scene.objects]).reshape(-1, 3)
     out = []
     for ci, cam in enumerate(rig.cameras):
         rng = np.random.default_rng([seed, _STREAM_PROPOSALS, ci])
         pv = pv_maps[ci]
-        props: list[Proposal] = []
+        cands = []  # (u, v, score, noisy depth, object id)
         uv, depths, visible = project_points(centers, cam)
         for k in np.flatnonzero(visible):
             u0, v0 = uv[k]
@@ -168,17 +164,18 @@ def generate_2d_proposals(scene: Scene, rig: CameraRig, pv_maps: list[PvFeatureM
             v = float(np.clip(v0 + rng.normal(0.0, center_noise_px), 0, cam.height - 1))
             score = 0.9 * math.exp(-depth / 60.0) + rng.uniform(0.0, 0.05)
             noisy_depth = max(depth + rng.normal(0.0, depth_noise), MINIMUM_DEPTH)
-            props.append(Proposal(u, v, score, noisy_depth,
-                                  _sample_pv(pv, u, v), ci, scene.objects[k].id))
-        props.sort(key=lambda p: -p.score)
-        props = props[:per_view]
-        while len(props) < per_view:
+            cands.append((u, v, score, noisy_depth, scene.objects[k].id))
+        cands.sort(key=lambda c: -c[2])
+        cands = cands[:per_view]
+        while len(cands) < per_view:
             u = rng.uniform(0.0, cam.width - 1)
             v = rng.uniform(0.0, cam.height - 1)
-            props.append(Proposal(float(u), float(v), rng.uniform(0.0, 0.2),
-                                  rng.uniform(1.0, 60.0), _sample_pv(pv, u, v),
-                                  ci, -1))
-        out.append(props)
+            cands.append((float(u), float(v), rng.uniform(0.0, 0.2),
+                          rng.uniform(1.0, 60.0), -1))
+        fy, fx = pv.pixel_to_frac([c[0] for c in cands], [c[1] for c in cands])
+        feats = bilinear_at(pv.data, fy, fx)
+        out.append([Proposal(u, v, score, depth, feat, ci, object_id)
+                    for (u, v, score, depth, object_id), feat in zip(cands, feats)])
     return out
 
 

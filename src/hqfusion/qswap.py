@@ -164,12 +164,18 @@ def select_neighbors(i: int, affinity_row: np.ndarray, boxes_wl: np.ndarray,
     """Top-affinity partners of query i inside its adaptive radius.
 
     affinity_row is the head-averaged shared self-attention row for i; the
-    self entry is ignored.  Ties in affinity resolve to the lower id.
+    self entry is ignored.  Ties in affinity resolve to the lower id.  Only
+    the partners at or above the n-th largest affinity are sorted, so a
+    call costs one partition of the row.
     """
-    a = np.asarray(affinity_row, dtype=np.float64)
-    ids = np.arange(a.shape[0])
-    ids = ids[ids != i]
-    top = ids[np.argsort(-a[ids], kind="stable")][:cfg.n_neighbors]
+    a = np.array(affinity_row, dtype=np.float64)
+    a[i] = -np.inf
+    n = min(cfg.n_neighbors, a.shape[0] - 1)
+    if n <= 0:
+        return np.zeros(0, dtype=np.int64)
+    kth = np.partition(a, a.shape[0] - n)[a.shape[0] - n]
+    ids = np.flatnonzero(a >= kth)
+    top = ids[np.argsort(-a[ids], kind="stable")][:n]
     r = adaptive_radius(boxes_wl[i, 0], boxes_wl[i, 1], cfg.radius_factor)
     dist = np.linalg.norm(positions_bev[top] - positions_bev[i], axis=1)
     return top[dist <= r]

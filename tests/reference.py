@@ -11,10 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hqfusion.numkernel import bilinear_at, bilinear_sample_many
 from hqfusion.qinit import TYPE_NAMES
 from hqfusion.qswap import (BEV_KINDS, ORIGIN_SHARED, SampleSet,
-                            score_shared_points)
+                            adaptive_radius, score_shared_points)
 from hqfusion.scene import MIN_CAMERA_DEPTH
 
 
@@ -134,9 +133,47 @@ def naive_bilinear_frac(data, fy, fx):
     return acc
 
 
+def naive_bilinear_at(data, fy, fx):
+    """Four-corner gather: each corner's (points, d) rows copied and scaled.
+
+    The weights, the border clamping and the order of the sum
+    (00, 01, 10, 11) are those of numkernel.bilinear_at, so the two agree
+    bit for bit.
+    """
+    fy = np.asarray(fy, dtype=np.float64)
+    fx = np.asarray(fx, dtype=np.float64)
+    h, w = data.shape[:2]
+    y0 = np.floor(fy).astype(int)
+    x0 = np.floor(fx).astype(int)
+    ty = fy - y0
+    tx = fx - x0
+    y0c = np.clip(y0, 0, h - 1)
+    y1c = np.clip(y0 + 1, 0, h - 1)
+    x0c = np.clip(x0, 0, w - 1)
+    x1c = np.clip(x0 + 1, 0, w - 1)
+    out = data[y0c, x0c] * ((1.0 - ty) * (1.0 - tx))[..., None]
+    for (yy, xx, wgt) in ((y0c, x1c, (1.0 - ty) * tx), (y1c, x0c, ty * (1.0 - tx)),
+                          (y1c, x1c, ty * tx)):
+        out += data[yy, xx] * wgt[..., None]
+    return out
+
+
+def naive_sample_many(grid, points):
+    """Metric (M, 2) points through naive_bilinear_at; zero outside the grid."""
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    x, y = points[:, 0], points[:, 1]
+    inside = ((x >= grid.x_min) & (x <= grid.x_max)
+              & (y >= grid.y_min) & (y <= grid.y_max))
+    fy, fx = grid.frac_coords(x, y)
+    out = naive_bilinear_at(grid.data, np.where(inside, fy, 0.0),
+                            np.where(inside, fx, 0.0))
+    out[~inside] = 0.0
+    return out
+
+
 def bilinear_sample(grid, p):
-    """One metric point (x, y) through the package's bilinear_sample_many."""
-    return bilinear_sample_many(grid, np.reshape(p, (1, 2)))[0]
+    """One metric point (x, y) through naive_sample_many."""
+    return naive_sample_many(grid, p)[0]
 
 
 def project_to_view(p, camera):
@@ -164,6 +201,17 @@ def projection_matrix(camera):
 def project_with_matrix(camera, p):
     hom = projection_matrix(camera) @ np.array([p[0], p[1], p[2], 1.0])
     return hom[0] / hom[2], hom[1] / hom[2], hom[2]
+
+
+def naive_select_neighbors(i, affinity_row, boxes_wl, positions_bev, cfg):
+    """Full stable argsort of every partner by affinity, then the radius test."""
+    a = np.asarray(affinity_row, dtype=np.float64)
+    ids = np.arange(a.shape[0])
+    ids = ids[ids != i]
+    top = ids[np.argsort(-a[ids], kind="stable")][:cfg.n_neighbors]
+    r = adaptive_radius(boxes_wl[i, 0], boxes_wl[i, 1], cfg.radius_factor)
+    dist = np.linalg.norm(positions_bev[top] - positions_bev[i], axis=1)
+    return top[dist <= r]
 
 
 def brute_force_selection(pool, k_per, k_extra):
@@ -313,7 +361,7 @@ def sample_features(position, embedding, features, weights, sample_sets, k_pv):
     for kind in BEV_KINDS:
         sset = sample_sets[kind]
         w = sset.weights if sset.weights is not None else _softmax(sset.scores)
-        feats = bilinear_sample_many(features.grid(kind), position[:2] + sset.offsets)
+        feats = naive_sample_many(features.grid(kind), position[:2] + sset.offsets)
         tokens.extend(Token(feats[k], float(w[k]), kind) for k in range(sset.size))
     if k_pv == 0:
         return tokens
@@ -327,7 +375,7 @@ def sample_features(position, embedding, features, weights, sample_sets, k_pv):
         u, v, _ = hit
         pts = np.array([u, v]) + pv_off
         fy, fx = pv.pixel_to_frac(pts[:, 0], pts[:, 1])
-        groups.append(bilinear_at(pv.data, fy, fx))
+        groups.append(naive_bilinear_at(pv.data, fy, fx))
     if groups:
         w = _softmax(np.tile(scores, len(groups)))
         feats = np.vstack(groups)

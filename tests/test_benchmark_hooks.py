@@ -6,7 +6,9 @@ obj); a rename would otherwise only surface in the benchmark's own smoke
 test, which is outside this suite.  The tracer's count hooks unpack the
 results they are given, so the token hook is also run on a real result,
 and a traced toy run must reach every wrapped function: a refactor that
-routes around one would make its per-layer metric read 0.
+routes around one would make its per-layer metric read 0.  The traced
+bilinear point count must equal the tokens gathered plus the image
+proposals sampled, so points interpolated outside bilinear_at would show.
 """
 import importlib
 import importlib.util
@@ -68,12 +70,22 @@ def test_token_counts_on_a_toy_run(monkeypatch):
     assert 0 < tr.counts["decoder.tokens.valid"] == valid.sum()
 
 
-def test_traced_toy_run_reaches_every_wrapped_function(tmp_path):
-    from hqfusion import cli
+def test_traced_toy_run_reaches_every_wrapped_function(tmp_path, monkeypatch):
+    from hqfusion import cli, decoder
     tracer, worker = _load("tracer"), _load("worker")
+    valid = []
+    build_tokens = decoder.build_tokens
+
+    def keep(*args, **kwargs):
+        out = build_tokens(*args, **kwargs)
+        valid.append(int(out[2].sum()))
+        return out
+
+    monkeypatch.setattr(decoder, "build_tokens", keep)
     args = cli.make_parser().parse_args(
         ["run", "--preset", "toy", "--emit-links",
          "--out", str(tmp_path / "r.json")])
+    cfg = cli.build_config(args)
     tr = tracer.Tracer()
     with tr.installed():
         _, result = worker.one_run(cli, args)
@@ -84,3 +96,7 @@ def test_traced_toy_run_reaches_every_wrapped_function(tmp_path):
     n_layers = len(result["outputs"])
     assert n_layers == 2
     assert tr.counts["qswap.neighbor_calls"] == result["queries"].n * n_layers
+    # every token and every image proposal is one bilinear_at point
+    assert len(valid) == n_layers
+    proposals = cfg.scene.num_cameras * cfg.queries.per_view
+    assert tr.counts["numkernel.bilinear_points"] == sum(valid) + proposals

@@ -195,7 +195,10 @@ class TestCliCommands:
                                ("render.voxel=-0.8", "voxel"),
                                ("render.pv_downsample=0", "pv_downsample"),
                                ("queries.rings=0", "rings"),
-                               ("queries.n_img=-1", "n_img")]:
+                               ("queries.n_img=-1", "n_img"),
+                               ("queries.per_view=-1", "per_view"),
+                               ("scene.num_cameras=-1", "num_cameras"),
+                               ("render.pv_downsample=1.5", "pv_downsample")]:
             out = tmp_path / "report.json"
             code = run_cli(["run", *TOY, "--set", override, "--out", str(out)])
             assert code == 2, override

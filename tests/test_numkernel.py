@@ -9,7 +9,8 @@ from hqfusion.numkernel import (AttentionMask, MhaWeights, bilinear_at,
                                 softmax_rows)
 from hqfusion.scene import FeatureGrid
 
-from reference import naive_bilinear, naive_masked_softmax, naive_mha
+from reference import (naive_bilinear, naive_bilinear_at, naive_masked_softmax,
+                       naive_mha)
 
 
 def random_mha_weights(rng, d, heads):
@@ -222,8 +223,36 @@ class TestBilinear:
         # row 0, so the blend collapses to the border cell
         rng = np.random.default_rng(8)
         data = rng.normal(size=(4, 4, 2))
-        out = bilinear_at(data, -0.5, 1.0)
+        out = bilinear_at(data, np.array([-0.5]), np.array([1.0]))
         assert np.allclose(out, data[0, 1], atol=1e-12)
+
+    @pytest.mark.parametrize("shape, lo, hi, coord_shape", [
+        ((7, 9, 5), (0.0, 0.0), (6.0, 8.0), (300,)),        # interior
+        ((7, 9, 5), (-3.0, -3.0), (9.5, 11.5), (300,)),     # all four borders
+        ((1, 9, 5), (-2.0, -2.0), (2.0, 10.0), (200,)),     # 1 x W
+        ((7, 1, 5), (-2.0, -2.0), (8.0, 2.0), (200,)),      # H x 1
+        ((7, 9, 5), (-1.0, -1.0), (7.5, 9.5), (13, 4)),     # (n, k_pv)
+        ((7, 9, 5), (0.0, 0.0), (6.0, 8.0), (0,)),          # no points
+        ((7, 9, 5), (0.0, 0.0), (6.0, 8.0), (0, 4)),
+    ])
+    def test_bilinear_at_bit_equal_to_corner_gather(self, shape, lo, hi,
+                                                    coord_shape):
+        rng = np.random.default_rng(9)
+        data = rng.normal(size=shape)
+        kept = data.copy()
+        fy = rng.uniform(lo[0], hi[0], coord_shape)
+        fx = rng.uniform(lo[1], hi[1], coord_shape)
+        # exact cell centers and the clamp edges themselves
+        flat_y, flat_x = fy.reshape(-1), fx.reshape(-1)
+        edges = [(-0.5, -0.5), (0.0, 0.0), (shape[0] - 1, shape[1] - 1),
+                 (shape[0] - 0.5, -1.0), (-1.0, shape[1] - 0.5), (2.0, 3.0)]
+        for k, (y, x) in enumerate(edges[:flat_y.size]):
+            flat_y[k], flat_x[k] = y, x
+        got = bilinear_at(data, fy, fx)
+        want = naive_bilinear_at(data, fy, fx)
+        assert got.shape == coord_shape + (shape[2],)
+        assert np.array_equal(got, want)
+        assert np.array_equal(data, kept)
 
 
 class TestNoNonFinite:

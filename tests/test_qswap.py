@@ -10,7 +10,7 @@ from hqfusion.qswap import (IMG_BEV, ORIGIN_BASE, ORIGIN_SHARED, QSwapConfig,
                             select_neighbors, swap_samples)
 
 from reference import (bilinear_sample, brute_force_selection, naive_affine,
-                       naive_swap_samples)
+                       naive_select_neighbors, naive_swap_samples)
 
 
 def make_bank(rows, kind=IMG_BEV):
@@ -99,6 +99,23 @@ class TestSelectNeighbors:
         boxes = np.tile([2.0, 4.0], (2, 1))
         got = select_neighbors(0, np.array([0.0, 1.0]), boxes, positions, cfg)
         assert got.size == 0
+
+    def test_matches_full_sort(self):
+        # affinities quantized to eighths force ties at and around the n-th
+        # largest value; the constant row is one big tie
+        rng = np.random.default_rng(11)
+        n = 12
+        rows = np.vstack([np.round(rng.uniform(0.0, 1.0, (n - 1, n)) * 8) / 8,
+                          np.full((1, n), 1.0 / n)])
+        positions = rng.uniform(-6.0, 6.0, (n, 2))
+        boxes = rng.uniform(0.5, 5.0, (n, 2))
+        for n_neighbors in (0, 1, 4, n - 1, n + 3):
+            cfg = QSwapConfig(n_neighbors=n_neighbors)
+            for i in range(n):
+                got = select_neighbors(i, rows[i], boxes, positions, cfg)
+                want = naive_select_neighbors(i, rows[i], boxes, positions, cfg)
+                assert got.dtype == want.dtype
+                assert got.tolist() == want.tolist(), (n_neighbors, i)
 
 
 class TestPredictBaseSamples:
