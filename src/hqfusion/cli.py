@@ -2,7 +2,8 @@
 
 Subcommands: gen-scene, run, analyze-attn, links, ablate, init-weights.
 Configuration is a single JSON document (all keys defaulted, unknown keys
-rejected) with dotted --set overrides and named presets.  Reports are
+rejected) with dotted --set overrides and named presets; apply_override sets
+and type-checks every value, whichever route it comes by.  Reports are
 self-describing JSON and byte-identical across runs with the same config
 and seeds; stage timings go to stderr and enter the report only when
 explicitly requested, so they never break report determinism.
@@ -11,12 +12,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -47,10 +47,6 @@ class RenderConfig:
     def validate(self):
         if not self.voxel > 0.0:
             raise ConfigError(f"render.voxel must be positive, got {self.voxel}")
-        if isinstance(self.pv_downsample, bool) or not isinstance(
-                self.pv_downsample, int):
-            raise ConfigError("render.pv_downsample must be an integer, got "
-                              f"{self.pv_downsample!r}")
         if self.pv_downsample < 1:
             raise ConfigError("render.pv_downsample must be at least 1")
 
@@ -72,12 +68,19 @@ class QueryConfig:
             raise ConfigError("queries.n_img and queries.n_rad must be >= 0")
         if self.per_view < 0:
             raise ConfigError("queries.per_view must be >= 0")
+        if min(self.center_noise_px, self.depth_noise) < 0.0:
+            raise ConfigError("queries.center_noise_px and queries.depth_noise "
+                              "must be >= 0")
 
 
 @dataclass
 class Seeds:
     scene: int = 7
     weights: int = 0
+
+    def validate(self):
+        if min(self.scene, self.weights) < 0:
+            raise ConfigError("seeds.scene and seeds.weights must be >= 0")
 
 
 @dataclass
@@ -105,11 +108,9 @@ class RunConfig:
                 f"({self.scene.feature_dim})")
         if abs(self.decoder.extent - self.scene.extent) > 1e-9:
             raise ConfigError("decoder.extent must equal scene.extent")
-        if self.scene.num_cameras < 0:
-            raise ConfigError("scene.num_cameras must be >= 0")
-        self.render.validate()
-        self.queries.validate()
-        self.decoder.validate()
+        for section in (self.scene, self.radar, self.render, self.queries,
+                        self.decoder, self.seeds):
+            section.validate()
 
 
 PRESETS: dict[str, dict[str, object]] = {
@@ -130,37 +131,18 @@ PRESETS: dict[str, dict[str, object]] = {
 }
 
 
-def _nested_type(f: dataclasses.Field):
-    """Dataclass type of a field, or None for plain values."""
-    if f.default_factory is not dataclasses.MISSING:
-        default = f.default_factory()
-        if is_dataclass(default):
-            return type(default)
-    return None
-
-
-def _from_dict(cls, doc: dict):
-    """Strict dataclass hydration: unknown keys raise ConfigError."""
-    if not isinstance(doc, dict):
-        raise ConfigError(
-            f"expected an object for {cls.__name__}, got {type(doc).__name__}")
-    known = {f.name: f for f in fields(cls)}
-    unknown = set(doc) - set(known)
-    if unknown:
-        raise ConfigError(f"unknown config keys for {cls.__name__}: {sorted(unknown)}")
-    kwargs = {}
-    for name, value in doc.items():
-        nested = _nested_type(known[name])
-        kwargs[name] = _from_dict(nested, value) if nested is not None else value
-    return cls(**kwargs)
-
-
 def config_from_dict(doc: dict) -> RunConfig:
-    return _from_dict(RunConfig, doc)
+    """Defaults overlaid with a config document; unknown keys raise ConfigError."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"a config document is an object, got {doc!r}")
+    cfg = RunConfig()
+    for key, value in doc.items():
+        apply_override(cfg, key, value)
+    return cfg
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
-    return dataclasses.asdict(cfg)
+    return asdict(cfg)
 
 
 def _parse_value(text: str):
@@ -170,49 +152,76 @@ def _parse_value(text: str):
         return text
 
 
+_ACCEPTS = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+
+
 def apply_override(cfg, path: str, value):
-    parts = path.split(".")
+    """Set the config value at a dotted path: the only config setter.
+
+    A value must have a type its field's default accepts: a bool only for a
+    bool field, an int (not a bool) for an int field, an int or a float for
+    a float field, a str for a str field.  A dict for a section sets each of
+    its keys below that section.
+    """
     node = cfg
-    for p in parts[:-1]:
-        if not hasattr(node, p):
+    for name in path.split("."):
+        known = {f.name: f for f in fields(node)} if is_dataclass(node) else {}
+        if name not in known:
             raise ConfigError(f"unknown config path {path!r}")
-        node = getattr(node, p)
-    leaf = parts[-1]
-    if not hasattr(node, leaf):
-        raise ConfigError(f"unknown config path {path!r}")
-    current = getattr(node, leaf)
-    if is_dataclass(current):
-        raise ConfigError(f"config path {path!r} is a section, not a value")
-    setattr(node, leaf, value)
+        parent, node = node, getattr(node, name)
+    if is_dataclass(node):
+        if not isinstance(value, dict):
+            raise ConfigError(f"config path {path!r} is a section, not a value")
+        for key, item in value.items():
+            apply_override(cfg, f"{path}.{key}", item)
+        return
+    kind = type(known[name].default)
+    if type(value) not in _ACCEPTS[kind]:
+        raise ConfigError(f"{path} must be of type {kind.__name__}, got {value!r}")
+    setattr(parent, name, value)
+
+
+_EMIT_FLAGS = {"emit_links": "emit.links", "emit_snapshots": "emit.query_snapshots",
+               "emit_samples": "emit.sample_dumps",
+               "include_timing": "emit.include_timing"}
 
 
 def build_config(args) -> RunConfig:
+    """--config file, then --preset, each --set, --qswap-mode and emit flags."""
     doc = {}
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
             doc = json.load(fh)
     cfg = config_from_dict(doc)
     preset = getattr(args, "preset", None)
-    if preset:
-        if preset not in PRESETS:
-            raise ConfigError(f"unknown preset {preset!r}; available: {sorted(PRESETS)}")
-        for path, value in PRESETS[preset].items():
-            apply_override(cfg, path, value)
+    if preset and preset not in PRESETS:
+        raise ConfigError(f"unknown preset {preset!r}; available: {sorted(PRESETS)}")
+    pairs = list(PRESETS[preset].items()) if preset else []
     for item in getattr(args, "set", None) or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         path, _, raw = item.partition("=")
-        apply_override(cfg, path.strip(), _parse_value(raw.strip()))
+        pairs.append((path.strip(), _parse_value(raw.strip())))
     if getattr(args, "qswap_mode", None):
-        cfg.decoder.qswap.mode = args.qswap_mode
-    for flag, path in (("emit_links", "links"),
-                       ("emit_snapshots", "query_snapshots"),
-                       ("emit_samples", "sample_dumps"),
-                       ("include_timing", "include_timing")):
-        if getattr(args, flag, False):
-            setattr(cfg.emit, path, True)
+        pairs.append(("decoder.qswap.mode", args.qswap_mode))
+    pairs += [(path, True) for flag, path in _EMIT_FLAGS.items()
+              if getattr(args, flag, False)]
+    for path, value in pairs:
+        apply_override(cfg, path, value)
     cfg.validate()
     return cfg
+
+
+def load_scene(cfg: RunConfig, path):
+    """Scene and rig of a gen-scene file, whose config block replaces cfg.scene."""
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict) or "config" not in doc:
+        raise ConfigError(f"scene file {path} is not an object with a 'config' key")
+    # defaults first, so a key the file omits does not keep a preset's value
+    apply_override(cfg, "scene", asdict(sc.SceneConfig()))
+    apply_override(cfg, "scene", doc["config"])
+    return sc.scene_from_dict(doc, cfg.scene)
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +251,7 @@ def prepare_inputs(cfg: RunConfig, scene_path=None, weights_path=None):
     timing = {}
     t0 = time.perf_counter()
     if scene_path:
-        scn, rig = sc.load_scene(scene_path)
-        cfg.scene = scn.config
+        scn, rig = load_scene(cfg, scene_path)
         cfg.validate()
     else:
         scn, rig = sc.generate_scene(cfg.seeds.scene, cfg.scene)
@@ -527,7 +535,9 @@ def cmd_ablate(args) -> int:
     total0 = time.perf_counter()
     inputs, features = prepare_inputs(cfg)
     for name, overrides in ABLATION_VARIANTS:
-        vdec = dataclasses.replace(cfg.decoder, **overrides)
+        variant = config_from_dict(config_to_dict(cfg))
+        apply_override(variant, "decoder", overrides)
+        vdec = variant.decoder
         key = tuple(sorted(overrides.items()))
         t0 = time.perf_counter()
         if key not in finals:

@@ -57,6 +57,8 @@ class DecoderConfig:
             raise ConfigError("decoder needs at least one attention head")
         if self.num_classes < 1:
             raise ConfigError("decoder needs num_classes >= 1")
+        if self.d < 1:
+            raise ConfigError("decoder.d must be at least 1")
         if self.d % self.heads != 0:
             raise ConfigError(f"heads ({self.heads}) must divide d ({self.d})")
         if self.qmix_placement not in PLACEMENTS:

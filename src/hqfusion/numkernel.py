@@ -89,14 +89,6 @@ class MhaWeights:
     bv: np.ndarray
     bo: np.ndarray
 
-    @classmethod
-    def identity(cls, d: int, heads: int = 1) -> "MhaWeights":
-        """Identity projections and zero biases (handy in tests)."""
-        eye = np.eye(d)
-        zero = np.zeros(d)
-        return cls(heads, eye, eye.copy(), eye.copy(), eye.copy(),
-                   zero, zero.copy(), zero.copy(), zero.copy())
-
 
 def multi_head_attention(
     q_in: np.ndarray,

@@ -63,12 +63,6 @@ class QuerySet:
                 raise ConfigError("query positions exceed the scene extent")
 
 
-def empty_query_set(d: int) -> QuerySet:
-    return QuerySet(np.zeros((0, d)), np.zeros((0, 3)),
-                    np.zeros(0, dtype=np.int64), np.zeros(0),
-                    np.zeros((0, 4)))
-
-
 def _box_prior(n: int) -> np.ndarray:
     return np.tile(np.array(BOX_PRIOR), (n, 1))
 

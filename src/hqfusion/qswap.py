@@ -142,17 +142,14 @@ def base_bank(grid_kind: str, offsets: np.ndarray, scores: np.ndarray) -> Sample
 def predict_base_samples(embedding: np.ndarray, head_w: np.ndarray,
                          head_b: np.ndarray, range_scale: float,
                          k_base: int) -> tuple[np.ndarray, np.ndarray]:
-    """Linear head: embedding -> k_base (dx, dy, score) rows per grid.
+    """Linear head: (N, d) embeddings -> k_base (dx, dy, score) rows per query.
 
     Offsets are scaled by the per-layer metric range parameter; scores stay
     raw logits.
     """
     raw = (embedding @ head_w.T + head_b).reshape(-1, k_base, 3)
     offsets = raw[..., :2] * range_scale
-    scores = raw[..., 2]
-    if embedding.ndim == 1:
-        return offsets[0], scores[0]
-    return offsets, scores
+    return offsets, raw[..., 2]
 
 
 def adaptive_radius(width: float, length: float, radius_factor: float) -> float:

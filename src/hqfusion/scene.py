@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.signal import convolve2d
@@ -95,6 +95,20 @@ class SceneConfig:
     focal: float = 500.0
     camera_height: float = 1.6
 
+    def validate(self):
+        if not 0.0 < 2.0 * self.extent < math.inf:
+            raise ConfigError("scene.extent must be positive with a finite span "
+                              f"2 * extent, got {self.extent}")
+        if min(self.image_width, self.image_height) < 1:
+            raise ConfigError("scene.image_width and scene.image_height must be "
+                              "at least 1")
+        if not 0.0 < self.focal < math.inf:
+            raise ConfigError(f"scene.focal must be positive, got {self.focal}")
+        if self.num_cameras < 0:
+            raise ConfigError("scene.num_cameras must be >= 0")
+        if self.num_classes < 1:
+            raise ConfigError("scene.num_classes must be at least 1")
+
 
 @dataclass
 class Scene:
@@ -161,12 +175,6 @@ class FeatureGrid:
         e = grid_config.extent
         return cls(np.zeros((n, n, d)), -e, e, -e, e, grid_config.voxel, kind)
 
-    def cell_center(self, row: int, col: int) -> np.ndarray:
-        return np.array(
-            [self.x_min + (col + 0.5) * self.voxel,
-             self.y_min + (row + 0.5) * self.voxel]
-        )
-
     def frac_coords(self, x, y):
         """Metric x, y (scalars or arrays) -> fractional (fy, fx) cell coords."""
         return ((y - self.y_min) / self.voxel - 0.5,
@@ -212,6 +220,13 @@ class RadarSimConfig:
     pos_noise: float = 0.3
     vel_noise: float = 0.2
     clutter_count: int = 20
+
+    def validate(self):
+        if min(self.points_per_object, self.clutter_count) < 0:
+            raise ConfigError("radar.points_per_object and radar.clutter_count "
+                              "must be >= 0")
+        if min(self.pos_noise, self.vel_noise) < 0.0:
+            raise ConfigError("radar.pos_noise and radar.vel_noise must be >= 0")
 
 
 def make_camera(fx, fy, cx, cy, yaw, position, width, height) -> Camera:
@@ -448,17 +463,9 @@ def encode_radar_bev(points: RadarPointCloud, grid_config: GridConfig, d: int,
 # ---------------------------------------------------------------------------
 
 def scene_to_dict(scene: Scene, rig: CameraRig) -> dict:
-    cfg = scene.config
     return {
         "seed": scene.seed,
-        "config": {
-            "extent": cfg.extent, "num_objects": cfg.num_objects,
-            "num_clutter": cfg.num_clutter, "num_classes": cfg.num_classes,
-            "num_cameras": cfg.num_cameras, "feature_dim": cfg.feature_dim,
-            "min_separation": cfg.min_separation,
-            "image_width": cfg.image_width, "image_height": cfg.image_height,
-            "focal": cfg.focal, "camera_height": cfg.camera_height,
-        },
+        "config": asdict(scene.config),
         "objects": [
             {
                 "id": o.id, "center": o.center.tolist(), "size": o.size.tolist(),
@@ -478,27 +485,26 @@ def scene_to_dict(scene: Scene, rig: CameraRig) -> dict:
     }
 
 
-def scene_from_dict(doc: dict) -> tuple[Scene, CameraRig]:
-    cfg = SceneConfig(**doc["config"])
-    objects = [
-        SceneObject(o["id"], np.array(o["center"]), np.array(o["size"]),
-                    float(o["yaw"]), np.array(o["velocity"]), int(o["class_id"]),
-                    np.array(o["signature"]))
-        for o in doc["objects"]
-    ]
-    cams = [
-        Camera(c["fx"], c["fy"], c["cx"], c["cy"], np.array(c["r_wc"]),
-               np.array(c["position"]), int(c["width"]), int(c["height"]))
-        for c in doc["rig"]
-    ]
-    return Scene(objects, int(doc["seed"]), cfg), CameraRig(cams)
+def scene_from_dict(doc: dict, config: SceneConfig) -> tuple[Scene, CameraRig]:
+    """Scene and rig of a scene document; `config` is its hydrated config block."""
+    try:
+        objects = [
+            SceneObject(o["id"], np.array(o["center"]), np.array(o["size"]),
+                        float(o["yaw"]), np.array(o["velocity"]),
+                        int(o["class_id"]), np.array(o["signature"]))
+            for o in doc["objects"]
+        ]
+        cams = [
+            Camera(c["fx"], c["fy"], c["cx"], c["cy"], np.array(c["r_wc"]),
+                   np.array(c["position"]), int(c["width"]), int(c["height"]))
+            for c in doc["rig"]
+        ]
+        seed = int(doc["seed"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed scene document: {exc!r}") from exc
+    return Scene(objects, seed, config), CameraRig(cams)
 
 
 def save_scene(scene: Scene, rig: CameraRig, path):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(scene_to_dict(scene, rig), fh, sort_keys=True, indent=2)
-
-
-def load_scene(path) -> tuple[Scene, CameraRig]:
-    with open(path, encoding="utf-8") as fh:
-        return scene_from_dict(json.load(fh))

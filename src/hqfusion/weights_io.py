@@ -148,6 +148,19 @@ def save_weights(weights: DecoderWeights, path):
         fh.write(b"".join(chunks))
 
 
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _well_formed(entry) -> bool:
+    """A str name and dtype, and non-negative int shape, offset and length."""
+    return (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("dtype"), str)
+            and isinstance(entry.get("shape"), list)
+            and all(map(_is_count, entry["shape"]))
+            and _is_count(entry.get("offset")) and _is_count(entry.get("length")))
+
+
 def load_weights(path, config) -> DecoderWeights:
     """Parse, validate against config, and reject anything inconsistent."""
     with open(path, "rb") as fh:
@@ -159,11 +172,18 @@ def load_weights(path, config) -> DecoderWeights:
         manifest = json.loads(raw[:sep].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise WeightFormatError(f"bad manifest: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise WeightFormatError("manifest is not a JSON object")
     if manifest.get("format") != FORMAT_TAG:
         raise WeightFormatError(f"unsupported format {manifest.get('format')!r}")
 
     blob = raw[sep + 2:]
     entries = manifest.get("tensors", [])
+    if not isinstance(entries, list):
+        raise WeightFormatError("manifest 'tensors' is not a list")
+    for e in entries:
+        if not _well_formed(e):
+            raise WeightFormatError(f"malformed tensor entry {e!r}")
     names = [e["name"] for e in entries]
     if len(set(names)) != len(names):
         raise WeightFormatError("duplicate tensor names in manifest")
@@ -172,7 +192,7 @@ def load_weights(path, config) -> DecoderWeights:
     for e in sorted(entries, key=lambda e: e["offset"]):
         if e["dtype"] != "<f4":
             raise WeightFormatError(f"unsupported dtype {e['dtype']!r}")
-        expect_len = int(np.prod(e["shape"])) * 4
+        expect_len = math.prod(e["shape"]) * 4
         if e["length"] != expect_len:
             raise WeightFormatError(f"tensor {e['name']} length mismatch")
         if e["offset"] != cursor:

@@ -11,10 +11,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hqfusion.qinit import TYPE_NAMES
+from hqfusion.numkernel import MhaWeights
+from hqfusion.qinit import TYPE_NAMES, QuerySet
 from hqfusion.qswap import (BEV_KINDS, ORIGIN_SHARED, SampleSet,
                             adaptive_radius, score_shared_points)
 from hqfusion.scene import MIN_CAMERA_DEPTH
+
+
+def identity_mha_weights(d: int, heads: int = 1) -> MhaWeights:
+    """Identity projections and zero biases."""
+    eye = np.eye(d)
+    zero = np.zeros(d)
+    return MhaWeights(heads, eye, eye.copy(), eye.copy(), eye.copy(),
+                      zero, zero.copy(), zero.copy(), zero.copy())
+
+
+def empty_query_set(d: int) -> QuerySet:
+    return QuerySet(np.zeros((0, d)), np.zeros((0, 3)),
+                    np.zeros(0, dtype=np.int64), np.zeros(0),
+                    np.zeros((0, 4)))
+
+
+def cell_center(grid, row: int, col: int) -> np.ndarray:
+    """Metric (x, y) center of a FeatureGrid cell."""
+    return np.array([grid.x_min + (col + 0.5) * grid.voxel,
+                     grid.y_min + (row + 0.5) * grid.voxel])
 
 
 def naive_affine(w, x, b):

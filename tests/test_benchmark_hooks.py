@@ -9,10 +9,13 @@ and a traced toy run must reach every wrapped function: a refactor that
 routes around one would make its per-layer metric read 0.  The traced
 bilinear point count must equal the tokens gathered plus the image
 proposals sampled, so points interpolated outside bilinear_at would show.
+Every workload's arguments must build a valid config at every reference
+seed, since a refused --set would fail every benchmark run.
 """
 import importlib
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -38,6 +41,26 @@ def test_traced_functions_resolve():
         assert callable(getattr(module, fn_name, None)), f"{mod_name}.{fn_name}"
     for mod_name in tracer.MODULES:
         importlib.import_module(f"hqfusion.{mod_name}")
+
+
+def test_workload_arguments_build(tmp_path):
+    # a --set the config setter refused would fail every benchmark run
+    from hqfusion import cli
+    run, worker = _load("run"), _load("worker")
+    for args in run.WORKLOADS.values():
+        for seed in range(run.REFERENCE_SEEDS):
+            spec = {"args": args, "input_seed": seed}
+            cfg = cli.build_config(worker._run_args(cli, spec, tmp_path / "r.json"))
+            assert cfg.seeds.scene == cfg.seeds.weights == seed
+    config = tmp_path / "replace.json"
+    config.write_text(json.dumps({"decoder": {"qswap": {"mode": "replace"}}}))
+    docs = [cli.config_to_dict(cli.build_config(cli.make_parser().parse_args(
+                ["run", *args, "--out", str(tmp_path / "r.json")])))
+            for args in (["--qswap-mode", "replace"],
+                         ["--set", 'decoder.qswap.mode="replace"'],
+                         ["--config", str(config)])]
+    assert docs[0] == docs[1] == docs[2]
+    assert docs[0]["decoder"]["qswap"]["mode"] == "replace"
 
 
 def test_cli_hooks():

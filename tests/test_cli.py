@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hqfusion import cli
 from hqfusion.errors import ConfigError
@@ -13,6 +15,31 @@ TOY = ["--preset", "toy"]
 
 def run_cli(args):
     return cli.main(args)
+
+
+def assert_error_exit(args, out, capsys, error="ConfigError"):
+    """The run ends in exit 2 with the one-line JSON error and no report."""
+    assert run_cli([*args, "--out", str(out)]) == 2, args
+    doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert doc["error"] == error, doc
+    assert not out.exists()
+    return doc["message"]
+
+
+def _leaves(doc, prefix=""):
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", value
+
+
+LEAVES = sorted(_leaves(cli.config_to_dict(cli.RunConfig())))
+ANY_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
 
 
 class TestConfig:
@@ -38,6 +65,43 @@ class TestConfig:
             cli.apply_override(cfg, "decoder.nonexistent", 1)
         with pytest.raises(ConfigError):
             cli.apply_override(cfg, "decoder", 1)
+
+    def test_setter_types(self):
+        cfg = cli.RunConfig()
+        cli.apply_override(cfg, "scene.extent", 25)
+        assert type(cfg.scene.extent) is int
+        cli.apply_override(cfg, "decoder", {"qswap": {"mode": "replace"}})
+        assert cfg.decoder.qswap.mode == "replace"
+        for path, value in [("decoder.enable_qmix", 1), ("decoder.layers", True),
+                            ("decoder.layers", 2.0), ("scene.extent", "25"),
+                            ("decoder.qswap.mode", None), ("decoder.validate", 1)]:
+            with pytest.raises(ConfigError, match=path):
+                cli.apply_override(cfg, path, value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(leaf=st.sampled_from(LEAVES), value=ANY_VALUE)
+    def test_setter_keeps_the_default_type(self, leaf, value):
+        path, default = leaf
+        doc = value
+        for key in reversed(path.split(".")):
+            doc = {key: doc}
+
+        def by_override():
+            cfg = cli.RunConfig()
+            cli.apply_override(cfg, path, value)
+            return cfg
+
+        for build in (by_override, lambda: cli.config_from_dict(doc)):
+            try:
+                cfg = build()
+            except ConfigError:
+                continue
+            got = cfg
+            for key in path.split("."):
+                got = getattr(got, key)
+            assert got is value
+            assert type(got) is type(default) or (
+                type(default) is float and type(got) is int)
 
     def test_dimension_mismatch_rejected(self):
         cfg = cli.config_from_dict({"scene": {"feature_dim": 64}})
@@ -198,15 +262,60 @@ class TestCliCommands:
                                ("queries.n_img=-1", "n_img"),
                                ("queries.per_view=-1", "per_view"),
                                ("scene.num_cameras=-1", "num_cameras"),
-                               ("render.pv_downsample=1.5", "pv_downsample")]:
-            out = tmp_path / "report.json"
-            code = run_cli(["run", *TOY, "--set", override, "--out", str(out)])
-            assert code == 2, override
-            err = capsys.readouterr().err.strip().splitlines()[-1]
-            doc = json.loads(err)
-            assert doc["error"] == "ConfigError"
-            assert word in doc["message"]
-            assert not out.exists()
+                               ("render.pv_downsample=1.5", "pv_downsample"),
+                               ("scene.num_objects=1.5", "scene.num_objects"),
+                               ("decoder.enable_qmix=1", "decoder.enable_qmix"),
+                               ('decoder.layers="abc"', "decoder.layers"),
+                               ("decoder.layers=2.5", "decoder.layers"),
+                               ("seeds.scene=1.5", "seeds.scene"),
+                               ("seeds.scene=-1", "seeds.scene"),
+                               ("seeds.weights=-1", "seeds.weights"),
+                               ("scene.image_width=0", "image_width"),
+                               ("scene.image_height=0", "image_height"),
+                               ("scene.focal=0", "focal"),
+                               ("scene.focal=-500", "focal"),
+                               ("scene.num_classes=0", "num_classes"),
+                               ("radar.clutter_count=-1", "clutter_count"),
+                               ("radar.points_per_object=-1", "points_per_object"),
+                               ("radar.pos_noise=-1", "pos_noise"),
+                               ("queries.depth_noise=-1", "depth_noise")]:
+            message = assert_error_exit(["run", *TOY, "--set", override],
+                                        tmp_path / "report.json", capsys)
+            assert word in message, override
+
+    @pytest.mark.parametrize("pair, word", [
+        (("scene.extent=1e308", "decoder.extent=1e308"), "extent"),
+        (("scene.feature_dim=0", "decoder.d=0"), "decoder.d")])
+    def test_paired_overrides_refused(self, tmp_path, capsys, pair, word):
+        args = ["run", *TOY, "--set", pair[0], "--set", pair[1]]
+        assert word in assert_error_exit(args, tmp_path / "r.json", capsys)
+
+    def test_bad_scene_file_refused(self, tmp_path, capsys):
+        scene_path = tmp_path / "scene.json"
+        assert run_cli(["gen-scene", *TOY, "--out", str(scene_path)]) == 0
+        good = json.loads(scene_path.read_text())
+        bad_docs = [[good], {k: v for k, v in good.items() if k != "config"},
+                    {**good, "config": {**good["config"], "bogus": 1}},
+                    {**good, "config": {**good["config"], "focal": "wide"}}]
+        bad_docs += [{k: v for k, v in good.items() if k != key}
+                     for key in ("seed", "objects", "rig")]
+        for doc in bad_docs:
+            scene_path.write_text(json.dumps(doc))
+            assert_error_exit(["run", *TOY, "--scene", str(scene_path)],
+                              tmp_path / "r.json", capsys)
+
+    def test_scene_file_config_replaces_preset(self, tmp_path):
+        scene_path = tmp_path / "scene.json"
+        assert run_cli(["gen-scene", *TOY, "--out", str(scene_path)]) == 0
+        doc = json.loads(scene_path.read_text())
+        del doc["config"]["num_clutter"]
+        scene_path.write_text(json.dumps(doc))
+        out = tmp_path / "r.json"
+        assert run_cli(["run", *TOY, "--set", "scene.num_clutter=3",
+                        "--scene", str(scene_path), "--out", str(out)]) == 0
+        config = json.loads(out.read_text())["config"]["scene"]
+        assert config["num_clutter"] == 20
+        assert config["num_objects"] == 6
 
     def test_no_image_proposals(self, tmp_path):
         # no image query at all, and image queries that are all padding

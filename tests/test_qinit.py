@@ -11,7 +11,7 @@ from hqfusion.qinit import (BOX_PRIOR, TYPE_IMG, TYPE_RAD, TYPE_W, QuerySet,
 from hqfusion.scene import (CameraRig, FeatureGrid, GridConfig, SceneConfig,
                             build_rig, make_camera, render_pv_features)
 
-from reference import project_to_view
+from reference import cell_center, empty_query_set, project_to_view
 from test_scene import manual_scene
 
 
@@ -152,7 +152,7 @@ class TestRadarQueries:
         heatmap = np.zeros((6, 6))
         qs = init_radar_queries(heatmap, grid, 4)
         assert (qs.init_score == 0.0).all()
-        expected = [grid.cell_center(0, c) for c in range(4)]
+        expected = [cell_center(grid, 0, c) for c in range(4)]
         assert np.allclose(qs.positions[:, :2], expected)
         assert (qs.types == TYPE_RAD).all()
 
@@ -161,7 +161,7 @@ class TestRadarQueries:
         heatmap = np.zeros((6, 6))
         heatmap[3, 2] = 0.8
         qs = init_radar_queries(heatmap, grid, 1)
-        assert np.allclose(qs.positions[0, :2], grid.cell_center(3, 2))
+        assert np.allclose(qs.positions[0, :2], cell_center(grid, 3, 2))
         assert np.array_equal(qs.embeddings[0], grid.data[3, 2])
         assert qs.init_score[0] == 0.8
 
@@ -176,7 +176,7 @@ class TestRadarQueries:
         assert np.allclose(qs.init_score, flat[oracle])
         rows = [i // 6 for i in oracle]
         cols = [i % 6 for i in oracle]
-        centers = np.array([grid.cell_center(r, c) for r, c in zip(rows, cols)])
+        centers = np.array([cell_center(grid, r, c) for r, c in zip(rows, cols)])
         assert np.allclose(qs.positions[:, :2], centers)
 
     def test_too_many(self):
@@ -216,7 +216,6 @@ class TestConcat:
         assert qs.n == 900
 
     def test_empty_plus_empty(self):
-        from hqfusion.qinit import empty_query_set
         world = init_world_queries(6, 20.0, 4, seed=0, rings=3)
         qs = concat_query_sets(world, empty_query_set(4), empty_query_set(4))
         assert qs.n == 6

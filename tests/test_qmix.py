@@ -10,7 +10,7 @@ from hqfusion.qmix import (QMixWeights, attention_type_stats,
                            build_cross_type_mask, extract_top_links,
                            qmix_attention)
 
-from reference import (naive_cross_type_blocked, naive_mixing_block,
+from reference import (identity_mha_weights, naive_cross_type_blocked, naive_mixing_block,
                        naive_top_links, naive_type_stats)
 
 IMG, RAD, W = TYPE_IMG, TYPE_RAD, TYPE_W
@@ -29,7 +29,7 @@ def random_mixing_weights(rng, d, heads):
 
 def identity_mixing_weights(d):
     """MHA identity; MLP contributes nothing; LN left as-is via gamma=1."""
-    mha = MhaWeights.identity(d)
+    mha = identity_mha_weights(d)
     return QMixWeights(mha, np.ones(d), np.zeros(d),
                        np.zeros((4 * d, d)), np.zeros(4 * d),
                        np.zeros((d, 4 * d)), np.zeros(d))

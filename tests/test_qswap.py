@@ -123,7 +123,8 @@ class TestPredictBaseSamples:
         k = 20
         w = np.zeros((k * 3, 8))
         b = np.zeros(k * 3)
-        offsets, scores = predict_base_samples(np.ones(8), w, b, 4.0, k)
+        offsets, scores = predict_base_samples(np.ones((1, 8)), w, b, 4.0, k)
+        offsets, scores = offsets[0], scores[0]
         assert offsets.shape == (k, 2) and scores.shape == (k,)
         assert (offsets == 0.0).all() and (scores == 0.0).all()
 
@@ -133,7 +134,8 @@ class TestPredictBaseSamples:
         w = rng.normal(size=(k * 3, d))
         b = rng.normal(size=k * 3)
         e = rng.normal(size=d)
-        offsets, scores = predict_base_samples(e, w, b, 4.0, k)
+        offsets, scores = predict_base_samples(e[None], w, b, 4.0, k)
+        offsets, scores = offsets[0], scores[0]
         raw = naive_affine(w, e, b).reshape(k, 3)
         assert np.allclose(offsets, raw[:, :2] * 4.0, atol=1e-12)
         assert np.allclose(scores, raw[:, 2], atol=1e-12)
@@ -146,9 +148,9 @@ class TestPredictBaseSamples:
         embs = rng.normal(size=(n, d))
         off_b, sc_b = predict_base_samples(embs, w, b, 2.0, k)
         for i in range(n):
-            off_i, sc_i = predict_base_samples(embs[i], w, b, 2.0, k)
-            assert np.allclose(off_b[i], off_i, atol=1e-12)
-            assert np.allclose(sc_b[i], sc_i, atol=1e-12)
+            off_i, sc_i = predict_base_samples(embs[i][None], w, b, 2.0, k)
+            assert np.allclose(off_b[i], off_i[0], atol=1e-12)
+            assert np.allclose(sc_b[i], sc_i[0], atol=1e-12)
 
 
 def two_query_instance(neighbor_scores, k_base=4, cfg=None, affinity=0.5):

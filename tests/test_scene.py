@@ -3,16 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from hqfusion.cli import RunConfig, load_scene
 from hqfusion.errors import ConfigError, GenerationError, ShapeError
 from hqfusion.scene import (Camera, CameraRig, FeatureGrid, GridConfig,
                             RadarPointCloud, RadarSimConfig, Scene, SceneConfig,
                             SceneObject, build_rig, encode_radar_bev,
-                            generate_scene, load_scene, make_camera,
+                            generate_scene, make_camera,
                             project_points, render_image_bev,
                             render_pv_features, save_scene,
                             scene_from_dict, scene_to_dict, simulate_radar_points)
 
-from reference import bilinear_sample, project_to_view, project_with_matrix
+from reference import (bilinear_sample, cell_center, project_to_view,
+                       project_with_matrix)
 
 
 def small_config(**kw):
@@ -257,7 +259,7 @@ class TestEncodeRadarBev:
                 if not members:
                     assert np.allclose(grid.data[row, col], 0.0, atol=1e-12)
                     continue
-                cx, cy = grid.cell_center(row, col)
+                cx, cy = cell_center(grid, row, col)
                 feats = np.array([
                     [pts.xyz[i, 0] - cx, pts.xyz[i, 1] - cy,
                      pts.velocity[i, 0], pts.velocity[i, 1], pts.rcs[i], 1.0]
@@ -307,13 +309,13 @@ class TestSceneSerialization:
         scene, rig = generate_scene(21, small_config())
         path = tmp_path / "scene.json"
         save_scene(scene, rig, path)
-        back, back_rig = load_scene(path)
+        back, back_rig = load_scene(RunConfig(), path)
         assert scene_to_dict(back, back_rig) == scene_to_dict(scene, rig)
 
     def test_dict_roundtrip_objects(self):
         scene, rig = generate_scene(22, small_config())
         doc = scene_to_dict(scene, rig)
-        back, _ = scene_from_dict(doc)
+        back, _ = scene_from_dict(doc, scene.config)
         for a, b in zip(scene.objects, back.objects):
             assert np.array_equal(a.center, b.center)
             assert a.class_id == b.class_id

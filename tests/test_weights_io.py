@@ -132,3 +132,35 @@ class TestFileFormat:
     def test_config_hash_sensitivity(self):
         assert config_hash(small_config()) != config_hash(small_config(heads=4))
         assert config_hash(small_config()) == config_hash(small_config(layers=5))
+
+
+class TestMalformedManifest:
+    """A malformed manifest ends `run --weights` in WeightFormatError, exit 2."""
+
+    def rewrite(self, path, change):
+        raw = path.read_bytes()
+        sep = raw.find(b"\n\n")
+        manifest = change(json.loads(raw[:sep].decode("utf-8")))
+        path.write_bytes(json.dumps(manifest).encode("utf-8") + raw[sep:])
+
+    def test_run_refuses(self, tmp_path, capsys):
+        from hqfusion import cli
+
+        def drop_keys(m):
+            m["tensors"][0] = {"name": m["tensors"][0]["name"]}
+            return m
+
+        def float_shape(m):
+            m["tensors"][0]["shape"] = [1.5]
+            return m
+
+        for change in (lambda m: [m], drop_keys, float_shape):
+            w_path, out = tmp_path / "w.cfw", tmp_path / "r.json"
+            assert cli.main(["init-weights", "--preset", "toy",
+                             "--out", str(w_path)]) == 0
+            self.rewrite(w_path, change)
+            assert cli.main(["run", "--preset", "toy", "--weights", str(w_path),
+                             "--out", str(out)]) == 2
+            err = capsys.readouterr().err.strip().splitlines()[-1]
+            assert json.loads(err)["error"] == "WeightFormatError"
+            assert not out.exists()
