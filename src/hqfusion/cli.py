@@ -24,7 +24,7 @@ from . import decoder as dec
 from . import metrics as met
 from . import qinit, qswap, scene as sc, weights_io
 from .errors import (ConfigError, GenerationError, NonFiniteError,
-                     WeightFormatError)
+                     WeightFormatError, require_finite)
 from .qmix import extract_top_links
 
 REPORT_SCHEMA_VERSION = 1
@@ -49,6 +49,11 @@ class RenderConfig:
             raise ConfigError(f"render.voxel must be positive, got {self.voxel}")
         if self.pv_downsample < 1:
             raise ConfigError("render.pv_downsample must be at least 1")
+        if min(self.pv_noise, self.bev_noise) < 0.0:
+            raise ConfigError("render.pv_noise and render.bev_noise must be >= 0")
+        if not 0.0 <= self.miss_rate <= 1.0:
+            raise ConfigError(f"render.miss_rate must lie in [0, 1], "
+                              f"got {self.miss_rate}")
 
 
 @dataclass
@@ -213,7 +218,12 @@ def build_config(args) -> RunConfig:
 
 
 def load_scene(cfg: RunConfig, path):
-    """Scene and rig of a gen-scene file, whose config block replaces cfg.scene."""
+    """Scene and rig of a gen-scene file.
+
+    The file's config block replaces cfg.scene and its seed replaces
+    cfg.seeds.scene, so features, radar and query noise are drawn as they
+    were for the run that generated the scene.
+    """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or "config" not in doc:
@@ -221,7 +231,9 @@ def load_scene(cfg: RunConfig, path):
     # defaults first, so a key the file omits does not keep a preset's value
     apply_override(cfg, "scene", asdict(sc.SceneConfig()))
     apply_override(cfg, "scene", doc["config"])
-    return sc.scene_from_dict(doc, cfg.scene)
+    scn, rig = sc.scene_from_dict(doc, cfg.scene)
+    apply_override(cfg, "seeds.scene", doc["seed"])
+    return scn, rig
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +281,10 @@ def prepare_inputs(cfg: RunConfig, scene_path=None, weights_path=None):
     cloud = sc.simulate_radar_points(scn, cfg.seeds.scene, cfg.radar)
     rad_bev, heatmap = sc.encode_radar_bev(cloud, grid_cfg, d,
                                            seed=cfg.seeds.scene)
+    for name, data in [("image BEV grid", img_bev.data),
+                       ("radar BEV grid", rad_bev.data),
+                       *((f"PV map {c}", pv.data) for c, pv in enumerate(pv_maps))]:
+        require_finite(f"features stage: {name}", data)
     timing["features"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -283,6 +299,7 @@ def prepare_inputs(cfg: RunConfig, scene_path=None, weights_path=None):
     radar = qinit.init_radar_queries(heatmap, rad_bev, cfg.queries.n_rad)
     queries = qinit.concat_query_sets(world, image, radar)
     queries.validate(extent=cfg.scene.extent)
+    require_finite("queries stage: query embeddings", queries.embeddings)
     timing["queries"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

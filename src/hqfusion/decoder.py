@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_finite
 from .numkernel import (AttentionMask, MhaWeights, bilinear_at,
                         bilinear_sample_many, layer_norm, multi_head_attention,
                         softmax_rows)
@@ -313,12 +313,17 @@ def decode(features: SceneFeatures, queries: QuerySet, weights,
         layer_positions = pos.copy()
         emb = apply_type_adapter(emb, types, weights)
         emb, affinity = shared_self_attention(emb, pos, weights, config.heads)
+        require_finite("self-attention output", emb, layer)
+        require_finite("self-attention affinities", affinity, layer)
 
         qmix_attn = None
         if config.enable_qmix and config.qmix_placement == "pre_agg":
             emb, qmix_attn = qmix_attention(emb, types, qmix_w)
 
         sets = predict_base_sets(emb, weights, config.qswap.k_base)
+        # before swap_samples: its partition orders NaN unlike a sort
+        for kind, bank in sets.items():
+            require_finite(f"{kind} base scores", bank.scores, layer)
         if config.enable_qswap:
             neighbors = [
                 select_neighbors(i, affinity[i], box_wl, pos[:, :2], config.qswap)
@@ -349,6 +354,8 @@ def decode(features: SceneFeatures, queries: QuerySet, weights,
 
         cls, centers, sizes, yaws, velocities = detection_head(emb, pos, weights,
                                                                config)
+        for array in (cls, centers, sizes, yaws, velocities):
+            require_finite("detection head output", array, layer)
         pos = centers.copy()
         box_wl = sizes[:, :2].copy()
 

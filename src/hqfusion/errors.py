@@ -1,4 +1,7 @@
 """Exception types shared across the package."""
+from __future__ import annotations
+
+import numpy as np
 
 
 class ShapeError(ValueError):
@@ -22,4 +25,12 @@ class WeightFormatError(ValueError):
 
 
 class NonFiniteError(ValueError):
-    """A NaN or infinite value reached a report."""
+    """A NaN or infinite value reached a stage boundary or a report."""
+
+
+def require_finite(stage: str, array, layer: int | None = None):
+    """Raise NonFiniteError naming the stage (and layer) if `array` holds a
+    NaN or an infinity; one isfinite pass over the array."""
+    if not np.isfinite(array).all():
+        where = stage if layer is None else f"{stage} of layer {layer}"
+        raise NonFiniteError(f"non-finite value in the {where}")

@@ -8,7 +8,10 @@ that adapts to the query's predicted footprint.  Imported points are
 ranked by the neighbor's own score plus a log-affinity prior, accepted
 greedily under per-neighbor and total caps, and either appended to the base
 set or swapped in for its weakest base points.  Point scores are then
-normalized jointly so aggregation sees a single weighting per set.
+normalized jointly so aggregation sees a single weighting per set.  Since
+a neighbor gives at most k_per points, only the points at or above each
+(receiver, neighbor) pair's k_per-th largest ranking score enter the
+acceptance sort; the cut is exact, so the result is the full pool's.
 
 The sets of all queries on one grid live in one SampleBank of padded
 (N, K) arrays; every stage works on whole banks, and `bank[i]` is a view of
@@ -55,6 +58,8 @@ class QSwapConfig:
             raise ConfigError("k_base must be at least 1")
         if min(self.k_per, self.k_extra, self.n_neighbors) < 0:
             raise ConfigError("swap caps must be non-negative")
+        if self.radius_factor < 0.0:
+            raise ConfigError("radius_factor must be >= 0")
         if self.affinity_floor <= 0.0:
             raise ConfigError("affinity_floor must be positive")
         if self.mode == "replace" and self.k_extra > self.k_base:
@@ -209,6 +214,14 @@ def swap_samples(base: SampleBank, neighbor_lists: list[np.ndarray],
     from the receiving query.  Append mode writes them after the row's
     points; replace mode overwrites the weakest points (ties: lower index),
     so a row must hold at least as many points as it imports.
+
+    Only the candidates whose s-tilde is at or above their pair's k_per-th
+    largest (ties kept) are sorted.  This is exact: a point ranked below
+    k_per in its pair has at least k_per points of s-tilde >= its own
+    ahead of it, so every point a pair can give survives, and so does
+    every point ranked before a survivor; ranks and taken-before counts
+    are the full pool's.  The threshold is taken on s-tilde itself, so
+    scores the prior rounds into a tie are cut alike.
     """
     cfg.validate()
     n = len(base)
@@ -217,11 +230,23 @@ def swap_samples(base: SampleBank, neighbor_lists: list[np.ndarray],
     for i, nb in enumerate(neighbor_lists):
         nbr[i, :len(nb)] = nb
 
-    # every candidate (receiver i, neighbor j, point k), in acceptance order
-    ci, slot, ck = np.nonzero((nbr >= 0)[:, :, None] & base.valid[nbr])
+    # s-tilde of every (receiver i, neighbor slot, point k); a pair can give
+    # only the points at or above its k_per-th largest s-tilde
+    keep = (nbr >= 0)[:, :, None] & base.valid[nbr]
+    st_all = score_shared_points(base.scores[nbr],
+                                 affinities[np.arange(n)[:, None], nbr][:, :, None],
+                                 cfg.prior_strength, cfg.affinity_floor)
+    cut = keep.shape[2] - cfg.k_per
+    if cfg.k_per == 0:
+        keep[:] = False
+    elif cut > 0:
+        kth = np.partition(np.where(keep, st_all, -np.inf), cut, axis=2)
+        keep &= st_all >= kth[:, :, cut:cut + 1]
+
+    # the surviving candidates, in acceptance order
+    ci, slot, ck = np.nonzero(keep)
     cj = nbr[ci, slot]
-    st = score_shared_points(base.scores[cj, ck], affinities[ci, cj],
-                             cfg.prior_strength, cfg.affinity_floor)
+    st = st_all[ci, slot, ck]
     order = np.lexsort((ck, cj, -st, ci))
     ci, cj, ck, st = ci[order], cj[order], ck[order], st[order]
 

@@ -108,6 +108,8 @@ class SceneConfig:
             raise ConfigError("scene.num_cameras must be >= 0")
         if self.num_classes < 1:
             raise ConfigError("scene.num_classes must be at least 1")
+        if self.camera_height < 0.0:
+            raise ConfigError("scene.camera_height must be >= 0")
 
 
 @dataclass

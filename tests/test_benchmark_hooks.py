@@ -10,7 +10,9 @@ routes around one would make its per-layer metric read 0.  The traced
 bilinear point count must equal the tokens gathered plus the image
 proposals sampled, so points interpolated outside bilinear_at would show.
 Every workload's arguments must build a valid config at every reference
-seed, since a refused --set would fail every benchmark run.
+seed, since a refused --set would fail every benchmark run.  The traced
+swap counts, taken through the SampleSet rows of each bank, must equal the
+counts read straight from the bank arrays.
 """
 import importlib
 import importlib.util
@@ -123,3 +125,23 @@ def test_traced_toy_run_reaches_every_wrapped_function(tmp_path, monkeypatch):
     assert len(valid) == n_layers
     proposals = cfg.scene.num_cameras * cfg.queries.per_view
     assert tr.counts["numkernel.bilinear_points"] == sum(valid) + proposals
+
+
+def test_swap_counts_match_the_banks():
+    from hqfusion import cli, qswap
+    tracer = _load_tracer()
+    cfg = cli.config_from_dict({})
+    for key, value in cli.PRESETS["toy"].items():
+        cli.apply_override(cfg, key, value)
+    cli.apply_override(cfg, "decoder.qswap.radius_factor", 30)
+    swap_cfg = cfg.decoder.qswap
+    tr = tracer.Tracer()
+    shared, cap_hits = 0, 0
+    for out in cli.run_pipeline(cfg)["outputs"]:
+        for bank in out.sample_sets.values():
+            tracer._count_swap(tr, (), {"cfg": swap_cfg}, bank)
+            per_row = ((bank.origins == qswap.ORIGIN_SHARED) & bank.valid).sum(axis=1)
+            shared += int(per_row.sum())
+            cap_hits += int((per_row == swap_cfg.k_extra).sum())
+    assert tr.counts["qswap.shared_points"] == shared > 0
+    assert tr.counts["qswap.total_cap_hits"] == cap_hits > 0

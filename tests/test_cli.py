@@ -278,7 +278,12 @@ class TestCliCommands:
                                ("radar.clutter_count=-1", "clutter_count"),
                                ("radar.points_per_object=-1", "points_per_object"),
                                ("radar.pos_noise=-1", "pos_noise"),
-                               ("queries.depth_noise=-1", "depth_noise")]:
+                               ("queries.depth_noise=-1", "depth_noise"),
+                               ("render.miss_rate=2", "miss_rate"),
+                               ("render.pv_noise=-1", "pv_noise"),
+                               ("render.bev_noise=-1", "bev_noise"),
+                               ("scene.camera_height=-1", "camera_height"),
+                               ("decoder.qswap.radius_factor=-1", "radius_factor")]:
             message = assert_error_exit(["run", *TOY, "--set", override],
                                         tmp_path / "report.json", capsys)
             assert word in message, override
@@ -299,6 +304,7 @@ class TestCliCommands:
                     {**good, "config": {**good["config"], "focal": "wide"}}]
         bad_docs += [{k: v for k, v in good.items() if k != key}
                      for key in ("seed", "objects", "rig")]
+        bad_docs += [{**good, "seed": seed} for seed in (1.5, -1, "3", True)]
         for doc in bad_docs:
             scene_path.write_text(json.dumps(doc))
             assert_error_exit(["run", *TOY, "--scene", str(scene_path)],
@@ -316,6 +322,22 @@ class TestCliCommands:
         config = json.loads(out.read_text())["config"]["scene"]
         assert config["num_clutter"] == 20
         assert config["num_objects"] == 6
+
+    def test_scene_file_seed_is_used(self, tmp_path):
+        # the file's seed draws features, radar and query noise, and wins
+        # over --set seeds.scene
+        scene_path = tmp_path / "s3.json"
+        assert run_cli(["gen-scene", *TOY, "--set", "seeds.scene=3",
+                        "--out", str(scene_path)]) == 0
+        a, b, c = (tmp_path / f"{name}.json" for name in "abc")
+        assert run_cli(["run", *TOY, "--scene", str(scene_path),
+                        "--out", str(a)]) == 0
+        assert run_cli(["run", *TOY, "--set", "seeds.scene=3",
+                        "--out", str(b)]) == 0
+        assert run_cli(["run", *TOY, "--set", "seeds.scene=5", "--scene",
+                        str(scene_path), "--out", str(c)]) == 0
+        assert a.read_bytes() == b.read_bytes() == c.read_bytes()
+        assert json.loads(a.read_text())["scene"]["seed"] == 3
 
     def test_no_image_proposals(self, tmp_path):
         # no image query at all, and image queries that are all padding
@@ -371,6 +393,12 @@ class TestCliCommands:
         err = capsys.readouterr().err.strip().splitlines()[-1]
         assert json.loads(err)["error"] == "NonFiniteError"
         assert not out.exists()
+
+    def test_non_finite_features_named(self, tmp_path, capsys):
+        message = assert_error_exit(["run", *TOY, "--set", "render.pv_noise=NaN"],
+                                    tmp_path / "r.json", capsys,
+                                    error="NonFiniteError")
+        assert "features stage" in message and "PV map" in message
 
     def test_layer_without_matches_writes_null(self, tmp_path):
         cfg = cli.config_from_dict({})

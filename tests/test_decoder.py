@@ -9,7 +9,7 @@ from hqfusion.decoder import (DecoderConfig, SceneFeatures,
                               mixing_weights, predict_base_sets,
                               shared_self_attention,
                               sinusoidal_position_encoding)
-from hqfusion.errors import ConfigError
+from hqfusion.errors import ConfigError, NonFiniteError
 from hqfusion.qinit import (TYPE_IMG, TYPE_RAD, TYPE_W, QuerySet,
                             concat_query_sets, generate_2d_proposals,
                             init_image_queries, init_radar_queries,
@@ -475,6 +475,16 @@ class TestDecode:
         bad = toy_config(heads=3)  # 3 does not divide 16
         with pytest.raises(ConfigError):
             decode(features, queries, weights, bad)
+
+    @pytest.mark.parametrize("tensor, stage", [
+        ("self_attn.ln.beta", "self-attention output of layer 0"),
+        ("sample.rad_bev.b", "rad_bev base scores of layer 0"),
+        ("head.box.b", "detection head output of layer 0")])
+    def test_non_finite_stage_named(self, tensor, stage):
+        _, features, queries, weights, cfg = toy_setup()
+        weights.tensors[tensor][:] = np.nan
+        with pytest.raises(NonFiniteError, match=stage):
+            decode(features, queries, weights, cfg)
 
     def test_deterministic(self):
         _, features, queries, weights, cfg = toy_setup()

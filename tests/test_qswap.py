@@ -335,6 +335,67 @@ class TestSwapSamples:
                 assert np.array_equal(g.offsets, w.offsets)
                 assert np.array_equal(g.scores, w.scores)
 
+    def test_preselection_edges_match_naive_loop(self):
+        # swap_samples ranks only the points at or above each pair's k_per-th
+        # largest s-tilde; every edge of that threshold must leave the result
+        # bit-identical to the full-pool loop
+        def check(bank, nbs, aff, pos, cfg):
+            got = swap_samples(bank, nbs, aff, pos, cfg)
+            want = naive_swap_samples(bank, nbs, aff, pos, cfg)
+            assert np.array_equal(got.sizes, [w.size for w in want])
+            for i, w in enumerate(want):
+                for name in ("offsets", "scores", "origins", "sources"):
+                    row = getattr(got, name)[i]
+                    assert np.array_equal(row[:w.size], getattr(w, name)), (i, name)
+            return got
+
+        rng = np.random.default_rng(21)
+        tie = [1.0, 1.0 + 2.0 ** -52]
+        # padded width 4: row 1 holds a tie at rank 2, row 2 one equal
+        # score, row 3 fewer valid points than most k_per, all below its
+        # zero padding, and row 4 has no neighbors
+        rows = [np.zeros(4), np.array([3.0, *tie, 0.0]), np.full(4, 0.25),
+                np.array([-2.0, -3.0]), np.array([1.0, *tie[::-1], 5.0])]
+        bank = make_bank([(rng.normal(0.0, 2.0, (len(sc), 2)), sc) for sc in rows])
+        pos = rng.uniform(-1.0, 1.0, (5, 2))
+        aff = np.full((5, 5), 0.9)
+        nbs = [np.array([1, 2, 3, 4]), np.array([0, 2, 3]), np.array([4, 1]),
+               np.array([1]), np.array([], dtype=int)]
+        # replace mode needs every row to hold k_extra points
+        full = make_bank([(rng.normal(0.0, 2.0, (4, 2)), rows[i % 2 + 1])
+                          for i in range(5)])
+        for b, k_per, k_extra, mode in (
+                (bank, 0, 0, "append"), (bank, 1, 3, "append"),
+                (bank, 2, 5, "append"), (bank, 3, 8, "append"),
+                (bank, 4, 9, "append"), (bank, 5, 12, "append"),
+                (bank, 7, 7, "append"), (full, 2, 2, "replace"),
+                (full, 2, 4, "replace"), (full, 4, 4, "replace")):
+            for prior in (0.0, 1.0, 1000.0):
+                cfg = QSwapConfig(k_base=4, k_per=k_per, k_extra=k_extra,
+                                  mode=mode, prior_strength=prior)
+                check(b, nbs, aff, pos, cfg)
+
+        # the 2**-52 pair ties once the prior is added, exactly at rank k_per
+        st = score_shared_points(np.array(tie), 0.9, 1000.0)
+        assert st[0] == st[1]
+        cfg = QSwapConfig(k_base=4, k_per=2, k_extra=2, prior_strength=1000.0)
+        got = check(bank, [np.array([1])] + [np.array([], dtype=int)] * 4,
+                    aff, pos, cfg)
+        assert got.scores[0, 4] == 3.0 + 1000.0 * np.log(0.9)
+        assert got.offsets[0, 5].tolist() == (pos[1] + bank.offsets[1, 1]
+                                              - pos[0]).tolist()
+
+        # swap-dense shape: 16 neighbors in a wide radius, caps 2 and 8
+        n = 200
+        for mode in ("append", "replace"):
+            cfg = QSwapConfig(n_neighbors=16, k_base=20, k_per=2, k_extra=8,
+                              radius_factor=30.0, mode=mode)
+            base, nbs, aff, pos, _, _ = random_swap_instance(
+                rng, n=n, k_base=20, cfg=cfg)
+            assert sum(len(nb) for nb in nbs) > 8 * n
+            got = check(base, nbs, aff, pos, cfg)
+            assert (got.origins == ORIGIN_SHARED).sum() > 4 * n
+
     def test_per_neighbor_rank_follows_s_tilde(self):
         scores = [1.0 + 2.0 ** -52, 1.0]
         cfg = QSwapConfig(k_base=2, k_per=1, k_extra=1, prior_strength=1000.0)
