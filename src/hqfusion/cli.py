@@ -316,9 +316,10 @@ def prepare_inputs(cfg: RunConfig, scene_path=None, weights_path=None):
 
 def evaluate_outputs(outputs, objects) -> list[dict]:
     """Per-layer detection metrics against the scene's ground truth."""
-    gts = met.gt_detections(objects)
-    return [met.evaluate_layer(met.detections_from_arrays(
-                out.class_scores, out.centers, out.sizes, out.yaws), gts)
+    gt = (np.array([o.center[:2] for o in objects]).reshape(-1, 2),
+          np.array([o.yaw for o in objects], dtype=np.float64),
+          np.array([o.class_id for o in objects], dtype=np.int64))
+    return [met.evaluate_layer(out.class_scores, out.centers, out.yaws, *gt)
             for out in outputs]
 
 
@@ -395,7 +396,7 @@ def build_report(cfg: RunConfig, result) -> dict:
             rec["links"] = extract_top_links(attn, queries.types, conf)
         if cfg.emit.query_snapshots:
             rec["query_snapshot"] = {
-                "positions": out.positions.tolist(),
+                "positions": out.centers.tolist(),
                 "types": [qinit.TYPE_NAMES[t] for t in queries.types],
                 "confidence": out.class_scores.max(axis=1).tolist(),
             }
@@ -479,9 +480,29 @@ def cmd_init_weights(args) -> int:
     return 0
 
 
-def cmd_analyze_attn(args) -> int:
-    with open(args.report, encoding="utf-8") as fh:
+def load_report(path, read):
+    """read(report) for the `run` report at path.
+
+    The report must be an object of this REPORT_SCHEMA_VERSION whose
+    `layers` is a list of objects.  A KeyError, TypeError, IndexError or
+    AttributeError raised while `read` walks it becomes a ConfigError, as
+    for a malformed scene file.
+    """
+    with open(path, encoding="utf-8") as fh:
         report = json.load(fh)
+    if not (isinstance(report, dict)
+            and report.get("schema_version") == REPORT_SCHEMA_VERSION
+            and isinstance(report.get("layers"), list)
+            and all(isinstance(rec, dict) for rec in report["layers"])):
+        raise ConfigError(f"{path} is not a schema-{REPORT_SCHEMA_VERSION} report "
+                          f"with a list of layer objects")
+    try:
+        return read(report)
+    except (KeyError, TypeError, IndexError, AttributeError) as exc:
+        raise ConfigError(f"malformed report {path}: {exc!r}") from exc
+
+
+def _attn_rows(report) -> list[list]:
     rows = []
     type_names = list(qinit.TYPE_NAMES)
 
@@ -501,7 +522,11 @@ def cmd_analyze_attn(args) -> int:
         mean = report.get("attn_stats_mean", {}).get(kind)
         if mean:
             emit("mean", kind, mean)
+    return rows
 
+
+def cmd_analyze_attn(args) -> int:
+    rows = load_report(args.report, _attn_rows)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["layer", "attn", "stat", "src_type", "dst_type", "value"])
@@ -510,15 +535,18 @@ def cmd_analyze_attn(args) -> int:
     return 0
 
 
-def cmd_links(args) -> int:
-    with open(args.report, encoding="utf-8") as fh:
-        report = json.load(fh)
+def _link_layers(report) -> list[dict]:
     layers = []
     for rec in report["layers"]:
         if "links" not in rec:
             raise ConfigError(
                 "report has no link records; re-run `run` with --emit-links")
         layers.append({"layer": rec["layer"], "links": rec["links"]})
+    return layers
+
+
+def cmd_links(args) -> int:
+    layers = load_report(args.report, _link_layers)
     write_json(args.out, {"schema_version": REPORT_SCHEMA_VERSION,
                           "layers": layers})
     print(f"[hqfusion] wrote links for {len(layers)} layers to {args.out}",
@@ -648,7 +676,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, WeightFormatError, GenerationError, NonFiniteError,
-            FileNotFoundError, json.JSONDecodeError) as exc:
+            OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(error, sort_keys=True), file=sys.stderr)
         return 2

@@ -89,7 +89,6 @@ class LayerOutput:
     sizes: np.ndarray           # (N, 3) w, l, h
     yaws: np.ndarray            # (N,)
     velocities: np.ndarray      # (N, 2)
-    positions: np.ndarray       # (N, 3) updated query positions
     sampling_positions: np.ndarray  # (N, 3) positions the sample sets are relative to
     self_attn: np.ndarray       # (N, N) head-averaged shared self-attention
     self_stats: TypeAttentionStats
@@ -366,7 +365,6 @@ def decode(features: SceneFeatures, queries: QuerySet, weights,
             sizes=sizes,
             yaws=yaws,
             velocities=velocities,
-            positions=pos.copy(),
             sampling_positions=layer_positions,
             self_attn=affinity,
             self_stats=attention_type_stats(affinity, types),

@@ -229,6 +229,7 @@ def swap_samples(base: SampleBank, neighbor_lists: list[np.ndarray],
     nbr = np.full((n, width), -1, dtype=np.int64)
     for i, nb in enumerate(neighbor_lists):
         nbr[i, :len(nb)] = nb
+    nbr.sort(axis=1)  # so candidates come out of nonzero in neighbor-id order
 
     # s-tilde of every (receiver i, neighbor slot, point k); a pair can give
     # only the points at or above its k_per-th largest s-tilde
@@ -243,11 +244,12 @@ def swap_samples(base: SampleBank, neighbor_lists: list[np.ndarray],
         kth = np.partition(np.where(keep, st_all, -np.inf), cut, axis=2)
         keep &= st_all >= kth[:, :, cut:cut + 1]
 
-    # the surviving candidates, in acceptance order
+    # the surviving candidates in (receiver, neighbor id, point) order; a
+    # stable sort on (receiver, -s-tilde) puts them in acceptance order
     ci, slot, ck = np.nonzero(keep)
     cj = nbr[ci, slot]
     st = st_all[ci, slot, ck]
-    order = np.lexsort((ck, cj, -st, ci))
+    order = np.lexsort((-st, ci))
     ci, cj, ck, st = ci[order], cj[order], ck[order], st[order]
 
     eligible = _rank_in_group(ci * n + cj) < cfg.k_per

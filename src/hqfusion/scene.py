@@ -31,6 +31,11 @@ _STREAM_BEV_NOISE = 6
 _STREAM_RADAR_EMBED = 2
 
 MIN_CAMERA_DEPTH = 0.1
+# A 1e6 px focal length sees 0.05 degrees of an 800 px image; beyond such
+# bounds a scene is no longer plausible and its arithmetic can overflow.
+MAX_FOCAL = 1e6   # pixels
+MAX_SPEED = 1e3   # m/s per axis; generated objects move at most 10 m/s
+_PLACEMENT_MARGIN = 2.0  # object centers keep this far from the scene edge
 
 # 3x3 binomial kernel used to smooth the radar heatmap.
 _HEATMAP_KERNEL = np.array([[1, 2, 1], [2, 4, 2], [1, 2, 1]], dtype=np.float64) / 16.0
@@ -102,14 +107,30 @@ class SceneConfig:
         if min(self.image_width, self.image_height) < 1:
             raise ConfigError("scene.image_width and scene.image_height must be "
                               "at least 1")
-        if not 0.0 < self.focal < math.inf:
-            raise ConfigError(f"scene.focal must be positive, got {self.focal}")
+        if not 0.0 < self.focal <= MAX_FOCAL:
+            raise ConfigError(f"scene.focal must lie in (0, {MAX_FOCAL}], "
+                              f"got {self.focal}")
         if self.num_cameras < 0:
             raise ConfigError("scene.num_cameras must be >= 0")
         if self.num_classes < 1:
             raise ConfigError("scene.num_classes must be at least 1")
-        if self.camera_height < 0.0:
-            raise ConfigError("scene.camera_height must be >= 0")
+        if not 0.0 <= self.camera_height <= self.extent:
+            raise ConfigError("scene.camera_height must lie in [0, extent]")
+        if self.num_objects < 0:
+            raise ConfigError("scene.num_objects must be >= 0")
+        s = self.min_separation
+        if not 0.0 <= s < math.inf:
+            raise ConfigError(f"scene.min_separation must be finite and >= 0, "
+                              f"got {s}")
+        # centers lie in a square of side L = 2 * (extent - margin); disks of
+        # radius s/2 around them are disjoint and lie in the square of side
+        # L + s, so more than (L + s)^2 / (pi s^2 / 4) objects never fit
+        if s > 0.0:
+            ratio = (2.0 * (self.extent - _PLACEMENT_MARGIN) + s) / s
+            if self.num_objects > 4.0 / math.pi * ratio * ratio:
+                raise ConfigError(
+                    f"scene.num_objects={self.num_objects} objects cannot be "
+                    f"{s} m apart inside +/-{self.extent - _PLACEMENT_MARGIN} m")
 
 
 @dataclass
@@ -264,34 +285,33 @@ def generate_scene(seed: int, config: SceneConfig) -> tuple[Scene, CameraRig]:
     Raises GenerationError when the extent cannot host the requested count
     at the configured separation.
     """
-    if config.num_objects < 0:
-        raise ConfigError("num_objects must be >= 0")
     rng = np.random.default_rng([seed, _STREAM_OBJECTS])
-    margin = 2.0
-    lo, hi = -config.extent + margin, config.extent - margin
-    if config.num_objects > 0 and hi <= lo:
+    n = config.num_objects
+    lo, hi = -config.extent + _PLACEMENT_MARGIN, config.extent - _PLACEMENT_MARGIN
+    if n > 0 and hi <= lo:
         raise GenerationError("extent too small for any object placement")
 
-    centers: list[np.ndarray] = []
-    attempts = 0
-    max_attempts = 1000 * max(config.num_objects, 1)
-    while len(centers) < config.num_objects:
-        if attempts >= max_attempts:
+    placed = np.zeros((n, 2))
+    count = attempts = 0
+    while count < n:
+        if attempts >= 1000 * n:
             raise GenerationError(
-                f"could not place {config.num_objects} objects at "
-                f"{config.min_separation} m separation inside +/-{config.extent} m"
+                f"could not place {n} objects at {config.min_separation} m "
+                f"separation inside +/-{config.extent} m"
             )
         attempts += 1
         xy = rng.uniform(lo, hi, size=2)
-        if all(np.hypot(*(xy - c[:2])) >= config.min_separation for c in centers):
-            centers.append(np.array([xy[0], xy[1], 0.0]))
+        gap = xy - placed[:count]
+        if (np.hypot(gap[:, 0], gap[:, 1]) >= config.min_separation).all():
+            placed[count] = xy
+            count += 1
 
     objects = []
-    for i, center in enumerate(centers):
+    for i, (x, y) in enumerate(placed):
         w = rng.uniform(1.5, 3.0)
         l = rng.uniform(3.0, 6.0)
         h = rng.uniform(1.0, 2.5)
-        center[2] = h / 2.0
+        center = np.array([x, y, h / 2.0])
         yaw = rng.uniform(-math.pi, math.pi)
         vel = rng.uniform(-10.0, 10.0, size=2)
         class_id = int(rng.integers(0, config.num_classes))
@@ -487,23 +507,104 @@ def scene_to_dict(scene: Scene, rig: CameraRig) -> dict:
     }
 
 
-def scene_from_dict(doc: dict, config: SceneConfig) -> tuple[Scene, CameraRig]:
-    """Scene and rig of a scene document; `config` is its hydrated config block."""
+_OBJECT_KEYS = {"id", "center", "size", "yaw", "velocity", "class_id", "signature"}
+_CAMERA_KEYS = {"fx", "fy", "cx", "cy", "r_wc", "position", "width", "height"}
+
+
+def _require(ok, what: str):
+    if not ok:
+        raise ConfigError(f"scene file: {what}")
+
+
+def _numbers(value, shape: tuple, what: str, bound: float = math.inf) -> np.ndarray:
+    """A JSON number, or nested lists of numbers of `shape`, within +/-bound."""
+    def fits(v, shape):
+        if not shape:
+            return type(v) in (int, float)
+        return (type(v) is list and len(v) == shape[0]
+                and all(fits(x, shape[1:]) for x in v))
     try:
-        objects = [
-            SceneObject(o["id"], np.array(o["center"]), np.array(o["size"]),
-                        float(o["yaw"]), np.array(o["velocity"]),
-                        int(o["class_id"]), np.array(o["signature"]))
-            for o in doc["objects"]
-        ]
-        cams = [
-            Camera(c["fx"], c["fy"], c["cx"], c["cy"], np.array(c["r_wc"]),
-                   np.array(c["position"]), int(c["width"]), int(c["height"]))
-            for c in doc["rig"]
-        ]
-        seed = int(doc["seed"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed scene document: {exc!r}") from exc
+        arr = np.array(value, dtype=np.float64) if fits(value, shape) else None
+    except OverflowError:  # an int beyond the float range
+        arr = None
+    _require(arr is not None and np.isfinite(arr).all()
+             and (np.abs(arr) <= bound).all(),
+             f"{what} must be {'x'.join(map(str, shape)) or 'a'} finite "
+             f"number(s) within +/-{bound}, got {value!r:.60}")
+    return arr
+
+
+def _int(value, what: str, lo: int, hi: int) -> int:
+    _require(type(value) is int and lo <= value < hi,
+             f"{what} must be an int in [{lo}, {hi}), got {value!r:.60}")
+    return value
+
+
+def _records(doc: dict, key: str, names: set) -> list:
+    items = doc[key]
+    _require(type(items) is list
+             and all(type(r) is dict and set(r) == names for r in items),
+             f"{key} must be a list of objects with the keys {sorted(names)}")
+    return items
+
+
+def _scene_object(o: dict, where: str, config: SceneConfig) -> SceneObject:
+    size = _numbers(o["size"], (3,), f"{where}.size", 2.0 * config.extent)
+    signature = _numbers(o["signature"], (config.feature_dim,),
+                         f"{where}.signature", 1.0)
+    _require((size > 0.0).all(), f"{where}.size must be positive")
+    _require(abs(np.linalg.norm(signature) - 1.0) <= 1e-6,
+             f"{where}.signature must have unit norm")
+    return SceneObject(
+        _int(o["id"], f"{where}.id", 0, 2 ** 63),
+        _numbers(o["center"], (3,), f"{where}.center", config.extent), size,
+        float(_numbers(o["yaw"], (), f"{where}.yaw")),
+        _numbers(o["velocity"], (2,), f"{where}.velocity", MAX_SPEED),
+        _int(o["class_id"], f"{where}.class_id", 0, config.num_classes), signature)
+
+
+def _camera(c: dict, where: str, config: SceneConfig) -> Camera:
+    width, height = c["width"], c["height"]
+    _require(type(width) is int and type(height) is int
+             and (width, height) == (config.image_width, config.image_height),
+             f"{where}.width and height must equal scene.image_width and "
+             f"image_height, got {width!r:.20} and {height!r:.20}")
+    fx, fy = (float(_numbers(c[k], (), f"{where}.{k}", MAX_FOCAL))
+              for k in ("fx", "fy"))
+    cx, cy = (float(_numbers(c[k], (), f"{where}.{k}")) for k in ("cx", "cy"))
+    r_wc = _numbers(c["r_wc"], (3, 3), f"{where}.r_wc", 1.0)
+    _require(min(fx, fy) > 0.0, f"{where}.fx and fy must be positive")
+    _require(0.0 <= cx <= width and 0.0 <= cy <= height,
+             f"{where}.cx and cy must lie inside the image")
+    _require(np.abs(r_wc @ r_wc.T - np.eye(3)).max() <= 1e-6
+             and np.linalg.det(r_wc) > 0.0, f"{where}.r_wc must be a rotation")
+    return Camera(fx, fy, cx, cy, r_wc,
+                  _numbers(c["position"], (3,), f"{where}.position", config.extent),
+                  width, height)
+
+
+def scene_from_dict(doc: dict, config: SceneConfig) -> tuple[Scene, CameraRig]:
+    """Scene and rig of a scene document; `config` is its hydrated config block.
+
+    Every field is checked against the config, and a bad one raises
+    ConfigError: shapes, finite values, objects and cameras inside the scene
+    (each coordinate within +/-extent), sizes in (0, 2 * extent], velocity
+    components up to MAX_SPEED, class ids below num_classes, unit-norm
+    signatures of feature_dim entries, num_cameras cameras of the config's
+    image size with a rotation r_wc, focal lengths in (0, MAX_FOCAL] and the
+    principal point inside the image.
+    """
+    config.validate()
+    _require({"seed", "objects", "rig"} <= set(doc),
+             "a scene document holds 'seed', 'objects' and 'rig'")
+    seed = _int(doc["seed"], "seed", 0, math.inf)
+    objects = [_scene_object(o, f"objects[{i}]", config)
+               for i, o in enumerate(_records(doc, "objects", _OBJECT_KEYS))]
+    cams = [_camera(c, f"rig[{i}]", config)
+            for i, c in enumerate(_records(doc, "rig", _CAMERA_KEYS))]
+    _require(len(cams) == config.num_cameras,
+             f"rig holds {len(cams)} cameras, scene.num_cameras is "
+             f"{config.num_cameras}")
     return Scene(objects, seed, config), CameraRig(cams)
 
 

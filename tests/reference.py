@@ -427,3 +427,129 @@ def aggregate_features(embedding, tokens, weights):
     for j, v in enumerate(values):
         ctx += a[j] * v
     return embedding + _row_affine(t["agg.wo"], ctx, t["agg.bo"])
+
+
+# ---------------------------------------------------------------------------
+# Detection metrics: one object per prediction and per match
+# ---------------------------------------------------------------------------
+
+METRIC_THRESHOLDS = (0.5, 1.0, 2.0, 4.0)
+ERROR_MATCH_THRESHOLD = 2.0
+
+
+@dataclass
+class Detection:
+    center: np.ndarray   # (2,) BEV x, y in meters
+    yaw: float
+    class_id: int
+    confidence: float
+
+
+def detections_from_arrays(class_scores, centers, yaws):
+    """One detection per query: argmax class, max sigmoid score as confidence."""
+    out = []
+    for i in range(class_scores.shape[0]):
+        cid = int(np.argmax(class_scores[i]))
+        out.append(Detection(centers[i, :2].copy(), float(yaws[i]), cid,
+                             float(class_scores[i, cid])))
+    return out
+
+
+def gt_detections(centers, yaws, classes):
+    return [Detection(np.asarray(c[:2], dtype=np.float64).copy(), float(y),
+                      int(k), 1.0) for c, y, k in zip(centers, yaws, classes)]
+
+
+@dataclass
+class Match:
+    pred_index: int
+    gt_index: int
+    distance: float
+
+
+def _match_class(preds, gts, cid, threshold_m):
+    """Greedy matching of one class: (prediction order, matches).
+
+    Predictions go in descending confidence (ties: lower index); each grabs
+    the nearest still-unmatched ground truth within the threshold, equal
+    distances going to the later ground truth.
+    """
+    gt_idx = [i for i, g in enumerate(gts) if g.class_id == cid]
+    order = sorted((i for i, p in enumerate(preds) if p.class_id == cid),
+                   key=lambda i: (-preds[i].confidence, i))
+    taken = set()
+    matches = []
+    for pi in order:
+        best, best_d = -1, threshold_m
+        for gi in gt_idx:
+            if gi in taken:
+                continue
+            d = float(np.hypot(*(preds[pi].center - gts[gi].center)))
+            if d <= best_d:
+                best, best_d = gi, d
+        if best >= 0:
+            taken.add(best)
+            matches.append(Match(pi, best, best_d))
+    return order, matches
+
+
+def match_detections(preds, gts, threshold_m):
+    """Greedy per-class matching in descending confidence (see _match_class)."""
+    classes = {g.class_id for g in gts} | {p.class_id for p in preds}
+    return [m for cid in sorted(classes)
+            for m in _match_class(preds, gts, cid, threshold_m)[1]]
+
+
+def _class_ap(preds, gts, cid, threshold):
+    """101-point interpolated AP of one class at one distance threshold."""
+    n_gt = sum(1 for g in gts if g.class_id == cid)
+    if n_gt == 0:
+        return 0.0
+    order, matches = _match_class(preds, gts, cid, threshold)
+    matched = {m.pred_index for m in matches}
+    tp = np.array([1.0 if pi in matched else 0.0 for pi in order])
+    if len(order) == 0:
+        return 0.0
+    cum_tp = np.cumsum(tp)
+    recall = cum_tp / n_gt
+    precision = cum_tp / np.arange(1, len(order) + 1)
+    ap = 0.0
+    for r in np.linspace(0.0, 1.0, 101):
+        mask = recall >= r - 1e-12
+        ap += precision[mask].max() if mask.any() else 0.0
+    return ap / 101.0
+
+
+def average_precision(preds, gts, thresholds=METRIC_THRESHOLDS):
+    """Per-class, per-threshold AP plus the mean over both."""
+    per_class = {}
+    values = []
+    for cid in sorted({g.class_id for g in gts}):
+        row = {}
+        for th in thresholds:
+            row[th] = _class_ap(preds, gts, cid, th)
+            values.append(row[th])
+        per_class[cid] = row
+    map_center = float(np.mean(values)) if values else 0.0
+    return {"per_class": per_class, "map_center": map_center}
+
+
+def translation_orientation_errors(matches, preds, gts):
+    """(mean center distance, mean absolute yaw difference in [0, pi])."""
+    if not matches:
+        return math.nan, math.nan
+    ate = float(np.mean([m.distance for m in matches]))
+    diffs = []
+    for m in matches:
+        dy = abs(preds[m.pred_index].yaw - gts[m.gt_index].yaw) % (2.0 * math.pi)
+        diffs.append(min(dy, 2.0 * math.pi - dy))
+    return ate, float(np.mean(diffs))
+
+
+def naive_evaluate_layer(preds, gts):
+    """The per-layer metric bundle from Detection lists."""
+    ap = average_precision(preds, gts)
+    matches = match_detections(preds, gts, ERROR_MATCH_THRESHOLD)
+    ate, aoe = translation_orientation_errors(matches, preds, gts)
+    return {"map_center": ap["map_center"], "ate": ate, "aoe": aoe,
+            "num_matches": len(matches), "num_gt": len(gts)}

@@ -236,7 +236,6 @@ def test_permutation_equivariance_full_decode():
         assert np.allclose(b.sizes, a.sizes[perm], atol=1e-9)
         assert np.allclose(b.yaws, a.yaws[perm], atol=1e-9)
         assert np.allclose(b.velocities, a.velocities[perm], atol=1e-9)
-        assert np.allclose(b.positions, a.positions[perm], atol=1e-9)
         assert np.allclose(b.self_attn, a.self_attn[pair], atol=1e-9)
         assert np.allclose(b.qmix_attn, a.qmix_attn[pair], atol=1e-9)
 

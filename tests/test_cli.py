@@ -1,12 +1,17 @@
+import contextlib
+import copy
 import csv
+import io
 import json
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from hqfusion import cli
+from hqfusion import scene as sc
 from hqfusion.errors import ConfigError
 
 
@@ -40,6 +45,40 @@ ANY_VALUE = st.recursive(
     lambda inner: (st.lists(inner, max_size=3)
                    | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
     max_leaves=6)
+
+
+def toy_config():
+    cfg = cli.RunConfig()
+    for key, value in cli.PRESETS["toy"].items():
+        cli.apply_override(cfg, key, value)
+    return cfg
+
+
+# what `gen-scene --preset toy` writes
+TOY_SCENE = json.loads(json.dumps(sc.scene_to_dict(
+    *sc.generate_scene(7, toy_config().scene))))
+
+
+def _scene_paths(node, prefix=()):
+    """Paths below dicts and lists of dicts: every field of a scene file."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list)
+             and all(isinstance(v, dict) for v in node) else ())
+    for key, value in items:
+        yield (*prefix, key)
+        yield from _scene_paths(value, (*prefix, key))
+
+
+SCENE_PATHS = list(_scene_paths(TOY_SCENE))
+
+
+def mutated(doc, path, value):
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
 
 
 class TestConfig:
@@ -305,10 +344,98 @@ class TestCliCommands:
         bad_docs += [{k: v for k, v in good.items() if k != key}
                      for key in ("seed", "objects", "rig")]
         bad_docs += [{**good, "seed": seed} for seed in (1.5, -1, "3", True)]
+        bad_fields = [
+            (("objects", 0, "center"), [1, 2]), (("objects", 0, "size"), "abc"),
+            (("rig", 0, "r_wc"), [[1, 0], [0, 1]]), (("rig", 0, "fx"), "x"),
+            (("rig", 0, "width"), -5), (("objects", 0, "signature"), [1.0]),
+            (("objects", 0, "class_id"), 99),
+            (("objects", 0, "center"), [float("nan"), 0.0, 0.5]),
+            (("rig",), []), (("objects", 0, "center"), [100.0, 0.0, 0.5]),
+            (("objects", 0, "size"), [-1.0, 4.0, 1.5]),
+            (("objects", 0, "velocity"), [1e300, 0.0]),
+            (("objects", 0, "signature"), [0.0] * 32),
+            (("objects", 0, "id"), 10 ** 30), (("objects", 0, "bogus"), 1),
+            (("rig", 0, "fx"), 0), (("rig", 0, "cy"), -1e308),
+            (("rig", 0, "r_wc"), [[2.0, 0, 0], [0, 1, 0], [0, 0, 1]]),
+            (("rig", 0, "position"), [0.0, 0.0, 1e308]),
+            (("rig", 0, "height"), 2 ** 40), (("objects",), {})]
+        bad_docs += [mutated(good, path, value) for path, value in bad_fields]
         for doc in bad_docs:
             scene_path.write_text(json.dumps(doc))
             assert_error_exit(["run", *TOY, "--scene", str(scene_path)],
                               tmp_path / "r.json", capsys)
+
+    @settings(max_examples=100, deadline=None)
+    @given(path=st.sampled_from(SCENE_PATHS), value=ANY_VALUE)
+    def test_mutated_scene_file(self, tmp_path_factory, path, value):
+        # any one field replaced: a finite report, or exit 2 with the JSON line
+        where = tmp_path_factory.mktemp("scene")
+        scene_path, out = where / "scene.json", where / "r.json"
+        scene_path.write_text(json.dumps(mutated(TOY_SCENE, path, value)))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run_cli(["run", *TOY, "--set", "decoder.layers=1",
+                            "--scene", str(scene_path), "--out", str(out)])
+        event(f"exit {code}")
+        if code == 0:
+            def refuse(constant):
+                raise AssertionError(f"{constant} in the report")
+            json.loads(out.read_text(), parse_constant=refuse)
+        else:
+            assert code == 2, (path, value)
+            doc = json.loads(err.getvalue().strip().splitlines()[-1])
+            assert set(doc) == {"error", "message"} and not out.exists()
+
+    def test_impossible_object_count_refused_fast(self, tmp_path, capsys):
+        t0 = time.perf_counter()
+        message = assert_error_exit(
+            ["gen-scene", *TOY, "--set", "scene.num_objects=3000"],
+            tmp_path / "scene.json", capsys)
+        assert "num_objects" in message
+        assert time.perf_counter() - t0 < 5.0
+        for override in ("scene.min_separation=-1", "scene.min_separation=NaN",
+                         "scene.num_objects=-1"):
+            assert "scene." in assert_error_exit(
+                ["gen-scene", *TOY, "--set", override], tmp_path / "s.json",
+                capsys)
+
+    def test_feasible_object_counts_pass_validation(self):
+        # the densest packing of 2 m disks in the toy square holds far more
+        # than 100 objects; the bound must not refuse such a count
+        cfg = toy_config()
+        cli.apply_override(cfg, "scene.num_objects", 100)
+        cfg.validate()
+        scene, _ = sc.generate_scene(7, cfg.scene)
+        assert len(scene.objects) == 100
+
+    def test_unreadable_inputs_refused(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        assert run_cli(["run", *TOY, "--emit-links", "--out", str(report)]) == 0
+        good = json.loads(report.read_text())
+        layer = good["layers"][0]
+        not_reports = [[good], {}, {**good, "schema_version": 2},
+                       {**good, "layers": {}}, {**good, "layers": [1]},
+                       {**good, "layers": [{"links": []}]}]
+        bad_stats = [{**good, "layers": [{**layer, "self_attn_stats": [[0.1]]}]},
+                     {**good, "layers": [{**layer, "self_attn_stats": {
+                         "mass": "ab", "mean_per_key": []}}]},
+                     {**good, "attn_stats_mean": [1]}]
+        path = tmp_path / "bad.json"
+        for doc, commands in ([(d, ("links", "analyze-attn")) for d in not_reports]
+                              + [(d, ("analyze-attn",)) for d in bad_stats]):
+            path.write_text(json.dumps(doc))
+            for command in commands:
+                assert_error_exit([command, "--report", str(path)],
+                                  tmp_path / "out", capsys)
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b"\xff\xfe\x00")
+        for args, error in (
+                (["run", *TOY, "--config", str(tmp_path)], "IsADirectoryError"),
+                (["run", *TOY, "--scene", str(tmp_path)], "IsADirectoryError"),
+                (["run", *TOY, "--weights", str(tmp_path)], "IsADirectoryError"),
+                (["links", "--report", str(tmp_path)], "IsADirectoryError"),
+                (["run", *TOY, "--config", str(binary)], "UnicodeDecodeError")):
+            assert_error_exit(args, tmp_path / "out", capsys, error=error)
 
     def test_scene_file_config_replaces_preset(self, tmp_path):
         scene_path = tmp_path / "scene.json"
@@ -361,9 +488,7 @@ class TestCliCommands:
         from hqfusion.weights_io import load_weights
         path = tmp_path / "w.cfw"
         assert run_cli(["init-weights", *TOY, "--out", str(path)]) == 0
-        cfg = cli.config_from_dict({})
-        for key, value in cli.PRESETS["toy"].items():
-            cli.apply_override(cfg, key, value)
+        cfg = toy_config()
         weights = load_weights(path, cfg.decoder)
         assert "qmix.wq" in weights.tensors
 
@@ -401,15 +526,13 @@ class TestCliCommands:
         assert "features stage" in message and "PV map" in message
 
     def test_layer_without_matches_writes_null(self, tmp_path):
-        cfg = cli.config_from_dict({})
-        for key, value in cli.PRESETS["toy"].items():
-            cli.apply_override(cfg, key, value)
+        cfg = toy_config()
         result = cli.run_pipeline(cfg)
         out = result["outputs"][0]
-        preds = cli.met.detections_from_arrays(out.class_scores, out.centers,
-                                               out.sizes, out.yaws)
         # no ground truth, so layer 0 has no matches and undefined errors
-        result["layer_metrics"][0] = cli.met.evaluate_layer(preds, [])
+        result["layer_metrics"][0] = cli.met.evaluate_layer(
+            out.class_scores, out.centers, out.yaws, np.zeros((0, 2)),
+            np.zeros(0), np.zeros(0, dtype=np.int64))
         path = tmp_path / "r.json"
         cli.write_json(path, cli.build_report(cfg, result))
         report = json.loads(path.read_text())

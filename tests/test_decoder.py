@@ -454,7 +454,7 @@ class TestDecode:
         _, features, queries, weights, cfg = toy_setup()
         outs = decode(features, queries, weights, cfg)
         for out in outs:
-            assert np.abs(out.positions[:, :2]).max() <= cfg.extent + 1e-12
+            assert np.abs(out.centers[:, :2]).max() <= cfg.extent + 1e-12
 
     def test_placements_run_and_differ(self):
         results = {}

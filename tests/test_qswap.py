@@ -396,6 +396,32 @@ class TestSwapSamples:
             got = check(base, nbs, aff, pos, cfg)
             assert (got.origins == ORIGIN_SHARED).sum() > 4 * n
 
+    def test_neighbor_lists_out_of_id_order(self):
+        # equal s-tilde from different neighbors goes to the lower neighbor
+        # id, in whatever order a list names its neighbors
+        rng = np.random.default_rng(31)
+        n = 6
+        for trial in range(60):
+            cfg = QSwapConfig(k_base=4, k_per=int(rng.integers(1, 4)), k_extra=4,
+                              mode=("append", "replace")[trial % 2],
+                              prior_strength=float(rng.choice([0.0, 1.0])))
+            bank = make_bank([(rng.normal(0.0, 2.0, (4, 2)),
+                               rng.choice([0.5, 1.0], 4)) for _ in range(n)])
+            aff = rng.choice([0.5, 0.25], (n, n))
+            pos = rng.uniform(-1.0, 1.0, (n, 2))
+            nbs = [rng.permutation(np.delete(np.arange(n), i))[:rng.integers(0, n)]
+                   for i in range(n)]
+            nbs[0] = np.arange(n - 1, 0, -1)
+            given = [nb.copy() for nb in nbs]
+            got = swap_samples(bank, nbs, aff, pos, cfg)
+            want = naive_swap_samples(bank, nbs, aff, pos, cfg)
+            assert all(np.array_equal(a, b) for a, b in zip(nbs, given))
+            for i, w in enumerate(want):
+                assert got.sizes[i] == w.size
+                for name in ("offsets", "scores", "origins", "sources"):
+                    row = getattr(got, name)[i]
+                    assert np.array_equal(row[:w.size], getattr(w, name)), (i, name)
+
     def test_per_neighbor_rank_follows_s_tilde(self):
         scores = [1.0 + 2.0 ** -52, 1.0]
         cfg = QSwapConfig(k_base=2, k_per=1, k_extra=1, prior_strength=1000.0)
