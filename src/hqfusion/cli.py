@@ -116,6 +116,8 @@ class RunConfig:
         for section in (self.scene, self.radar, self.render, self.queries,
                         self.decoder, self.seeds):
             section.validate()
+        sc.check_feature_sizes(self.scene, self.render.pv_downsample,
+                               self.render.voxel)
 
 
 PRESETS: dict[str, dict[str, object]] = {

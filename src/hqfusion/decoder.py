@@ -213,7 +213,10 @@ def build_tokens(emb: np.ndarray, positions: np.ndarray, features: SceneFeatures
         at = fill[rows] + cols
         tok[rows, at] = bilinear_sample_many(
             features.grid(kind), positions[rows, :2] + bank.offsets[rows, cols])
-        logw[rows, at] = np.log(bank.weights[rows, cols])
+        # a sampling weight that underflowed to 0 is a log weight of -inf:
+        # that token gets no attention
+        with np.errstate(divide="ignore"):
+            logw[rows, at] = np.log(bank.weights[rows, cols])
         fill += bank.sizes
 
     if views:
@@ -227,7 +230,8 @@ def build_tokens(emb: np.ndarray, positions: np.ndarray, features: SceneFeatures
             fy, fx = pv.pixel_to_frac(pts[..., 0], pts[..., 1])
             at = fill[idx][:, None] + np.arange(k_pv)
             tok[idx[:, None], at] = bilinear_at(pv.data, fy, fx)
-            logw[idx[:, None], at] = np.log(pv_w[idx, c])
+            with np.errstate(divide="ignore"):
+                logw[idx[:, None], at] = np.log(pv_w[idx, c])
             fill[idx] += k_pv
 
     valid = np.arange(t_max) < count[:, None]
@@ -268,11 +272,14 @@ def detection_head(emb: np.ndarray, positions: np.ndarray, weights,
                    config: DecoderConfig):
     """Class scores plus box regression; box center becomes the new position."""
     t = weights.tensors
-    cls = 1.0 / (1.0 + np.exp(-(emb @ t["head.cls.w"].T + t["head.cls.b"])))
     raw = emb @ t["head.box.w"].T + t["head.box.b"]
+    # an exp that overflows to inf is exact here: the sigmoid gives 0 and the
+    # size clip 30
+    with np.errstate(over="ignore"):
+        cls = 1.0 / (1.0 + np.exp(-(emb @ t["head.cls.w"].T + t["head.cls.b"])))
+        sizes = np.clip(np.exp(raw[:, 3:6]), 0.1, 30.0)
     centers = positions + raw[:, :3]
     centers = np.clip(centers, -config.extent, config.extent)
-    sizes = np.clip(np.exp(raw[:, 3:6]), 0.1, 30.0)
     yaws = np.arctan2(raw[:, 6], raw[:, 7])
     yaws = np.where(yaws <= -math.pi, yaws + 2.0 * math.pi, yaws)
     velocities = raw[:, 8:10]

@@ -4,6 +4,11 @@ The one masked row softmax, multi-head attention that exposes its
 (head-averaged) attention weights, and bilinear sampling on metric feature
 grids as a sparse corner-weight operator.  Only softmax_rows works in
 place, on the logits it is given; no other kernel mutates its arguments.
+
+Attention masks are row groups, each with its own open key set, and the
+attention kernel forms logits only for a group's open keys, one block of
+rows at a time (block-sparse attention as in Sparse Transformers, with
+cache-sized row tiles as in FlashAttention).
 """
 from __future__ import annotations
 
@@ -18,9 +23,34 @@ from .errors import ConfigError, MaskError, ShapeError
 LN_EPS = 1e-6
 
 
-class AttentionMask:
-    """Dense attention mask, stored as a boolean matrix (True = blocked).
+# Upper bound on the float64 logits of one row block, over all heads: each
+# softmax pass over a block then stays in a per-core L2 cache.
+ATTN_BLOCK_BYTES = 1 << 20
 
+
+@dataclass(frozen=True)
+class MaskGroup:
+    """Query rows that share one open key set.
+
+    `rows` and `keys` are ascending id arrays, or None for every row / every
+    key.  With `self_key`, row i also sees key i, as one extra logit column
+    (i is then not in `keys`).  `bias`, when given, is a (rows, keys) array
+    added to the logits; -inf blocks an entry.
+    """
+
+    rows: np.ndarray | None = None
+    keys: np.ndarray | None = None
+    self_key: bool = False
+    bias: np.ndarray | None = None
+
+
+class AttentionMask:
+    """Attention mask as row groups, each with its own open key set.
+
+    `AttentionMask(blocked)` wraps a dense boolean matrix (True = blocked) as
+    one group over all keys, with a -inf bias on its blocked entries (no bias
+    when nothing is blocked).  `from_groups` builds a mask from groups
+    directly, so the kernel never forms logits for keys a row cannot see.
     Every row must keep at least one key open, so an attention row always
     sums to 1.
     """
@@ -31,16 +61,50 @@ class AttentionMask:
             raise ShapeError(f"mask must be 2-D, got shape {blocked.shape}")
         if blocked.shape[1] > 0 and bool(blocked.all(axis=1).any()):
             raise MaskError("mask has a fully blocked row")
-        self.blocked = blocked
+        bias = np.where(blocked, -np.inf, 0.0) if blocked.any() else None
+        self.shape = blocked.shape
+        self.groups = (MaskGroup(bias=bias),)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.blocked.shape
+    @classmethod
+    def from_groups(cls, shape: tuple[int, int], groups) -> "AttentionMask":
+        """Mask from row groups that together hold every row exactly once."""
+        groups = tuple(groups)
+        rows = [np.arange(shape[0]) if g.rows is None else g.rows for g in groups]
+        if not np.array_equal(np.sort(np.concatenate([[], *rows])),
+                              np.arange(shape[0])):
+            raise MaskError("mask groups do not hold every row exactly once")
+        for g, r in zip(groups, rows):
+            keys = np.arange(shape[1]) if g.keys is None else g.keys
+            if (np.diff(r) <= 0).any() or (np.diff(keys) <= 0).any():
+                raise MaskError("mask group ids must be strictly ascending")
+            if len(r) and not (len(keys) or g.self_key):
+                raise MaskError("mask has a fully blocked row")
+            if g.self_key and np.intersect1d(r, keys).size:
+                raise MaskError("a self key is also among the group's keys")
+        mask = cls.__new__(cls)
+        mask.shape = (int(shape[0]), int(shape[1]))
+        mask.groups = groups
+        return mask
 
     @classmethod
     def open(cls, n_q: int, n_k: int | None = None) -> "AttentionMask":
         """Mask with every entry attendable."""
-        return cls(np.zeros((n_q, n_k if n_k is not None else n_q), dtype=bool))
+        return cls.from_groups((n_q, n_k if n_k is not None else n_q),
+                               [MaskGroup()])
+
+    @property
+    def blocked(self) -> np.ndarray:
+        """The dense boolean form (True = blocked)."""
+        n_q, n_k = self.shape
+        out = np.ones(self.shape, dtype=bool)
+        for g in self.groups:
+            rows = np.arange(n_q) if g.rows is None else g.rows
+            keys = np.arange(n_k) if g.keys is None else g.keys
+            out[np.ix_(rows, keys)] = (False if g.bias is None
+                                       else np.isneginf(g.bias))
+            if g.self_key:
+                out[rows, rows] = False
+        return out
 
 
 def softmax_rows(logits: np.ndarray, blocked: np.ndarray | None = None
@@ -90,6 +154,19 @@ class MhaWeights:
     bo: np.ndarray
 
 
+def _index(ids: np.ndarray | None):
+    """Ascending ids as a slice when they form one run, else as given.
+
+    None (every id) becomes slice(None), so a gather or scatter through the
+    result is a view or a plain block copy whenever it can be.
+    """
+    if ids is None:
+        return slice(None)
+    if len(ids) and ids[-1] - ids[0] == len(ids) - 1:
+        return slice(int(ids[0]), int(ids[-1]) + 1)
+    return ids
+
+
 def multi_head_attention(
     q_in: np.ndarray,
     k_in: np.ndarray,
@@ -97,11 +174,17 @@ def multi_head_attention(
     mask: AttentionMask,
     weights: MhaWeights,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Masked scaled dot-product attention.
+    """Masked scaled dot-product attention over the mask's row groups.
 
-    Returns (output, attn) where attn is the mean over heads of the
-    post-softmax weights; each attn row sums to 1 and blocked entries
-    are exact zeros.
+    Returns (output, attn) where attn is the (n_q, n_k) mean over heads of
+    the post-softmax weights; each attn row sums to 1 and blocked entries are
+    exact zeros, since no logit is formed for them.
+
+    Each group's rows are taken in blocks whose logits over all heads fit in
+    ATTN_BLOCK_BYTES.  1/sqrt(dh) is folded into q; a block's softmax
+    numerators are normalized only after the value product, on the
+    (h, B, dh) context, and its head mean is one contraction with
+    1/(h * row sum).
     """
     q_in = np.asarray(q_in, dtype=np.float64)
     k_in = np.asarray(k_in, dtype=np.float64)
@@ -118,20 +201,63 @@ def multi_head_attention(
     dh = d // h
 
     q = q_in @ weights.wq.T + weights.bq
+    q *= 1.0 / math.sqrt(dh)
     k = k_in @ weights.wk.T + weights.bk
     v = v_in @ weights.wv.T + weights.bv
+    # head-major copies: q, v as (h, n, dh), k as (h, dh, n_k)
+    qh = np.ascontiguousarray(q.reshape(n_q, h, dh).transpose(1, 0, 2))
+    kt = np.ascontiguousarray(k.T).reshape(h, dh, n_k)
+    vh = np.ascontiguousarray(v.reshape(n_k, h, dh).transpose(1, 0, 2))
 
-    qh = q.reshape(n_q, h, dh).transpose(1, 0, 2)
-    kh = k.reshape(n_k, h, dh).transpose(1, 0, 2)
-    vh = v.reshape(n_k, h, dh).transpose(1, 0, 2)
+    ctx = np.empty((n_q, h, dh))
+    ctx_h = ctx.transpose(1, 0, 2)
+    attn = np.zeros((n_q, n_k))
+    for g in mask.groups:
+        row_ids = np.arange(n_q) if g.rows is None else g.rows
+        rows, keys = _index(row_ids), _index(g.keys)
+        q_g, kt_g, v_g = qh[:, rows], kt[:, :, keys], vh[:, keys]
+        n_open = v_g.shape[1]
+        step = max(1, ATTN_BLOCK_BYTES // (8 * h * max(1, n_open + g.self_key)))
+        # one logit buffer per group, reused by every block
+        buf = np.empty(h * min(step, len(row_ids)) * n_open)
+        for r0 in range(0, len(row_ids), step):
+            blk = slice(r0, r0 + step)
+            rb = _index(row_ids[blk])
+            qb = q_g[:, blk]
+            e = buf[:h * qb.shape[1] * n_open].reshape(h, qb.shape[1], n_open)
+            np.matmul(qb, kt_g, out=e)
+            if g.bias is not None:
+                e += g.bias[blk]
+            if g.self_key:
+                e_self = np.einsum("hbd,hdb->hb", qb, kt[:, :, rb])
+                m = np.maximum(e.max(axis=-1), e_self) if n_open else e_self.copy()
+                e_self -= m
+                np.exp(e_self, out=e_self)
+            else:
+                m = e.max(axis=-1)
+            e -= m[..., None]
+            np.exp(e, out=e)
+            total = e.sum(axis=-1)
+            ctx_b = e @ v_g
+            if g.self_key:
+                total += e_self
+                ctx_b += e_self[..., None] * vh[:, rb]
+            inv = 1.0 / total
+            ctx_b *= inv[..., None]
+            ctx_h[:, rb] = ctx_b
+            inv /= h
+            # head mean: (B, 1, h) @ (B, h, n_open)
+            mean = (inv.T[:, None, :] @ e.transpose(1, 0, 2))[:, 0]
+            if isinstance(rb, slice) or isinstance(keys, slice):
+                attn[rb, keys] = mean
+            else:
+                attn[np.ix_(rb, keys)] = mean
+            if g.self_key:
+                ids = row_ids[blk]
+                attn[ids, ids] = np.einsum("hb,hb->b", e_self, inv)
 
-    logits = qh @ kh.transpose(0, 2, 1)
-    logits /= math.sqrt(dh)
-    attn_h = softmax_rows(logits, mask.blocked if mask.blocked.any() else None)
-
-    ctx = (attn_h @ vh).transpose(1, 0, 2).reshape(n_q, d)
-    out = ctx @ weights.wo.T + weights.bo
-    return out, attn_h.mean(axis=0)
+    out = ctx.reshape(n_q, d) @ weights.wo.T + weights.bo
+    return out, attn
 
 
 def bilinear_at(data: np.ndarray, fy: np.ndarray, fx: np.ndarray) -> np.ndarray:

@@ -14,18 +14,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkernel import AttentionMask, MhaWeights, layer_norm, multi_head_attention
+from .numkernel import (AttentionMask, MaskGroup, MhaWeights, layer_norm,
+                        multi_head_attention)
 from .qinit import TYPE_NAMES
 
 NUM_TYPES = len(TYPE_NAMES)
 
 
 def build_cross_type_mask(types: np.ndarray) -> AttentionMask:
-    """Open entry iff same query (diagonal) or differing types."""
+    """Open entry iff same query (diagonal) or differing types.
+
+    One row group per present type: its rows see every key of the other
+    types, plus their own key as one extra column.
+    """
     types = np.asarray(types)
-    same = types[:, None] == types[None, :]
-    blocked = same & ~np.eye(len(types), dtype=bool)
-    return AttentionMask(blocked)
+    groups = [MaskGroup(np.flatnonzero(types == t), np.flatnonzero(types != t),
+                        self_key=True)
+              for t in np.unique(types)]
+    return AttentionMask.from_groups((len(types), len(types)), groups)
 
 
 @dataclass

@@ -35,7 +35,16 @@ MIN_CAMERA_DEPTH = 0.1
 # bounds a scene is no longer plausible and its arithmetic can overflow.
 MAX_FOCAL = 1e6   # pixels
 MAX_SPEED = 1e3   # m/s per axis; generated objects move at most 10 m/s
+# Feature maps are refused before allocation beyond these sizes: the PV maps
+# of all cameras, or one BEV grid, hold at most MAX_FEATURE_VALUES float64
+# values (1 GiB); a BEV grid has at most MAX_GRID_SIDE cells per side.
+MAX_FEATURE_VALUES = 1 << 27
+MAX_GRID_SIDE = 4096
 _PLACEMENT_MARGIN = 2.0  # object centers keep this far from the scene edge
+# Object placement gives up after this many rejected draws in a row: past
+# it the free area is a vanishing fraction of the scene (random placement
+# jams near 55% disk cover), whatever the requested count.
+MAX_REJECTED_DRAWS = 10_000
 
 # 3x3 binomial kernel used to smooth the radar heatmap.
 _HEATMAP_KERNEL = np.array([[1, 2, 1], [2, 4, 2], [1, 2, 1]], dtype=np.float64) / 16.0
@@ -131,6 +140,30 @@ class SceneConfig:
                 raise ConfigError(
                     f"scene.num_objects={self.num_objects} objects cannot be "
                     f"{s} m apart inside +/-{self.extent - _PLACEMENT_MARGIN} m")
+
+
+def check_feature_sizes(config: SceneConfig, pv_downsample: int, voxel: float):
+    """ConfigError when the PV maps or a BEV grid would exceed the bounds.
+
+    Uses the shapes render_pv_features and FeatureGrid.allocate would give,
+    so nothing is allocated before a size is refused.
+    """
+    d = config.feature_dim
+    pv = (config.num_cameras * max(1, config.image_height // pv_downsample)
+          * max(1, config.image_width // pv_downsample) * d)
+    if pv > MAX_FEATURE_VALUES:
+        raise ConfigError(
+            f"PV maps of {pv} values exceed {MAX_FEATURE_VALUES}: lower "
+            "scene.image_width, scene.image_height, scene.num_cameras or "
+            "scene.feature_dim, or raise render.pv_downsample")
+    side = 2.0 * config.extent / voxel
+    if not side <= MAX_GRID_SIDE:
+        raise ConfigError(f"a BEV grid of 2 * extent / render.voxel = {side:.4g} "
+                          f"cells per side exceeds {MAX_GRID_SIDE}")
+    if side * side * d > MAX_FEATURE_VALUES:
+        raise ConfigError(
+            f"a BEV grid of {side:.4g}^2 cells x {d} values exceeds "
+            f"{MAX_FEATURE_VALUES}: raise render.voxel or lower scene.feature_dim")
 
 
 @dataclass
@@ -282,8 +315,9 @@ def build_rig(config: SceneConfig) -> CameraRig:
 def generate_scene(seed: int, config: SceneConfig) -> tuple[Scene, CameraRig]:
     """Place objects uniformly with a minimum center separation.
 
-    Raises GenerationError when the extent cannot host the requested count
-    at the configured separation.
+    Raises GenerationError when MAX_REJECTED_DRAWS draws in a row land too
+    close to a placed object, so an infeasible count fails in a time that
+    does not grow with it.
     """
     rng = np.random.default_rng([seed, _STREAM_OBJECTS])
     n = config.num_objects
@@ -292,19 +326,22 @@ def generate_scene(seed: int, config: SceneConfig) -> tuple[Scene, CameraRig]:
         raise GenerationError("extent too small for any object placement")
 
     placed = np.zeros((n, 2))
-    count = attempts = 0
+    count = rejected = 0
     while count < n:
-        if attempts >= 1000 * n:
+        if rejected >= MAX_REJECTED_DRAWS:
             raise GenerationError(
                 f"could not place {n} objects at {config.min_separation} m "
-                f"separation inside +/-{config.extent} m"
+                f"separation inside +/-{config.extent} m: {count} placed, then "
+                f"{rejected} draws in a row were too close"
             )
-        attempts += 1
         xy = rng.uniform(lo, hi, size=2)
         gap = xy - placed[:count]
         if (np.hypot(gap[:, 0], gap[:, 1]) >= config.min_separation).all():
             placed[count] = xy
             count += 1
+            rejected = 0
+        else:
+            rejected += 1
 
     objects = []
     for i, (x, y) in enumerate(placed):

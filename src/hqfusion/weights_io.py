@@ -3,7 +3,8 @@
 A weight file is a UTF-8 JSON manifest (format tag, config hash, tensor
 table), a blank-line separator, then one little-endian float32 blob holding
 every tensor back to back.  Loading validates the manifest against the
-target config and never reshapes silently.
+target config, never reshapes silently, and refuses a value that is not
+finite or exceeds MAX_WEIGHT in magnitude.
 
 No pretrained weights exist for this artifact; seeded random init is the
 supported mode.  Tensors are quantized to float32-representable values at
@@ -22,6 +23,10 @@ from .errors import WeightFormatError
 
 FORMAT_TAG = "cfw/1"
 _STREAM_WEIGHTS = 8
+# Seeded init draws PV offsets from N(0, 4) and keeps every other value
+# within [-4, 4]; a loaded value beyond this bound (a flipped exponent bit,
+# say) is refused rather than decoded into overflow.
+MAX_WEIGHT = 1e4
 
 
 class DecoderWeights:
@@ -223,5 +228,9 @@ def load_weights(path, config) -> DecoderWeights:
             )
         start = e["offset"]
         arr = np.frombuffer(blob[start:start + e["length"]], dtype="<f4")
+        if not (np.abs(arr) <= MAX_WEIGHT).all():
+            raise WeightFormatError(
+                f"tensor {e['name']} holds a value that is not finite or "
+                f"exceeds {MAX_WEIGHT} in magnitude")
         tensors[e["name"]] = arr.reshape(shape).astype(np.float64)
     return DecoderWeights(tensors, manifest["config_hash"])

@@ -12,12 +12,15 @@ proposals sampled, so points interpolated outside bilinear_at would show.
 Every workload's arguments must build a valid config at every reference
 seed, since a refused --set would fail every benchmark run.  The traced
 swap counts, taken through the SampleSet rows of each bank, must equal the
-counts read straight from the bank arrays.
+counts read straight from the bank arrays.  Both attention calls of a layer
+must reach the traced kernel, with the FLOP count of their shapes, so a
+QMix that routed around it would make numkernel.mha_s read low.
 """
 import importlib
 import importlib.util
 import inspect
 import json
+import math
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -125,6 +128,13 @@ def test_traced_toy_run_reaches_every_wrapped_function(tmp_path, monkeypatch):
     assert len(valid) == n_layers
     proposals = cfg.scene.num_cameras * cfg.queries.per_view
     assert tr.counts["numkernel.bilinear_points"] == sum(valid) + proposals
+    # self-attention and QMix both go through the traced kernel in every
+    # layer, so numkernel.mha_s covers both
+    n, d = result["queries"].n, cfg.decoder.d
+    assert tr.counts["numkernel.mha_calls"] == 2 * n_layers
+    flops = 2 * d * d * 4 * n + 4 * n * n * d
+    assert math.isclose(tr.counts["numkernel.mha_gflop"],
+                        2 * n_layers * flops / 1e9, rel_tol=1e-12)
 
 
 def test_swap_counts_match_the_banks():

@@ -3,16 +3,20 @@ import copy
 import csv
 import io
 import json
+import struct
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from hqfusion import cli
 from hqfusion import scene as sc
 from hqfusion.errors import ConfigError
+from hqfusion.weights_io import init_weights, save_weights
 
 
 TOY = ["--preset", "toy"]
@@ -70,6 +74,34 @@ def _scene_paths(node, prefix=()):
 
 
 SCENE_PATHS = list(_scene_paths(TOY_SCENE))
+
+
+def _toy_weight_file() -> bytes:
+    """What `init-weights --preset toy` writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "w.cfw"
+        save_weights(init_weights(0, toy_config().decoder), path)
+        return path.read_bytes()
+
+
+TOY_WEIGHTS = _toy_weight_file()
+WEIGHT_BLOB_START = TOY_WEIGHTS.index(b"\n\n") + 2
+_MANIFEST = json.loads(TOY_WEIGHTS[:WEIGHT_BLOB_START - 2])
+WEIGHT_PATHS = [(key,) for key in sorted(_MANIFEST)] + [
+    ("tensors", i, key) for i, entry in enumerate(_MANIFEST["tensors"])
+    for key in sorted(entry)]
+
+
+def _float_index(name, k=0):
+    """Index, among the blob's float32 values, of value k of a toy tensor."""
+    entry = next(e for e in _MANIFEST["tensors"] if e["name"] == name)
+    return entry["offset"] // 4 + k
+
+
+def _get(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
 
 
 def mutated(doc, path, value):
@@ -399,6 +431,58 @@ class TestCliCommands:
                 ["gen-scene", *TOY, "--set", override], tmp_path / "s.json",
                 capsys)
 
+    def test_jammed_object_count_gives_up_fast(self, tmp_path, capsys):
+        # 700 objects pass the area bound, but random placement jams near
+        # 400 in the toy square; the placement budget does not grow with the
+        # requested count, so the refusal comes quickly
+        t0 = time.perf_counter()
+        message = assert_error_exit(
+            ["gen-scene", *TOY, "--set", "scene.num_objects=700"],
+            tmp_path / "scene.json", capsys, error="GenerationError")
+        assert time.perf_counter() - t0 < 10.0
+        assert f"{sc.MAX_REJECTED_DRAWS} draws in a row" in message
+
+    @pytest.mark.parametrize("overrides, word", [
+        (("scene.image_width=1000000000",), "scene.image_width"),
+        (("scene.image_height=100000", "render.pv_downsample=1"),
+         "render.pv_downsample"),
+        (("render.voxel=0.0001",), "render.voxel"),
+        (("render.voxel=5e-324",), "render.voxel"),
+        (("scene.feature_dim=4", "decoder.d=4", "render.voxel=0.01"),
+         "render.voxel"),
+        (("render.voxel=0.02",), "scene.feature_dim")])
+    def test_feature_map_size_bounded(self, tmp_path, capsys, overrides, word):
+        # refused by the config check, before any scene or map exists
+        cfg = toy_config()
+        for override in overrides:
+            key, value = override.split("=")
+            cli.apply_override(cfg, key, json.loads(value))
+        with pytest.raises(ConfigError, match=word):
+            cfg.validate()
+        args = ["run", *TOY]
+        for override in overrides:
+            args += ["--set", override]
+        assert word in assert_error_exit(args, tmp_path / "r.json", capsys)
+
+    def test_feature_maps_at_the_bounds_pass(self):
+        cfg = toy_config().scene
+        # toy PV maps: 4 cameras x (450 // 16) x (800 // 16) x 32 values
+        per_camera = (450 // 16) * (800 // 16) * 32
+        cfg.num_cameras = sc.MAX_FEATURE_VALUES // per_camera
+        sc.check_feature_sizes(cfg, 16, 0.8)
+        cfg.num_cameras += 1
+        with pytest.raises(ConfigError, match="PV maps"):
+            sc.check_feature_sizes(cfg, 16, 0.8)
+        # a power-of-two span keeps 2 * extent / voxel exact
+        cfg.num_cameras, cfg.feature_dim, cfg.extent = 4, 1, 32.0
+        sc.check_feature_sizes(cfg, 16, 64.0 / sc.MAX_GRID_SIDE)
+        with pytest.raises(ConfigError, match="cells per side"):
+            sc.check_feature_sizes(cfg, 16, 64.0 / (2 * sc.MAX_GRID_SIDE))
+        cfg.feature_dim = sc.MAX_FEATURE_VALUES // (2048 * 2048)
+        sc.check_feature_sizes(cfg, 16, 64.0 / 2048)
+        with pytest.raises(ConfigError, match="BEV grid"):
+            sc.check_feature_sizes(cfg, 16, 64.0 / 2049)
+
     def test_feasible_object_counts_pass_validation(self):
         # the densest packing of 2 m disks in the toy square holds far more
         # than 100 objects; the bound must not refuse such a count
@@ -509,6 +593,61 @@ class TestCliCommands:
         assert code == 2
         err = capsys.readouterr().err.strip().splitlines()[-1]
         assert json.loads(err)["error"] == "WeightFormatError"
+
+    @settings(max_examples=100, deadline=None)
+    @example(mutation=("value", _float_index("head.cls.w"), float("nan")))
+    @example(mutation=("value", _float_index("head.box.b", 3), 1e30))
+    @example(mutation=("value", _float_index("head.cls.b"), -3e3))
+    @given(mutation=st.one_of(
+        st.tuples(st.just("field"), st.sampled_from(WEIGHT_PATHS),
+                  ANY_VALUE | st.integers(-2, 2)),
+        st.tuples(st.just("truncate"), st.integers(0, len(TOY_WEIGHTS) - 1)),
+        st.tuples(st.just("flip"), st.lists(
+            st.tuples(st.integers(WEIGHT_BLOB_START, len(TOY_WEIGHTS) - 1),
+                      st.integers(1, 255)), min_size=1, max_size=8)),
+        st.tuples(st.just("value"),
+                  st.integers(0, (len(TOY_WEIGHTS) - WEIGHT_BLOB_START) // 4 - 1),
+                  st.floats(width=32))))
+    def test_mutated_weight_file(self, tmp_path_factory, mutation):
+        # one manifest field replaced (or shifted, for an integer), the file
+        # truncated, blob bytes flipped, or one stored float replaced: a
+        # finite report, or exit 2 with the JSON line of a refused weight
+        # file or config
+        kind, where = mutation[:2]
+        raw = bytearray(TOY_WEIGHTS)
+        if kind == "field":
+            value = mutation[2]
+            manifest = json.loads(raw[:WEIGHT_BLOB_START - 2])
+            if type(value) is int and type(_get(manifest, where)) is int:
+                value += _get(manifest, where)
+            raw = (json.dumps(mutated(manifest, where, value)).encode("utf-8")
+                   + b"\n\n" + raw[WEIGHT_BLOB_START:])
+        elif kind == "truncate":
+            raw = raw[:where]
+        elif kind == "flip":
+            for pos, mask in where:
+                raw[pos] ^= mask
+        else:
+            at = WEIGHT_BLOB_START + 4 * where
+            raw[at:at + 4] = struct.pack("<f", mutation[2])
+        event(kind)
+        tmp = tmp_path_factory.mktemp("weights")
+        path, out = tmp / "w.cfw", tmp / "r.json"
+        path.write_bytes(bytes(raw))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run_cli(["run", *TOY, "--set", "decoder.layers=1",
+                            "--weights", str(path), "--out", str(out)])
+        event(f"exit {code}")
+        if code == 0:
+            def refuse(constant):
+                raise AssertionError(f"{constant} in the report")
+            json.loads(out.read_text(), parse_constant=refuse)
+        else:
+            assert code == 2, mutation
+            doc = json.loads(err.getvalue().strip().splitlines()[-1])
+            assert doc["error"] in ("WeightFormatError", "ConfigError"), doc
+            assert not out.exists()
 
     def test_non_finite_value_refused(self, tmp_path, capsys):
         out = tmp_path / "r.json"

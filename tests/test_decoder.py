@@ -244,6 +244,21 @@ class TestBuildTokens:
         assert valid[0].sum() == sum(sets[k].sizes[0] for k in BEV_KINDS)
         assert valid.sum(axis=1).max() == tok.shape[1]
 
+    def test_zero_sample_weight_is_minus_inf(self):
+        # a sampling weight that underflowed to 0 gets log weight -inf, and
+        # aggregation gives that token no attention, without a warning
+        _, features, queries, weights, cfg = toy_setup()
+        emb, pos = queries.embeddings, queries.positions
+        sets = predict_base_sets(emb, weights, cfg.qswap.k_base)
+        for kind in BEV_KINDS:
+            sets[kind].weights = normalize_sample_scores(sets[kind])
+            sets[kind].weights[0, 0] = 0.0
+        tok, logw, valid = build_tokens(emb, pos, features, weights, sets,
+                                        cfg.k_pv)
+        assert logw[0, 0] == -np.inf and valid[0, 0]
+        out = aggregate_features_batch(emb, tok, logw, valid, weights)
+        assert np.isfinite(out).all()
+
 
 class TestAggregate:
     def test_no_tokens_identity(self):
@@ -381,6 +396,19 @@ class TestDetectionHead:
         emb = np.zeros((1, cfg.d))
         _, centers, _, _, _ = detection_head(emb, pos, w, cfg)
         assert centers[0, 0] == 5.0
+
+    def test_overflowing_exp_is_exact(self):
+        # logits past exp's range give score 0 / size 30 and no warning
+        cfg = toy_config()
+        w = init_weights(0, cfg)
+        w.tensors["head.cls.w"] = np.zeros_like(w.tensors["head.cls.w"])
+        w.tensors["head.box.w"] = np.zeros_like(w.tensors["head.box.w"])
+        w.tensors["head.cls.b"] = np.full(cfg.num_classes, -1e4)
+        w.tensors["head.box.b"] = np.r_[0.0, 0.0, 0.0, 1e4, -1e4, 1e4, 0, 1, 0, 0]
+        emb = np.zeros((1, cfg.d))
+        cls, _, sizes, _, _ = detection_head(emb, np.zeros((1, 3)), w, cfg)
+        assert (cls == 0.0).all()
+        assert sizes.tolist() == [[30.0, 0.1, 30.0]]
 
     def test_matches_affine_atan2_oracle(self):
         cfg = toy_config()

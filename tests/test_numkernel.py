@@ -3,14 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hqfusion import numkernel
 from hqfusion.errors import ConfigError, MaskError
-from hqfusion.numkernel import (AttentionMask, MhaWeights, bilinear_at,
+from hqfusion.numkernel import (AttentionMask, MaskGroup, MhaWeights, bilinear_at,
                                 bilinear_sample_many, multi_head_attention,
                                 softmax_rows)
+from hqfusion.qinit import TYPE_IMG, TYPE_RAD, TYPE_W
+from hqfusion.qmix import build_cross_type_mask
 from hqfusion.scene import FeatureGrid
 
 from reference import (cell_center, identity_mha_weights, naive_bilinear,
-                       naive_bilinear_at, naive_masked_softmax, naive_mha)
+                       naive_bilinear_at, naive_cross_type_blocked,
+                       naive_masked_softmax, naive_mha)
+
+IMG, RAD, W = TYPE_IMG, TYPE_RAD, TYPE_W
 
 
 def random_mha_weights(rng, d, heads):
@@ -145,6 +151,116 @@ class TestMultiHeadAttention:
         out_p, attn_p = multi_head_attention(q[perm], q[perm], q[perm], mask_p, w)
         assert np.allclose(out_p, out[perm], atol=1e-12)
         assert np.allclose(attn_p, attn[np.ix_(perm, perm)], atol=1e-12)
+
+
+def rows_per_block(rows, heads, keys):
+    """ATTN_BLOCK_BYTES that puts `rows` query rows in a block of `keys` logits."""
+    return 8 * heads * keys * rows
+
+
+def check_against_naive(q, k, v, mask, blocked, w):
+    """The kernel against naive_mha at the oracle tolerances; blocked == 0.0."""
+    out, attn = multi_head_attention(q, k, v, mask, w)
+    ref_out, ref_attn = naive_mha(q, k, v, blocked, w)
+    assert np.allclose(out, ref_out, rtol=1e-9, atol=1e-12)
+    assert np.allclose(attn, ref_attn, rtol=1e-9, atol=1e-12)
+    assert np.allclose(attn.sum(axis=1), 1.0, atol=1e-9)
+    assert (attn[blocked] == 0.0).all()
+    return attn
+
+
+# type vectors: one type only, a type absent, a single query of one type,
+# interleaved, a permuted mix, and one query
+TYPE_CASES = [
+    [W] * 7,
+    [IMG, RAD, IMG, RAD, RAD, IMG],
+    [IMG] * 5 + [RAD] + [W] * 4,
+    [IMG, RAD, W] * 4,
+    list(np.random.default_rng(9).permutation([IMG] * 6 + [RAD] * 3 + [W] * 4)),
+    [RAD],
+]
+
+
+class TestGroupedAttention:
+    @pytest.mark.parametrize("types", TYPE_CASES)
+    @pytest.mark.parametrize("block_rows", [1, 3, None])
+    def test_cross_type_groups_match_naive(self, monkeypatch, types, block_rows):
+        # q, k and v differ, so the self column must take key i, not query i
+        types = np.array(types)
+        n, d, heads = len(types), 8, 2
+        if block_rows is not None:
+            monkeypatch.setattr(numkernel, "ATTN_BLOCK_BYTES",
+                                rows_per_block(block_rows, heads, n))
+        rng = np.random.default_rng(n + (block_rows or 0))
+        w = random_mha_weights(rng, d, heads)
+        q, k, v = (rng.normal(size=(n, d)) for _ in range(3))
+        blocked = naive_cross_type_blocked(types)
+        mask = build_cross_type_mask(types)
+        assert np.array_equal(mask.blocked, blocked)
+        attn = check_against_naive(q, k, v, mask, blocked, w)
+        same = (types[:, None] == types[None, :]) & ~np.eye(n, dtype=bool)
+        assert (attn[same] == 0.0).all()
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 13])
+    @pytest.mark.parametrize("kind", ["open", "dense", "cross"])
+    def test_row_counts_around_the_block(self, monkeypatch, n, kind):
+        # four rows per block of n logits: n = 1 and 3 fit in less than one
+        # block, 4 in exactly one, 13 leaves a one-row tail
+        d, heads = 8, 4
+        monkeypatch.setattr(numkernel, "ATTN_BLOCK_BYTES",
+                            rows_per_block(4, heads, n))
+        rng = np.random.default_rng(100 + n)
+        w = random_mha_weights(rng, d, heads)
+        q, k, v = (rng.normal(size=(n, d)) for _ in range(3))
+        if kind == "open":
+            mask = AttentionMask.open(n)
+        elif kind == "dense":
+            mask = random_open_diag_mask(rng, n)
+        else:
+            mask = build_cross_type_mask(rng.integers(0, 3, size=n))
+        check_against_naive(q, k, v, mask, mask.blocked, w)
+
+    def test_rectangular_open_mask(self, monkeypatch):
+        monkeypatch.setattr(numkernel, "ATTN_BLOCK_BYTES", rows_per_block(2, 2, 7))
+        rng = np.random.default_rng(5)
+        w = random_mha_weights(rng, 8, 2)
+        q = rng.normal(size=(5, 8))
+        k, v = rng.normal(size=(7, 8)), rng.normal(size=(7, 8))
+        check_against_naive(q, k, v, AttentionMask.open(5, 7),
+                            np.zeros((5, 7), dtype=bool), w)
+
+    def test_no_queries(self):
+        rng = np.random.default_rng(6)
+        w = random_mha_weights(rng, 8, 2)
+        empty = np.zeros((0, 8))
+        out, attn = multi_head_attention(empty, empty, empty,
+                                         AttentionMask.open(0), w)
+        assert out.shape == (0, 8) and attn.shape == (0, 0)
+
+    def test_malformed_groups_refused(self):
+        keys = np.array([1])
+        for groups in ([MaskGroup(np.array([0]), keys, self_key=True)],
+                       [MaskGroup(np.array([0, 1]), keys),
+                        MaskGroup(np.array([1]), keys)]):
+            with pytest.raises(MaskError):
+                AttentionMask.from_groups((2, 2), groups)
+        for groups in ([MaskGroup(np.array([0]), keys),
+                        MaskGroup(np.array([1]), keys[:0])],
+                       [MaskGroup(np.array([1, 0]), keys)],
+                       [MaskGroup(np.array([0, 1]), keys, self_key=True)]):
+            with pytest.raises(MaskError):
+                AttentionMask.from_groups((2, 2), groups)
+
+    def test_dense_form_of_each_mask(self):
+        blocked = np.array([[False, True, False], [True, False, False],
+                            [False, False, False]])
+        assert np.array_equal(AttentionMask(blocked).blocked, blocked)
+        assert not AttentionMask.open(2, 3).blocked.any()
+        assert AttentionMask.open(2, 3).shape == (2, 3)
+        mask = AttentionMask.from_groups((3, 3), [
+            MaskGroup(np.array([0, 1]), np.array([2]), self_key=True),
+            MaskGroup(np.array([2]))])
+        assert np.array_equal(mask.blocked, blocked)
 
 
 def make_grid(rng, h=6, w=5, d=3, voxel=1.0, x_min=-2.5, y_min=-3.0):

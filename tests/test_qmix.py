@@ -1,9 +1,11 @@
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hqfusion import numkernel
 from hqfusion.numkernel import MhaWeights, multi_head_attention
 from hqfusion.qinit import TYPE_IMG, TYPE_RAD, TYPE_W
 from hqfusion.qmix import (QMixWeights, attention_type_stats,
@@ -102,6 +104,27 @@ class TestQMixAttention:
         q = rng.normal(size=(7, d))
         _, attn = qmix_attention(q, types, w)
         same = (types[:, None] == types[None, :]) & ~np.eye(7, dtype=bool)
+        assert (attn[same] == 0.0).all()
+        assert np.allclose(attn.sum(axis=1), 1.0, atol=1e-9)
+
+    @given(types=st.lists(st.sampled_from([IMG, RAD, W]), min_size=1, max_size=20),
+           block_rows=st.integers(1, 8), seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=60, deadline=None)
+    def test_random_types_match_naive(self, types, block_rows, seed):
+        # the per-type row groups, in blocks of block_rows rows, against the
+        # dense oracle; same-type entries off the diagonal are exact zeros
+        types = np.array(types)
+        n, d, heads = len(types), 8, 2
+        rng = np.random.default_rng(seed)
+        w = random_mixing_weights(rng, d, heads)
+        q = rng.normal(size=(n, d))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numkernel, "ATTN_BLOCK_BYTES", 8 * heads * n * block_rows)
+            out, attn = qmix_attention(q, types, w)
+        ref_out, ref_attn = naive_mixing_block(q, naive_cross_type_blocked(types), w)
+        assert np.allclose(out, ref_out, rtol=1e-9, atol=1e-12)
+        assert np.allclose(attn, ref_attn, rtol=1e-9, atol=1e-12)
+        same = (types[:, None] == types[None, :]) & ~np.eye(n, dtype=bool)
         assert (attn[same] == 0.0).all()
         assert np.allclose(attn.sum(axis=1), 1.0, atol=1e-9)
 

@@ -7,8 +7,8 @@ import pytest
 from hqfusion.decoder import DecoderConfig
 from hqfusion.errors import WeightFormatError
 from hqfusion.qswap import QSwapConfig
-from hqfusion.weights_io import (config_hash, expected_shapes, init_weights,
-                                 load_weights, save_weights)
+from hqfusion.weights_io import (MAX_WEIGHT, config_hash, expected_shapes,
+                                 init_weights, load_weights, save_weights)
 
 
 def small_config(**kw):
@@ -128,6 +128,21 @@ class TestFileFormat:
         # same shapes but different head count is still a different config
         with pytest.raises(WeightFormatError):
             load_weights(path, small_config(heads=4))
+
+    @pytest.mark.parametrize("value, ok", [
+        (MAX_WEIGHT, True), (-MAX_WEIGHT, True), (2 * MAX_WEIGHT, False),
+        (np.inf, False), (np.nan, False)])
+    def test_value_bound(self, tmp_path, value, ok):
+        cfg = small_config()
+        w = init_weights(0, cfg)
+        w.tensors["head.box.w"][1, 2] = value
+        path = tmp_path / "w.cfw"
+        save_weights(w, path)
+        if ok:
+            assert load_weights(path, cfg)["head.box.w"][1, 2] == value
+        else:
+            with pytest.raises(WeightFormatError, match="head.box.w"):
+                load_weights(path, cfg)
 
     def test_config_hash_sensitivity(self):
         assert config_hash(small_config()) != config_hash(small_config(heads=4))
