@@ -8,15 +8,20 @@ One weight set is applied at every layer; there is no per-layer state other
 than the query embeddings, positions and box predictions.
 
 Sampling runs on whole arrays: each BEV grid's points live in one qswap
-SampleBank, and the token gather packs every query's tokens into one
-padded (N, T_max, d) tensor for the batched aggregation.  The aggregation
-folds its key and value projections into the query: the query is mapped
-into token space once (Wk^T q) and the attention-weighted token sum is
-projected once (Wv), so no per-token key or value is ever formed.
+SampleBank.  The token gather is planned once per layer (slots, log
+weights and sample coordinates of every query's tokens, no feature axis)
+and then gathered and aggregated one block of queries at a time: a block's
+tokens fill one reused (B, T_max, d) buffer of at most TOKEN_BLOCK_BYTES,
+so no (N, T_max, d) tensor is ever formed (row tiling as in
+FlashAttention, on the query axis).  The aggregation folds its key and
+value projections into the query: the query is mapped into token space
+once (Wk^T q) and the attention-weighted token sum is projected once (Wv),
+so no per-token key or value is ever formed.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,9 +37,14 @@ from .qswap import (BEV_KINDS, IMG_BEV, QSwapConfig, SampleBank, base_bank,
                     normalize_sample_scores, predict_base_samples,
                     select_neighbors, swap_samples)
 from .scene import CameraRig, FeatureGrid, PvFeatureMap, project_points
-from .weights_io import expected_shapes
+from .weights_io import MAX_WEIGHT_VALUES, expected_shapes
 
 PLACEMENTS = ("post_agg", "pre_agg", "post_self", "post_self_cross")
+
+# Upper bound on the float64 token features of one block of queries: the
+# reused buffer of a layer's token gather holds this many bytes (or one
+# query's tokens, when those are larger).
+TOKEN_BLOCK_BYTES = 8 << 20
 
 
 @dataclass
@@ -66,6 +76,10 @@ class DecoderConfig:
         if self.k_pv < 0:
             raise ConfigError("k_pv must be >= 0")
         self.qswap.validate()
+        values = sum(math.prod(shape) for shape in expected_shapes(self).values())
+        if values > MAX_WEIGHT_VALUES:
+            raise ConfigError(f"decoder weights of {values} values exceed "
+                              f"{MAX_WEIGHT_VALUES}: lower decoder.d")
 
 
 @dataclass
@@ -179,10 +193,46 @@ def predict_base_sets(emb: np.ndarray, weights, k_base: int
             for kind in BEV_KINDS}
 
 
-def build_tokens(emb: np.ndarray, positions: np.ndarray, features: SceneFeatures,
-                 weights, sets_by_kind: dict[str, SampleBank], k_pv: int
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched token gather: padded (feats, log-weight, valid-mask) tensors.
+@dataclass
+class TokenSource:
+    """One feature map's token points of a layer, in query-major order.
+
+    Point j belongs to query rows[j] (ascending) and fills its token column
+    slots[j]; sample(sl) returns the (m, d) features of the points in the
+    slice sl.
+    """
+
+    rows: np.ndarray
+    slots: np.ndarray
+    sample: Callable[[slice], np.ndarray]
+
+
+@dataclass
+class TokenPlan:
+    """A layer's token layout: everything about its tokens but the features.
+
+    Row i of `logw` and `valid` covers query i's T_max token slots.  The
+    features are gathered one block of queries at a time into `buffer`,
+    which every block of the layer reuses.
+    """
+
+    d: int
+    logw: np.ndarray                 # (N, T_max) log sampling weights
+    valid: np.ndarray                # (N, T_max) slots that hold a token
+    sources: list[TokenSource]
+    buffer: np.ndarray | None = None
+
+    def blocks(self):
+        """Row slices of at most TOKEN_BLOCK_BYTES of features (>= 1 row)."""
+        n, t_max = self.valid.shape
+        step = max(1, TOKEN_BLOCK_BYTES // max(1, 8 * t_max * self.d))
+        return (slice(r0, min(r0 + step, n)) for r0 in range(0, n, step))
+
+
+def plan_tokens(emb: np.ndarray, positions: np.ndarray, features: SceneFeatures,
+                weights, sets_by_kind: dict[str, SampleBank], k_pv: int
+                ) -> TokenPlan:
+    """Token layout of a layer: slots, log weights and sample coordinates.
 
     Row i holds query i's img_bev points, then its rad_bev points (weighted
     by the banks' normalized weights), then k_pv learned pixel-offset points
@@ -204,15 +254,17 @@ def build_tokens(emb: np.ndarray, positions: np.ndarray, features: SceneFeatures
         seen[idx, c] = True
     count = sum(b.sizes for b in banks) + k_pv * seen.sum(axis=1)
     t_max = int(count.max(initial=0))
-    tok = np.zeros((n, t_max, d))
     logw = np.full((n, t_max), -np.inf)
     fill = np.zeros(n, dtype=np.int64)  # next free token column of each row
+    sources = []
 
     for kind, bank in zip(BEV_KINDS, banks):
         rows, cols = np.nonzero(bank.valid)
         at = fill[rows] + cols
-        tok[rows, at] = bilinear_sample_many(
-            features.grid(kind), positions[rows, :2] + bank.offsets[rows, cols])
+        points = positions[rows, :2] + bank.offsets[rows, cols]
+        sources.append(TokenSource(
+            rows, at, lambda sl, grid=features.grid(kind), points=points:
+                bilinear_sample_many(grid, points[sl])))
         # a sampling weight that underflowed to 0 is a log weight of -inf:
         # that token gets no attention
         with np.errstate(divide="ignore"):
@@ -229,13 +281,41 @@ def build_tokens(emb: np.ndarray, positions: np.ndarray, features: SceneFeatures
             pts = uv[idx][:, None, :] + pv_off[None, :, :]
             fy, fx = pv.pixel_to_frac(pts[..., 0], pts[..., 1])
             at = fill[idx][:, None] + np.arange(k_pv)
-            tok[idx[:, None], at] = bilinear_at(pv.data, fy, fx)
+            sources.append(TokenSource(
+                np.repeat(idx, k_pv), at.ravel(),
+                lambda sl, data=pv.data, fy=fy.ravel(), fx=fx.ravel():
+                    bilinear_at(data, fy[sl], fx[sl])))
             with np.errstate(divide="ignore"):
                 logw[idx[:, None], at] = np.log(pv_w[idx, c])
             fill[idx] += k_pv
 
     valid = np.arange(t_max) < count[:, None]
-    return tok, logw, valid
+    return TokenPlan(d, logw, valid, sources)
+
+
+def build_tokens(plan: TokenPlan, rows: slice
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Token gather of one block of queries: (feats, log-weight, valid-mask).
+
+    Samples each source's points of the queries in `rows` (a slice of the
+    plan's rows) and scatters them into their slots.  The feature tensor is
+    a view of the plan's buffer, overwritten by the next call; its padded
+    slots hold zeros.
+    """
+    r0, r1 = rows.start, rows.stop
+    m, t_max = r1 - r0, plan.valid.shape[1]
+    if plan.buffer is None or len(plan.buffer) < m:
+        plan.buffer = np.empty((m, t_max, plan.d))
+    tok = plan.buffer[:m]
+    valid = plan.valid[r0:r1]
+    tok[~valid] = 0.0
+    flat = tok.reshape(m * t_max, plan.d)
+    for src in plan.sources:
+        lo, hi = np.searchsorted(src.rows, (r0, r1))
+        if hi > lo:
+            flat[(src.rows[lo:hi] - r0) * t_max + src.slots[lo:hi]] = (
+                src.sample(slice(lo, hi)))
+    return tok, plan.logw[r0:r1], valid
 
 
 def aggregate_features_batch(emb: np.ndarray, tok: np.ndarray, logw: np.ndarray,
@@ -266,6 +346,20 @@ def aggregate_features_batch(emb: np.ndarray, tok: np.ndarray, logw: np.ndarray,
     ctx = mixed @ t["agg.wv"].T + t["agg.bv"]
     upd = ctx @ t["agg.wo"].T + t["agg.bo"]
     return np.where(any_tok[:, None], emb + upd, emb)
+
+
+def gather_and_aggregate(emb: np.ndarray, positions: np.ndarray,
+                         features: SceneFeatures, weights,
+                         sets_by_kind: dict[str, SampleBank], k_pv: int
+                         ) -> np.ndarray:
+    """Feature sampling and aggregation of a layer, one query block at a time."""
+    plan = plan_tokens(emb, positions, features, weights, sets_by_kind, k_pv)
+    out = np.empty_like(emb)
+    for rows in plan.blocks():
+        tok, logw, valid = build_tokens(plan, rows)
+        out[rows] = aggregate_features_batch(emb[rows], tok, logw, valid,
+                                             weights)
+    return out
 
 
 def detection_head(emb: np.ndarray, positions: np.ndarray, weights,
@@ -343,9 +437,8 @@ def decode(features: SceneFeatures, queries: QuerySet, weights,
         for bank in sets.values():
             bank.weights = normalize_sample_scores(bank)
 
-        tok, logw, valid = build_tokens(emb, pos, features, weights, sets,
-                                        config.k_pv)
-        emb = aggregate_features_batch(emb, tok, logw, valid, weights)
+        emb = gather_and_aggregate(emb, pos, features, weights, sets,
+                                   config.k_pv)
 
         if config.enable_qmix:
             if config.qmix_placement == "post_agg":

@@ -34,36 +34,25 @@ class MaskGroup:
 
     `rows` and `keys` are ascending id arrays, or None for every row / every
     key.  With `self_key`, row i also sees key i, as one extra logit column
-    (i is then not in `keys`).  `bias`, when given, is a (rows, keys) array
-    added to the logits; -inf blocks an entry.
+    (i is then not in `keys`).
     """
 
     rows: np.ndarray | None = None
     keys: np.ndarray | None = None
     self_key: bool = False
-    bias: np.ndarray | None = None
 
 
+@dataclass(frozen=True)
 class AttentionMask:
     """Attention mask as row groups, each with its own open key set.
 
-    `AttentionMask(blocked)` wraps a dense boolean matrix (True = blocked) as
-    one group over all keys, with a -inf bias on its blocked entries (no bias
-    when nothing is blocked).  `from_groups` builds a mask from groups
-    directly, so the kernel never forms logits for keys a row cannot see.
-    Every row must keep at least one key open, so an attention row always
-    sums to 1.
+    Built by `from_groups` (or `open`), so the kernel never forms logits for
+    keys a row cannot see.  Every row must keep at least one key open, so an
+    attention row always sums to 1.
     """
 
-    def __init__(self, blocked: np.ndarray):
-        blocked = np.asarray(blocked, dtype=bool)
-        if blocked.ndim != 2:
-            raise ShapeError(f"mask must be 2-D, got shape {blocked.shape}")
-        if blocked.shape[1] > 0 and bool(blocked.all(axis=1).any()):
-            raise MaskError("mask has a fully blocked row")
-        bias = np.where(blocked, -np.inf, 0.0) if blocked.any() else None
-        self.shape = blocked.shape
-        self.groups = (MaskGroup(bias=bias),)
+    shape: tuple[int, int]
+    groups: tuple[MaskGroup, ...]
 
     @classmethod
     def from_groups(cls, shape: tuple[int, int], groups) -> "AttentionMask":
@@ -81,30 +70,13 @@ class AttentionMask:
                 raise MaskError("mask has a fully blocked row")
             if g.self_key and np.intersect1d(r, keys).size:
                 raise MaskError("a self key is also among the group's keys")
-        mask = cls.__new__(cls)
-        mask.shape = (int(shape[0]), int(shape[1]))
-        mask.groups = groups
-        return mask
+        return cls((int(shape[0]), int(shape[1])), groups)
 
     @classmethod
     def open(cls, n_q: int, n_k: int | None = None) -> "AttentionMask":
         """Mask with every entry attendable."""
         return cls.from_groups((n_q, n_k if n_k is not None else n_q),
                                [MaskGroup()])
-
-    @property
-    def blocked(self) -> np.ndarray:
-        """The dense boolean form (True = blocked)."""
-        n_q, n_k = self.shape
-        out = np.ones(self.shape, dtype=bool)
-        for g in self.groups:
-            rows = np.arange(n_q) if g.rows is None else g.rows
-            keys = np.arange(n_k) if g.keys is None else g.keys
-            out[np.ix_(rows, keys)] = (False if g.bias is None
-                                       else np.isneginf(g.bias))
-            if g.self_key:
-                out[rows, rows] = False
-        return out
 
 
 def softmax_rows(logits: np.ndarray, blocked: np.ndarray | None = None
@@ -226,8 +198,6 @@ def multi_head_attention(
             qb = q_g[:, blk]
             e = buf[:h * qb.shape[1] * n_open].reshape(h, qb.shape[1], n_open)
             np.matmul(qb, kt_g, out=e)
-            if g.bias is not None:
-                e += g.bias[blk]
             if g.self_key:
                 e_self = np.einsum("hbd,hdb->hb", qb, kt[:, :, rb])
                 m = np.maximum(e.max(axis=-1), e_self) if n_open else e_self.copy()

@@ -18,7 +18,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.signal import convolve2d
 
 from .errors import ConfigError, GenerationError, ShapeError
 
@@ -513,8 +512,23 @@ def encode_radar_bev(points: RadarPointCloud, grid_config: GridConfig, d: int,
         if cgrid.max() > 0:
             heatmap = cgrid / cgrid.max()
 
-    heatmap = convolve2d(heatmap, _HEATMAP_KERNEL, mode="same", boundary="fill")
-    return grid, np.clip(heatmap, 0.0, 1.0)
+    return grid, np.clip(smooth_heatmap(heatmap), 0.0, 1.0)
+
+
+def smooth_heatmap(heatmap: np.ndarray) -> np.ndarray:
+    """Same-size 3x3 convolution with the heatmap kernel, zero outside.
+
+    Nine shifted adds of the zero-padded map, over shifts (dy, dx) from
+    (2, 2) down to (0, 0): scipy.signal.convolve2d(mode="same",
+    boundary="fill") sums in that order, so the two agree bit for bit.
+    """
+    h, w = heatmap.shape
+    padded = np.pad(heatmap, 1)
+    out = np.zeros((h, w))
+    for dy in (2, 1, 0):
+        for dx in (2, 1, 0):
+            out += _HEATMAP_KERNEL[2 - dy, 2 - dx] * padded[dy:dy + h, dx:dx + w]
+    return out
 
 
 # ---------------------------------------------------------------------------

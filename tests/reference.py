@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hqfusion.numkernel import MhaWeights
+from hqfusion.numkernel import AttentionMask, MaskGroup, MhaWeights
 from hqfusion.qinit import TYPE_NAMES, QuerySet
 from hqfusion.qswap import (BEV_KINDS, ORIGIN_SHARED, SampleSet,
                             adaptive_radius, score_shared_points)
@@ -97,6 +97,31 @@ def naive_mha(q_in, k_in, v_in, blocked, weights):
     return out, attn_sum / h
 
 
+def dense_mask(blocked):
+    """AttentionMask of a dense boolean matrix (True = blocked).
+
+    One group per row, holding the row's open key ids; a fully blocked row
+    is refused by from_groups.
+    """
+    blocked = np.asarray(blocked, dtype=bool)
+    return AttentionMask.from_groups(blocked.shape, [
+        MaskGroup(np.array([i]), np.flatnonzero(~row))
+        for i, row in enumerate(blocked)])
+
+
+def mask_blocked(mask):
+    """The dense boolean form of an AttentionMask (True = blocked)."""
+    n_q, n_k = mask.shape
+    out = np.ones(mask.shape, dtype=bool)
+    for g in mask.groups:
+        rows = np.arange(n_q) if g.rows is None else g.rows
+        keys = np.arange(n_k) if g.keys is None else g.keys
+        out[np.ix_(rows, keys)] = False
+        if g.self_key:
+            out[rows, rows] = False
+    return out
+
+
 def naive_cross_type_blocked(types):
     n = len(types)
     blocked = np.zeros((n, n), dtype=bool)
@@ -119,6 +144,22 @@ def naive_mixing_block(q, blocked, weights):
     out = h + np.array([_row_affine(weights.mlp_w2, row, weights.mlp_b2)
                         for row in hidden])
     return out, attn
+
+
+def naive_convolve3x3(image, kernel):
+    """Same-size 2-D convolution with a 3x3 kernel, zero outside the image."""
+    h, w = image.shape
+    out = np.zeros((h, w))
+    for i in range(h):
+        for j in range(w):
+            total = 0.0
+            for p in range(3):
+                for q in range(3):
+                    y, x = i + 1 - p, j + 1 - q
+                    if 0 <= y < h and 0 <= x < w:
+                        total += kernel[p, q] * image[y, x]
+            out[i, j] = total
+    return out
 
 
 def naive_bilinear(grid, x, y):

@@ -17,9 +17,9 @@ from hqfusion.qswap import (ORIGIN_SHARED, QSwapConfig, adaptive_radius,
                             select_neighbors, swap_samples)
 from hqfusion.scene import GridConfig, project_points, render_image_bev
 
-from reference import (bilinear_sample, brute_force_selection, naive_bilinear,
-                       naive_cross_type_blocked, naive_mixing_block,
-                       project_with_matrix)
+from reference import (bilinear_sample, brute_force_selection, mask_blocked,
+                       naive_bilinear, naive_cross_type_blocked,
+                       naive_mixing_block, project_with_matrix)
 from test_numkernel import make_grid
 from test_qmix import random_mixing_weights
 from test_qswap import make_bank, random_swap_instance
@@ -41,7 +41,7 @@ def test_mask_correctness():
         n = int(rng.integers(1, 65))
         types = rng.integers(0, 3, n)
         mask = build_cross_type_mask(types)
-        assert np.array_equal(mask.blocked, naive_cross_type_blocked(types))
+        assert np.array_equal(mask_blocked(mask), naive_cross_type_blocked(types))
     assert time.perf_counter() - start < 1.0
 
 

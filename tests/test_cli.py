@@ -3,6 +3,7 @@ import copy
 import csv
 import io
 import json
+import math
 import struct
 import tempfile
 import time
@@ -482,6 +483,31 @@ class TestCliCommands:
         sc.check_feature_sizes(cfg, 16, 64.0 / 2048)
         with pytest.raises(ConfigError, match="BEV grid"):
             sc.check_feature_sizes(cfg, 16, 64.0 / 2049)
+
+    def test_weight_size_bounded(self, tmp_path, capsys, monkeypatch):
+        # the weight tensors grow as d^2; with no PV map and an 8x8 grid,
+        # only the weight bound stands before a 5 TB allocation
+        args = ["run", *TOY, "--set", "scene.num_cameras=0",
+                "--set", "render.voxel=6.4", "--set", "scene.feature_dim=131072",
+                "--set", "decoder.d=131072"]
+        assert "decoder.d" in assert_error_exit(args, tmp_path / "r.json", capsys)
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps({
+            **TOY_SCENE, "objects": [], "rig": [],
+            "config": {**TOY_SCENE["config"], "num_objects": 0,
+                       "num_cameras": 0, "feature_dim": 131072}}))
+        assert "decoder.d" in assert_error_exit(
+            [*args, "--scene", str(scene_path)], tmp_path / "r.json", capsys)
+        # the bound is on the tensor table's total
+        from hqfusion import decoder
+        from hqfusion.weights_io import expected_shapes
+        cfg = toy_config().decoder
+        total = sum(math.prod(s) for s in expected_shapes(cfg).values())
+        monkeypatch.setattr(decoder, "MAX_WEIGHT_VALUES", total)
+        cfg.validate()
+        monkeypatch.setattr(decoder, "MAX_WEIGHT_VALUES", total - 1)
+        with pytest.raises(ConfigError, match="decoder weights"):
+            cfg.validate()
 
     def test_feasible_object_counts_pass_validation(self):
         # the densest packing of 2 m disks in the toy square holds far more

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from hqfusion import cli, decoder
 from hqfusion.decoder import (DecoderConfig, SceneFeatures,
                               aggregate_features_batch, apply_type_adapter,
                               build_tokens, decode, detection_head,
-                              mixing_weights, predict_base_sets,
+                              mixing_weights, plan_tokens, predict_base_sets,
                               shared_self_attention,
                               sinusoidal_position_encoding)
 from hqfusion.errors import ConfigError, NonFiniteError
@@ -230,8 +231,9 @@ class TestBuildTokens:
         for kind in BEV_KINDS:
             sets[kind].weights = normalize_sample_scores(sets[kind])
         assert len(set(sets[BEV_KINDS[0]].sizes.tolist())) > 1  # ragged rows
-        tok, logw, valid = build_tokens(emb, pos, features, weights, sets,
-                                        cfg.k_pv)
+        tok, logw, valid = build_tokens(
+            plan_tokens(emb, pos, features, weights, sets, cfg.k_pv),
+            slice(0, n))
         for i in range(n):
             tokens = sample_features(pos[i], emb[i], features, weights,
                                      {k: sets[k][i] for k in BEV_KINDS},
@@ -253,11 +255,107 @@ class TestBuildTokens:
         for kind in BEV_KINDS:
             sets[kind].weights = normalize_sample_scores(sets[kind])
             sets[kind].weights[0, 0] = 0.0
-        tok, logw, valid = build_tokens(emb, pos, features, weights, sets,
-                                        cfg.k_pv)
+        tok, logw, valid = build_tokens(
+            plan_tokens(emb, pos, features, weights, sets, cfg.k_pv),
+            slice(0, queries.n))
         assert logw[0, 0] == -np.inf and valid[0, 0]
         out = aggregate_features_batch(emb, tok, logw, valid, weights)
         assert np.isfinite(out).all()
+
+
+def preset_inputs(**overrides):
+    """Config, features, queries and weights of the toy preset."""
+    cfg = cli.config_from_dict({})
+    for key, value in {**cli.PRESETS["toy"], **overrides}.items():
+        cli.apply_override(cfg, key, value)
+    inputs, features = cli.prepare_inputs(cfg)
+    return cfg, features, inputs["queries"], inputs["weights"]
+
+
+def record_blocks(monkeypatch):
+    """Wrap decoder.build_tokens; returns a list that records each call.
+
+    An entry is (rows, token tensor shape, its bytes, a copy of valid).
+    """
+    calls = []
+    build = decoder.build_tokens
+
+    def keep(plan, rows):
+        tok, logw, valid = build(plan, rows)
+        calls.append((rows, tok.shape, tok.nbytes, valid.copy()))
+        return tok, logw, valid
+
+    monkeypatch.setattr(decoder, "build_tokens", keep)
+    return calls
+
+
+class TestTokenBlocks:
+    def test_block_size_does_not_change_decode(self, monkeypatch):
+        cfg, features, queries, weights = preset_inputs()
+        n, d = queries.n, cfg.decoder.d
+        calls = record_blocks(monkeypatch)
+        whole = decode(features, queries, weights, cfg.decoder)
+        assert [c[0] for c in calls] == [slice(0, n)] * cfg.decoder.layers
+        whole_valid = [c[3] for c in calls]
+        t_max = [c[1][1] for c in calls]
+        # 7 rows of every layer's T_max fit and 8 do not
+        block_bytes = 7 * 8 * d * max(t_max)
+        assert block_bytes < 8 * 8 * d * min(t_max) and n % 7 != 0
+        for rows_per_block, limit in ((1, 1), (7, block_bytes)):
+            monkeypatch.setattr(decoder, "TOKEN_BLOCK_BYTES", limit)
+            calls.clear()
+            got = decode(features, queries, weights, cfg.decoder)
+            starts = list(range(0, n, rows_per_block))
+            assert [c[0] for c in calls] == [
+                slice(r0, min(r0 + rows_per_block, n)) for r0 in starts
+            ] * cfg.decoder.layers
+            per_layer = len(starts)
+            for layer, (a, b) in enumerate(zip(whole, got)):
+                valid = np.vstack([c[3] for c in
+                                   calls[layer * per_layer:(layer + 1) * per_layer]])
+                assert np.array_equal(valid, whole_valid[layer])
+                for kind in BEV_KINDS:
+                    assert np.array_equal(a.sample_sets[kind].sizes,
+                                          b.sample_sets[kind].sizes)
+                for name in ("class_scores", "centers", "sizes", "yaws",
+                             "velocities", "sampling_positions", "self_attn",
+                             "qmix_attn"):
+                    assert np.allclose(getattr(a, name), getattr(b, name),
+                                       rtol=0.0, atol=1e-12), name
+
+    def test_blocks_stay_within_the_byte_bound(self, monkeypatch):
+        cfg, features, queries, weights = preset_inputs(**{
+            "scene.feature_dim": 256, "decoder.d": 256, "decoder.heads": 8,
+            "queries.n_world": 150})
+        calls = record_blocks(monkeypatch)
+        decode(features, queries, weights, cfg.decoder)
+        assert len(calls) > cfg.decoder.layers  # more than one block a layer
+        for rows, shape, nbytes, _ in calls:
+            assert nbytes <= decoder.TOKEN_BLOCK_BYTES or shape[0] == 1
+        assert sum(c[1][0] for c in calls) == queries.n * cfg.decoder.layers
+
+    def test_inner_block_matches_per_query_token_lists(self):
+        _, features, queries, weights, cfg = toy_setup()
+        emb, pos = queries.embeddings, queries.positions
+        sets = predict_base_sets(emb, weights, cfg.qswap.k_base)
+        for kind in BEV_KINDS:
+            sets[kind].weights = normalize_sample_scores(sets[kind])
+        plan = plan_tokens(emb, pos, features, weights, sets, cfg.k_pv)
+        build_tokens(plan, slice(0, queries.n))
+        plan.buffer.fill(np.nan)  # what an earlier block left must not show
+        rows = slice(5, 12)
+        tok, logw, valid = build_tokens(plan, rows)
+        assert tok.shape[0] == logw.shape[0] == valid.shape[0] == 7
+        assert (tok[~valid] == 0.0).all()
+        for b, i in enumerate(range(rows.start, rows.stop)):
+            tokens = sample_features(pos[i], emb[i], features, weights,
+                                     {k: sets[k][i] for k in BEV_KINDS},
+                                     cfg.k_pv)
+            assert valid[b].sum() == len(tokens)
+            assert valid[b, :len(tokens)].all()
+            for k, t in enumerate(tokens):
+                assert np.allclose(tok[b, k], t.feature, atol=1e-12)
+                assert np.isclose(logw[b, k], math.log(t.weight), atol=1e-12)
 
 
 class TestAggregate:
@@ -322,8 +420,10 @@ class TestAggregate:
         sets = predict_base_sets(emb, weights, cfg.qswap.k_base)
         for kind in BEV_KINDS:
             sets[kind].weights = normalize_sample_scores(sets[kind])
-        tok, logw, valid = build_tokens(emb, queries.positions, features,
-                                        weights, sets, cfg.k_pv)
+        tok, logw, valid = build_tokens(
+            plan_tokens(emb, queries.positions, features, weights, sets,
+                        cfg.k_pv),
+            slice(0, queries.n))
         got = aggregate_features_batch(emb, tok, logw, valid, weights)
         for i in range(queries.n):
             tokens = sample_features(queries.positions[i], emb[i], features,

@@ -12,9 +12,10 @@ from hqfusion.qinit import TYPE_IMG, TYPE_RAD, TYPE_W
 from hqfusion.qmix import build_cross_type_mask
 from hqfusion.scene import FeatureGrid
 
-from reference import (cell_center, identity_mha_weights, naive_bilinear,
-                       naive_bilinear_at, naive_cross_type_blocked,
-                       naive_masked_softmax, naive_mha)
+from reference import (cell_center, dense_mask, identity_mha_weights,
+                       mask_blocked, naive_bilinear, naive_bilinear_at,
+                       naive_cross_type_blocked, naive_masked_softmax,
+                       naive_mha)
 
 IMG, RAD, W = TYPE_IMG, TYPE_RAD, TYPE_W
 
@@ -30,7 +31,7 @@ def random_mha_weights(rng, d, heads):
 def random_open_diag_mask(rng, n):
     blocked = rng.random((n, n)) < 0.4
     np.fill_diagonal(blocked, False)
-    return AttentionMask(blocked)
+    return dense_mask(blocked)
 
 
 def softmax(logits, blocked):
@@ -90,7 +91,7 @@ class TestMaskedSoftmax:
 class TestAttentionMask:
     def test_fully_blocked_row_rejected(self):
         with pytest.raises(MaskError):
-            AttentionMask(np.array([[True, True], [False, False]]))
+            dense_mask(np.array([[True, True], [False, False]]))
 
 
 class TestMultiHeadAttention:
@@ -127,7 +128,7 @@ class TestMultiHeadAttention:
         v = rng.normal(size=(n, d))
         mask = random_open_diag_mask(rng, n)
         out, attn = multi_head_attention(q, k, v, mask, w)
-        ref_out, ref_attn = naive_mha(q, k, v, mask.blocked, w)
+        ref_out, ref_attn = naive_mha(q, k, v, mask_blocked(mask), w)
         assert np.allclose(out, ref_out, rtol=1e-9, atol=1e-12)
         assert np.allclose(attn, ref_attn, rtol=1e-9, atol=1e-12)
         assert np.allclose(attn.sum(axis=1), 1.0, atol=1e-9)
@@ -147,7 +148,7 @@ class TestMultiHeadAttention:
         mask = random_open_diag_mask(rng, n)
         out, attn = multi_head_attention(q, q, q, mask, w)
         perm = rng.permutation(n)
-        mask_p = AttentionMask(mask.blocked[np.ix_(perm, perm)])
+        mask_p = dense_mask(mask_blocked(mask)[np.ix_(perm, perm)])
         out_p, attn_p = multi_head_attention(q[perm], q[perm], q[perm], mask_p, w)
         assert np.allclose(out_p, out[perm], atol=1e-12)
         assert np.allclose(attn_p, attn[np.ix_(perm, perm)], atol=1e-12)
@@ -196,7 +197,7 @@ class TestGroupedAttention:
         q, k, v = (rng.normal(size=(n, d)) for _ in range(3))
         blocked = naive_cross_type_blocked(types)
         mask = build_cross_type_mask(types)
-        assert np.array_equal(mask.blocked, blocked)
+        assert np.array_equal(mask_blocked(mask), blocked)
         attn = check_against_naive(q, k, v, mask, blocked, w)
         same = (types[:, None] == types[None, :]) & ~np.eye(n, dtype=bool)
         assert (attn[same] == 0.0).all()
@@ -218,7 +219,7 @@ class TestGroupedAttention:
             mask = random_open_diag_mask(rng, n)
         else:
             mask = build_cross_type_mask(rng.integers(0, 3, size=n))
-        check_against_naive(q, k, v, mask, mask.blocked, w)
+        check_against_naive(q, k, v, mask, mask_blocked(mask), w)
 
     def test_rectangular_open_mask(self, monkeypatch):
         monkeypatch.setattr(numkernel, "ATTN_BLOCK_BYTES", rows_per_block(2, 2, 7))
@@ -254,13 +255,13 @@ class TestGroupedAttention:
     def test_dense_form_of_each_mask(self):
         blocked = np.array([[False, True, False], [True, False, False],
                             [False, False, False]])
-        assert np.array_equal(AttentionMask(blocked).blocked, blocked)
-        assert not AttentionMask.open(2, 3).blocked.any()
+        assert np.array_equal(mask_blocked(dense_mask(blocked)), blocked)
+        assert not mask_blocked(AttentionMask.open(2, 3)).any()
         assert AttentionMask.open(2, 3).shape == (2, 3)
         mask = AttentionMask.from_groups((3, 3), [
             MaskGroup(np.array([0, 1]), np.array([2]), self_key=True),
             MaskGroup(np.array([2]))])
-        assert np.array_equal(mask.blocked, blocked)
+        assert np.array_equal(mask_blocked(mask), blocked)
 
 
 def make_grid(rng, h=6, w=5, d=3, voxel=1.0, x_min=-2.5, y_min=-3.0):

@@ -11,10 +11,11 @@ from hqfusion.scene import (Camera, CameraRig, FeatureGrid, GridConfig,
                             generate_scene, make_camera,
                             project_points, render_image_bev,
                             render_pv_features, save_scene,
-                            scene_from_dict, scene_to_dict, simulate_radar_points)
+                            scene_from_dict, scene_to_dict, simulate_radar_points,
+                            smooth_heatmap)
 
-from reference import (bilinear_sample, cell_center, project_to_view,
-                       project_with_matrix)
+from reference import (bilinear_sample, cell_center, naive_convolve3x3,
+                       project_to_view, project_with_matrix)
 
 
 def small_config(**kw):
@@ -280,6 +281,56 @@ class TestEncodeRadarBev:
             np.full(m, -1, dtype=int))
         _, heatmap = encode_radar_bev(pts, GridConfig(extent=8.0, voxel=1.0), 4)
         assert heatmap.min() >= 0.0 and heatmap.max() <= 1.0
+
+
+def preset_radar_heatmaps():
+    """(unsmoothed, encoded) radar heatmaps of the default and toy presets.
+
+    The unsmoothed map is each cell's point count over the largest count,
+    counted point by point.
+    """
+    from hqfusion import cli
+    for preset in ("default", "toy"):
+        for seed in range(5):
+            cfg = cli.config_from_dict(cli.PRESETS[preset])
+            scene, _ = generate_scene(seed, cfg.scene)
+            cloud = simulate_radar_points(scene, seed, cfg.radar)
+            gc = GridConfig(extent=cfg.scene.extent, voxel=cfg.render.voxel)
+            grid, encoded = encode_radar_bev(cloud, gc, 1, seed=seed)
+            counts = np.zeros((grid.h, grid.w))
+            for x, y, _ in cloud.xyz:
+                col = int(np.floor((x - grid.x_min) / grid.voxel))
+                row = int(np.floor((y - grid.y_min) / grid.voxel))
+                if 0 <= row < grid.h and 0 <= col < grid.w:
+                    counts[row, col] += 1
+            assert counts.max() > 0
+            yield counts / counts.max(), encoded
+
+
+class TestSmoothHeatmap:
+    kernel = np.array([[1, 2, 1], [2, 4, 2], [1, 2, 1]]) / 16.0
+
+    def test_preset_heatmaps_match_the_oracles(self):
+        from scipy.signal import convolve2d
+        for raw, encoded in preset_radar_heatmaps():
+            got = smooth_heatmap(raw)
+            assert np.array_equal(got, naive_convolve3x3(raw, self.kernel))
+            assert np.array_equal(got, convolve2d(raw, self.kernel, mode="same",
+                                                  boundary="fill"))
+            assert np.array_equal(encoded, np.clip(got, 0.0, 1.0))
+
+    def test_random_maps_match_the_oracles(self):
+        from scipy.signal import convolve2d
+        rng = np.random.default_rng(11)
+        shapes = [(1, 1), (1, 4), (3, 2), (16, 16), (33, 20)]
+        shapes += [tuple(rng.integers(1, 40, 2)) for _ in range(15)]
+        for shape in shapes:
+            raw = rng.uniform(0.0, 1.0, shape) ** 3
+            got = smooth_heatmap(raw)
+            assert got.shape == raw.shape
+            assert np.array_equal(got, naive_convolve3x3(raw, self.kernel))
+            assert np.array_equal(got, convolve2d(raw, self.kernel, mode="same",
+                                                  boundary="fill"))
 
 
 class TestSignatureRecoverability:
