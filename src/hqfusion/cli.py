@@ -76,6 +76,15 @@ class QueryConfig:
         if min(self.center_noise_px, self.depth_noise) < 0.0:
             raise ConfigError("queries.center_noise_px and queries.depth_noise "
                               "must be >= 0")
+        if self.n_world < max(1, self.rings):
+            raise ConfigError(f"queries.n_world ({self.n_world}) must be >= 1 "
+                              f"and >= queries.rings ({self.rings})")
+        n = self.n_world + self.n_img + self.n_rad
+        if n * n > sc.MAX_FEATURE_VALUES:
+            raise ConfigError(
+                f"{n} queries need an attention matrix of {n * n} values, "
+                f"over {sc.MAX_FEATURE_VALUES}: lower queries.n_world, "
+                "queries.n_img or queries.n_rad")
 
 
 @dataclass
@@ -118,6 +127,10 @@ class RunConfig:
             section.validate()
         sc.check_feature_sizes(self.scene, self.render.pv_downsample,
                                self.render.voxel)
+        cells = round(2.0 * self.scene.extent / self.render.voxel) ** 2
+        if self.queries.n_rad > cells:
+            raise ConfigError(f"queries.n_rad ({self.queries.n_rad}) exceeds "
+                              f"the {cells} cells of the radar heatmap")
 
 
 PRESETS: dict[str, dict[str, object]] = {

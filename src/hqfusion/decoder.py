@@ -9,27 +9,26 @@ than the query embeddings, positions and box predictions.
 
 Sampling runs on whole arrays: each BEV grid's points live in one qswap
 SampleBank.  The token gather is planned once per layer (slots, log
-weights and sample coordinates of every query's tokens, no feature axis)
-and then gathered and aggregated one block of queries at a time: a block's
-tokens fill one reused (B, T_max, d) buffer of at most TOKEN_BLOCK_BYTES,
-so no (N, T_max, d) tensor is ever formed (row tiling as in
-FlashAttention, on the query axis).  The aggregation folds its key and
-value projections into the query: the query is mapped into token space
+weights and fractional cell coordinates of every query's tokens, no feature
+axis; a BEV point off its grid is a zero token, never interpolated) and
+then read by bilinear_at and aggregated one block of queries at a time:
+a block's tokens fill one reused (B, T_max, d) buffer of at most
+TOKEN_BLOCK_BYTES, so no (N, T_max, d) tensor is ever formed (row tiling
+as in FlashAttention, on the query axis).  The aggregation folds its key
+and value projections into the query: the query is mapped into token space
 once (Wk^T q) and the attention-weighted token sum is projected once (Wv),
 so no per-token key or value is ever formed.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, require_finite
-from .numkernel import (AttentionMask, MhaWeights, bilinear_at,
-                        bilinear_sample_many, layer_norm, multi_head_attention,
-                        softmax_rows)
+from .numkernel import (AttentionMask, MhaWeights, bilinear_at, layer_norm,
+                        multi_head_attention, softmax_rows)
 from .qinit import TYPE_IMG, TYPE_RAD, TYPE_W, QuerySet
 from .qmix import (QMixWeights, TypeAttentionStats, attention_block,
                    attention_type_stats, qmix_attention)
@@ -187,7 +186,7 @@ def predict_base_sets(emb: np.ndarray, weights, k_base: int
                       ) -> dict[str, SampleBank]:
     """Base deformable sampling banks for every query on both BEV grids."""
     t = weights.tensors
-    return {kind: base_bank(kind, *predict_base_samples(
+    return {kind: base_bank(*predict_base_samples(
                 emb, t[f"sample.{kind}.w"], t[f"sample.{kind}.b"],
                 float(t[f"sample.{kind}.range"][0]), k_base))
             for kind in BEV_KINDS}
@@ -197,28 +196,32 @@ def predict_base_sets(emb: np.ndarray, weights, k_base: int
 class TokenSource:
     """One feature map's token points of a layer, in query-major order.
 
-    Point j belongs to query rows[j] (ascending) and fills its token column
-    slots[j]; sample(sl) returns the (m, d) features of the points in the
-    slice sl.
+    Point j belongs to query rows[j] (ascending), fills its token column
+    slots[j] and is read from `data` (H, W, d) at fractional cell
+    coordinates (fy[j], fx[j]).
     """
 
     rows: np.ndarray
     slots: np.ndarray
-    sample: Callable[[slice], np.ndarray]
+    data: np.ndarray
+    fy: np.ndarray
+    fx: np.ndarray
 
 
 @dataclass
 class TokenPlan:
     """A layer's token layout: everything about its tokens but the features.
 
-    Row i of `logw` and `valid` covers query i's T_max token slots.  The
-    features are gathered one block of queries at a time into `buffer`,
-    which every block of the layer reuses.
+    Row i of `logw`, `valid` and `sampled` covers query i's T_max token
+    slots; a valid slot that no source fills holds a BEV point off its
+    grid, a zero token.  The features are gathered one block of queries at
+    a time into `buffer`, which every block of the layer reuses.
     """
 
     d: int
     logw: np.ndarray                 # (N, T_max) log sampling weights
     valid: np.ndarray                # (N, T_max) slots that hold a token
+    sampled: np.ndarray              # (N, T_max) slots some source fills
     sources: list[TokenSource]
     buffer: np.ndarray | None = None
 
@@ -238,7 +241,8 @@ def plan_tokens(emb: np.ndarray, positions: np.ndarray, features: SceneFeatures,
     by the banks' normalized weights), then k_pv learned pixel-offset points
     for each camera that sees the query, in rig order.  The PV scores of a
     query are softmaxed jointly over all its cameras, apart from the BEV
-    weights.
+    weights.  A BEV point outside its grid's extent keeps its slot and log
+    weight but is left out of its source, so it is never interpolated.
     """
     t = weights.tensors
     n, d = emb.shape
@@ -259,12 +263,14 @@ def plan_tokens(emb: np.ndarray, positions: np.ndarray, features: SceneFeatures,
     sources = []
 
     for kind, bank in zip(BEV_KINDS, banks):
+        grid = features.grid(kind)
         rows, cols = np.nonzero(bank.valid)
         at = fill[rows] + cols
-        points = positions[rows, :2] + bank.offsets[rows, cols]
-        sources.append(TokenSource(
-            rows, at, lambda sl, grid=features.grid(kind), points=points:
-                bilinear_sample_many(grid, points[sl])))
+        x, y = (positions[rows, :2] + bank.offsets[rows, cols]).T
+        on = ((x >= grid.x_min) & (x <= grid.x_max)
+              & (y >= grid.y_min) & (y <= grid.y_max))
+        sources.append(TokenSource(rows[on], at[on], grid.data,
+                                   *grid.frac_coords(x[on], y[on])))
         # a sampling weight that underflowed to 0 is a log weight of -inf:
         # that token gets no attention
         with np.errstate(divide="ignore"):
@@ -281,41 +287,41 @@ def plan_tokens(emb: np.ndarray, positions: np.ndarray, features: SceneFeatures,
             pts = uv[idx][:, None, :] + pv_off[None, :, :]
             fy, fx = pv.pixel_to_frac(pts[..., 0], pts[..., 1])
             at = fill[idx][:, None] + np.arange(k_pv)
-            sources.append(TokenSource(
-                np.repeat(idx, k_pv), at.ravel(),
-                lambda sl, data=pv.data, fy=fy.ravel(), fx=fx.ravel():
-                    bilinear_at(data, fy[sl], fx[sl])))
+            sources.append(TokenSource(np.repeat(idx, k_pv), at.ravel(),
+                                       pv.data, fy.ravel(), fx.ravel()))
             with np.errstate(divide="ignore"):
                 logw[idx[:, None], at] = np.log(pv_w[idx, c])
             fill[idx] += k_pv
 
     valid = np.arange(t_max) < count[:, None]
-    return TokenPlan(d, logw, valid, sources)
+    sampled = np.zeros_like(valid)
+    for src in sources:
+        sampled[src.rows, src.slots] = True
+    return TokenPlan(d, logw, valid, sampled, sources)
 
 
 def build_tokens(plan: TokenPlan, rows: slice
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Token gather of one block of queries: (feats, log-weight, valid-mask).
 
-    Samples each source's points of the queries in `rows` (a slice of the
-    plan's rows) and scatters them into their slots.  The feature tensor is
-    a view of the plan's buffer, overwritten by the next call; its padded
-    slots hold zeros.
+    Interpolates each source's points of the queries in `rows` (a slice of
+    the plan's rows) with bilinear_at and scatters them into their slots.
+    The feature tensor is a view of the plan's buffer, overwritten by the
+    next call; its padded and off-grid slots hold zeros.
     """
     r0, r1 = rows.start, rows.stop
     m, t_max = r1 - r0, plan.valid.shape[1]
     if plan.buffer is None or len(plan.buffer) < m:
         plan.buffer = np.empty((m, t_max, plan.d))
     tok = plan.buffer[:m]
-    valid = plan.valid[r0:r1]
-    tok[~valid] = 0.0
+    tok[~plan.sampled[r0:r1]] = 0.0
     flat = tok.reshape(m * t_max, plan.d)
     for src in plan.sources:
         lo, hi = np.searchsorted(src.rows, (r0, r1))
         if hi > lo:
             flat[(src.rows[lo:hi] - r0) * t_max + src.slots[lo:hi]] = (
-                src.sample(slice(lo, hi)))
-    return tok, plan.logw[r0:r1], valid
+                bilinear_at(src.data, src.fy[lo:hi], src.fx[lo:hi]))
+    return tok, plan.logw[r0:r1], plan.valid[r0:r1]
 
 
 def aggregate_features_batch(emb: np.ndarray, tok: np.ndarray, logw: np.ndarray,

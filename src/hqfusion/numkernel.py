@@ -1,9 +1,11 @@
 """Float64 numeric kernels.
 
 The one masked row softmax, multi-head attention that exposes its
-(head-averaged) attention weights, and bilinear sampling on metric feature
-grids as a sparse corner-weight operator.  Only softmax_rows works in
-place, on the logits it is given; no other kernel mutates its arguments.
+(head-averaged) attention weights, and bilinear interpolation at fractional
+cell coordinates as a sparse corner-weight operator: every BEV and PV token
+and every image proposal is read through bilinear_at.  Only softmax_rows
+works in place, on the logits it is given; no other kernel mutates its
+arguments.
 
 Attention masks are row groups, each with its own open key set, and the
 attention kernel forms logits only for a group's open keys, one block of
@@ -267,20 +269,3 @@ def bilinear_at(data: np.ndarray, fy: np.ndarray, fx: np.ndarray) -> np.ndarray:
                           shape=(fy.size, h * w))
     return (op @ data.reshape(h * w, d)).reshape(shape + (d,))
 
-
-def bilinear_sample_many(grid, points: np.ndarray) -> np.ndarray:
-    """Sample a metric BEV grid at an (M,2) array of points (meters).
-
-    Points outside the grid extent return the zero vector; inside, the
-    result is the bilinear blend of the four surrounding cell features.
-    """
-    points = np.asarray(points, dtype=np.float64)
-    x = points[:, 0]
-    y = points[:, 1]
-    inside = (
-        (x >= grid.x_min) & (x <= grid.x_max) & (y >= grid.y_min) & (y <= grid.y_max)
-    )
-    fy, fx = grid.frac_coords(x, y)
-    out = bilinear_at(grid.data, np.where(inside, fy, 0.0), np.where(inside, fx, 0.0))
-    out[~inside] = 0.0
-    return out

@@ -87,26 +87,22 @@ def ring_counts(n_world: int, rings: int) -> np.ndarray:
 
 
 def init_world_queries(n_world: int, extent: float, d: int, seed: int,
-                       rings: int = 15, r_max: float | None = None) -> QuerySet:
+                       rings: int = 15) -> QuerySet:
     """World queries on concentric rings, denser at larger range.
 
-    Ring k (1-based) sits at radius k * r_max / rings and receives a share
+    Ring k (1-based) sits at radius k * extent / rings and receives a share
     of queries proportional to its radius, uniformly spaced in angle with a
     per-ring phase offset.  Positions are clamped into the square extent.
     """
-    if n_world < 1:
-        raise ConfigError("n_world must be >= 1")
-    if n_world < rings:
-        raise ConfigError(f"n_world ({n_world}) must be >= ring count ({rings})")
-    if r_max is None:
-        r_max = extent
+    if n_world < max(1, rings):
+        raise ConfigError(f"n_world ({n_world}) must be >= max(1, rings={rings})")
     counts = ring_counts(n_world, rings)
     xs, ys = [], []
     for k in range(1, rings + 1):
         n_k = counts[k - 1]
         if n_k == 0:
             continue
-        radius = k * r_max / rings
+        radius = k * extent / rings
         phase = k * math.pi / rings
         theta = 2.0 * math.pi * np.arange(n_k) / n_k + phase
         xs.append(radius * np.cos(theta))

@@ -71,7 +71,6 @@ class SampleSet:
     """Ordered sampling points of one query on one grid (a SampleBank row)."""
 
     owner: int
-    grid_kind: str
     offsets: np.ndarray              # (K, 2) metric offsets from the owner position
     scores: np.ndarray               # (K,) raw logits; imported points carry s-tilde
     origins: np.ndarray              # (K,) ORIGIN_BASE / ORIGIN_SHARED
@@ -94,7 +93,6 @@ class SampleBank:
     columns hold zeros and carry weight 0 once weights are set.
     """
 
-    grid_kind: str
     offsets: np.ndarray              # (N, K, 2)
     scores: np.ndarray               # (N, K)
     origins: np.ndarray              # (N, K) uint8
@@ -109,7 +107,7 @@ class SampleBank:
         """Query i's set as views into the bank's arrays."""
         i = range(len(self))[i]
         k = int(self.sizes[i])
-        return SampleSet(i, self.grid_kind, self.offsets[i, :k], self.scores[i, :k],
+        return SampleSet(i, self.offsets[i, :k], self.scores[i, :k],
                          self.origins[i, :k], self.sources[i, :k],
                          None if self.weights is None else self.weights[i, :k])
 
@@ -130,14 +128,14 @@ class SampleBank:
             out[:, :k] = a
             return out
 
-        return SampleBank(self.grid_kind, grow(self.offsets), grow(self.scores),
+        return SampleBank(grow(self.offsets), grow(self.scores),
                           grow(self.origins), grow(self.sources), self.sizes.copy())
 
 
-def base_bank(grid_kind: str, offsets: np.ndarray, scores: np.ndarray) -> SampleBank:
+def base_bank(offsets: np.ndarray, scores: np.ndarray) -> SampleBank:
     """Bank of (N, K) predicted points per query, all of base origin."""
     n, k = scores.shape
-    return SampleBank(grid_kind, np.asarray(offsets, dtype=np.float64),
+    return SampleBank(np.asarray(offsets, dtype=np.float64),
                       np.asarray(scores, dtype=np.float64),
                       np.full((n, k), ORIGIN_BASE, dtype=np.uint8),
                       np.repeat(np.arange(n, dtype=np.int64)[:, None], k, axis=1),

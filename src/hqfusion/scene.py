@@ -203,7 +203,6 @@ class FeatureGrid:
     y_min: float
     y_max: float
     voxel: float
-    kind: str
 
     def __post_init__(self):
         h, w = self.data.shape[:2]
@@ -225,10 +224,10 @@ class FeatureGrid:
         return self.data.shape[2]
 
     @classmethod
-    def allocate(cls, grid_config: GridConfig, d: int, kind: str) -> "FeatureGrid":
+    def allocate(cls, grid_config: GridConfig, d: int) -> "FeatureGrid":
         n = grid_config.cells()
         e = grid_config.extent
-        return cls(np.zeros((n, n, d)), -e, e, -e, e, grid_config.voxel, kind)
+        return cls(np.zeros((n, n, d)), -e, e, -e, e, grid_config.voxel)
 
     def frac_coords(self, x, y):
         """Metric x, y (scalars or arrays) -> fractional (fy, fx) cell coords."""
@@ -457,7 +456,7 @@ def render_image_bev(scene: Scene, grid_config: GridConfig, d: int,
     depth-lifting failures.  Miss decisions use the first len(objects) draws
     of stream [seed, 5] so tests can reproduce them independently.
     """
-    grid = FeatureGrid.allocate(grid_config, d, "img_bev")
+    grid = FeatureGrid.allocate(grid_config, d)
     miss = np.random.default_rng([seed, _STREAM_BEV_MISS]).random(len(scene.objects))
     noise_rng = np.random.default_rng([seed, _STREAM_BEV_NOISE])
     grid.data += noise_rng.normal(0.0, 1.0, size=grid.data.shape) * noise_sigma
@@ -479,7 +478,7 @@ def encode_radar_bev(points: RadarPointCloud, grid_config: GridConfig, d: int,
     normalized by its max, smoothed with a 3x3 Gaussian and clipped to [0,1].
     Clutter contributes exactly like object points.
     """
-    grid = FeatureGrid.allocate(grid_config, d, "rad_bev")
+    grid = FeatureGrid.allocate(grid_config, d)
     n = grid.h
     heatmap = np.zeros((n, n))
     embed = np.random.default_rng([seed, _STREAM_RADAR_EMBED]).normal(

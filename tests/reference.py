@@ -390,7 +390,7 @@ def naive_swap_samples(bank, neighbor_lists, affinities, positions_bev, cfg):
                 scores[victims] = new_scores
                 origins[victims] = ORIGIN_SHARED
                 sources[victims] = new_sources
-        out.append(SampleSet(i, base.grid_kind, offsets, scores, origins, sources))
+        out.append(SampleSet(i, offsets, scores, origins, sources))
     return out
 
 

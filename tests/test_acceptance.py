@@ -8,7 +8,7 @@ import numpy as np
 
 from hqfusion import cli
 from hqfusion.decoder import decode
-from hqfusion.numkernel import bilinear_sample_many
+from hqfusion.numkernel import bilinear_at
 from hqfusion.qinit import QuerySet
 from hqfusion.qmix import (attention_type_stats, build_cross_type_mask,
                            qmix_attention)
@@ -20,7 +20,7 @@ from hqfusion.scene import GridConfig, project_points, render_image_bev
 from reference import (bilinear_sample, brute_force_selection, mask_blocked,
                        naive_bilinear, naive_cross_type_blocked,
                        naive_mixing_block, project_with_matrix)
-from test_numkernel import make_grid
+from test_numkernel import make_grid, tokens_at
 from test_qmix import random_mixing_weights
 from test_qswap import make_bank, random_swap_instance
 from test_decoder import toy_config, toy_setup
@@ -149,16 +149,21 @@ def test_sampling_oracles():
     grid = make_grid(rng, h=20, w=16, d=6, voxel=0.8, x_min=-6.4, y_min=-8.0)
     span_x = grid.x_max - grid.x_min
     span_y = grid.y_max - grid.y_min
+    points = rng.uniform([grid.x_min - 0.3 * span_x, grid.y_min - 0.3 * span_y],
+                         [grid.x_max + 0.3 * span_x, grid.y_max + 0.3 * span_y],
+                         (1000, 2))
+    # off-grid points through the decoder's token path: exact zeros
+    tokens = tokens_at(grid, points)[0][:1000]
     outside = 0
-    for _ in range(1000):
-        x = rng.uniform(grid.x_min - 0.3 * span_x, grid.x_max + 0.3 * span_x)
-        y = rng.uniform(grid.y_min - 0.3 * span_y, grid.y_max + 0.3 * span_y)
-        got = bilinear_sample_many(grid, [(x, y)])[0]
+    for (x, y), token in zip(points, tokens):
         ref = naive_bilinear(grid, x, y)
-        assert np.allclose(got, ref, rtol=1e-9, atol=1e-12)
-        if not (grid.x_min <= x <= grid.x_max and grid.y_min <= y <= grid.y_max):
+        if grid.x_min <= x <= grid.x_max and grid.y_min <= y <= grid.y_max:
+            got = bilinear_at(grid.data, *grid.frac_coords(x, y))
+            assert np.allclose(got, ref, rtol=1e-9, atol=1e-12)
+        else:
             outside += 1
-            assert (got == 0.0).all()
+            assert (token == 0.0).all() and (ref == 0.0).all()
+        assert np.allclose(token, ref, rtol=1e-9, atol=1e-12)
     assert outside > 50
 
     from hqfusion.scene import SceneConfig, build_rig

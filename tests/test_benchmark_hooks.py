@@ -7,8 +7,9 @@ test, which is outside this suite.  The tracer's count hooks unpack the
 results they are given, so the token hook is also run on a real result,
 and a traced toy run must reach every wrapped function: a refactor that
 routes around one would make its per-layer metric read 0.  The traced
-bilinear point count must equal the tokens gathered plus the image
-proposals sampled, so points interpolated outside bilinear_at would show.
+bilinear point count must equal the tokens planned for sampling plus the
+image proposals sampled, so points interpolated outside bilinear_at, or
+off-grid points interpolated at all, would show.
 Every workload's arguments must build a valid config at every reference
 seed, since a refused --set would fail every benchmark run.  The traced
 swap counts, taken through the SampleSet rows of each bank, must equal the
@@ -101,12 +102,13 @@ def test_token_counts_on_a_toy_run(monkeypatch):
 def test_traced_toy_run_reaches_every_wrapped_function(tmp_path, monkeypatch):
     from hqfusion import cli, decoder
     tracer, worker = _load("tracer"), _load("worker")
-    valid = []
+    valid, planned = [], []
     build_tokens = decoder.build_tokens
 
-    def keep(*args, **kwargs):
-        out = build_tokens(*args, **kwargs)
+    def keep(plan, rows):
+        out = build_tokens(plan, rows)
         valid.append(int(out[2].sum()))
+        planned.append(int(plan.sampled[rows].sum()))
         return out
 
     monkeypatch.setattr(decoder, "build_tokens", keep)
@@ -124,10 +126,12 @@ def test_traced_toy_run_reaches_every_wrapped_function(tmp_path, monkeypatch):
     n_layers = len(result["outputs"])
     assert n_layers == 2
     assert tr.counts["qswap.neighbor_calls"] == result["queries"].n * n_layers
-    # every token and every image proposal is one bilinear_at point
+    # every planned token and every image proposal is one bilinear_at
+    # point; a BEV point off its grid is a valid token that is not planned
     assert len(valid) == n_layers
     proposals = cfg.scene.num_cameras * cfg.queries.per_view
-    assert tr.counts["numkernel.bilinear_points"] == sum(valid) + proposals
+    assert tr.counts["numkernel.bilinear_points"] == sum(planned) + proposals
+    assert sum(planned) < sum(valid)
     # self-attention and QMix both go through the traced kernel in every
     # layer, so numkernel.mha_s covers both
     n, d = result["queries"].n, cfg.decoder.d

@@ -4,7 +4,10 @@ import csv
 import io
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -25,6 +28,20 @@ TOY = ["--preset", "toy"]
 
 def run_cli(args):
     return cli.main(args)
+
+
+def test_cli_import_leaves_out_scipy_signal():
+    # scipy.signal alone costs most of a run's setup time; a fresh
+    # interpreter that imports the CLI must not load it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(
+               "PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, hqfusion.cli; print('scipy.signal' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def assert_error_exit(args, out, capsys, error="ConfigError"):
@@ -355,7 +372,12 @@ class TestCliCommands:
                                ("render.pv_noise=-1", "pv_noise"),
                                ("render.bev_noise=-1", "bev_noise"),
                                ("scene.camera_height=-1", "camera_height"),
-                               ("decoder.qswap.radius_factor=-1", "radius_factor")]:
+                               ("decoder.qswap.radius_factor=-1", "radius_factor"),
+                               ("queries.n_world=0", "n_world"),
+                               ("queries.n_world=14", "n_world"),
+                               ("queries.n_world=200000", "attention matrix"),
+                               ("queries.n_img=20000", "attention matrix"),
+                               ("queries.n_rad=4097", "n_rad")]:
             message = assert_error_exit(["run", *TOY, "--set", override],
                                         tmp_path / "report.json", capsys)
             assert word in message, override

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hqfusion import cli, decoder
+from hqfusion import cli, decoder, numkernel
 from hqfusion.decoder import (DecoderConfig, SceneFeatures,
                               aggregate_features_batch, apply_type_adapter,
                               build_tokens, decode, detection_head,
@@ -11,6 +11,7 @@ from hqfusion.decoder import (DecoderConfig, SceneFeatures,
                               shared_self_attention,
                               sinusoidal_position_encoding)
 from hqfusion.errors import ConfigError, NonFiniteError
+from hqfusion.numkernel import bilinear_at
 from hqfusion.qinit import (TYPE_IMG, TYPE_RAD, TYPE_W, QuerySet,
                             concat_query_sets, generate_2d_proposals,
                             init_image_queries, init_radar_queries,
@@ -245,6 +246,52 @@ class TestBuildTokens:
                 assert np.isclose(logw[i, k], math.log(t.weight), atol=1e-12)
         assert valid[0].sum() == sum(sets[k].sizes[0] for k in BEV_KINDS)
         assert valid.sum(axis=1).max() == tok.shape[1]
+
+    def test_off_grid_points_are_zero_and_never_interpolated(self,
+                                                             monkeypatch):
+        # hand-made offsets put points off their grid: each keeps a valid
+        # slot with its log weight and exact zeros, and bilinear_at is
+        # given only the points on the grid
+        _, features, queries, weights, cfg = toy_setup()
+        emb, pos = queries.embeddings[:3], queries.positions[:3]
+        sets = predict_base_sets(emb, weights, cfg.qswap.k_base)
+        far = 2.0 * cfg.extent
+        for kind in BEV_KINDS:
+            sets[kind].offsets[0, 1] = (far, 0.0)
+            sets[kind].offsets[2] = (0.0, -far)
+            sets[kind].weights = normalize_sample_scores(sets[kind])
+        seen = []
+
+        def record(data, fy, fx):
+            seen.append(np.size(fy))
+            return bilinear_at(data, fy, fx)
+
+        for module in (decoder, numkernel):
+            monkeypatch.setattr(module, "bilinear_at", record)
+        plan = plan_tokens(emb, pos, features, weights, sets, 0)
+        tok, logw, valid = build_tokens(plan, slice(0, 3))
+        on = []
+        for kind in BEV_KINDS:
+            grid = features.grid(kind)
+            x, y = np.moveaxis(pos[:, None, :2] + sets[kind].offsets, -1, 0)
+            on.append((x >= grid.x_min) & (x <= grid.x_max)
+                      & (y >= grid.y_min) & (y <= grid.y_max))
+        on = np.hstack(on)
+        k = cfg.qswap.k_base
+        assert np.array_equal(logw, np.log(np.hstack(
+            [sets[kind].weights for kind in BEV_KINDS])))
+        assert not on[0, [1, k + 1]].any() and not on[2].any()
+        assert on[:2].sum() > 2
+        assert valid.all()
+        assert np.array_equal(plan.sampled, on)
+        assert (tok[~on] == 0.0).all()
+        assert sum(seen) == on.sum()
+        for i, j in zip(*np.nonzero(on)):
+            kind = BEV_KINDS[j // k]
+            off = sets[kind].offsets[i, j % k]
+            want = naive_bilinear(features.grid(kind), pos[i, 0] + off[0],
+                                  pos[i, 1] + off[1])
+            assert np.allclose(tok[i, j], want, atol=1e-12)
 
     def test_zero_sample_weight_is_minus_inf(self):
         # a sampling weight that underflowed to 0 gets log weight -inf, and

@@ -3,14 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hqfusion import numkernel
+from hqfusion import decoder, numkernel
+from hqfusion.decoder import (DecoderConfig, SceneFeatures, build_tokens,
+                              plan_tokens)
 from hqfusion.errors import ConfigError, MaskError
 from hqfusion.numkernel import (AttentionMask, MaskGroup, MhaWeights, bilinear_at,
-                                bilinear_sample_many, multi_head_attention,
-                                softmax_rows)
+                                multi_head_attention, softmax_rows)
 from hqfusion.qinit import TYPE_IMG, TYPE_RAD, TYPE_W
 from hqfusion.qmix import build_cross_type_mask
-from hqfusion.scene import FeatureGrid
+from hqfusion.qswap import BEV_KINDS, base_bank, normalize_sample_scores
+from hqfusion.scene import CameraRig, FeatureGrid
+from hqfusion.weights_io import init_weights
 
 from reference import (cell_center, dense_mask, identity_mha_weights,
                        mask_blocked, naive_bilinear, naive_bilinear_at,
@@ -267,7 +270,31 @@ class TestGroupedAttention:
 def make_grid(rng, h=6, w=5, d=3, voxel=1.0, x_min=-2.5, y_min=-3.0):
     data = rng.normal(size=(h, w, d))
     return FeatureGrid(data, x_min, x_min + w * voxel, y_min, y_min + h * voxel,
-                       voxel, "img_bev")
+                       voxel)
+
+
+def sample_at(grid, x, y):
+    """Metric points on the grid, read as the decoder reads a BEV token."""
+    return bilinear_at(grid.data, *grid.frac_coords(x, y))
+
+
+def tokens_at(grid, points, scores=None):
+    """Metric (M, 2) points as one query's img_bev and rad_bev tokens.
+
+    Both banks hold the points at a query at the origin, on the same grid,
+    so the query's 2M tokens are the points twice.  Returns build_tokens'
+    (features, log weights, valid) and the banks' normalized weights.
+    """
+    points = np.asarray(points, dtype=np.float64).reshape(1, -1, 2)
+    m = points.shape[1]
+    bank = base_bank(points, np.zeros((1, m)) if scores is None else scores)
+    bank.weights = normalize_sample_scores(bank)
+    cfg = DecoderConfig(layers=1, d=grid.d, heads=1, k_pv=0)
+    plan = plan_tokens(np.zeros((1, grid.d)), np.zeros((1, 3)),
+                       SceneFeatures(grid, grid, [], CameraRig([])),
+                       init_weights(0, cfg), dict.fromkeys(BEV_KINDS, bank), 0)
+    tok, logw, valid = build_tokens(plan, slice(0, 1))
+    return tok[0].copy(), logw[0], valid[0], bank.weights[0]
 
 
 class TestBilinear:
@@ -275,8 +302,7 @@ class TestBilinear:
         rng = np.random.default_rng(0)
         grid = make_grid(rng)
         p = cell_center(grid, 2, 3)
-        assert np.allclose(bilinear_sample_many(grid, [p])[0], grid.data[2, 3],
-                           atol=1e-12)
+        assert np.allclose(sample_at(grid, *p), grid.data[2, 3], atol=1e-12)
 
     def test_midpoint_mean(self):
         rng = np.random.default_rng(1)
@@ -285,8 +311,7 @@ class TestBilinear:
         b = cell_center(grid, 2, 2)
         mid = (a + b) / 2
         expected = (grid.data[2, 1] + grid.data[2, 2]) / 2
-        assert np.allclose(bilinear_sample_many(grid, [mid])[0], expected,
-                           atol=1e-12)
+        assert np.allclose(sample_at(grid, *mid), expected, atol=1e-12)
 
     def test_random_matches_naive(self):
         rng = np.random.default_rng(2)
@@ -294,14 +319,28 @@ class TestBilinear:
         for _ in range(200):
             x = rng.uniform(grid.x_min, grid.x_max)
             y = rng.uniform(grid.y_min, grid.y_max)
-            assert np.allclose(bilinear_sample_many(grid, [(x, y)])[0],
-                               naive_bilinear(grid, x, y), atol=1e-12)
+            assert np.allclose(sample_at(grid, x, y), naive_bilinear(grid, x, y),
+                               atol=1e-12)
 
-    def test_out_of_extent_zero(self):
+    def test_out_of_extent_zero(self, monkeypatch):
+        # off-grid points keep their token slot as exact zeros and are never
+        # handed to bilinear_at
         rng = np.random.default_rng(3)
         grid = make_grid(rng)
-        assert (bilinear_sample_many(grid, [(grid.x_max + 0.1, 0.0)]) == 0.0).all()
-        assert (bilinear_sample_many(grid, [(0.0, grid.y_min - 1e-9)]) == 0.0).all()
+        points = [(grid.x_max + 0.1, 0.0), (0.0, grid.y_min - 1e-9),
+                  cell_center(grid, 1, 1)]
+        seen = []
+
+        def record(data, fy, fx):
+            seen.append(np.size(fy))
+            return bilinear_at(data, fy, fx)
+
+        monkeypatch.setattr(decoder, "bilinear_at", record)
+        tok, _, valid, _ = tokens_at(grid, points)
+        assert valid.all()
+        assert (tok[[0, 1, 3, 4]] == 0.0).all()
+        assert np.allclose(tok[[2, 5]], grid.data[1, 1], atol=1e-12)
+        assert seen == [1, 1]
 
     def test_partition_of_unity(self):
         # constant grid stays constant wherever we sample inside the extent
@@ -311,8 +350,7 @@ class TestBilinear:
         for _ in range(100):
             x = rng.uniform(grid.x_min, grid.x_max)
             y = rng.uniform(grid.y_min, grid.y_max)
-            assert np.allclose(bilinear_sample_many(grid, [(x, y)])[0], 7.5,
-                               atol=1e-12)
+            assert np.allclose(sample_at(grid, x, y), 7.5, atol=1e-12)
 
     def test_continuity_across_cell_boundary(self):
         rng = np.random.default_rng(6)
@@ -321,19 +359,21 @@ class TestBilinear:
         x_edge = grid.x_min + 2.0 * grid.voxel
         y = cell_center(grid, 3, 0)[1]
         eps = 1e-10
-        left = bilinear_sample_many(grid, [(x_edge - eps, y)])[0]
-        right = bilinear_sample_many(grid, [(x_edge + eps, y)])[0]
+        left = sample_at(grid, x_edge - eps, y)
+        right = sample_at(grid, x_edge + eps, y)
         assert np.allclose(left, right, atol=1e-8)
 
     def test_many_matches_single(self):
+        # tokens of one query, on and off the grid, equal their points read
+        # one at a time
         rng = np.random.default_rng(7)
         grid = make_grid(rng)
         pts = np.column_stack([rng.uniform(grid.x_min - 1, grid.x_max + 1, 50),
                                rng.uniform(grid.y_min - 1, grid.y_max + 1, 50)])
-        many = bilinear_sample_many(grid, pts)
+        many = tokens_at(grid, pts)[0]
         for i, p in enumerate(pts):
-            assert np.allclose(many[i], bilinear_sample_many(grid, [p])[0],
-                               atol=1e-12)
+            assert np.allclose(many[i], tokens_at(grid, [p])[0][0], atol=1e-12)
+        assert (pts[:, 0] > grid.x_max).any() and (pts[:, 1] < grid.y_min).any()
 
     def test_bilinear_at_clamps_to_border(self):
         # half a cell above the first row: both interpolation rows clamp to

@@ -140,7 +140,7 @@ class TestImageQueries:
 
 def radar_grid_with(heatmap_shape=(6, 6), d=4, extent=3.0, voxel=1.0):
     gc = GridConfig(extent=extent, voxel=voxel)
-    grid = FeatureGrid.allocate(gc, d, "rad_bev")
+    grid = FeatureGrid.allocate(gc, d)
     rng = np.random.default_rng(0)
     grid.data[:] = rng.normal(size=grid.data.shape)
     return grid
@@ -205,7 +205,7 @@ class TestConcat:
     def test_default_counts_total_900(self):
         world = init_world_queries(450, 51.2, 4, seed=0)
         gc = GridConfig(extent=12.0, voxel=0.8)
-        grid = FeatureGrid.allocate(gc, 4, "rad_bev")
+        grid = FeatureGrid.allocate(gc, 4)
         heatmap = np.random.default_rng(0).uniform(0, 1, (grid.h, grid.w))
         radar = init_radar_queries(heatmap, grid, 225)
         emb = np.zeros((225, 4))

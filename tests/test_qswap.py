@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hqfusion.errors import ConfigError
-from hqfusion.qswap import (IMG_BEV, ORIGIN_BASE, ORIGIN_SHARED, QSwapConfig,
+from hqfusion.qswap import (ORIGIN_BASE, ORIGIN_SHARED, QSwapConfig,
                             adaptive_radius, base_bank, normalize_sample_scores,
                             predict_base_samples, score_shared_points,
                             select_neighbors, swap_samples)
@@ -13,7 +13,7 @@ from reference import (bilinear_sample, brute_force_selection, naive_affine,
                        naive_select_neighbors, naive_swap_samples)
 
 
-def make_bank(rows, kind=IMG_BEV):
+def make_bank(rows):
     """Base bank from per-query (offsets, scores) pairs; sizes may differ."""
     k = max(len(scores) for _, scores in rows)
     offsets = np.zeros((len(rows), k, 2))
@@ -21,7 +21,7 @@ def make_bank(rows, kind=IMG_BEV):
     for i, (off, sc) in enumerate(rows):
         offsets[i, :len(sc)] = off
         scores[i, :len(sc)] = sc
-    bank = base_bank(kind, offsets, scores)
+    bank = base_bank(offsets, scores)
     bank.sizes = np.array([len(sc) for _, sc in rows], dtype=np.int64)
     return bank
 

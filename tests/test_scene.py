@@ -352,7 +352,7 @@ class TestGridTypes:
 
     def test_feature_grid_invariant(self):
         with pytest.raises(ShapeError):
-            FeatureGrid(np.zeros((4, 4, 2)), -2.0, 2.0, -2.0, 2.1, 1.0, "img_bev")
+            FeatureGrid(np.zeros((4, 4, 2)), -2.0, 2.0, -2.0, 2.1, 1.0)
 
 
 class TestSceneSerialization:
