@@ -13,12 +13,12 @@ streams are isolated per purpose via numpy SeedSequence lists.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import jsontext
 from .errors import ConfigError, GenerationError, ShapeError
 
 # Seed-stream tags, so independent draws never alias each other.
@@ -659,5 +659,8 @@ def scene_from_dict(doc: dict, config: SceneConfig) -> tuple[Scene, CameraRig]:
 
 
 def save_scene(scene: Scene, rig: CameraRig, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scene_to_dict(scene, rig), fh, sort_keys=True, indent=2)
+    """Write the scene document, with no trailing newline.
+
+    A NaN or an infinity raises NonFiniteError before the file is opened.
+    """
+    jsontext.write(path, scene_to_dict(scene, rig), end="")

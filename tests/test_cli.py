@@ -339,6 +339,65 @@ class TestCliCommands:
         weights = [p["weight"] for p in dump[0]["points"]]
         assert abs(sum(weights) - 1.0) < 1e-9
 
+    def test_written_files_equal_the_stdlib_text(self, tmp_path):
+        # a float's repr reads back to the same float, so re-dumping the
+        # parsed file with the standard library must give the same bytes
+        report, links, scene = (tmp_path / name for name in
+                                ("report.json", "links.json", "scene.json"))
+        assert run_cli(["run", *TOY, "--emit-links", "--emit-samples",
+                        "--emit-snapshots", "--out", str(report)]) == 0
+        assert run_cli(["links", "--report", str(report),
+                        "--out", str(links)]) == 0
+        assert run_cli(["gen-scene", *TOY, "--out", str(scene)]) == 0
+        for path in (report, links):
+            text = path.read_text(encoding="utf-8")
+            assert text == json.dumps(json.loads(text), sort_keys=True,
+                                      indent=2, allow_nan=False) + "\n"
+        # a scene file has no trailing newline
+        text = scene.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2)
+
+    def test_non_finite_scene_refused(self, tmp_path, capsys, monkeypatch):
+        generate = sc.generate_scene
+
+        def with_nan_yaw(seed, config):
+            scn, rig = generate(seed, config)
+            scn.objects[0].yaw = float("nan")
+            return scn, rig
+
+        monkeypatch.setattr(sc, "generate_scene", with_nan_yaw)
+        assert "not JSON compliant" in assert_error_exit(
+            ["gen-scene", *TOY], tmp_path / "scene.json", capsys,
+            error="NonFiniteError")
+
+    def test_partial_voxel_extent_refused_before_generation(
+            self, tmp_path, capsys, monkeypatch):
+        # 2 * 25 m is 62.5 voxels of 0.8 m: a scene file may hold it, but no
+        # grid can be rendered from it
+        extent = ["--set", "scene.extent=25", "--set", "decoder.extent=25"]
+        scene = tmp_path / "scene.json"
+        assert run_cli(["gen-scene", *TOY, *extent, "--out", str(scene)]) == 0
+
+        def no_generation(*args, **kwargs):
+            raise AssertionError("a scene was generated")
+
+        monkeypatch.setattr(sc, "generate_scene", no_generation)
+        for route in (["run", *TOY, *extent], ["ablate", *TOY, *extent],
+                      ["run", *TOY, *extent, "--scene", str(scene)]):
+            assert "voxels" in assert_error_exit(route, tmp_path / "out",
+                                                 capsys), route
+
+    def test_stage_line_times_report_and_write(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert run_cli(["run", *TOY, "--include-timing", "--out", str(out)]) == 0
+        line = next(line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("[hqfusion] stages:"))
+        stages = [part.split()[0] for part in line.split(":", 1)[1].split(",")]
+        assert stages == ["scene", "features", "queries", "weights", "decode",
+                          "metrics", "report", "write"]
+        # the report's own timing block keeps the pipeline stages only
+        assert set(json.loads(out.read_text())["timing"]) == set(stages[:6])
+
     def test_invalid_config_error_json(self, tmp_path, capsys):
         for override, word in [("decoder.qswap.mode=sideways", "sideways"),
                                ("decoder.heads=0", "head"),

@@ -1,0 +1,107 @@
+"""jsontext.dumps against the standard library's indented encoder."""
+import collections
+import enum
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from hqfusion import cli, jsontext
+from hqfusion.errors import NonFiniteError
+
+
+def stdlib(obj):
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+
+
+def outcome(dumps, obj):
+    """The text, or the type and message of the error raised."""
+    try:
+        return dumps(obj)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), FLOATS,
+                    st.floats(allow_nan=False, allow_infinity=False),
+                    st.text())
+# str keys mostly; a mix of key types in one dict makes both sides fail alike
+KEYS = st.one_of(st.text(max_size=6), st.text(max_size=6), st.integers(),
+                 FLOATS, st.booleans(), st.none())
+TREES = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=6),
+        st.lists(FLOATS, max_size=6),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(KEYS, inner, max_size=6),
+        st.dictionaries(st.text(max_size=6), inner, max_size=6)),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=TREES)
+@example(obj={"b": [0.5, -0.0, 1e308, 1e308], "a": {}, "c": [], "d": ()})
+@example(obj=[0.5, 1, True, None, "x", [0.25], {"k": 2.0}])
+@example(obj={"é": "ü \x00", 2: "two", 1: (1.5, float("inf"))})
+@example(obj={None: 1, False: 2.5, 0.5: -0.0})
+@example(obj={"x": 1, 2: 3})
+@example(obj=[1.0, float("nan")])
+def test_dumps_equals_stdlib(obj):
+    assert outcome(jsontext.dumps, obj) == outcome(stdlib, obj)
+
+
+@pytest.mark.parametrize("obj", [
+    object(), {1, 2}, b"bytes", 1j, np.int64(3),
+    [0.5, object()], {"a": [1.0, 2.0, np.int64(1)]}, {(1, 2): 0.5},
+    {"a": {"b": [0.5, {"c": np.bool_(True)}]}},
+])
+def test_unserialisable_raises_stdlib_type_error(obj):
+    with pytest.raises(TypeError) as ours:
+        jsontext.dumps(obj)
+    with pytest.raises(TypeError) as theirs:
+        stdlib(obj)
+    assert str(ours.value) == str(theirs.value)
+
+
+class Text(str):
+    pass
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+
+
+def test_subclasses_written_as_their_base():
+    obj = {"a": np.float64(0.1), "b": [0.5, np.float64(-2.5e-300)],
+           "c": [np.float64(1.0)], "d": Text("t"), "e": [Level.LOW, Text("u")],
+           "f": collections.OrderedDict(z=Level.LOW, y=[Text("v")]),
+           Text("g"): {Level.LOW: Level.LOW}}
+    assert jsontext.dumps(obj) == stdlib(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    {"a": {"b": float("nan")}},
+    {"a": [0.5, 1.5, float("inf")]},
+    [float("-inf")],
+    [1, 2.5, float("nan")],
+    {"a": 1, "b": (0.5, float("-inf"))},
+    {float("inf"): 1.0},
+])
+def test_write_json_refuses_non_finite(tmp_path, obj):
+    path = tmp_path / "r.json"
+    with pytest.raises(NonFiniteError, match="not JSON compliant"):
+        cli.write_json(path, obj)
+    assert not path.exists()
+
+
+def test_overflowing_sum_of_finite_floats_is_written(tmp_path):
+    obj = {"big": [1e308, 1e308, -math.pi]}
+    path = tmp_path / "r.json"
+    cli.write_json(path, obj)
+    assert path.read_text() == stdlib(obj) + "\n"
