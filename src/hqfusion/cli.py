@@ -73,9 +73,10 @@ class QueryConfig:
             raise ConfigError("queries.n_img and queries.n_rad must be >= 0")
         if self.per_view < 0:
             raise ConfigError("queries.per_view must be >= 0")
-        if min(self.center_noise_px, self.depth_noise) < 0.0:
+        if not (0.0 <= self.center_noise_px < math.inf
+                and 0.0 <= self.depth_noise < math.inf):
             raise ConfigError("queries.center_noise_px and queries.depth_noise "
-                              "must be >= 0")
+                              "must be finite and >= 0")
         if self.n_world < max(1, self.rings):
             raise ConfigError(f"queries.n_world ({self.n_world}) must be >= 1 "
                               f"and >= queries.rings ({self.rings})")
@@ -120,7 +121,7 @@ class RunConfig:
             raise ConfigError(
                 f"decoder.d ({self.decoder.d}) must equal scene.feature_dim "
                 f"({self.scene.feature_dim})")
-        if abs(self.decoder.extent - self.scene.extent) > 1e-9:
+        if not abs(self.decoder.extent - self.scene.extent) <= 1e-9:
             raise ConfigError("decoder.extent must equal scene.extent")
         for section in (self.scene, self.radar, self.render, self.queries,
                         self.decoder, self.seeds):
@@ -509,12 +510,16 @@ def load_report(path, read):
     """read(report) for the `run` report at path.
 
     The report must be an object of this REPORT_SCHEMA_VERSION whose
-    `layers` is a list of objects.  A KeyError, TypeError, IndexError or
+    `layers` is a list of objects, and may hold no NaN or Infinity (`run`
+    never writes one).  A KeyError, TypeError, IndexError or
     AttributeError raised while `read` walks it becomes a ConfigError, as
     for a malformed scene file.
     """
+    def refuse(constant):
+        raise ConfigError(f"{path} holds the non-finite JSON value {constant}")
+
     with open(path, encoding="utf-8") as fh:
-        report = json.load(fh)
+        report = json.load(fh, parse_constant=refuse)
     if not (isinstance(report, dict)
             and report.get("schema_version") == REPORT_SCHEMA_VERSION
             and isinstance(report.get("layers"), list)

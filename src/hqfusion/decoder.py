@@ -427,7 +427,7 @@ def decode(features: SceneFeatures, queries: QuerySet, weights,
             emb, qmix_attn = qmix_attention(emb, types, qmix_w)
 
         sets = predict_base_sets(emb, weights, config.qswap.k_base)
-        # before swap_samples: its partition orders NaN unlike a sort
+        # before swap_samples, whose sorts would read a NaN score as no point
         for kind, bank in sets.items():
             require_finite(f"{kind} base scores", bank.scores, layer)
         if config.enable_qswap:

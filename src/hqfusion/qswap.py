@@ -8,10 +8,7 @@ that adapts to the query's predicted footprint.  Imported points are
 ranked by the neighbor's own score plus a log-affinity prior, accepted
 greedily under per-neighbor and total caps, and either appended to the base
 set or swapped in for its weakest base points.  Point scores are then
-normalized jointly so aggregation sees a single weighting per set.  Since
-a neighbor gives at most k_per points, only the points at or above each
-(receiver, neighbor) pair's k_per-th largest ranking score enter the
-acceptance sort; the cut is exact, so the result is the full pool's.
+normalized jointly so aggregation sees a single weighting per set.
 
 The sets of all queries on one grid live in one SampleBank of padded
 (N, K) arrays; every stage works on whole banks, and `bank[i]` is a view of
@@ -58,10 +55,17 @@ class QSwapConfig:
             raise ConfigError("k_base must be at least 1")
         if min(self.k_per, self.k_extra, self.n_neighbors) < 0:
             raise ConfigError("swap caps must be non-negative")
-        if self.radius_factor < 0.0:
-            raise ConfigError("radius_factor must be >= 0")
-        if self.affinity_floor <= 0.0:
-            raise ConfigError("affinity_floor must be positive")
+        if not 0.0 <= self.radius_factor < math.inf:
+            raise ConfigError(f"radius_factor must be finite and >= 0, "
+                              f"got {self.radius_factor}")
+        if not 0.0 < self.affinity_floor < math.inf:
+            raise ConfigError(f"affinity_floor must be finite and positive, "
+                              f"got {self.affinity_floor}")
+        # bounds the prior term of every affinity in [0, 1], so an s-tilde
+        # of -inf marks only an empty slot in swap_samples
+        if not math.isfinite(self.prior_strength * math.log(self.affinity_floor)):
+            raise ConfigError(f"prior_strength * log(affinity_floor) must be "
+                              f"finite, got prior_strength {self.prior_strength}")
         if self.mode == "replace" and self.k_extra > self.k_base:
             raise ConfigError("replace mode needs k_extra <= k_base")
 
@@ -187,39 +191,20 @@ def score_shared_points(score, affinity, prior_strength: float,
     return score + prior_strength * np.log(np.maximum(affinity, affinity_floor))
 
 
-def _rank_in_group(group: np.ndarray) -> np.ndarray:
-    """Per element, how many earlier elements share its group id."""
-    order = np.argsort(group, kind="stable")
-    g = group[order]
-    pos = np.arange(g.size)
-    start = np.maximum.accumulate(np.where(np.r_[True, g[1:] != g[:-1]], pos, 0))
-    rank = np.empty_like(pos)
-    rank[order] = pos - start
-    return rank
-
-
 def swap_samples(base: SampleBank, neighbor_lists: list[np.ndarray],
                  affinities: np.ndarray, positions_bev: np.ndarray,
                  cfg: QSwapConfig) -> SampleBank:
     """Exchange sampling points between neighbors on one grid.
 
-    The candidate pool of query i holds every point of its valid neighbors,
-    ranked by descending s-tilde (ties: lower neighbor id, then lower point
-    index).  Acceptance is greedy under the per-neighbor and total caps: a
-    candidate is taken when fewer than k_per points of its neighbor rank
-    before it and fewer than k_extra points were taken before it.  Imported
-    points keep their absolute BEV position and are re-expressed as offsets
-    from the receiving query.  Append mode writes them after the row's
-    points; replace mode overwrites the weakest points (ties: lower index),
-    so a row must hold at least as many points as it imports.
-
-    Only the candidates whose s-tilde is at or above their pair's k_per-th
-    largest (ties kept) are sorted.  This is exact: a point ranked below
-    k_per in its pair has at least k_per points of s-tilde >= its own
-    ahead of it, so every point a pair can give survives, and so does
-    every point ranked before a survivor; ranks and taken-before counts
-    are the full pool's.  The threshold is taken on s-tilde itself, so
-    scores the prior rounds into a tie are cut alike.
+    Acceptance is two top-k selections on s-tilde.  Each (receiver,
+    neighbor) pair gives its k_per best points (ties: lower point index);
+    the receiver then takes its k_extra best gifts (ties: lower neighbor
+    id, then lower point index).  Imported points keep their absolute BEV
+    position and are re-expressed as offsets from the receiving query.
+    Append mode writes them after the row's points; replace mode overwrites
+    the weakest points (ties: lower index), so a row must hold at least as
+    many points as it imports.  An empty neighbor slot or point carries an
+    s-tilde of -inf and is never taken.
     """
     cfg.validate()
     n = len(base)
@@ -227,34 +212,23 @@ def swap_samples(base: SampleBank, neighbor_lists: list[np.ndarray],
     nbr = np.full((n, width), -1, dtype=np.int64)
     for i, nb in enumerate(neighbor_lists):
         nbr[i, :len(nb)] = nb
-    nbr.sort(axis=1)  # so candidates come out of nonzero in neighbor-id order
+    nbr.sort(axis=1)  # so gifts are flattened in neighbor-id order
 
-    # s-tilde of every (receiver i, neighbor slot, point k); a pair can give
-    # only the points at or above its k_per-th largest s-tilde
-    keep = (nbr >= 0)[:, :, None] & base.valid[nbr]
-    st_all = score_shared_points(base.scores[nbr],
-                                 affinities[np.arange(n)[:, None], nbr][:, :, None],
-                                 cfg.prior_strength, cfg.affinity_floor)
-    cut = keep.shape[2] - cfg.k_per
-    if cfg.k_per == 0:
-        keep[:] = False
-    elif cut > 0:
-        kth = np.partition(np.where(keep, st_all, -np.inf), cut, axis=2)
-        keep &= st_all >= kth[:, :, cut:cut + 1]
-
-    # the surviving candidates in (receiver, neighbor id, point) order; a
-    # stable sort on (receiver, -s-tilde) puts them in acceptance order
-    ci, slot, ck = np.nonzero(keep)
-    cj = nbr[ci, slot]
-    st = st_all[ci, slot, ck]
-    order = np.lexsort((-st, ci))
-    ci, cj, ck, st = ci[order], cj[order], ck[order], st[order]
-
-    eligible = _rank_in_group(ci * n + cj) < cfg.k_per
-    earlier = np.cumsum(eligible) - eligible  # eligible candidates before each
-    before = earlier - earlier[np.searchsorted(ci, ci)]
-    taken = eligible & (before < cfg.k_extra)
-    ti, tj, tk, rank = ci[taken], cj[taken], ck[taken], before[taken]
+    # s-tilde of every (receiver i, neighbor slot, point k)
+    st = np.where((nbr >= 0)[:, :, None] & base.valid[nbr],
+                  score_shared_points(base.scores[nbr],
+                                      affinities[np.arange(n)[:, None], nbr][:, :, None],
+                                      cfg.prior_strength, cfg.affinity_floor),
+                  -np.inf)
+    # each pair's gifts, then each row's k_extra best gifts in acceptance
+    # order; the finite ones are taken and their position is their rank
+    gifts = np.argsort(-st, axis=2, kind="stable")[:, :, :cfg.k_per]
+    k_gift = gifts.shape[2]
+    gift_st = np.take_along_axis(st, gifts, axis=2).reshape(n, width * k_gift)
+    pick = np.argsort(-gift_st, axis=1, kind="stable")[:, :cfg.k_extra]
+    ti, rank = np.nonzero(np.take_along_axis(gift_st, pick, axis=1) > -np.inf)
+    slot, g = np.divmod(pick[ti, rank], k_gift)
+    tj, tk = nbr[ti, slot], gifts[ti, slot, g]
     m = np.bincount(ti, minlength=n)
 
     if cfg.mode == "append":
@@ -268,7 +242,7 @@ def swap_samples(base: SampleBank, neighbor_lists: list[np.ndarray],
         cols = weakest[ti, rank]
     out.offsets[ti, cols] = (positions_bev[tj] + base.offsets[tj, tk]
                              - positions_bev[ti])
-    out.scores[ti, cols] = st[taken]
+    out.scores[ti, cols] = st[ti, slot, tk]
     out.origins[ti, cols] = ORIGIN_SHARED
     out.sources[ti, cols] = tj
     return out

@@ -398,7 +398,11 @@ class TestCliCommands:
         # the report's own timing block keeps the pipeline stages only
         assert set(json.loads(out.read_text())["timing"]) == set(stages[:6])
 
-    def test_invalid_config_error_json(self, tmp_path, capsys):
+    def test_invalid_config_error_json(self, tmp_path, capsys, monkeypatch):
+        def no_generation(*args, **kwargs):
+            raise AssertionError("a scene was generated")
+
+        monkeypatch.setattr(sc, "generate_scene", no_generation)
         for override, word in [("decoder.qswap.mode=sideways", "sideways"),
                                ("decoder.heads=0", "head"),
                                ("decoder.qswap.k_base=0", "k_base"),
@@ -432,17 +436,25 @@ class TestCliCommands:
                                ("render.bev_noise=-1", "bev_noise"),
                                ("scene.camera_height=-1", "camera_height"),
                                ("decoder.qswap.radius_factor=-1", "radius_factor"),
+                               ("decoder.qswap.radius_factor=NaN", "radius_factor"),
+                               ("decoder.qswap.prior_strength=NaN", "prior_strength"),
+                               ("decoder.qswap.prior_strength=1e308", "prior_strength"),
+                               ("decoder.qswap.affinity_floor=NaN", "affinity_floor"),
+                               ("queries.depth_noise=NaN", "depth_noise"),
+                               ("decoder.extent=NaN", "decoder.extent"),
                                ("queries.n_world=0", "n_world"),
                                ("queries.n_world=14", "n_world"),
                                ("queries.n_world=200000", "attention matrix"),
                                ("queries.n_img=20000", "attention matrix"),
                                ("queries.n_rad=4097", "n_rad")]:
-            message = assert_error_exit(["run", *TOY, "--set", override],
-                                        tmp_path / "report.json", capsys)
-            assert word in message, override
+            for command in ("run", "ablate"):
+                message = assert_error_exit([command, *TOY, "--set", override],
+                                            tmp_path / "out", capsys)
+                assert word in message, (command, override)
 
     @pytest.mark.parametrize("pair, word", [
         (("scene.extent=1e308", "decoder.extent=1e308"), "extent"),
+        (("scene.extent=NaN", "decoder.extent=NaN"), "decoder.extent"),
         (("scene.feature_dim=0", "decoder.d=0"), "decoder.d")])
     def test_paired_overrides_refused(self, tmp_path, capsys, pair, word):
         args = ["run", *TOY, "--set", pair[0], "--set", pair[1]]
@@ -607,6 +619,10 @@ class TestCliCommands:
         not_reports = [[good], {}, {**good, "schema_version": 2},
                        {**good, "layers": {}}, {**good, "layers": [1]},
                        {**good, "layers": [{"links": []}]}]
+        # json.load reads NaN and Infinity, which `run` never writes
+        not_reports += [mutated(good, ("layers", 0, "self_attn_stats", "mass", 0, 0),
+                                value)
+                        for value in (float("nan"), float("inf"), float("-inf"))]
         bad_stats = [{**good, "layers": [{**layer, "self_attn_stats": [[0.1]]}]},
                      {**good, "layers": [{**layer, "self_attn_stats": {
                          "mass": "ab", "mean_per_key": []}}]},

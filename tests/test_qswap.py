@@ -336,9 +336,8 @@ class TestSwapSamples:
                 assert np.array_equal(g.scores, w.scores)
 
     def test_preselection_edges_match_naive_loop(self):
-        # swap_samples ranks only the points at or above each pair's k_per-th
-        # largest s-tilde; every edge of that threshold must leave the result
-        # bit-identical to the full-pool loop
+        # the edges of the two top-k selections (k_per per pair, then k_extra
+        # per row) must leave the result bit-identical to the full-pool loop
         def check(bank, nbs, aff, pos, cfg):
             got = swap_samples(bank, nbs, aff, pos, cfg)
             want = naive_swap_samples(bank, nbs, aff, pos, cfg)
@@ -351,9 +350,10 @@ class TestSwapSamples:
 
         rng = np.random.default_rng(21)
         tie = [1.0, 1.0 + 2.0 ** -52]
-        # padded width 4: row 1 holds a tie at rank 2, row 2 one equal
-        # score, row 3 fewer valid points than most k_per, all below its
-        # zero padding, and row 4 has no neighbors
+        # padded width 4: row 1 holds a tie at rank 2 (k_per = 2 splits it
+        # inside a pair), row 2 one equal score, row 3 fewer valid points
+        # than most k_per, all below its zero padding, and row 4 has no
+        # neighbors; k_per runs from 0 to past the width
         rows = [np.zeros(4), np.array([3.0, *tie, 0.0]), np.full(4, 0.25),
                 np.array([-2.0, -3.0]), np.array([1.0, *tie[::-1], 5.0])]
         bank = make_bank([(rng.normal(0.0, 2.0, (len(sc), 2)), sc) for sc in rows])
