@@ -454,8 +454,8 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("pair, word", [
         (("scene.extent=1e308", "decoder.extent=1e308"), "extent"),
-        (("scene.extent=NaN", "decoder.extent=NaN"), "decoder.extent"),
-        (("scene.feature_dim=0", "decoder.d=0"), "decoder.d")])
+        (("scene.feature_dim=0", "decoder.d=0"), "decoder.d"),
+        (("scene.extent=NaN", "decoder.extent=NaN"), "decoder.extent")])
     def test_paired_overrides_refused(self, tmp_path, capsys, pair, word):
         args = ["run", *TOY, "--set", pair[0], "--set", pair[1]]
         assert word in assert_error_exit(args, tmp_path / "r.json", capsys)
