@@ -139,7 +139,6 @@ PRESETS: dict[str, dict[str, object]] = {
     "default": {},
     "qinit": {"decoder.enable_qmix": False, "decoder.enable_qswap": False},
     "qmix": {"decoder.enable_qswap": False},
-    "qmix-qswap": {},
     "qswap-replace": {"decoder.qswap.mode": "replace"},
     "toy": {
         "scene.extent": 25.6, "scene.num_objects": 6, "scene.num_clutter": 8,
@@ -208,7 +207,7 @@ _EMIT_FLAGS = {"emit_links": "emit.links", "emit_snapshots": "emit.query_snapsho
 
 
 def build_config(args) -> RunConfig:
-    """--config file, then --preset, each --set, --qswap-mode and emit flags."""
+    """--config file, then --preset, each --set and the emit flags."""
     doc = {}
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
@@ -223,8 +222,6 @@ def build_config(args) -> RunConfig:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         path, _, raw = item.partition("=")
         pairs.append((path.strip(), _parse_value(raw.strip())))
-    if getattr(args, "qswap_mode", None):
-        pairs.append(("decoder.qswap.mode", args.qswap_mode))
     pairs += [(path, True) for flag, path in _EMIT_FLAGS.items()
               if getattr(args, flag, False)]
     for path, value in pairs:
@@ -363,10 +360,10 @@ def _set_size_summary(bank: qswap.SampleBank) -> dict:
             "mean": float(np.mean(bank.sizes))}
 
 
-def _sample_dump(bank: qswap.SampleBank, positions: np.ndarray) -> list[dict]:
+def _sample_dump(bank: qswap.SampleBank) -> list[dict]:
     """Every query's points on one grid, with absolute BEV positions."""
     names = {qswap.ORIGIN_BASE: "base", qswap.ORIGIN_SHARED: "shared"}
-    xy = (positions[:, None, :2] + bank.offsets).tolist()
+    xy = bank.points.tolist()
     origins = bank.origins.tolist()
     sources = bank.sources.tolist()
     scores = bank.scores.tolist()
@@ -421,10 +418,8 @@ def build_report(cfg: RunConfig, result) -> dict:
                 "confidence": out.class_scores.max(axis=1).tolist(),
             }
         if cfg.emit.sample_dumps:
-            rec["sample_dump"] = {
-                kind: _sample_dump(out.sample_sets[kind], out.sampling_positions)
-                for kind in qswap.BEV_KINDS
-            }
+            rec["sample_dump"] = {kind: _sample_dump(out.sample_sets[kind])
+                                  for kind in qswap.BEV_KINDS}
         layers.append(rec)
 
     attn_mean = {}
@@ -510,16 +505,20 @@ def load_report(path, read):
     """read(report) for the `run` report at path.
 
     The report must be an object of this REPORT_SCHEMA_VERSION whose
-    `layers` is a list of objects, and may hold no NaN or Infinity (`run`
-    never writes one).  A KeyError, TypeError, IndexError or
-    AttributeError raised while `read` walks it becomes a ConfigError, as
-    for a malformed scene file.
+    `layers` is a list of objects, and may hold no NaN, Infinity or number
+    that overflows to infinity (`run` never writes one).  A KeyError,
+    TypeError, IndexError or AttributeError raised while `read` walks it
+    becomes a ConfigError, as for a malformed scene file.
     """
     def refuse(constant):
         raise ConfigError(f"{path} holds the non-finite JSON value {constant}")
 
+    def finite(text):
+        value = float(text)
+        return value if math.isfinite(value) else refuse(text)
+
     with open(path, encoding="utf-8") as fh:
-        report = json.load(fh, parse_constant=refuse)
+        report = json.load(fh, parse_constant=refuse, parse_float=finite)
     if not (isinstance(report, dict)
             and report.get("schema_version") == REPORT_SCHEMA_VERSION
             and isinstance(report.get("layers"), list)
@@ -669,7 +668,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", help=".cfw file from init-weights "
                                      "(default: seeded random init)")
     p.add_argument("--out", required=True)
-    p.add_argument("--qswap-mode", choices=["append", "replace"])
     p.add_argument("--emit-links", action="store_true")
     p.add_argument("--emit-snapshots", action="store_true")
     p.add_argument("--emit-samples", action="store_true")

@@ -8,16 +8,17 @@ One weight set is applied at every layer; there is no per-layer state other
 than the query embeddings, positions and box predictions.
 
 Sampling runs on whole arrays: each BEV grid's points live in one qswap
-SampleBank.  The token gather is planned once per layer (slots, log
-weights and fractional cell coordinates of every query's tokens, no feature
-axis; a BEV point off its grid is a zero token, never interpolated) and
-then read by bilinear_at and aggregated one block of queries at a time:
-a block's tokens fill one reused (B, T_max, d) buffer of at most
-TOKEN_BLOCK_BYTES, so no (N, T_max, d) tensor is ever formed (row tiling
-as in FlashAttention, on the query axis).  The aggregation folds its key
-and value projections into the query: the query is mapped into token space
-once (Wk^T q) and the attention-weighted token sum is projected once (Wv),
-so no per-token key or value is ever formed.
+SampleBank, as absolute BEV points from base-set prediction on.  The token
+gather is planned once per layer (slots, log weights and fractional cell
+coordinates of every query's tokens, no feature axis; a BEV point off its
+grid is a zero token, never interpolated) and then read by bilinear_at and
+aggregated one block of queries at a time: a block's tokens fill one reused
+(B, T_max, d) buffer of at most TOKEN_BLOCK_BYTES, so no (N, T_max, d)
+tensor is ever formed (row tiling as in FlashAttention, on the query axis).
+The aggregation folds its key and value projections into the query: every
+query is mapped into token space once per layer (Wk^T q) and the
+attention-weighted token sum is projected once (Wv), so no per-token key or
+value is ever formed.
 """
 from __future__ import annotations
 
@@ -102,7 +103,6 @@ class LayerOutput:
     sizes: np.ndarray           # (N, 3) w, l, h
     yaws: np.ndarray            # (N,)
     velocities: np.ndarray      # (N, 2)
-    sampling_positions: np.ndarray  # (N, 3) positions the sample sets are relative to
     self_attn: np.ndarray       # (N, N) head-averaged shared self-attention
     self_stats: TypeAttentionStats
     qmix_attn: np.ndarray | None
@@ -182,11 +182,11 @@ def shared_self_attention(emb: np.ndarray, positions: np.ndarray, weights,
     return layer_norm(emb + out, t["self_attn.ln.gamma"], t["self_attn.ln.beta"]), attn
 
 
-def predict_base_sets(emb: np.ndarray, weights, k_base: int
-                      ) -> dict[str, SampleBank]:
-    """Base deformable sampling banks for every query on both BEV grids."""
+def predict_base_sets(emb: np.ndarray, positions: np.ndarray, weights,
+                      k_base: int) -> dict[str, SampleBank]:
+    """Base sampling banks of every query on both BEV grids, around positions."""
     t = weights.tensors
-    return {kind: base_bank(*predict_base_samples(
+    return {kind: base_bank(positions, *predict_base_samples(
                 emb, t[f"sample.{kind}.w"], t[f"sample.{kind}.b"],
                 float(t[f"sample.{kind}.range"][0]), k_base))
             for kind in BEV_KINDS}
@@ -266,7 +266,7 @@ def plan_tokens(emb: np.ndarray, positions: np.ndarray, features: SceneFeatures,
         grid = features.grid(kind)
         rows, cols = np.nonzero(bank.valid)
         at = fill[rows] + cols
-        x, y = (positions[rows, :2] + bank.offsets[rows, cols]).T
+        x, y = bank.points[rows, cols].T
         on = ((x >= grid.x_min) & (x <= grid.x_max)
               & (y >= grid.y_min) & (y <= grid.y_max))
         sources.append(TokenSource(rows[on], at[on], grid.data,
@@ -324,15 +324,17 @@ def build_tokens(plan: TokenPlan, rows: slice
     return tok, plan.logw[r0:r1], plan.valid[r0:r1]
 
 
-def aggregate_features_batch(emb: np.ndarray, tok: np.ndarray, logw: np.ndarray,
-                             valid: np.ndarray, weights) -> np.ndarray:
+def aggregate_features_batch(emb: np.ndarray, u: np.ndarray, tok: np.ndarray,
+                             logw: np.ndarray, valid: np.ndarray, weights
+                             ) -> np.ndarray:
     """Single-query cross-attention over sampled tokens (batched over queries).
 
     Logits are content similarity plus the log of the normalized sampling
     weight; queries with no tokens pass through unchanged.  The key and value
     projections are folded into the query side, so no token is projected:
-    a logit is tok . (Wk^T qp) (the key bias adds bk . qp to every logit of a
-    row, which the softmax cancels), and since a row's attention weights sum
+    u holds each query in token space, Wk^T qp with qp = Wq q + bq, and a
+    logit is tok . u (the key bias adds bk . qp to every logit of a row,
+    which the softmax cancels), and since a row's attention weights sum
     to 1 its context is (sum_j a_j tok_j) Wv^T + bv.  Padded token slots
     get weight exactly 0 and must hold finite values (build_tokens zero-fills
     them), so they add nothing to the weighted token sum.
@@ -342,8 +344,6 @@ def aggregate_features_batch(emb: np.ndarray, tok: np.ndarray, logw: np.ndarray,
     if tok.shape[1] == 0:
         return emb.copy()
     any_tok = valid.any(axis=1)
-    qp = emb @ t["agg.wq"].T + t["agg.bq"]
-    u = qp @ t["agg.wk"]
     logits = np.matmul(tok, u[:, :, None])[:, :, 0]
     logits /= math.sqrt(d)
     logits += logw
@@ -359,12 +359,15 @@ def gather_and_aggregate(emb: np.ndarray, positions: np.ndarray,
                          sets_by_kind: dict[str, SampleBank], k_pv: int
                          ) -> np.ndarray:
     """Feature sampling and aggregation of a layer, one query block at a time."""
+    t = weights.tensors
     plan = plan_tokens(emb, positions, features, weights, sets_by_kind, k_pv)
+    # every query in token space, projected once for all blocks
+    u = (emb @ t["agg.wq"].T + t["agg.bq"]) @ t["agg.wk"]
     out = np.empty_like(emb)
     for rows in plan.blocks():
         tok, logw, valid = build_tokens(plan, rows)
-        out[rows] = aggregate_features_batch(emb[rows], tok, logw, valid,
-                                             weights)
+        out[rows] = aggregate_features_batch(emb[rows], u[rows], tok, logw,
+                                             valid, weights)
     return out
 
 
@@ -416,7 +419,6 @@ def decode(features: SceneFeatures, queries: QuerySet, weights,
 
     outputs: list[LayerOutput] = []
     for layer in range(config.layers):
-        layer_positions = pos.copy()
         emb = apply_type_adapter(emb, types, weights)
         emb, affinity = shared_self_attention(emb, pos, weights, config.heads)
         require_finite("self-attention output", emb, layer)
@@ -426,7 +428,7 @@ def decode(features: SceneFeatures, queries: QuerySet, weights,
         if config.enable_qmix and config.qmix_placement == "pre_agg":
             emb, qmix_attn = qmix_attention(emb, types, qmix_w)
 
-        sets = predict_base_sets(emb, weights, config.qswap.k_base)
+        sets = predict_base_sets(emb, pos, weights, config.qswap.k_base)
         # before swap_samples, whose sorts would read a NaN score as no point
         for kind, bank in sets.items():
             require_finite(f"{kind} base scores", bank.scores, layer)
@@ -435,9 +437,10 @@ def decode(features: SceneFeatures, queries: QuerySet, weights,
                 select_neighbors(i, affinity[i], box_wl, pos[:, :2], config.qswap)
                 for i in range(queries.n)
             ]
+            # cfg by keyword: perfbench/tracer.py counts caps from kwargs["cfg"]
             sets = {
-                kind: swap_samples(sets[kind], neighbors, affinity, pos[:, :2],
-                                   config.qswap)
+                kind: swap_samples(sets[kind], neighbors, affinity,
+                                   cfg=config.qswap)
                 for kind in BEV_KINDS
             }
         for bank in sets.values():
@@ -471,7 +474,6 @@ def decode(features: SceneFeatures, queries: QuerySet, weights,
             sizes=sizes,
             yaws=yaws,
             velocities=velocities,
-            sampling_positions=layer_positions,
             self_attn=affinity,
             self_stats=attention_type_stats(affinity, types),
             qmix_attn=qmix_attn,

@@ -88,21 +88,18 @@ class TypeAttentionStats:
 
 
 def attention_type_stats(attn: np.ndarray, types: np.ndarray) -> TypeAttentionStats:
-    """Aggregate an attention matrix into per-type mass and per-key means."""
+    """Aggregate an attention matrix into per-type mass and per-key means.
+
+    One contraction with the (N, 3) one-hot type matrix sums every
+    type-to-type block; an absent type has an all-zero column, so its row
+    and column of both summaries are exact zeros.
+    """
     types = np.asarray(types)
-    counts = np.array([(types == t).sum() for t in range(NUM_TYPES)])
-    mass = np.zeros((NUM_TYPES, NUM_TYPES))
-    for a in range(NUM_TYPES):
-        if counts[a] == 0:
-            continue
-        rows = attn[types == a]
-        for b in range(NUM_TYPES):
-            if counts[b] == 0:
-                continue
-            mass[a, b] = rows[:, types == b].sum() / counts[a]
-    safe = np.where(counts > 0, counts, 1)
-    mean_per_key = np.where(counts[None, :] > 0, mass / safe[None, :], 0.0)
-    return TypeAttentionStats(mass, mean_per_key, counts)
+    onehot = (types[:, None] == np.arange(NUM_TYPES)).astype(np.float64)
+    counts = np.bincount(types, minlength=NUM_TYPES)
+    safe = np.maximum(counts, 1)
+    mass = onehot.T @ attn @ onehot / safe[:, None]
+    return TypeAttentionStats(mass, mass / safe[None, :], counts)
 
 
 LINK_CONF_THRESHOLD = 0.1   # sources must be more confident than this

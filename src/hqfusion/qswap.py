@@ -12,7 +12,8 @@ normalized jointly so aggregation sees a single weighting per set.
 
 The sets of all queries on one grid live in one SampleBank of padded
 (N, K) arrays; every stage works on whole banks, and `bank[i]` is a view of
-query i's set.
+query i's set.  Banks hold absolute BEV points: base_bank adds each query's
+position to its predicted offsets once, and an import is a plain copy.
 
 Swap sampling applies to the BEV grids only; perspective-view sampling is
 too sensitive to geometric perturbation to benefit from shared points.
@@ -75,7 +76,7 @@ class SampleSet:
     """Ordered sampling points of one query on one grid (a SampleBank row)."""
 
     owner: int
-    offsets: np.ndarray              # (K, 2) metric offsets from the owner position
+    points: np.ndarray               # (K, 2) absolute BEV (x, y)
     scores: np.ndarray               # (K,) raw logits; imported points carry s-tilde
     origins: np.ndarray              # (K,) ORIGIN_BASE / ORIGIN_SHARED
     sources: np.ndarray              # (K,) query id the point came from
@@ -83,7 +84,7 @@ class SampleSet:
 
     @property
     def size(self) -> int:
-        return self.offsets.shape[0]
+        return self.points.shape[0]
 
     def shared_count(self) -> int:
         return int((self.origins == ORIGIN_SHARED).sum())
@@ -97,7 +98,7 @@ class SampleBank:
     columns hold zeros and carry weight 0 once weights are set.
     """
 
-    offsets: np.ndarray              # (N, K, 2)
+    points: np.ndarray               # (N, K, 2) absolute BEV (x, y)
     scores: np.ndarray               # (N, K)
     origins: np.ndarray              # (N, K) uint8
     sources: np.ndarray              # (N, K) int64
@@ -111,7 +112,7 @@ class SampleBank:
         """Query i's set as views into the bank's arrays."""
         i = range(len(self))[i]
         k = int(self.sizes[i])
-        return SampleSet(i, self.offsets[i, :k], self.scores[i, :k],
+        return SampleSet(i, self.points[i, :k], self.scores[i, :k],
                          self.origins[i, :k], self.sources[i, :k],
                          None if self.weights is None else self.weights[i, :k])
 
@@ -132,14 +133,15 @@ class SampleBank:
             out[:, :k] = a
             return out
 
-        return SampleBank(grow(self.offsets), grow(self.scores),
+        return SampleBank(grow(self.points), grow(self.scores),
                           grow(self.origins), grow(self.sources), self.sizes.copy())
 
 
-def base_bank(offsets: np.ndarray, scores: np.ndarray) -> SampleBank:
-    """Bank of (N, K) predicted points per query, all of base origin."""
+def base_bank(positions: np.ndarray, offsets: np.ndarray, scores: np.ndarray
+              ) -> SampleBank:
+    """Base-origin bank: query i's points are positions[i, :2] + offsets[i]."""
     n, k = scores.shape
-    return SampleBank(np.asarray(offsets, dtype=np.float64),
+    return SampleBank(positions[:, None, :2] + offsets,
                       np.asarray(scores, dtype=np.float64),
                       np.full((n, k), ORIGIN_BASE, dtype=np.uint8),
                       np.repeat(np.arange(n, dtype=np.int64)[:, None], k, axis=1),
@@ -192,18 +194,17 @@ def score_shared_points(score, affinity, prior_strength: float,
 
 
 def swap_samples(base: SampleBank, neighbor_lists: list[np.ndarray],
-                 affinities: np.ndarray, positions_bev: np.ndarray,
-                 cfg: QSwapConfig) -> SampleBank:
+                 affinities: np.ndarray, cfg: QSwapConfig) -> SampleBank:
     """Exchange sampling points between neighbors on one grid.
 
     Acceptance is two top-k selections on s-tilde.  Each (receiver,
     neighbor) pair gives its k_per best points (ties: lower point index);
     the receiver then takes its k_extra best gifts (ties: lower neighbor
-    id, then lower point index).  Imported points keep their absolute BEV
-    position and are re-expressed as offsets from the receiving query.
-    Append mode writes them after the row's points; replace mode overwrites
-    the weakest points (ties: lower index), so a row must hold at least as
-    many points as it imports.  An empty neighbor slot or point carries an
+    id, then lower point index).  An imported point is a copy of the
+    neighbor's point, with its absolute BEV position.  Append mode writes
+    the imports after the row's points; replace mode overwrites the weakest
+    points (ties: lower index), so a row must hold at least as many points
+    as it imports.  An empty neighbor slot or point carries an
     s-tilde of -inf and is never taken.
     """
     cfg.validate()
@@ -240,8 +241,7 @@ def swap_samples(base: SampleBank, neighbor_lists: list[np.ndarray],
         weakest = np.argsort(np.where(base.valid, base.scores, np.inf), axis=1,
                              kind="stable")
         cols = weakest[ti, rank]
-    out.offsets[ti, cols] = (positions_bev[tj] + base.offsets[tj, tk]
-                             - positions_bev[ti])
+    out.points[ti, cols] = base.points[tj, tk]
     out.scores[ti, cols] = st[ti, slot, tk]
     out.origins[ti, cols] = ORIGIN_SHARED
     out.sources[ti, cols] = tj

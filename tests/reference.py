@@ -339,12 +339,13 @@ def naive_top_links(attn, types, confidences, conf_threshold=0.1, k=2):
         )
     return links
 
-def naive_swap_samples(bank, neighbor_lists, affinities, positions_bev, cfg):
+def naive_swap_samples(bank, neighbor_lists, affinities, cfg):
     """Per-query swap loop over the rows of a SampleBank; list of SampleSets.
 
     Candidates are sorted by (-s-tilde, neighbor id, point index) and taken
-    greedily under the per-neighbor and total caps; replace mode overwrites
-    the weakest points (stable argsort, lower index first).
+    greedily under the per-neighbor and total caps; a taken point keeps its
+    absolute BEV position.  Replace mode overwrites the weakest points
+    (stable argsort, lower index first).
     """
     out = []
     for i in range(len(bank)):
@@ -355,8 +356,7 @@ def naive_swap_samples(bank, neighbor_lists, affinities, positions_bev, cfg):
             nb = bank[j]
             st = score_shared_points(nb.scores, affinities[i, j],
                                      cfg.prior_strength, cfg.affinity_floor)
-            absolute = positions_bev[j] + nb.offsets
-            cands.extend((float(st[k]), j, k, absolute[k]) for k in range(nb.size))
+            cands.extend((float(st[k]), j, k, nb.points[k]) for k in range(nb.size))
         cands.sort(key=lambda c: (-c[0], c[1], c[2]))
 
         accepted = []
@@ -367,30 +367,30 @@ def naive_swap_samples(bank, neighbor_lists, affinities, positions_bev, cfg):
             if taken_per.get(j, 0) >= cfg.k_per:
                 continue
             taken_per[j] = taken_per.get(j, 0) + 1
-            accepted.append((st, j, abs_xy - positions_bev[i]))
+            accepted.append((st, j, abs_xy))
 
-        offsets = base.offsets.copy()
+        points = base.points.copy()
         scores = base.scores.copy()
         origins = base.origins.copy()
         sources = base.sources.copy()
         if accepted:
             m = len(accepted)
-            new_offsets = np.array([a[2] for a in accepted])
+            new_points = np.array([a[2] for a in accepted])
             new_scores = np.array([a[0] for a in accepted])
             new_sources = np.array([a[1] for a in accepted], dtype=np.int64)
             if cfg.mode == "append":
-                offsets = np.concatenate([offsets, new_offsets])
+                points = np.concatenate([points, new_points])
                 scores = np.concatenate([scores, new_scores])
                 origins = np.concatenate([origins,
                                           np.full(m, ORIGIN_SHARED, dtype=np.uint8)])
                 sources = np.concatenate([sources, new_sources])
             else:
                 victims = np.argsort(base.scores, kind="stable")[:m]
-                offsets[victims] = new_offsets
+                points[victims] = new_points
                 scores[victims] = new_scores
                 origins[victims] = ORIGIN_SHARED
                 sources[victims] = new_sources
-        out.append(SampleSet(i, offsets, scores, origins, sources))
+        out.append(SampleSet(i, points, scores, origins, sources))
     return out
 
 
@@ -412,7 +412,7 @@ def sample_features(position, embedding, features, weights, sample_sets, k_pv):
     """Per-query token gather: the oracle of the batched build_tokens.
 
     sample_sets maps each BEV grid kind to the query's SampleSet.  BEV
-    tokens come from bilinear sampling at position + offset with the set's
+    tokens come from bilinear sampling at the set's absolute points with its
     normalized weights (a plain softmax of its scores when unset); PV tokens
     project the 3-D position into every camera that sees it and sample k_pv
     learned pixel-offset points, their scores softmaxed apart from the BEV
@@ -423,7 +423,7 @@ def sample_features(position, embedding, features, weights, sample_sets, k_pv):
     for kind in BEV_KINDS:
         sset = sample_sets[kind]
         w = sset.weights if sset.weights is not None else _softmax(sset.scores)
-        feats = naive_sample_many(features.grid(kind), position[:2] + sset.offsets)
+        feats = naive_sample_many(features.grid(kind), sset.points)
         tokens.extend(Token(feats[k], float(w[k]), kind) for k in range(sset.size))
     if k_pv == 0:
         return tokens

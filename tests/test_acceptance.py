@@ -83,7 +83,7 @@ def test_qswap_constraint_suite():
         cfg = QSwapConfig(mode=mode)  # defaults: k_base=20, k_per=2, k_extra=4
         base, nbs, aff, pos, boxes, cfg = random_swap_instance(
             rng, n=n, k_base=20, cfg=cfg)
-        out = swap_samples(base, nbs, aff, pos, cfg)
+        out = swap_samples(base, nbs, aff, cfg)
         for i, s in enumerate(out):
             shared = s.origins == ORIGIN_SHARED
             assert shared.sum() <= 4
@@ -114,9 +114,9 @@ def test_qswap_selection_oracle():
         pos[1:, 0] = rng.uniform(-2.0, 2.0, n_nb)
         aff = rng.uniform(0.01, 1.0, (n, n))
         base = make_bank([(rng.normal(size=(k_base, 2)), rng.normal(0, 2, k_base))
-                          for i in range(n)])
+                          for i in range(n)], pos)
         nbs = [np.arange(1, n)] + [np.array([], dtype=int)] * n_nb
-        out = swap_samples(base, nbs, aff, pos, cfg)
+        out = swap_samples(base, nbs, aff, cfg)
 
         pool = []
         for j in range(1, n):
@@ -203,18 +203,18 @@ def test_planted_evidence_end_to_end():
     off1[7] = a_center - pos[1]
     scores1 = np.full(20, -2.0)
     scores1[7] = 3.0
-    base = make_bank([(off0, np.zeros(20)), (off1, scores1)])
+    base = make_bank([(off0, np.zeros(20)), (off1, scores1)], pos)
     aff = np.array([[0.1, 0.9], [0.9, 0.1]])
     boxes = np.tile([2.0, 4.0], (2, 1))
     neighbors = [select_neighbors(0, aff[0], boxes, pos, cfg),
                  np.array([], dtype=int)]
     assert neighbors[0].tolist() == [1]
 
-    out = swap_samples(base, neighbors, aff, pos, cfg)
+    out = swap_samples(base, neighbors, aff, cfg)
     out.weights = normalize_sample_scores(out)
     swapped = out[0]
 
-    abs_pts = pos[0] + swapped.offsets
+    abs_pts = swapped.points
     on_a = np.flatnonzero(np.linalg.norm(abs_pts - a_center, axis=1) < 1e-9)
     assert on_a.size == 1, "signature token missing from the post-swap set"
     token = bilinear_sample(grid, abs_pts[on_a[0]])

@@ -62,10 +62,9 @@ def test_workload_arguments_build(tmp_path):
     config.write_text(json.dumps({"decoder": {"qswap": {"mode": "replace"}}}))
     docs = [cli.config_to_dict(cli.build_config(cli.make_parser().parse_args(
                 ["run", *args, "--out", str(tmp_path / "r.json")])))
-            for args in (["--qswap-mode", "replace"],
-                         ["--set", 'decoder.qswap.mode="replace"'],
+            for args in (["--set", 'decoder.qswap.mode="replace"'],
                          ["--config", str(config)])]
-    assert docs[0] == docs[1] == docs[2]
+    assert docs[0] == docs[1]
     assert docs[0]["decoder"]["qswap"]["mode"] == "replace"
 
 

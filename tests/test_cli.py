@@ -256,7 +256,7 @@ class TestCliCommands:
 
     def test_qswap_replace_mode_sizes(self, tmp_path):
         out = tmp_path / "report.json"
-        assert run_cli(["run", *TOY, "--qswap-mode", "replace",
+        assert run_cli(["run", *TOY, "--set", 'decoder.qswap.mode="replace"',
                         "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         for layer in report["layers"]:
@@ -623,6 +623,12 @@ class TestCliCommands:
         not_reports += [mutated(good, ("layers", 0, "self_attn_stats", "mass", 0, 0),
                                 value)
                         for value in (float("nan"), float("inf"), float("-inf"))]
+        # nor a number literal that overflows to infinity
+        marker = 1.2345678e-300
+        text = json.dumps(mutated(good, ("layers", 0, "self_attn_stats", "mass",
+                                         0, 0), marker))
+        assert text.count(repr(marker)) == 1
+        not_reports.append(text.replace(repr(marker), "1e400"))
         bad_stats = [{**good, "layers": [{**layer, "self_attn_stats": [[0.1]]}]},
                      {**good, "layers": [{**layer, "self_attn_stats": {
                          "mass": "ab", "mean_per_key": []}}]},
@@ -630,7 +636,7 @@ class TestCliCommands:
         path = tmp_path / "bad.json"
         for doc, commands in ([(d, ("links", "analyze-attn")) for d in not_reports]
                               + [(d, ("analyze-attn",)) for d in bad_stats]):
-            path.write_text(json.dumps(doc))
+            path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
             for command in commands:
                 assert_error_exit([command, "--report", str(path)],
                                   tmp_path / "out", capsys)

@@ -17,8 +17,9 @@ from hqfusion.qinit import (TYPE_IMG, TYPE_RAD, TYPE_W, QuerySet,
                             init_image_queries, init_radar_queries,
                             init_world_queries)
 from hqfusion.qmix import qmix_attention
-from hqfusion.qswap import (BEV_KINDS, QSwapConfig, normalize_sample_scores,
-                            select_neighbors, swap_samples)
+from hqfusion.qswap import (BEV_KINDS, ORIGIN_SHARED, QSwapConfig, base_bank,
+                            normalize_sample_scores, select_neighbors,
+                            swap_samples)
 from hqfusion.scene import (GridConfig, RadarSimConfig, encode_radar_bev,
                             generate_scene, render_image_bev,
                             render_pv_features, simulate_radar_points)
@@ -27,6 +28,11 @@ from hqfusion.weights_io import init_weights
 from reference import (Token, aggregate_features, bilinear_sample,
                        naive_bilinear, naive_bilinear_frac, naive_layer_norm,
                        naive_mha, project_to_view, sample_features)
+
+
+def token_space(emb, w):
+    """The aggregation queries in token space, Wk^T (Wq q + bq), per row."""
+    return (emb @ w["agg.wq"].T + w["agg.bq"]) @ w["agg.wk"]
 
 
 def toy_config(**kw):
@@ -145,10 +151,11 @@ class TestSharedSelfAttention:
 class TestSampleFeatures:
     def test_outside_all_frusta_no_pv_tokens(self):
         _, features, queries, weights, cfg = toy_setup()
-        sets = predict_base_sets(np.zeros((1, cfg.d)), weights, cfg.qswap.k_base)
-        per_q = {kind: sets[kind][0] for kind in BEV_KINDS}
         # a point at the rig center has ~zero depth in every camera
         center = np.array([0.0, 0.0, 1.6])
+        sets = predict_base_sets(np.zeros((1, cfg.d)), center[None], weights,
+                                 cfg.qswap.k_base)
+        per_q = {kind: sets[kind][0] for kind in BEV_KINDS}
         assert all(project_to_view(center, c) is None
                    for c in features.rig.cameras)
         tokens = sample_features(center, np.zeros(cfg.d), features, weights,
@@ -159,11 +166,11 @@ class TestSampleFeatures:
     def test_zero_offsets_sample_at_position(self):
         _, features, queries, weights, cfg = toy_setup()
         emb = np.zeros((1, cfg.d))
-        sets = predict_base_sets(emb, weights, cfg.qswap.k_base)
         pos = np.array([2.3, -1.7, 0.0])
+        k = cfg.qswap.k_base
+        sets = {kind: base_bank(pos[None], np.zeros((1, k, 2)), np.zeros((1, k)))
+                for kind in BEV_KINDS}
         for kind in BEV_KINDS:
-            s = sets[kind][0]
-            s.offsets[:] = 0.0
             tokens = sample_features(pos, emb[0], features, weights,
                                      {k: sets[k][0] for k in BEV_KINDS}, 0)
             grid = features.grid(kind)
@@ -176,11 +183,11 @@ class TestSampleFeatures:
         _, features, queries, weights, cfg = toy_setup()
         rng = np.random.default_rng(5)
         emb = rng.normal(size=cfg.d)
-        sets = predict_base_sets(emb[None], weights, cfg.qswap.k_base)
+        pos = np.array([6.0, 3.0, 0.5])
+        sets = predict_base_sets(emb[None], pos[None], weights, cfg.qswap.k_base)
         for kind in BEV_KINDS:
             sets[kind].weights = normalize_sample_scores(sets[kind])
         per_q = {kind: sets[kind][0] for kind in BEV_KINDS}
-        pos = np.array([6.0, 3.0, 0.5])
         tokens = sample_features(pos, emb, features, weights, per_q, cfg.k_pv)
 
         bev_tokens = [t for t in tokens if t.kind in BEV_KINDS]
@@ -190,8 +197,7 @@ class TestSampleFeatures:
             grid = features.grid(kind)
             for k in range(s.size):
                 t = bev_tokens[i]
-                want = naive_bilinear(grid, pos[0] + s.offsets[k, 0],
-                                      pos[1] + s.offsets[k, 1])
+                want = naive_bilinear(grid, s.points[k, 0], s.points[k, 1])
                 assert np.allclose(t.feature, want, atol=1e-12)
                 assert np.isclose(t.weight, s.weights[k])
                 i += 1
@@ -222,12 +228,12 @@ class TestBuildTokens:
         emb = queries.embeddings
         pos = queries.positions.copy()
         pos[0] = [0.0, 0.0, 1.6]  # the rig center: no camera sees it
-        sets = predict_base_sets(emb, weights, cfg.qswap.k_base)
+        sets = predict_base_sets(emb, pos, weights, cfg.qswap.k_base)
         aff = np.full((n, n), 1.0 / n)
         boxes = np.tile([2.0, 4.0], (n, 1))
         nbs = [select_neighbors(i, aff[i], boxes, pos[:, :2], cfg.qswap)
                for i in range(n)]
-        sets = {kind: swap_samples(sets[kind], nbs, aff, pos[:, :2], cfg.qswap)
+        sets = {kind: swap_samples(sets[kind], nbs, aff, cfg.qswap)
                 for kind in BEV_KINDS}
         for kind in BEV_KINDS:
             sets[kind].weights = normalize_sample_scores(sets[kind])
@@ -249,16 +255,16 @@ class TestBuildTokens:
 
     def test_off_grid_points_are_zero_and_never_interpolated(self,
                                                              monkeypatch):
-        # hand-made offsets put points off their grid: each keeps a valid
-        # slot with its log weight and exact zeros, and bilinear_at is
-        # given only the points on the grid
+        # hand-made points off their grid: each keeps a valid slot with its
+        # log weight and exact zeros, and bilinear_at is given only the
+        # points on the grid
         _, features, queries, weights, cfg = toy_setup()
         emb, pos = queries.embeddings[:3], queries.positions[:3]
-        sets = predict_base_sets(emb, weights, cfg.qswap.k_base)
+        sets = predict_base_sets(emb, pos, weights, cfg.qswap.k_base)
         far = 2.0 * cfg.extent
         for kind in BEV_KINDS:
-            sets[kind].offsets[0, 1] = (far, 0.0)
-            sets[kind].offsets[2] = (0.0, -far)
+            sets[kind].points[0, 1] = (far, 0.0)
+            sets[kind].points[2] = (0.0, -far)
             sets[kind].weights = normalize_sample_scores(sets[kind])
         seen = []
 
@@ -273,7 +279,7 @@ class TestBuildTokens:
         on = []
         for kind in BEV_KINDS:
             grid = features.grid(kind)
-            x, y = np.moveaxis(pos[:, None, :2] + sets[kind].offsets, -1, 0)
+            x, y = np.moveaxis(sets[kind].points, -1, 0)
             on.append((x >= grid.x_min) & (x <= grid.x_max)
                       & (y >= grid.y_min) & (y <= grid.y_max))
         on = np.hstack(on)
@@ -288,9 +294,8 @@ class TestBuildTokens:
         assert sum(seen) == on.sum()
         for i, j in zip(*np.nonzero(on)):
             kind = BEV_KINDS[j // k]
-            off = sets[kind].offsets[i, j % k]
-            want = naive_bilinear(features.grid(kind), pos[i, 0] + off[0],
-                                  pos[i, 1] + off[1])
+            want = naive_bilinear(features.grid(kind),
+                                  *sets[kind].points[i, j % k])
             assert np.allclose(tok[i, j], want, atol=1e-12)
 
     def test_zero_sample_weight_is_minus_inf(self):
@@ -298,7 +303,7 @@ class TestBuildTokens:
         # aggregation gives that token no attention, without a warning
         _, features, queries, weights, cfg = toy_setup()
         emb, pos = queries.embeddings, queries.positions
-        sets = predict_base_sets(emb, weights, cfg.qswap.k_base)
+        sets = predict_base_sets(emb, pos, weights, cfg.qswap.k_base)
         for kind in BEV_KINDS:
             sets[kind].weights = normalize_sample_scores(sets[kind])
             sets[kind].weights[0, 0] = 0.0
@@ -306,7 +311,8 @@ class TestBuildTokens:
             plan_tokens(emb, pos, features, weights, sets, cfg.k_pv),
             slice(0, queries.n))
         assert logw[0, 0] == -np.inf and valid[0, 0]
-        out = aggregate_features_batch(emb, tok, logw, valid, weights)
+        out = aggregate_features_batch(emb, token_space(emb, weights), tok, logw,
+                                       valid, weights)
         assert np.isfinite(out).all()
 
 
@@ -365,8 +371,7 @@ class TestTokenBlocks:
                     assert np.array_equal(a.sample_sets[kind].sizes,
                                           b.sample_sets[kind].sizes)
                 for name in ("class_scores", "centers", "sizes", "yaws",
-                             "velocities", "sampling_positions", "self_attn",
-                             "qmix_attn"):
+                             "velocities", "self_attn", "qmix_attn"):
                     assert np.allclose(getattr(a, name), getattr(b, name),
                                        rtol=0.0, atol=1e-12), name
 
@@ -384,7 +389,7 @@ class TestTokenBlocks:
     def test_inner_block_matches_per_query_token_lists(self):
         _, features, queries, weights, cfg = toy_setup()
         emb, pos = queries.embeddings, queries.positions
-        sets = predict_base_sets(emb, weights, cfg.qswap.k_base)
+        sets = predict_base_sets(emb, pos, weights, cfg.qswap.k_base)
         for kind in BEV_KINDS:
             sets[kind].weights = normalize_sample_scores(sets[kind])
         plan = plan_tokens(emb, pos, features, weights, sets, cfg.k_pv)
@@ -410,7 +415,8 @@ class TestAggregate:
         cfg = toy_config()
         w = init_weights(0, cfg)
         emb = np.random.default_rng(0).normal(size=(1, cfg.d))
-        got = aggregate_features_batch(emb, np.zeros((1, 0, cfg.d)),
+        got = aggregate_features_batch(emb, token_space(emb, w),
+                                       np.zeros((1, 0, cfg.d)),
                                        np.zeros((1, 0)),
                                        np.zeros((1, 0), dtype=bool), w)
         assert np.array_equal(got, emb)
@@ -427,7 +433,8 @@ class TestAggregate:
         rng = np.random.default_rng(1)
         emb = rng.normal(size=d)
         tok = rng.normal(size=d)
-        out = aggregate_features_batch(emb[None], tok[None, None],
+        out = aggregate_features_batch(emb[None], token_space(emb[None], w),
+                                       tok[None, None],
                                        np.zeros((1, 1)),
                                        np.ones((1, 1), dtype=bool), w)
         assert np.allclose(out[0], emb + tok, atol=1e-12)
@@ -441,7 +448,8 @@ class TestAggregate:
         feats = rng.normal(size=(5, d))
         weights_ = rng.uniform(0.05, 1.0, size=5)
         weights_ /= weights_.sum()
-        got = aggregate_features_batch(emb[None], feats[None],
+        got = aggregate_features_batch(emb[None], token_space(emb[None], w),
+                                       feats[None],
                                        np.log(weights_)[None],
                                        np.ones((1, 5), dtype=bool), w)[0]
         qp = w["agg.wq"] @ emb + w["agg.bq"]
@@ -464,14 +472,16 @@ class TestAggregate:
     def test_batch_matches_per_query(self):
         _, features, queries, weights, cfg = toy_setup()
         emb = queries.embeddings
-        sets = predict_base_sets(emb, weights, cfg.qswap.k_base)
+        sets = predict_base_sets(emb, queries.positions, weights,
+                                 cfg.qswap.k_base)
         for kind in BEV_KINDS:
             sets[kind].weights = normalize_sample_scores(sets[kind])
         tok, logw, valid = build_tokens(
             plan_tokens(emb, queries.positions, features, weights, sets,
                         cfg.k_pv),
             slice(0, queries.n))
-        got = aggregate_features_batch(emb, tok, logw, valid, weights)
+        got = aggregate_features_batch(emb, token_space(emb, weights), tok, logw,
+                                       valid, weights)
         for i in range(queries.n):
             tokens = sample_features(queries.positions[i], emb[i], features,
                                      weights,
@@ -510,7 +520,8 @@ class TestAggregate:
         pad = ~valid
         tok[pad] = rng.uniform(-1e3, 1e3, size=(pad.sum(), d))
         logw[pad] = rng.uniform(-5.0, 5.0, size=pad.sum())
-        got = aggregate_features_batch(emb, tok, logw, valid, w)
+        got = aggregate_features_batch(emb, token_space(emb, w), tok, logw,
+                                       valid, w)
         assert np.array_equal(got[2], emb[2])
         for i, tokens in enumerate(rows):
             want = aggregate_features(emb[i], tokens, w)
@@ -625,6 +636,33 @@ class TestDecode:
             for kind in BEV_KINDS:
                 assert all(s.size == 4 for s in out.sample_sets[kind])
 
+    @pytest.mark.parametrize("mode", ["append", "replace"])
+    def test_imported_points_are_source_base_points(self, mode, monkeypatch):
+        # no stage re-expresses a point in another frame: an imported point
+        # is its source query's base point, bit for bit
+        cfg, features, queries, weights = preset_inputs(**{
+            "decoder.qswap.radius_factor": 30, "decoder.qswap.mode": mode})
+        calls = []
+        swap = decoder.swap_samples
+
+        def keep(base, *args, **kwargs):
+            calls.append((base, swap(base, *args, **kwargs)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(decoder, "swap_samples", keep)
+        decode(features, queries, weights, cfg.decoder)
+        assert len(calls) == len(BEV_KINDS) * cfg.decoder.layers
+        imported = 0
+        for base, out in calls:
+            ti, cols = np.nonzero((out.origins == ORIGIN_SHARED) & out.valid)
+            pts, src = out.points[ti, cols], out.sources[ti, cols]
+            # the source's base point nearest the import must be the import
+            near = np.linalg.norm(base.points[src] - pts[:, None], axis=2
+                                  ).argmin(axis=1)
+            assert np.array_equal(pts, base.points[src, near])
+            imported += len(ti)
+        assert imported > 0
+
     def test_positions_stay_in_extent(self):
         _, features, queries, weights, cfg = toy_setup()
         outs = decode(features, queries, weights, cfg)
@@ -679,11 +717,10 @@ class TestDecode:
         emb = apply_type_adapter(queries.embeddings.copy(), queries.types,
                                  weights)
         emb, affinity = shared_self_attention(emb, pos0, weights, cfg.heads)
-        sets = predict_base_sets(emb, weights, cfg.qswap.k_base)
+        sets = predict_base_sets(emb, pos0, weights, cfg.qswap.k_base)
         neighbors = [select_neighbors(i, affinity[i], box_wl, pos0[:, :2],
                                       cfg.qswap) for i in range(queries.n)]
-        sets = {kind: swap_samples(sets[kind], neighbors, affinity,
-                                   pos0[:, :2], cfg.qswap)
+        sets = {kind: swap_samples(sets[kind], neighbors, affinity, cfg.qswap)
                 for kind in BEV_KINDS}
         for kind in BEV_KINDS:
             sets[kind].weights = normalize_sample_scores(sets[kind])

@@ -287,7 +287,8 @@ def tokens_at(grid, points, scores=None):
     """
     points = np.asarray(points, dtype=np.float64).reshape(1, -1, 2)
     m = points.shape[1]
-    bank = base_bank(points, np.zeros((1, m)) if scores is None else scores)
+    bank = base_bank(np.zeros((1, 2)), points,
+                     np.zeros((1, m)) if scores is None else scores)
     bank.weights = normalize_sample_scores(bank)
     cfg = DecoderConfig(layers=1, d=grid.d, heads=1, k_pv=0)
     plan = plan_tokens(np.zeros((1, grid.d)), np.zeros((1, 3)),

@@ -13,15 +13,20 @@ from reference import (bilinear_sample, brute_force_selection, naive_affine,
                        naive_select_neighbors, naive_swap_samples)
 
 
-def make_bank(rows):
-    """Base bank from per-query (offsets, scores) pairs; sizes may differ."""
+def make_bank(rows, positions=None):
+    """Base bank from per-query (offsets, scores) pairs; sizes may differ.
+
+    Query i's points are positions[i] plus its offsets (default: the origin).
+    """
     k = max(len(scores) for _, scores in rows)
     offsets = np.zeros((len(rows), k, 2))
     scores = np.zeros((len(rows), k))
     for i, (off, sc) in enumerate(rows):
         offsets[i, :len(sc)] = off
         scores[i, :len(sc)] = sc
-    bank = base_bank(offsets, scores)
+    if positions is None:
+        positions = np.zeros((len(rows), 2))
+    bank = base_bank(positions, offsets, scores)
     bank.sizes = np.array([len(sc) for _, sc in rows], dtype=np.int64)
     return bank
 
@@ -37,7 +42,7 @@ def random_swap_instance(rng, n=8, k_base=20, cfg=None):
     base_sets = make_bank([
         (rng.normal(0.0, 2.0, (k_base, 2)), rng.normal(0.0, 1.0, k_base))
         for i in range(n)
-    ])
+    ], positions)
     neighbors = [select_neighbors(i, aff[i], boxes_wl, positions, cfg)
                  for i in range(n)]
     return base_sets, neighbors, aff, positions, boxes_wl, cfg
@@ -154,31 +159,31 @@ class TestPredictBaseSamples:
 
 
 def two_query_instance(neighbor_scores, k_base=4, cfg=None, affinity=0.5):
-    """Query 0 receives from query 1; geometry keeps 1 inside the radius."""
+    """Query 0 receives from query 1, 3 m away."""
     cfg = cfg or QSwapConfig(k_base=k_base)
     positions = np.array([[0.0, 0.0], [3.0, 0.0]])
     off1 = np.arange(len(neighbor_scores) * 2, dtype=float).reshape(-1, 2) * 0.1
     bank = make_bank([(np.zeros((k_base, 2)), np.zeros(k_base)),
-                      (off1, np.array(neighbor_scores, float))])
+                      (off1, np.array(neighbor_scores, float))], positions)
     aff = np.array([[1.0 - affinity, affinity], [affinity, 1.0 - affinity]])
     neighbors = [np.array([1]), np.array([], dtype=int)]
-    return bank, neighbors, aff, positions, cfg
+    return bank, neighbors, aff, cfg
 
 
 class TestSwapSamples:
     def test_no_neighbors_unchanged(self):
         rng = np.random.default_rng(0)
         base = make_bank([(rng.normal(size=(4, 2)), rng.normal(size=4))])
-        out = swap_samples(base, [np.array([], dtype=int)],
-                           np.eye(1), np.zeros((1, 2)), QSwapConfig(k_base=4))
+        out = swap_samples(base, [np.array([], dtype=int)], np.eye(1),
+                           QSwapConfig(k_base=4))
         assert out[0].size == 4
-        assert np.array_equal(out[0].offsets, base[0].offsets)
+        assert np.array_equal(out[0].points, base[0].points)
         assert (out[0].origins == ORIGIN_BASE).all()
 
     def test_per_neighbor_cap(self):
-        sets, nbs, aff, pos, cfg = two_query_instance(
+        sets, nbs, aff, cfg = two_query_instance(
             [5.0, 4.0, 3.0, 2.0, 1.0], k_base=5, cfg=QSwapConfig(k_base=5))
-        out = swap_samples(sets, nbs, aff, pos, cfg)
+        out = swap_samples(sets, nbs, aff, cfg)
         assert out[0].shared_count() == 2
         shared = out[0].scores[out[0].origins == ORIGIN_SHARED]
         expected = score_shared_points(np.array([5.0, 4.0]), 0.5, 1.0)
@@ -191,9 +196,9 @@ class TestSwapSamples:
         boxes = np.tile([2.0, 4.0], (4, 1))
         aff = np.full((4, 4), 0.25)
         base = make_bank([(rng.normal(size=(2, 2)), rng.normal(0, 3, 2))
-                          for i in range(4)])
+                          for i in range(4)], positions)
         neighbors = [np.array([1, 2, 3])] + [np.array([], dtype=int)] * 3
-        out = swap_samples(base, neighbors, aff, positions, cfg)
+        out = swap_samples(base, neighbors, aff, cfg)
         assert out[0].shared_count() == 4
         pool = []
         for j in (1, 2, 3):
@@ -205,12 +210,13 @@ class TestSwapSamples:
 
     def test_replace_mode_overwrites_lowest(self):
         cfg = QSwapConfig(k_base=20, mode="replace")
-        sets = make_bank([(np.zeros((20, 2)), np.arange(20, dtype=float)),
-                          (np.full((3, 2), 0.5), np.array([30.0, 40.0, -50.0]))])
-        aff = np.array([[0.5, 0.5], [0.5, 0.5]])
         pos = np.array([[0.0, 0.0], [2.0, 0.0]])
+        sets = make_bank([(np.zeros((20, 2)), np.arange(20, dtype=float)),
+                          (np.full((3, 2), 0.5), np.array([30.0, 40.0, -50.0]))],
+                         pos)
+        aff = np.array([[0.5, 0.5], [0.5, 0.5]])
         out = swap_samples(sets, [np.array([1]), np.array([], dtype=int)],
-                           aff, pos, cfg)
+                           aff, cfg)
         assert out[0].size == 20
         assert out[0].shared_count() == 2
         kept_base = out[0].scores[out[0].origins == ORIGIN_BASE]
@@ -218,15 +224,12 @@ class TestSwapSamples:
         assert set(kept_base.tolist()) == set(float(v) for v in range(2, 20))
 
     def test_shared_offsets_are_absolute_transfers(self):
-        sets, nbs, aff, pos, cfg = two_query_instance([3.0, 1.0], k_base=2,
-                                                      cfg=QSwapConfig(k_base=2))
-        out = swap_samples(sets, nbs, aff, pos, cfg)
+        sets, nbs, aff, cfg = two_query_instance([3.0, 1.0], k_base=2,
+                                                 cfg=QSwapConfig(k_base=2))
+        out = swap_samples(sets, nbs, aff, cfg)
         shared_mask = out[0].origins == ORIGIN_SHARED
-        shared_offsets = out[0].offsets[shared_mask]
-        src_abs = pos[1] + sets[1].offsets
-        expect = src_abs - pos[0]
-        got = sorted(map(tuple, shared_offsets))
-        assert any(np.allclose(got[0], e) for e in expect)
+        # both points move over as they are, best s-tilde first
+        assert np.array_equal(out[0].points[shared_mask], sets[1].points)
         assert (out[0].sources[shared_mask] == 1).all()
 
     def test_invalid_mode(self):
@@ -240,7 +243,7 @@ class TestSwapSamples:
             cfg = QSwapConfig(mode="append" if rng.random() < 0.5 else "replace")
             base, nbs, aff, pos, boxes, cfg = random_swap_instance(
                 rng, n=n, k_base=20, cfg=cfg)
-            out = swap_samples(base, nbs, aff, pos, cfg)
+            out = swap_samples(base, nbs, aff, cfg)
             for i, s in enumerate(out):
                 shared = s.origins == ORIGIN_SHARED
                 assert shared.sum() <= cfg.k_extra
@@ -263,15 +266,15 @@ class TestSwapSamples:
         # neighbor 2 has tiny raw score but much larger affinity
         base = make_bank([(np.zeros((1, 2)), np.zeros(1)),
                           (np.zeros((1, 2)), np.array([100.0])),
-                          (np.zeros((1, 2)), np.array([-100.0]))])
+                          (np.zeros((1, 2)), np.array([-100.0]))], positions)
         aff = np.array([[0.0, 0.01, 0.99], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         nbs = [np.array([1, 2]), np.array([], dtype=int), np.array([], dtype=int)]
-        out = swap_samples(base, nbs, aff, positions, cfg)
+        out = swap_samples(base, nbs, aff, cfg)
         assert out[0].sources[out[0].origins == ORIGIN_SHARED].tolist() == [2]
         # with the prior disabled the raw score wins instead
         cfg0 = QSwapConfig(k_base=1, prior_strength=0.0, n_neighbors=2,
                            k_per=1, k_extra=1)
-        out0 = swap_samples(base, nbs, aff, positions, cfg0)
+        out0 = swap_samples(base, nbs, aff, cfg0)
         assert out0[0].sources[out0[0].origins == ORIGIN_SHARED].tolist() == [1]
 
     def test_k_extra_monotonicity(self):
@@ -287,10 +290,10 @@ class TestSwapSamples:
             for k_extra in (2, 3, 4, 6, 8):
                 cfg = QSwapConfig(k_base=5, k_per=2, k_extra=k_extra,
                                   prior_strength=0.0)
-                out = swap_samples(base, nbs, aff, pos, cfg)
+                out = swap_samples(base, nbs, aff, cfg)
                 shared = out[0].origins == ORIGIN_SHARED
                 accepted = set(zip(out[0].sources[shared].tolist(),
-                                   map(tuple, out[0].offsets[shared])))
+                                   map(tuple, out[0].points[shared])))
                 if prev_sets is not None:
                     assert prev_sets <= accepted
                 prev_sets = accepted
@@ -318,32 +321,33 @@ class TestSwapSamples:
                               prior_strength=float(rng.choice([0.0, 1.0, 1000.0])))
             low = k_extra if mode == "replace" else 1
             sizes = rng.integers(low, cfg.k_base + 1, n)
-            bank = make_bank([(rng.normal(0.0, 2.0, (k, 2)), rng.choice(score_pool, k))
-                              for k in sizes])
+            rows = [(rng.normal(0.0, 2.0, (k, 2)), rng.choice(score_pool, k))
+                    for k in sizes]
             pos = rng.uniform(-3.0, 3.0, (n, 2))
+            bank = make_bank(rows, pos)
             aff = rng.choice([0.9, 0.5, 0.1, 0.0], (n, n))
             boxes = rng.uniform(0.5, 3.0, (n, 2))
             nbs = [select_neighbors(i, aff[i], boxes, pos, cfg) for i in range(n)]
-            got = swap_samples(bank, nbs, aff, pos, cfg)
-            want = naive_swap_samples(bank, nbs, aff, pos, cfg)
+            got = swap_samples(bank, nbs, aff, cfg)
+            want = naive_swap_samples(bank, nbs, aff, cfg)
             assert len(got) == n
             for i in range(n):
                 g, w = got[i], want[i]
                 assert g.owner == i and g.size == w.size
                 assert np.array_equal(g.origins, w.origins)
                 assert np.array_equal(g.sources, w.sources)
-                assert np.array_equal(g.offsets, w.offsets)
+                assert np.array_equal(g.points, w.points)
                 assert np.array_equal(g.scores, w.scores)
 
     def test_preselection_edges_match_naive_loop(self):
         # the edges of the two top-k selections (k_per per pair, then k_extra
         # per row) must leave the result bit-identical to the full-pool loop
-        def check(bank, nbs, aff, pos, cfg):
-            got = swap_samples(bank, nbs, aff, pos, cfg)
-            want = naive_swap_samples(bank, nbs, aff, pos, cfg)
+        def check(bank, nbs, aff, cfg):
+            got = swap_samples(bank, nbs, aff, cfg)
+            want = naive_swap_samples(bank, nbs, aff, cfg)
             assert np.array_equal(got.sizes, [w.size for w in want])
             for i, w in enumerate(want):
-                for name in ("offsets", "scores", "origins", "sources"):
+                for name in ("points", "scores", "origins", "sources"):
                     row = getattr(got, name)[i]
                     assert np.array_equal(row[:w.size], getattr(w, name)), (i, name)
             return got
@@ -356,14 +360,15 @@ class TestSwapSamples:
         # neighbors; k_per runs from 0 to past the width
         rows = [np.zeros(4), np.array([3.0, *tie, 0.0]), np.full(4, 0.25),
                 np.array([-2.0, -3.0]), np.array([1.0, *tie[::-1], 5.0])]
-        bank = make_bank([(rng.normal(0.0, 2.0, (len(sc), 2)), sc) for sc in rows])
+        offsets = [rng.normal(0.0, 2.0, (len(sc), 2)) for sc in rows]
         pos = rng.uniform(-1.0, 1.0, (5, 2))
+        bank = make_bank(list(zip(offsets, rows)), pos)
         aff = np.full((5, 5), 0.9)
         nbs = [np.array([1, 2, 3, 4]), np.array([0, 2, 3]), np.array([4, 1]),
                np.array([1]), np.array([], dtype=int)]
         # replace mode needs every row to hold k_extra points
         full = make_bank([(rng.normal(0.0, 2.0, (4, 2)), rows[i % 2 + 1])
-                          for i in range(5)])
+                          for i in range(5)], pos)
         for b, k_per, k_extra, mode in (
                 (bank, 0, 0, "append"), (bank, 1, 3, "append"),
                 (bank, 2, 5, "append"), (bank, 3, 8, "append"),
@@ -373,17 +378,16 @@ class TestSwapSamples:
             for prior in (0.0, 1.0, 1000.0):
                 cfg = QSwapConfig(k_base=4, k_per=k_per, k_extra=k_extra,
                                   mode=mode, prior_strength=prior)
-                check(b, nbs, aff, pos, cfg)
+                check(b, nbs, aff, cfg)
 
         # the 2**-52 pair ties once the prior is added, exactly at rank k_per
         st = score_shared_points(np.array(tie), 0.9, 1000.0)
         assert st[0] == st[1]
         cfg = QSwapConfig(k_base=4, k_per=2, k_extra=2, prior_strength=1000.0)
         got = check(bank, [np.array([1])] + [np.array([], dtype=int)] * 4,
-                    aff, pos, cfg)
+                    aff, cfg)
         assert got.scores[0, 4] == 3.0 + 1000.0 * np.log(0.9)
-        assert got.offsets[0, 5].tolist() == (pos[1] + bank.offsets[1, 1]
-                                              - pos[0]).tolist()
+        assert got.points[0, 5].tolist() == bank.points[1, 1].tolist()
 
         # swap-dense shape: 16 neighbors in a wide radius, caps 2 and 8
         n = 200
@@ -393,7 +397,7 @@ class TestSwapSamples:
             base, nbs, aff, pos, _, _ = random_swap_instance(
                 rng, n=n, k_base=20, cfg=cfg)
             assert sum(len(nb) for nb in nbs) > 8 * n
-            got = check(base, nbs, aff, pos, cfg)
+            got = check(base, nbs, aff, cfg)
             assert (got.origins == ORIGIN_SHARED).sum() > 4 * n
 
     def test_neighbor_lists_out_of_id_order(self):
@@ -405,35 +409,35 @@ class TestSwapSamples:
             cfg = QSwapConfig(k_base=4, k_per=int(rng.integers(1, 4)), k_extra=4,
                               mode=("append", "replace")[trial % 2],
                               prior_strength=float(rng.choice([0.0, 1.0])))
-            bank = make_bank([(rng.normal(0.0, 2.0, (4, 2)),
-                               rng.choice([0.5, 1.0], 4)) for _ in range(n)])
+            rows = [(rng.normal(0.0, 2.0, (4, 2)), rng.choice([0.5, 1.0], 4))
+                    for _ in range(n)]
             aff = rng.choice([0.5, 0.25], (n, n))
             pos = rng.uniform(-1.0, 1.0, (n, 2))
+            bank = make_bank(rows, pos)
             nbs = [rng.permutation(np.delete(np.arange(n), i))[:rng.integers(0, n)]
                    for i in range(n)]
             nbs[0] = np.arange(n - 1, 0, -1)
             given = [nb.copy() for nb in nbs]
-            got = swap_samples(bank, nbs, aff, pos, cfg)
-            want = naive_swap_samples(bank, nbs, aff, pos, cfg)
+            got = swap_samples(bank, nbs, aff, cfg)
+            want = naive_swap_samples(bank, nbs, aff, cfg)
             assert all(np.array_equal(a, b) for a, b in zip(nbs, given))
             for i, w in enumerate(want):
                 assert got.sizes[i] == w.size
-                for name in ("offsets", "scores", "origins", "sources"):
+                for name in ("points", "scores", "origins", "sources"):
                     row = getattr(got, name)[i]
                     assert np.array_equal(row[:w.size], getattr(w, name)), (i, name)
 
     def test_per_neighbor_rank_follows_s_tilde(self):
         scores = [1.0 + 2.0 ** -52, 1.0]
         cfg = QSwapConfig(k_base=2, k_per=1, k_extra=1, prior_strength=1000.0)
-        sets, nbs, _, pos, _ = two_query_instance(scores, k_base=2, cfg=cfg)
+        sets, nbs, _, _ = two_query_instance(scores, k_base=2, cfg=cfg)
         aff = np.full((2, 2), 0.9)
         st = score_shared_points(np.array(scores), 0.9, 1000.0)
         assert st[0] == st[1]
-        out = swap_samples(sets, nbs, aff, pos, cfg)
+        out = swap_samples(sets, nbs, aff, cfg)
         shared = out[0].origins == ORIGIN_SHARED
         # the s-tilde tie goes to the lower point index
-        assert np.array_equal(out[0].offsets[shared],
-                              pos[1] + sets[1].offsets[:1] - pos[0])
+        assert np.array_equal(out[0].points[shared], sets[1].points[:1])
 
     def test_rows_are_views(self):
         rng = np.random.default_rng(2)
@@ -442,7 +446,7 @@ class TestSwapSamples:
         bank.weights = normalize_sample_scores(bank)
         row = bank[0]
         assert row.size == 3 and row.owner == 0 and bank[-1].owner == 1
-        for name in ("offsets", "scores", "origins", "sources", "weights"):
+        for name in ("points", "scores", "origins", "sources", "weights"):
             assert np.shares_memory(getattr(row, name), getattr(bank, name))
         with pytest.raises(IndexError):
             bank[2]
@@ -498,13 +502,14 @@ class TestPlantedEvidence:
         off1 = np.tile([5.0, 5.0], (4, 1))
         off1[2] = a_center - pos[1]  # lands exactly on A's center
         scores1 = np.array([0.0, 0.0, 3.0, 0.0])
-        base = make_bank([(np.full((4, 2), 2.0), np.zeros(4)), (off1, scores1)])
+        base = make_bank([(np.full((4, 2), 2.0), np.zeros(4)), (off1, scores1)],
+                         pos)
         aff = np.array([[0.1, 0.9], [0.9, 0.1]])
         nbs = [np.array([1]), np.array([], dtype=int)]
-        out = swap_samples(base, nbs, aff, pos, cfg)
+        out = swap_samples(base, nbs, aff, cfg)
         out.weights = normalize_sample_scores(out)
 
-        abs_pts = pos[0] + out[0].offsets
+        abs_pts = out[0].points
         on_a = np.flatnonzero(np.linalg.norm(abs_pts - a_center, axis=1) < 1e-9)
         assert on_a.size == 1
         token = bilinear_sample(grid, abs_pts[on_a[0]])
