@@ -126,6 +126,14 @@ class RunConfig:
         for section in (self.scene, self.radar, self.render, self.queries,
                         self.decoder, self.seeds):
             section.validate()
+        # decode keeps one (N, N) attention matrix per layer
+        n = self.queries.n_world + self.queries.n_img + self.queries.n_rad
+        if self.decoder.layers * n * n > sc.MAX_FEATURE_VALUES:
+            raise ConfigError(
+                f"decoder.layers ({self.decoder.layers}) attention matrices of "
+                f"{n} queries hold {self.decoder.layers * n * n} values, over "
+                f"{sc.MAX_FEATURE_VALUES}: lower decoder.layers or the query "
+                "counts")
         sc.check_feature_sizes(self.scene, self.render.pv_downsample,
                                self.render.voxel)
         cells = round(2.0 * self.scene.extent / self.render.voxel) ** 2
@@ -165,9 +173,23 @@ def config_to_dict(cfg: RunConfig) -> dict:
     return asdict(cfg)
 
 
+def _json_int(text: str) -> int:
+    """A JSON integer literal; ConfigError past Python's digit limit.
+
+    Every JSON reader here parses integers with it, so a literal too long
+    for int() ends in the one-line JSON error like any other bad input.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"an integer literal of {len(text)} characters "
+                          f"exceeds the {sys.get_int_max_str_digits()}-digit "
+                          "limit") from None
+
+
 def _parse_value(text: str):
     try:
-        return json.loads(text)
+        return json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError:
         return text
 
@@ -211,7 +233,7 @@ def build_config(args) -> RunConfig:
     doc = {}
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_int=_json_int)
     cfg = config_from_dict(doc)
     preset = getattr(args, "preset", None)
     if preset and preset not in PRESETS:
@@ -238,7 +260,7 @@ def load_scene(cfg: RunConfig, path):
     were for the run that generated the scene.
     """
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, parse_int=_json_int)
     if not isinstance(doc, dict) or "config" not in doc:
         raise ConfigError(f"scene file {path} is not an object with a 'config' key")
     # defaults first, so a key the file omits does not keep a preset's value
@@ -518,7 +540,8 @@ def load_report(path, read):
         return value if math.isfinite(value) else refuse(text)
 
     with open(path, encoding="utf-8") as fh:
-        report = json.load(fh, parse_constant=refuse, parse_float=finite)
+        report = json.load(fh, parse_constant=refuse, parse_float=finite,
+                           parse_int=_json_int)
     if not (isinstance(report, dict)
             and report.get("schema_version") == REPORT_SCHEMA_VERSION
             and isinstance(report.get("layers"), list)
@@ -615,10 +638,11 @@ def cmd_ablate(args) -> int:
         key = tuple(sorted(overrides.items()))
         t0 = time.perf_counter()
         if key not in finals:
-            outputs = dec.decode(features, inputs["queries"], inputs["weights"],
-                                 vdec)
-            finals[key] = evaluate_outputs(outputs[-1:],
-                                           inputs["scene"].objects)[0]
+            # no name holds the outputs: one variant's layers live at a time
+            finals[key] = evaluate_outputs(
+                dec.decode(features, inputs["queries"], inputs["weights"],
+                           vdec)[-1:],
+                inputs["scene"].objects)[0]
         elapsed = time.perf_counter() - t0
         final = finals[key]
         fmt = lambda v: "" if math.isnan(v) else repr(v)

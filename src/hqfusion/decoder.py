@@ -19,6 +19,11 @@ The aggregation folds its key and value projections into the query: every
 query is mapped into token space once per layer (Wk^T q) and the
 attention-weighted token sum is projected once (Wv), so no per-token key or
 value is ever formed.
+
+A layer's output keeps one (N, N) attention matrix, the one its links are
+read from: the QMix attention when the layer ran it, else the shared
+self-attention.  Both matrices' type statistics are kept in every layer;
+swap sampling reads the self-attention affinity only inside its own layer.
 """
 from __future__ import annotations
 
@@ -103,9 +108,11 @@ class LayerOutput:
     sizes: np.ndarray           # (N, 3) w, l, h
     yaws: np.ndarray            # (N,)
     velocities: np.ndarray      # (N, 2)
-    self_attn: np.ndarray       # (N, N) head-averaged shared self-attention
+    # one (N, N) matrix per layer: the QMix attention when the layer mixed
+    # across types, else the head-averaged shared self-attention
+    self_attn: np.ndarray | None    # None when qmix_attn is kept
     self_stats: TypeAttentionStats
-    qmix_attn: np.ndarray | None
+    qmix_attn: np.ndarray | None    # None without QMix or at post_self
     qmix_stats: TypeAttentionStats | None
     sample_sets: dict[str, SampleBank]
 
@@ -474,7 +481,7 @@ def decode(features: SceneFeatures, queries: QuerySet, weights,
             sizes=sizes,
             yaws=yaws,
             velocities=velocities,
-            self_attn=affinity,
+            self_attn=affinity if qmix_attn is None else None,
             self_stats=attention_type_stats(affinity, types),
             qmix_attn=qmix_attn,
             qmix_stats=(attention_type_stats(qmix_attn, types)

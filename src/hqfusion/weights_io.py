@@ -176,9 +176,11 @@ def load_weights(path, config) -> DecoderWeights:
     sep = raw.find(b"\n\n")
     if sep < 0:
         raise WeightFormatError("missing manifest separator")
+    # ValueError covers bad UTF-8, bad JSON and an integer literal longer
+    # than int() reads
     try:
         manifest = json.loads(raw[:sep].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         raise WeightFormatError(f"bad manifest: {exc}") from exc
     if not isinstance(manifest, dict):
         raise WeightFormatError("manifest is not a JSON object")

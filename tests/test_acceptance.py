@@ -23,7 +23,7 @@ from reference import (bilinear_sample, brute_force_selection, mask_blocked,
 from test_numkernel import make_grid, tokens_at
 from test_qmix import random_mixing_weights
 from test_qswap import make_bank, random_swap_instance
-from test_decoder import toy_config, toy_setup
+from test_decoder import record_affinities, toy_config, toy_setup
 
 
 def criterion(num, text):
@@ -223,25 +223,28 @@ def test_planted_evidence_end_to_end():
 
 
 @criterion(9, "full decode is permutation-equivariant at 1e-9")
-def test_permutation_equivariance_full_decode():
+def test_permutation_equivariance_full_decode(monkeypatch):
     cfg = toy_config(layers=2)
     _, features, queries, weights, cfg = toy_setup(
         seed=109, n_world=18, n_img=6, n_rad=6, cfg=cfg)
     assert queries.n == 30
+    affinities = record_affinities(monkeypatch)
     outs = decode(features, queries, weights, cfg)
     perm = np.random.default_rng(109).permutation(30)
     permuted = QuerySet(queries.embeddings[perm], queries.positions[perm],
                         queries.types[perm], queries.init_score[perm],
                         queries.box_state[perm])
     outs_p = decode(features, permuted, weights, cfg)
-    for a, b in zip(outs, outs_p):
+    assert len(affinities) == 2 * cfg.layers
+    for a, b, aff_a, aff_b in zip(outs, outs_p, affinities[:cfg.layers],
+                                  affinities[cfg.layers:]):
         pair = np.ix_(perm, perm)
         assert np.allclose(b.class_scores, a.class_scores[perm], atol=1e-9)
         assert np.allclose(b.centers, a.centers[perm], atol=1e-9)
         assert np.allclose(b.sizes, a.sizes[perm], atol=1e-9)
         assert np.allclose(b.yaws, a.yaws[perm], atol=1e-9)
         assert np.allclose(b.velocities, a.velocities[perm], atol=1e-9)
-        assert np.allclose(b.self_attn, a.self_attn[pair], atol=1e-9)
+        assert np.allclose(aff_b, aff_a[pair], atol=1e-9)
         assert np.allclose(b.qmix_attn, a.qmix_attn[pair], atol=1e-9)
 
 

@@ -15,7 +15,9 @@ seed, since a refused --set would fail every benchmark run.  The traced
 swap counts, taken through the SampleSet rows of each bank, must equal the
 counts read straight from the bank arrays.  Both attention calls of a layer
 must reach the traced kernel, with the FLOP count of their shapes, so a
-QMix that routed around it would make numkernel.mha_s read low.
+QMix that routed around it would make numkernel.mha_s read low.  The
+links probe of a traced run must find a matrix in every layer of a run
+that emits no links, with QMix off and at every placement.
 """
 import importlib
 import importlib.util
@@ -23,6 +25,8 @@ import inspect
 import json
 import math
 from pathlib import Path
+
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -138,6 +142,36 @@ def test_traced_toy_run_reaches_every_wrapped_function(tmp_path, monkeypatch):
     flops = 2 * d * d * 4 * n + 4 * n * n * d
     assert math.isclose(tr.counts["numkernel.mha_gflop"],
                         2 * n_layers * flops / 1e9, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("placement", [None, "post_agg", "pre_agg",
+                                       "post_self", "post_self_cross"])
+def test_links_probe_reads_every_layer_without_emitted_links(placement,
+                                                             monkeypatch):
+    # a traced run of a workload that emits no links calls links_probe on
+    # the decode outputs, which must still hold the matrix links read
+    from hqfusion import cli
+    worker = _load("worker")
+    cfg = cli.config_from_dict({})
+    for key, value in cli.PRESETS["toy"].items():
+        cli.apply_override(cfg, key, value)
+    cli.apply_override(cfg, "decoder.enable_qmix", placement is not None)
+    if placement:
+        cli.apply_override(cfg, "decoder.qmix_placement", placement)
+    assert not cfg.emit.links
+    result = cli.run_pipeline(cfg)
+    read = []
+    extract = cli.extract_top_links
+
+    def keep(attn, *args, **kwargs):
+        read.append(attn)
+        return extract(attn, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "extract_top_links", keep)
+    worker.links_probe(cli, result)
+    n = result["queries"].n
+    assert len(read) == cfg.decoder.layers
+    assert all(attn.shape == (n, n) for attn in read)
 
 
 def test_swap_counts_match_the_banks():

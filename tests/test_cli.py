@@ -446,7 +446,8 @@ class TestCliCommands:
                                ("queries.n_world=14", "n_world"),
                                ("queries.n_world=200000", "attention matrix"),
                                ("queries.n_img=20000", "attention matrix"),
-                               ("queries.n_rad=4097", "n_rad")]:
+                               ("queries.n_rad=4097", "n_rad"),
+                               ("decoder.layers=100000000", "decoder.layers")]:
             for command in ("run", "ablate"):
                 message = assert_error_exit([command, *TOY, "--set", override],
                                             tmp_path / "out", capsys)
@@ -649,6 +650,31 @@ class TestCliCommands:
                 (["links", "--report", str(tmp_path)], "IsADirectoryError"),
                 (["run", *TOY, "--config", str(binary)], "UnicodeDecodeError")):
             assert_error_exit(args, tmp_path / "out", capsys, error=error)
+
+    @pytest.mark.parametrize("reader", ["set", "config", "scene",
+                                        "analyze-attn", "links"])
+    def test_huge_integer_literal_refused(self, tmp_path, capsys, reader):
+        # int() refuses a literal past its digit limit with a bare ValueError
+        huge = "1" + "0" * 5000
+        path = tmp_path / "in.json"
+        if reader == "set":
+            args = ["run", *TOY, "--set", f"decoder.k_pv={huge}"]
+        elif reader == "config":
+            path.write_text(f'{{"decoder": {{"k_pv": {huge}}}}}')
+            args = ["run", *TOY, "--config", str(path)]
+        elif reader == "scene":
+            assert run_cli(["gen-scene", *TOY, "--out", str(path)]) == 0
+            text = path.read_text()
+            assert text.count('"seed": 7') == 1
+            path.write_text(text.replace('"seed": 7', f'"seed": {huge}'))
+            args = ["run", *TOY, "--scene", str(path)]
+        else:
+            assert run_cli(["run", *TOY, "--out", str(path)]) == 0
+            text = path.read_text()
+            assert text.count('"n_total": 120') == 1
+            path.write_text(text.replace('"n_total": 120', f'"n_total": {huge}'))
+            args = [reader, "--report", str(path)]
+        assert "digit" in assert_error_exit(args, tmp_path / "out", capsys)
 
     def test_scene_file_config_replaces_preset(self, tmp_path):
         scene_path = tmp_path / "scene.json"

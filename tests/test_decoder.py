@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from hqfusion.qinit import (TYPE_IMG, TYPE_RAD, TYPE_W, QuerySet,
                             concat_query_sets, generate_2d_proposals,
                             init_image_queries, init_radar_queries,
                             init_world_queries)
-from hqfusion.qmix import qmix_attention
+from hqfusion.qmix import extract_top_links, qmix_attention
 from hqfusion.qswap import (BEV_KINDS, ORIGIN_SHARED, QSwapConfig, base_bank,
                             normalize_sample_scores, select_neighbors,
                             swap_samples)
@@ -342,12 +343,32 @@ def record_blocks(monkeypatch):
     return calls
 
 
+def record_affinities(monkeypatch):
+    """Wrap decoder.shared_self_attention; returns the list of affinities.
+
+    Decode keeps a layer's self-attention only when the layer ran no QMix,
+    so the tests read every layer's affinity here, as decode computed it.
+    """
+    affinities = []
+    attend = decoder.shared_self_attention
+
+    def keep(*args, **kwargs):
+        emb, affinity = attend(*args, **kwargs)
+        affinities.append(affinity)
+        return emb, affinity
+
+    monkeypatch.setattr(decoder, "shared_self_attention", keep)
+    return affinities
+
+
 class TestTokenBlocks:
     def test_block_size_does_not_change_decode(self, monkeypatch):
         cfg, features, queries, weights = preset_inputs()
         n, d = queries.n, cfg.decoder.d
         calls = record_blocks(monkeypatch)
+        affinities = record_affinities(monkeypatch)
         whole = decode(features, queries, weights, cfg.decoder)
+        whole_affinities = list(affinities)
         assert [c[0] for c in calls] == [slice(0, n)] * cfg.decoder.layers
         whole_valid = [c[3] for c in calls]
         t_max = [c[1][1] for c in calls]
@@ -357,6 +378,7 @@ class TestTokenBlocks:
         for rows_per_block, limit in ((1, 1), (7, block_bytes)):
             monkeypatch.setattr(decoder, "TOKEN_BLOCK_BYTES", limit)
             calls.clear()
+            affinities.clear()
             got = decode(features, queries, weights, cfg.decoder)
             starts = list(range(0, n, rows_per_block))
             assert [c[0] for c in calls] == [
@@ -371,9 +393,12 @@ class TestTokenBlocks:
                     assert np.array_equal(a.sample_sets[kind].sizes,
                                           b.sample_sets[kind].sizes)
                 for name in ("class_scores", "centers", "sizes", "yaws",
-                             "velocities", "self_attn", "qmix_attn"):
+                             "velocities", "qmix_attn"):
                     assert np.allclose(getattr(a, name), getattr(b, name),
                                        rtol=0.0, atol=1e-12), name
+                assert np.allclose(whole_affinities[layer], affinities[layer],
+                                   rtol=0.0, atol=1e-12)
+            assert len(affinities) == cfg.decoder.layers
 
     def test_blocks_stay_within_the_byte_bound(self, monkeypatch):
         cfg, features, queries, weights = preset_inputs(**{
@@ -587,14 +612,15 @@ class TestDetectionHead:
 
 
 class TestDecode:
-    def test_output_shapes(self):
+    def test_output_shapes(self, monkeypatch):
         _, features, queries, weights, cfg = toy_setup()
+        affinities = record_affinities(monkeypatch)
         outs = decode(features, queries, weights, cfg)
-        assert len(outs) == cfg.layers
-        for out in outs:
+        assert len(outs) == len(affinities) == cfg.layers
+        for out, affinity in zip(outs, affinities):
             assert out.class_scores.shape == (queries.n, cfg.num_classes)
             assert out.centers.shape == (queries.n, 3)
-            assert out.self_attn.shape == (queries.n, queries.n)
+            assert affinity.shape == (queries.n, queries.n)
             assert (out.sizes > 0).all()
             assert ((out.yaws > -math.pi) & (out.yaws <= math.pi)).all()
 
@@ -663,6 +689,34 @@ class TestDecode:
             imported += len(ti)
         assert imported > 0
 
+    @pytest.mark.parametrize("placement", [None, *decoder.PLACEMENTS])
+    def test_one_attention_matrix_per_layer(self, placement, monkeypatch):
+        # the kept matrix is the one build_report reads for links: QMix's
+        # when the layer mixed, else the shared self-attention
+        overrides = {"decoder.enable_qmix": placement is not None,
+                     "emit.links": True}
+        if placement:
+            overrides["decoder.qmix_placement"] = placement
+        cfg, _, _, _ = preset_inputs(**overrides)
+        affinities = record_affinities(monkeypatch)
+        result = cli.run_pipeline(cfg)
+        report = cli.build_report(cfg, result)
+        queries = result["queries"]
+        n = queries.n
+        assert len(affinities) == len(result["outputs"]) == cfg.decoder.layers
+        for out, affinity, rec in zip(result["outputs"], affinities,
+                                      report["layers"]):
+            square = [getattr(out, f.name) for f in dataclasses.fields(out)
+                      if np.shape(getattr(out, f.name)) == (n, n)]
+            assert len(square) == 1
+            (attn,) = square
+            mixed = placement not in (None, "post_self")
+            assert (attn is out.qmix_attn) == mixed
+            assert (attn is out.self_attn is affinity) == (not mixed)
+            assert rec["links"] == extract_top_links(
+                attn, queries.types, out.class_scores.max(axis=1))
+            assert rec["links"]
+
     def test_positions_stay_in_extent(self):
         _, features, queries, weights, cfg = toy_setup()
         outs = decode(features, queries, weights, cfg)
@@ -707,10 +761,12 @@ class TestDecode:
             assert np.array_equal(oa.class_scores, ob.class_scores)
             assert np.array_equal(oa.centers, ob.centers)
 
-    def test_single_layer_matches_hand_stepped_composition(self):
+    def test_single_layer_matches_hand_stepped_composition(self, monkeypatch):
         cfg = toy_config(layers=1)
         _, features, queries, weights, cfg = toy_setup(cfg=cfg)
+        affinities = record_affinities(monkeypatch)
         out = decode(features, queries, weights, cfg)[0]
+        assert len(affinities) == 1
 
         pos0 = queries.positions.astype(np.float64).copy()
         box_wl = queries.box_state[:, :2].copy()
@@ -735,16 +791,17 @@ class TestDecode:
                                     mixing_weights(weights, "qmix", cfg.heads))
         cls, centers, sizes, yaws, vel = detection_head(emb, pos0, weights, cfg)
 
-        assert np.allclose(out.self_attn, affinity, atol=1e-12)
+        assert np.allclose(affinities[0], affinity, atol=1e-12)
         assert np.allclose(out.qmix_attn, qattn, rtol=1e-9, atol=1e-11)
         assert np.allclose(out.class_scores, cls, rtol=1e-9, atol=1e-11)
         assert np.allclose(out.centers, centers, rtol=1e-9, atol=1e-11)
         assert np.allclose(out.sizes, sizes, rtol=1e-9, atol=1e-11)
         assert np.allclose(out.yaws, yaws, rtol=1e-9, atol=1e-11)
 
-    def test_permutation_equivariance_small(self):
+    def test_permutation_equivariance_small(self, monkeypatch):
         cfg = toy_config()
         _, features, queries, weights, cfg = toy_setup(cfg=cfg)
+        affinities = record_affinities(monkeypatch)
         outs = decode(features, queries, weights, cfg)
         rng = np.random.default_rng(9)
         perm = rng.permutation(queries.n)
@@ -752,10 +809,11 @@ class TestDecode:
                             queries.types[perm], queries.init_score[perm],
                             queries.box_state[perm])
         outs_p = decode(features, permuted, weights, cfg)
-        for a, b in zip(outs, outs_p):
+        assert len(affinities) == 2 * cfg.layers
+        for a, b, aff_a, aff_b in zip(outs, outs_p, affinities[:cfg.layers],
+                                      affinities[cfg.layers:]):
             assert np.allclose(b.class_scores, a.class_scores[perm], atol=1e-9)
             assert np.allclose(b.centers, a.centers[perm], atol=1e-9)
-            assert np.allclose(b.self_attn, a.self_attn[np.ix_(perm, perm)],
-                               atol=1e-9)
+            assert np.allclose(aff_b, aff_a[np.ix_(perm, perm)], atol=1e-9)
             assert np.allclose(b.qmix_attn, a.qmix_attn[np.ix_(perm, perm)],
                                atol=1e-9)

@@ -179,3 +179,17 @@ class TestMalformedManifest:
             err = capsys.readouterr().err.strip().splitlines()[-1]
             assert json.loads(err)["error"] == "WeightFormatError"
             assert not out.exists()
+
+    def test_huge_integer_literal_refused(self, tmp_path, capsys):
+        from hqfusion import cli
+        w_path, out = tmp_path / "w.cfw", tmp_path / "r.json"
+        assert cli.main(["init-weights", "--preset", "toy",
+                         "--out", str(w_path)]) == 0
+        self.rewrite(w_path, lambda m: {**m, "huge": 7})
+        w_path.write_bytes(w_path.read_bytes().replace(
+            b'"huge": 7', b'"huge": 1' + b"0" * 5000, 1))
+        assert cli.main(["run", "--preset", "toy", "--weights", str(w_path),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()[-1]
+        assert json.loads(err)["error"] == "WeightFormatError"
+        assert not out.exists()
