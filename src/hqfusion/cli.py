@@ -23,8 +23,9 @@ import numpy as np
 from . import decoder as dec
 from . import metrics as met
 from . import jsontext, qinit, qswap, scene as sc, weights_io
-from .errors import (ConfigError, GenerationError, NonFiniteError,
-                     WeightFormatError, require_finite)
+from .errors import (MAX_FLOAT, MIN_POSITIVE, ConfigError, GenerationError,
+                     NonFiniteError, WeightFormatError, bounded,
+                     require_finite)
 from .qmix import extract_top_links
 
 REPORT_SCHEMA_VERSION = 1
@@ -38,64 +39,35 @@ REPORT_NOTE = ("Random-weight desk-scale run on synthetic scenes; metric values 
 
 @dataclass
 class RenderConfig:
-    pv_noise: float = 0.05
-    bev_noise: float = 0.05
-    miss_rate: float = 0.2
-    pv_downsample: int = 16
-    voxel: float = 0.8
-
-    def validate(self):
-        if not self.voxel > 0.0:
-            raise ConfigError(f"render.voxel must be positive, got {self.voxel}")
-        if self.pv_downsample < 1:
-            raise ConfigError("render.pv_downsample must be at least 1")
-        if min(self.pv_noise, self.bev_noise) < 0.0:
-            raise ConfigError("render.pv_noise and render.bev_noise must be >= 0")
-        if not 0.0 <= self.miss_rate <= 1.0:
-            raise ConfigError(f"render.miss_rate must lie in [0, 1], "
-                              f"got {self.miss_rate}")
+    pv_noise: float = bounded(0.05, 0.0, MAX_FLOAT)
+    bev_noise: float = bounded(0.05, 0.0, MAX_FLOAT)
+    miss_rate: float = bounded(0.2, 0.0, 1.0)
+    # a downsample past the image size gives one-cell maps; the bound keeps
+    # pixel / downsample a float division
+    pv_downsample: int = bounded(16, 1, 1 << 20)
+    voxel: float = bounded(0.8, MIN_POSITIVE, MAX_FLOAT)
 
 
 @dataclass
 class QueryConfig:
-    n_world: int = 450
-    n_img: int = 225
-    n_rad: int = 225
-    rings: int = 15
-    per_view: int = 50
-    center_noise_px: float = 2.0
-    depth_noise: float = 1.0
+    n_world: int = bounded(450, 1, math.inf)
+    n_img: int = bounded(225, 0, math.inf)
+    n_rad: int = bounded(225, 0, math.inf)
+    rings: int = bounded(15, 1, math.inf)
+    per_view: int = bounded(50, 0, math.inf)
+    center_noise_px: float = bounded(2.0, 0.0, MAX_FLOAT)
+    depth_noise: float = bounded(1.0, 0.0, MAX_FLOAT)
 
     def validate(self):
-        if self.rings < 1:
-            raise ConfigError("queries.rings must be at least 1")
-        if min(self.n_img, self.n_rad) < 0:
-            raise ConfigError("queries.n_img and queries.n_rad must be >= 0")
-        if self.per_view < 0:
-            raise ConfigError("queries.per_view must be >= 0")
-        if not (0.0 <= self.center_noise_px < math.inf
-                and 0.0 <= self.depth_noise < math.inf):
-            raise ConfigError("queries.center_noise_px and queries.depth_noise "
-                              "must be finite and >= 0")
-        if self.n_world < max(1, self.rings):
-            raise ConfigError(f"queries.n_world ({self.n_world}) must be >= 1 "
-                              f"and >= queries.rings ({self.rings})")
-        n = self.n_world + self.n_img + self.n_rad
-        if n * n > sc.MAX_FEATURE_VALUES:
-            raise ConfigError(
-                f"{n} queries need an attention matrix of {n * n} values, "
-                f"over {sc.MAX_FEATURE_VALUES}: lower queries.n_world, "
-                "queries.n_img or queries.n_rad")
+        if self.n_world < self.rings:
+            raise ConfigError(f"queries.n_world ({self.n_world}) must be >= "
+                              f"queries.rings ({self.rings})")
 
 
 @dataclass
 class Seeds:
-    scene: int = 7
-    weights: int = 0
-
-    def validate(self):
-        if min(self.scene, self.weights) < 0:
-            raise ConfigError("seeds.scene and seeds.weights must be >= 0")
+    scene: int = bounded(7, 0, math.inf)
+    weights: int = bounded(0, 0, math.inf)
 
 
 @dataclass
@@ -117,28 +89,39 @@ class RunConfig:
     emit: EmitConfig = field(default_factory=EmitConfig)
 
     def validate(self):
-        if self.decoder.d != self.scene.feature_dim:
-            raise ConfigError(
-                f"decoder.d ({self.decoder.d}) must equal scene.feature_dim "
-                f"({self.scene.feature_dim})")
+        """Cross-field rules only; apply_override checks each field's range."""
+        q, d = self.queries, self.scene.feature_dim
+        if self.decoder.d != d:
+            raise ConfigError(f"decoder.d ({self.decoder.d}) must equal "
+                              f"scene.feature_dim ({d})")
         if not abs(self.decoder.extent - self.scene.extent) <= 1e-9:
             raise ConfigError("decoder.extent must equal scene.extent")
-        for section in (self.scene, self.radar, self.render, self.queries,
-                        self.decoder, self.seeds):
+        for section in (self.scene, self.queries, self.decoder):
             section.validate()
         # decode keeps one (N, N) attention matrix per layer
-        n = self.queries.n_world + self.queries.n_img + self.queries.n_rad
+        n = q.n_world + q.n_img + q.n_rad
         if self.decoder.layers * n * n > sc.MAX_FEATURE_VALUES:
             raise ConfigError(
-                f"decoder.layers ({self.decoder.layers}) attention matrices of "
-                f"{n} queries hold {self.decoder.layers * n * n} values, over "
-                f"{sc.MAX_FEATURE_VALUES}: lower decoder.layers or the query "
-                "counts")
+                f"{n} queries keep an attention matrix of {n * n} values in "
+                f"each of decoder.layers={self.decoder.layers}, over "
+                f"{sc.MAX_FEATURE_VALUES} in all: lower decoder.layers, "
+                "queries.n_world, queries.n_img or queries.n_rad")
         sc.check_feature_sizes(self.scene, self.render.pv_downsample,
                                self.render.voxel)
+        props = self.scene.num_cameras * q.per_view
+        if props > qinit.MAX_PROPOSALS or props * d > sc.MAX_FEATURE_VALUES:
+            raise ConfigError(
+                f"scene.num_cameras x queries.per_view = {props} proposals of {d}"
+                f" values exceed {qinit.MAX_PROPOSALS} or {sc.MAX_FEATURE_VALUES}")
+        r = self.radar
+        points = self.scene.num_objects * r.points_per_object + r.clutter_count
+        if points > sc.MAX_RADAR_POINTS:
+            raise ConfigError(
+                f"scene.num_objects x radar.points_per_object + radar."
+                f"clutter_count = {points} radar points exceed {sc.MAX_RADAR_POINTS}")
         cells = round(2.0 * self.scene.extent / self.render.voxel) ** 2
-        if self.queries.n_rad > cells:
-            raise ConfigError(f"queries.n_rad ({self.queries.n_rad}) exceeds "
+        if q.n_rad > cells:
+            raise ConfigError(f"queries.n_rad ({q.n_rad}) exceeds "
                               f"the {cells} cells of the radar heatmap")
 
 
@@ -202,8 +185,9 @@ def apply_override(cfg, path: str, value):
 
     A value must have a type its field's default accepts: a bool only for a
     bool field, an int (not a bool) for an int field, an int or a float for
-    a float field, a str for a str field.  A dict for a section sets each of
-    its keys below that section.
+    a float field, a str for a str field.  It must then lie in the field's
+    declared range or choices (errors.bounded, errors.one_of).  A dict for a
+    section sets each of its keys below that section.
     """
     node = cfg
     for name in path.split("."):
@@ -217,9 +201,17 @@ def apply_override(cfg, path: str, value):
         for key, item in value.items():
             apply_override(cfg, f"{path}.{key}", item)
         return
-    kind = type(known[name].default)
+    leaf = known[name]
+    kind = type(leaf.default)
     if type(value) not in _ACCEPTS[kind]:
         raise ConfigError(f"{path} must be of type {kind.__name__}, got {value!r}")
+    if "range" in leaf.metadata:
+        lo, hi = leaf.metadata["range"]
+        if not lo <= value <= hi:
+            raise ConfigError(f"{path} must lie in [{lo}, {hi}], got {value!r}")
+    choices = leaf.metadata.get("choices")
+    if choices is not None and value not in choices:
+        raise ConfigError(f"{path} must be one of {choices}, got {value!r}")
     setattr(parent, name, value)
 
 

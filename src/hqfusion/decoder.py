@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, require_finite
+from .errors import (MAX_FLOAT, MIN_POSITIVE, ConfigError, bounded, one_of,
+                     require_finite)
 from .numkernel import (AttentionMask, MhaWeights, bilinear_at, layer_norm,
                         multi_head_attention, softmax_rows)
 from .qinit import TYPE_IMG, TYPE_RAD, TYPE_W, QuerySet
@@ -54,37 +55,31 @@ TOKEN_BLOCK_BYTES = 8 << 20
 
 @dataclass
 class DecoderConfig:
-    layers: int = 6
-    d: int = 256
-    heads: int = 8
-    num_classes: int = 10
-    k_pv: int = 4
-    extent: float = 51.2          # predicted centers are clipped to this square
+    # d and extent carry the ranges of scene.feature_dim and scene.extent,
+    # which RunConfig.validate ties to them
+    layers: int = bounded(6, 1, math.inf)
+    d: int = bounded(256, 1, math.inf)
+    heads: int = bounded(8, 1, math.inf)
+    num_classes: int = bounded(10, 1, math.inf)
+    k_pv: int = bounded(4, 0, math.inf)
+    # predicted centers are clipped to this square of finite span
+    extent: float = bounded(51.2, MIN_POSITIVE, MAX_FLOAT / 2.0)
     enable_qmix: bool = True
     enable_qswap: bool = True
-    qmix_placement: str = "post_agg"
+    qmix_placement: str = one_of("post_agg", *PLACEMENTS)
     qswap: QSwapConfig = field(default_factory=QSwapConfig)
 
     def validate(self):
-        if self.layers < 1:
-            raise ConfigError("decoder needs at least one layer")
-        if self.heads < 1:
-            raise ConfigError("decoder needs at least one attention head")
-        if self.num_classes < 1:
-            raise ConfigError("decoder needs num_classes >= 1")
-        if self.d < 1:
-            raise ConfigError("decoder.d must be at least 1")
         if self.d % self.heads != 0:
-            raise ConfigError(f"heads ({self.heads}) must divide d ({self.d})")
-        if self.qmix_placement not in PLACEMENTS:
-            raise ConfigError(f"unknown qmix placement {self.qmix_placement!r}")
-        if self.k_pv < 0:
-            raise ConfigError("k_pv must be >= 0")
+            raise ConfigError(f"decoder.heads ({self.heads}) must divide "
+                              f"decoder.d ({self.d})")
         self.qswap.validate()
         values = sum(math.prod(shape) for shape in expected_shapes(self).values())
         if values > MAX_WEIGHT_VALUES:
-            raise ConfigError(f"decoder weights of {values} values exceed "
-                              f"{MAX_WEIGHT_VALUES}: lower decoder.d")
+            raise ConfigError(
+                f"decoder weights of {values} values exceed {MAX_WEIGHT_VALUES}: "
+                "lower decoder.d, decoder.num_classes, decoder.k_pv or "
+                "decoder.qswap.k_base")
 
 
 @dataclass

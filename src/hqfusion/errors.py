@@ -1,7 +1,30 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the config field table.
+
+A config field declares its legal values with `bounded` or `one_of`, and
+`cli.apply_override` checks them whenever it sets the field; a field with
+neither is bounded by a cross-field rule in its section's `validate`.
+"""
 from __future__ import annotations
 
+import math
+import sys
+from dataclasses import field
+
 import numpy as np
+
+MAX_FLOAT = sys.float_info.max
+MIN_POSITIVE = math.ulp(0.0)  # "> 0" as a closed range's lower end
+
+
+def bounded(default, lo, hi):
+    """A field whose values lie in [lo, hi] (a NaN never does): hi is
+    MAX_FLOAT for a float that need only be finite, math.inf for a seed or
+    a count that a cross-field size or work budget bounds."""
+    return field(default=default, metadata={"range": (lo, hi)})
+
+
+def one_of(default, *choices):
+    return field(default=default, metadata={"choices": choices})
 
 
 class ShapeError(ValueError):

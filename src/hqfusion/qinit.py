@@ -29,6 +29,10 @@ _STREAM_PROPOSALS = 3
 
 # Floor applied to noisy proposal depths before lifting.
 MINIMUM_DEPTH = 0.5
+# generate_2d_proposals spends about 13 us of Python per proposal, so this
+# many proposals over all views take about 3.5 s; each also carries a
+# d-vector, which RunConfig.validate bounds with the feature-map budget.
+MAX_PROPOSALS = 1 << 18
 
 
 @dataclass

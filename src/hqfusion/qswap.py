@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import MAX_FLOAT, MIN_POSITIVE, ConfigError, bounded, one_of
 from .numkernel import softmax_rows
 
 IMG_BEV = "img_bev"
@@ -38,37 +38,31 @@ ORIGIN_SHARED = 1
 
 @dataclass
 class QSwapConfig:
-    radius_factor: float = 1.5     # scales the footprint-adaptive radius
-    prior_strength: float = 1.0    # weight of the log-affinity term
-    n_neighbors: int = 4           # top-affinity partners considered
-    k_base: int = 20               # base sampling points per query per grid
-    k_per: int = 2                 # max points imported from one neighbor
-    k_extra: int = 4               # max imported points in total
-    mode: str = "append"           # "append" grows the set, "replace" keeps k_base
-    affinity_floor: float = 1e-8   # floor before the log (affinities can underflow)
+    radius_factor: float = bounded(1.5, 0.0, MAX_FLOAT)  # scales the radius
+    prior_strength: float = 1.0     # weight of the log-affinity term
+    # top-affinity partners considered; base points per query and grid; the
+    # most points imported from one neighbor and in total (caps only cut)
+    n_neighbors: int = bounded(4, 0, math.inf)
+    k_base: int = bounded(20, 1, math.inf)
+    k_per: int = bounded(2, 0, math.inf)
+    k_extra: int = bounded(4, 0, math.inf)
+    mode: str = one_of("append", "append", "replace")  # replace keeps k_base
+    # floor before the log (affinities can underflow)
+    affinity_floor: float = bounded(1e-8, MIN_POSITIVE, MAX_FLOAT)
 
     def validate(self):
-        if self.mode not in ("append", "replace"):
-            raise ConfigError(f"unknown swap mode {self.mode!r}")
         if self.k_per > self.k_extra:
-            raise ConfigError("k_per must not exceed k_extra")
-        if self.k_base < 1:
-            raise ConfigError("k_base must be at least 1")
-        if min(self.k_per, self.k_extra, self.n_neighbors) < 0:
-            raise ConfigError("swap caps must be non-negative")
-        if not 0.0 <= self.radius_factor < math.inf:
-            raise ConfigError(f"radius_factor must be finite and >= 0, "
-                              f"got {self.radius_factor}")
-        if not 0.0 < self.affinity_floor < math.inf:
-            raise ConfigError(f"affinity_floor must be finite and positive, "
-                              f"got {self.affinity_floor}")
+            raise ConfigError("decoder.qswap.k_per must not exceed "
+                              "decoder.qswap.k_extra")
         # bounds the prior term of every affinity in [0, 1], so an s-tilde
         # of -inf marks only an empty slot in swap_samples
         if not math.isfinite(self.prior_strength * math.log(self.affinity_floor)):
-            raise ConfigError(f"prior_strength * log(affinity_floor) must be "
-                              f"finite, got prior_strength {self.prior_strength}")
+            raise ConfigError(
+                "decoder.qswap.prior_strength * log(decoder.qswap.affinity_floor)"
+                f" must be finite, got prior_strength {self.prior_strength}")
         if self.mode == "replace" and self.k_extra > self.k_base:
-            raise ConfigError("replace mode needs k_extra <= k_base")
+            raise ConfigError("replace mode needs decoder.qswap.k_extra <= "
+                              "decoder.qswap.k_base")
 
 
 @dataclass

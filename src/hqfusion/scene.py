@@ -19,7 +19,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import jsontext
-from .errors import ConfigError, GenerationError, ShapeError
+from .errors import (MAX_FLOAT, MIN_POSITIVE, ConfigError, GenerationError,
+                     ShapeError, bounded)
 
 # Seed-stream tags, so independent draws never alias each other.
 _STREAM_OBJECTS = 0
@@ -44,6 +45,12 @@ _PLACEMENT_MARGIN = 2.0  # object centers keep this far from the scene edge
 # it the free area is a vanishing fraction of the scene (random placement
 # jams near 55% disk cover), whatever the requested count.
 MAX_REJECTED_DRAWS = 10_000
+# Work bounds of the generators that loop in Python once per item: placing
+# 10,000 objects at separation 0 takes about 2.3 s (it grows as the square
+# of the count) and a toy run with them about 4 s; simulate_radar_points
+# spends 10-20 us per point, so MAX_RADAR_POINTS of them take 3-5 s.
+MAX_OBJECTS = 10_000
+MAX_RADAR_POINTS = 1 << 18
 
 # 3x3 binomial kernel used to smooth the radar heatmap.
 _HEATMAP_KERNEL = np.array([[1, 2, 1], [2, 4, 2], [1, 2, 1]], dtype=np.float64) / 16.0
@@ -96,43 +103,31 @@ class CameraRig:
 
 @dataclass
 class SceneConfig:
+    # extent and feature_dim are tied to decoder.extent and decoder.d, which
+    # declare their ranges; num_clutter is kept for the report's config block
     extent: float = 51.2          # scene spans [-extent, extent]^2 in x, y
-    num_objects: int = 12
+    num_objects: int = bounded(12, 0, MAX_OBJECTS)
     num_clutter: int = 20
-    num_classes: int = 10
-    num_cameras: int = 6
+    # rng.integers draws class ids as int64
+    num_classes: int = bounded(10, 1, 1 << 63)
+    num_cameras: int = bounded(6, 0, math.inf)
     feature_dim: int = 256
-    min_separation: float = 2.0
-    image_width: int = 800
-    image_height: int = 450
-    focal: float = 500.0
-    camera_height: float = 1.6
+    min_separation: float = bounded(2.0, 0.0, MAX_FLOAT)
+    image_width: int = bounded(800, 1, math.inf)
+    image_height: int = bounded(450, 1, math.inf)
+    focal: float = bounded(500.0, MIN_POSITIVE, MAX_FOCAL)
+    camera_height: float = bounded(1.6, 0.0, MAX_FLOAT)
 
     def validate(self):
         if not 0.0 < 2.0 * self.extent < math.inf:
             raise ConfigError("scene.extent must be positive with a finite span "
                               f"2 * extent, got {self.extent}")
-        if min(self.image_width, self.image_height) < 1:
-            raise ConfigError("scene.image_width and scene.image_height must be "
-                              "at least 1")
-        if not 0.0 < self.focal <= MAX_FOCAL:
-            raise ConfigError(f"scene.focal must lie in (0, {MAX_FOCAL}], "
-                              f"got {self.focal}")
-        if self.num_cameras < 0:
-            raise ConfigError("scene.num_cameras must be >= 0")
-        if self.num_classes < 1:
-            raise ConfigError("scene.num_classes must be at least 1")
-        if not 0.0 <= self.camera_height <= self.extent:
-            raise ConfigError("scene.camera_height must lie in [0, extent]")
-        if self.num_objects < 0:
-            raise ConfigError("scene.num_objects must be >= 0")
-        s = self.min_separation
-        if not 0.0 <= s < math.inf:
-            raise ConfigError(f"scene.min_separation must be finite and >= 0, "
-                              f"got {s}")
+        if not self.camera_height <= self.extent:
+            raise ConfigError("scene.camera_height must not exceed scene.extent")
         # centers lie in a square of side L = 2 * (extent - margin); disks of
         # radius s/2 around them are disjoint and lie in the square of side
         # L + s, so more than (L + s)^2 / (pi s^2 / 4) objects never fit
+        s = self.min_separation
         if s > 0.0:
             ratio = (2.0 * (self.extent - _PLACEMENT_MARGIN) + s) / s
             if self.num_objects > 4.0 / math.pi * ratio * ratio:
@@ -270,17 +265,10 @@ class RadarPointCloud:
 
 @dataclass
 class RadarSimConfig:
-    points_per_object: int = 8
-    pos_noise: float = 0.3
-    vel_noise: float = 0.2
-    clutter_count: int = 20
-
-    def validate(self):
-        if min(self.points_per_object, self.clutter_count) < 0:
-            raise ConfigError("radar.points_per_object and radar.clutter_count "
-                              "must be >= 0")
-        if min(self.pos_noise, self.vel_noise) < 0.0:
-            raise ConfigError("radar.pos_noise and radar.vel_noise must be >= 0")
+    points_per_object: int = bounded(8, 0, math.inf)
+    pos_noise: float = bounded(0.3, 0.0, MAX_FLOAT)
+    vel_noise: float = bounded(0.2, 0.0, MAX_FLOAT)
+    clutter_count: int = bounded(20, 0, math.inf)
 
 
 def make_camera(fx, fy, cx, cy, yaw, position, width, height) -> Camera:
@@ -642,14 +630,17 @@ def scene_from_dict(doc: dict, config: SceneConfig) -> tuple[Scene, CameraRig]:
     components up to MAX_SPEED, class ids below num_classes, unit-norm
     signatures of feature_dim entries, num_cameras cameras of the config's
     image size with a rotation r_wc, focal lengths in (0, MAX_FOCAL] and the
-    principal point inside the image.
+    principal point inside the image, and num_objects objects.
     """
     config.validate()
     _require({"seed", "objects", "rig"} <= set(doc),
              "a scene document holds 'seed', 'objects' and 'rig'")
     seed = _int(doc["seed"], "seed", 0, math.inf)
+    records = _records(doc, "objects", _OBJECT_KEYS)
+    _require(len(records) == config.num_objects, f"objects holds {len(records)}"
+             f" objects, scene.num_objects is {config.num_objects}")
     objects = [_scene_object(o, f"objects[{i}]", config)
-               for i, o in enumerate(_records(doc, "objects", _OBJECT_KEYS))]
+               for i, o in enumerate(records)]
     cams = [_camera(c, f"rig[{i}]", config)
             for i, c in enumerate(_records(doc, "rig", _CAMERA_KEYS))]
     _require(len(cams) == config.num_cameras,

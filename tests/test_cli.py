@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -67,6 +68,57 @@ ANY_VALUE = st.recursive(
     lambda inner: (st.lists(inner, max_size=3)
                    | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
     max_leaves=6)
+
+
+def _declared(path):
+    """The dataclass field that a dotted config path names."""
+    node = cli.RunConfig()
+    for name in path.split("."):
+        leaf = {f.name: f for f in dataclasses.fields(node)}[name]
+        node = getattr(node, name)
+    return leaf
+
+
+def _edges(path, default):
+    """Each declared bound of a leaf and the nearest value beyond it."""
+    meta = _declared(path).metadata
+    if "choices" in meta:
+        return [*meta["choices"], "sideways"]
+    if "range" not in meta:
+        return []
+    lo, hi = meta["range"]
+    if type(default) is int:
+        return [lo - 1, lo] + ([hi, hi + 1] if hi < math.inf else [10 ** 30])
+    return [math.nextafter(lo, -math.inf), lo, hi, math.nextafter(hi, math.inf)]
+
+
+def _legal(path, default, value):
+    """Whether the setter must take value: the default's type, then the
+    declared range or choices."""
+    meta = _declared(path).metadata
+    if type(default) is float:
+        typed = type(value) in (int, float)
+    else:
+        typed = type(value) is type(default)
+    if not typed:
+        return False
+    if "range" in meta:
+        lo, hi = meta["range"]
+        return lo <= value <= hi
+    return value in meta.get("choices", [value])
+
+
+# leaves that declare no values of their own, and why
+UNDECLARED = {
+    "scene.extent": "tied to decoder.extent, which declares the range",
+    "scene.feature_dim": "tied to decoder.d, which declares the range",
+    "scene.num_clutter": "read by nothing but the report's config block",
+    "decoder.qswap.prior_strength":
+        "bounded by the finite prior_strength * log(affinity_floor) rule",
+}
+LEAF_VALUES = st.sampled_from(LEAVES).flatmap(
+    lambda leaf: st.tuples(st.just(leaf), ANY_VALUE | st.sampled_from(
+        _edges(*leaf) or [None])))
 
 
 def toy_config():
@@ -168,9 +220,9 @@ class TestConfig:
                 cli.apply_override(cfg, path, value)
 
     @settings(max_examples=300, deadline=None)
-    @given(leaf=st.sampled_from(LEAVES), value=ANY_VALUE)
-    def test_setter_keeps_the_default_type(self, leaf, value):
-        path, default = leaf
+    @given(case=LEAF_VALUES)
+    def test_setter_keeps_the_default_type(self, case):
+        (path, default), value = case
         doc = value
         for key in reversed(path.split(".")):
             doc = {key: doc}
@@ -184,13 +236,40 @@ class TestConfig:
             try:
                 cfg = build()
             except ConfigError:
+                assert not _legal(path, default, value), (path, value)
                 continue
+            assert _legal(path, default, value), (path, value)
             got = cfg
             for key in path.split("."):
                 got = getattr(got, key)
             assert got is value
             assert type(got) is type(default) or (
                 type(default) is float and type(got) is int)
+
+    def test_every_leaf_declares_its_values(self):
+        assert len(LEAVES) == 50
+        for path, default in LEAVES:
+            meta = _declared(path).metadata
+            if type(default) is bool or path in UNDECLARED:
+                assert not meta, path
+            else:
+                assert "range" in meta or "choices" in meta, path
+        assert set(UNDECLARED) <= {path for path, _ in LEAVES}
+        defaults = dict(LEAVES)
+        values = [*LEAVES, *((path, value) for preset in cli.PRESETS.values()
+                             for path, value in preset.items())]
+        for path, value in values:
+            assert _legal(path, defaults[path], value), (path, value)
+        # every edge, on top of the ones the property test draws
+        for path, default in LEAVES:
+            for value in _edges(path, default):
+                try:
+                    cli.apply_override(cli.RunConfig(), path, value)
+                except ConfigError as exc:
+                    assert path in str(exc)
+                    assert not _legal(path, default, value), (path, value)
+                else:
+                    assert _legal(path, default, value), (path, value)
 
     def test_dimension_mismatch_rejected(self):
         cfg = cli.config_from_dict({"scene": {"feature_dim": 64}})
@@ -447,7 +526,19 @@ class TestCliCommands:
                                ("queries.n_world=200000", "attention matrix"),
                                ("queries.n_img=20000", "attention matrix"),
                                ("queries.n_rad=4097", "n_rad"),
-                               ("decoder.layers=100000000", "decoder.layers")]:
+                               ("decoder.layers=100000000", "decoder.layers"),
+                               ("queries.per_view=100000000", "queries.per_view"),
+                               ("radar.clutter_count=100000000", "radar.clutter_count"),
+                               ("radar.points_per_object=100000000",
+                                "radar.points_per_object"),
+                               ("scene.num_objects=100000000", "scene.num_objects"),
+                               ("render.pv_noise=NaN", "render.pv_noise"),
+                               ("render.bev_noise=Infinity", "render.bev_noise"),
+                               ("radar.pos_noise=NaN", "radar.pos_noise"),
+                               ("radar.vel_noise=NaN", "radar.vel_noise"),
+                               ("decoder.k_pv=100000000", "decoder.k_pv"),
+                               ("render.pv_downsample=1048577", "render.pv_downsample"),
+                               (f"scene.num_classes={2 ** 63 + 1}", "scene.num_classes")]:
             for command in ("run", "ablate"):
                 message = assert_error_exit([command, *TOY, "--set", override],
                                             tmp_path / "out", capsys)
@@ -471,6 +562,7 @@ class TestCliCommands:
         bad_docs += [{k: v for k, v in good.items() if k != key}
                      for key in ("seed", "objects", "rig")]
         bad_docs += [{**good, "seed": seed} for seed in (1.5, -1, "3", True)]
+        bad_docs += [{**good, "objects": good["objects"][:-1]}]
         bad_fields = [
             (("objects", 0, "center"), [1, 2]), (("objects", 0, "size"), "abc"),
             (("rig", 0, "r_wc"), [[1, 0], [0, 1]]), (("rig", 0, "fx"), "x"),
@@ -602,6 +694,53 @@ class TestCliCommands:
         monkeypatch.setattr(decoder, "MAX_WEIGHT_VALUES", total - 1)
         with pytest.raises(ConfigError, match="decoder weights"):
             cfg.validate()
+
+    @pytest.mark.parametrize("overrides, word", [
+        (("scene.num_cameras=2000", "queries.per_view=1000000"),
+         "scene.num_cameras"),
+        (("scene.feature_dim=1024", "decoder.d=1024", "queries.per_view=50000"),
+         "queries.per_view"),
+        (("scene.min_separation=0", "scene.num_objects=100000000"),
+         "scene.num_objects"),
+        (("scene.min_separation=0", "scene.num_objects=10000",
+          "radar.points_per_object=27"), "radar.points_per_object")])
+    def test_generator_work_bounded(self, tmp_path, capsys, monkeypatch,
+                                    overrides, word):
+        # the proposal and radar generators loop in Python once per item
+        def no_generation(*args, **kwargs):
+            raise AssertionError("a scene was generated")
+
+        monkeypatch.setattr(sc, "generate_scene", no_generation)
+        args = ["run", *TOY]
+        for override in overrides:
+            args += ["--set", override]
+        assert word in assert_error_exit(args, tmp_path / "r.json", capsys)
+
+    def test_generator_work_at_the_bounds_passes(self):
+        from hqfusion.qinit import MAX_PROPOSALS
+        cfg = toy_config()
+        # toy: 4 cameras of 32-value proposals, 6 objects of 8 radar points
+        for path, value in [("queries.per_view", MAX_PROPOSALS // 4),
+                            ("radar.clutter_count", sc.MAX_RADAR_POINTS - 48)]:
+            cli.apply_override(cfg, path, value)
+            cfg.validate()
+            cli.apply_override(cfg, path, value + 1)
+            with pytest.raises(ConfigError, match=path):
+                cfg.validate()
+            cli.apply_override(cfg, path, value)
+        for path, value in [("scene.feature_dim", 1024), ("decoder.d", 1024),
+                            ("queries.per_view", sc.MAX_FEATURE_VALUES // 4096)]:
+            cli.apply_override(cfg, path, value)
+        cfg.validate()
+        cli.apply_override(cfg, "queries.per_view", sc.MAX_FEATURE_VALUES // 4096 + 1)
+        with pytest.raises(ConfigError, match="proposals"):
+            cfg.validate()
+        cfg = toy_config()
+        cli.apply_override(cfg, "scene.min_separation", 0)
+        cli.apply_override(cfg, "scene.num_objects", sc.MAX_OBJECTS)
+        cfg.validate()
+        with pytest.raises(ConfigError, match="scene.num_objects"):
+            cli.apply_override(cfg, "scene.num_objects", sc.MAX_OBJECTS + 1)
 
     def test_feasible_object_counts_pass_validation(self):
         # the densest packing of 2 m disks in the toy square holds far more
@@ -804,18 +943,30 @@ class TestCliCommands:
             assert doc["error"] in ("WeightFormatError", "ConfigError"), doc
             assert not out.exists()
 
-    def test_non_finite_value_refused(self, tmp_path, capsys):
+    @staticmethod
+    def _nan_in_first_pv_map(monkeypatch):
+        # the config refuses non-finite noise, so plant the NaN in a map
+        render = sc.render_pv_features
+
+        def with_nan(*args, **kwargs):
+            maps = render(*args, **kwargs)
+            maps[0].data[0, 0, 0] = float("nan")
+            return maps
+
+        monkeypatch.setattr(sc, "render_pv_features", with_nan)
+
+    def test_non_finite_value_refused(self, tmp_path, capsys, monkeypatch):
+        self._nan_in_first_pv_map(monkeypatch)
         out = tmp_path / "r.json"
-        code = run_cli(["run", *TOY, "--set", "render.pv_noise=NaN",
-                        "--out", str(out)])
+        code = run_cli(["run", *TOY, "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err.strip().splitlines()[-1]
         assert json.loads(err)["error"] == "NonFiniteError"
         assert not out.exists()
 
-    def test_non_finite_features_named(self, tmp_path, capsys):
-        message = assert_error_exit(["run", *TOY, "--set", "render.pv_noise=NaN"],
-                                    tmp_path / "r.json", capsys,
+    def test_non_finite_features_named(self, tmp_path, capsys, monkeypatch):
+        self._nan_in_first_pv_map(monkeypatch)
+        message = assert_error_exit(["run", *TOY], tmp_path / "r.json", capsys,
                                     error="NonFiniteError")
         assert "features stage" in message and "PV map" in message
 

@@ -233,8 +233,10 @@ class TestSwapSamples:
         assert (out[0].sources[shared_mask] == 1).all()
 
     def test_invalid_mode(self):
-        with pytest.raises(ConfigError):
-            QSwapConfig(mode="sideways").validate()
+        # the mode's choices are checked by the config setter
+        from hqfusion.cli import RunConfig, apply_override
+        with pytest.raises(ConfigError, match="decoder.qswap.mode"):
+            apply_override(RunConfig(), "decoder.qswap.mode", "sideways")
 
     def test_randomized_constraints(self):
         rng = np.random.default_rng(7)
