@@ -39,8 +39,10 @@ REPORT_NOTE = ("Random-weight desk-scale run on synthetic scenes; metric values 
 
 @dataclass
 class RenderConfig:
-    pv_noise: float = bounded(0.05, 0.0, MAX_FLOAT)
-    bev_noise: float = bounded(0.05, 0.0, MAX_FLOAT)
+    # in units of the unit-norm object signatures: 1e3 already buries every
+    # signature, and the features stay far from overflow
+    pv_noise: float = bounded(0.05, 0.0, 1e3)
+    bev_noise: float = bounded(0.05, 0.0, 1e3)
     miss_rate: float = bounded(0.2, 0.0, 1.0)
     # a downsample past the image size gives one-cell maps; the bound keeps
     # pixel / downsample a float division
@@ -271,9 +273,10 @@ def write_json(path, obj):
     """Write obj as sorted, 2-space indented JSON and a newline.
 
     The text is `jsontext.dumps(obj)`, byte for byte what
-    `json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)` gives, in
-    about half its time.  It is serialized in full before the file is
-    opened; a NaN or an infinity raises NonFiniteError.
+    `json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)` gives for
+    the plain tree, with each sample dump rendered from its bank's arrays
+    as the dicts of that tree would be written.  It is serialized in full
+    before the file is opened; a NaN or an infinity raises NonFiniteError.
     """
     jsontext.write(path, obj)
 
@@ -374,22 +377,59 @@ def _set_size_summary(bank: qswap.SampleBank) -> dict:
             "mean": float(np.mean(bank.sizes))}
 
 
-def _sample_dump(bank: qswap.SampleBank) -> list[dict]:
-    """Every query's points on one grid, with absolute BEV positions."""
-    names = {qswap.ORIGIN_BASE: "base", qswap.ORIGIN_SHARED: "shared"}
-    xy = bank.points.tolist()
-    origins = bank.origins.tolist()
-    sources = bank.sources.tolist()
-    scores = bank.scores.tolist()
-    weights = bank.weights.tolist()
-    return [
-        {"owner": i,
-         "points": [{"origin": names[origins[i][k]], "source": sources[i][k],
-                     "position": xy[i][k], "score": scores[i][k],
-                     "weight": weights[i][k]}
-                    for k in range(size)]}
-        for i, size in enumerate(bank.sizes.tolist())
-    ]
+def _sample_dump(bank: qswap.SampleBank) -> jsontext.Fragment:
+    """Every query's points on one grid, with absolute BEV positions.
+
+    The text is `jsontext.dumps` of the list that holds, for each query i,
+    {"owner": i, "points": [{"origin", "position", "score", "source",
+    "weight"} for each of its points]}; it is rendered from the bank's arrays
+    without building those dicts.
+    """
+    return jsontext.Fragment(lambda level: _render_sample_dump(bank, level))
+
+
+def _render_sample_dump(bank: qswap.SampleBank, level: int) -> str:
+    valid = bank.valid
+    floats = np.concatenate([bank.points, bank.scores[..., None],
+                             bank.weights[..., None]], axis=2)
+    bad = ~np.isfinite(floats) & valid[..., None]
+    if bad.any():   # the first one in text order, as the encoder would
+        jsontext.float_text(floats[bad][0].item())
+    ind = ["\n" + "  " * (level + j) for j in range(6)]
+
+    def point(prefix: str, origin: str) -> str:
+        return (prefix + ind[3] + "{" + ind[4] + f'"origin": "{origin}",'
+                + ind[4] + '"position": [' + ind[5] + "%r," + ind[5] + "%r"
+                + ind[4] + "]," + ind[4] + '"score": %r,' + ind[4]
+                + '"source": %d,' + ind[4] + '"weight": %r' + ind[3] + "}")
+
+    # templates[first or later point of its query][origin]
+    templates = np.empty((2, 2), dtype=object)
+    for row, prefix in enumerate("[,"):
+        templates[row, qswap.ORIGIN_BASE] = point(prefix, "base")
+        templates[row, qswap.ORIGIN_SHARED] = point(prefix, "shared")
+    closes = np.array(["[]" + ind[1] + "}", ind[2] + "]" + ind[1] + "}"],
+                      dtype=object)
+    owner = ind[1] + "{" + ind[2] + '"owner": %d,' + ind[2] + '"points": '
+
+    # row i: query i's opening with its owner, its point templates, its close
+    n, k = bank.scores.shape
+    pieces = np.empty((n, k + 2), dtype=object)
+    pieces[:, 0] = [("," if i else "[") + owner % i for i in range(n)]
+    pieces[:, 1:-1] = templates[(np.arange(k) > 0).astype(np.intp),
+                                bank.origins]
+    pieces[:, -1] = closes[(bank.sizes > 0).astype(np.intp)]
+    keep = np.ones((n, k + 2), dtype=bool)
+    keep[:, 1:-1] = valid
+
+    # the values of each point's template, as Python floats and ints
+    values = np.empty((n, k, 5), dtype=object)
+    values[..., :2] = bank.points
+    values[..., 2] = bank.scores
+    values[..., 3] = bank.sources
+    values[..., 4] = bank.weights
+    fmt = "".join(pieces[keep].tolist())
+    return fmt % tuple(values[valid].ravel().tolist()) + ind[0] + "]"
 
 
 def build_report(cfg: RunConfig, result) -> dict:

@@ -1,12 +1,18 @@
 """Indented JSON text for reports and scene files.
 
-`dumps(obj)` returns exactly `json.dumps(obj, sort_keys=True, indent=2,
-allow_nan=False)`.  With any indent the standard library leaves its C
-encoder for a pure-Python one built from generators; this writer does the
-same walk as plain loops that append to one list of parts.  Scalars are
-written inline, each string key is encoded once per call, strings go
-through the C `encode_basestring_ascii`, and a list of floats is joined in
-one pass.  A report is a tree, so there is no circular-reference check.
+For a tree of plain values, `dumps(obj)` returns exactly `json.dumps(obj,
+sort_keys=True, indent=2, allow_nan=False)`.  With any indent the standard
+library leaves its C encoder for a pure-Python one built from generators;
+this writer does the same walk as plain loops that append to one list of
+parts.  Scalars are written inline, each string key is encoded once per
+call, strings go through the C `encode_basestring_ascii`, and a list of
+floats is joined in one pass.  A report is a tree, so there is no
+circular-reference check.
+
+A `Fragment` writes its own text, which `dumps` appends where the value
+stands.  A caller uses one for a block it can render straight from arrays,
+such as a sample dump, instead of building nested dicts for this walk; the
+text must be what the standard library gives for those dicts.
 """
 from __future__ import annotations
 
@@ -19,7 +25,23 @@ _float_repr = float.__repr__
 _int_repr = int.__repr__
 
 
-def _float_text(value) -> str:
+class Fragment:
+    """A value whose JSON text is `render(level)`.
+
+    `level` is the indent level of the value's closing bracket; the text
+    starts at the value's first character.  `render` raises ValueError, with
+    the standard library's message, on a value JSON cannot hold.
+    """
+
+    __slots__ = ("render",)
+
+    def __init__(self, render):
+        self.render = render
+
+
+def float_text(value: float) -> str:
+    """A float's JSON text; ValueError, as the standard library's, if it is
+    NaN or infinite."""
     if math.isfinite(value):
         return _float_repr(value)
     raise ValueError("Out of range float values are not JSON compliant: "
@@ -31,7 +53,7 @@ def _key_text(key) -> str:
     if isinstance(key, str):
         return _encode_str(key)
     if isinstance(key, float):
-        return _encode_str(_float_text(key))
+        return _encode_str(float_text(key))
     if key is True:
         return '"true"'
     if key is False:
@@ -45,7 +67,8 @@ def _key_text(key) -> str:
 
 
 def dumps(obj) -> str:
-    """`json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)`.
+    """`json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)`, with
+    each Fragment written as its own text.
 
     Raises ValueError on NaN or an infinity and TypeError on a value or key
     JSON cannot hold, with the standard library's messages.
@@ -71,7 +94,7 @@ def dumps(obj) -> str:
         elif cls is str:
             append(head + _encode_str(value))
         elif cls is float:
-            append(head + _float_text(value))
+            append(head + float_text(value))
         elif cls is int:
             append(head + _int_repr(value))
         elif value is None:
@@ -80,13 +103,15 @@ def dumps(obj) -> str:
             append(head + "true")
         elif value is False:
             append(head + "false")
+        elif cls is Fragment:
+            append(head + value.render(level))
         # subclasses, in the order the standard library tests them
         elif isinstance(value, str):
             append(head + _encode_str(value))
         elif isinstance(value, int):
             append(head + _int_repr(value))
         elif isinstance(value, float):
-            append(head + _float_text(value))
+            append(head + float_text(value))
         elif isinstance(value, (list, tuple)):
             write_list(value, head, level)
         elif isinstance(value, dict):
@@ -111,14 +136,14 @@ def dumps(obj) -> str:
                 # infinite, or the sum of finite elements overflowed
                 if not math.isfinite(sum(lst)):
                     for value in lst:
-                        _float_text(value)
+                        float_text(value)
                 append(head + "[" + inner + text + newlines[level] + "]")
                 return
         item_head = head + "[" + inner
         for value in lst:
             cls = value.__class__
             if cls is float:
-                append(item_head + _float_text(value))
+                append(item_head + float_text(value))
             elif cls is int:
                 append(item_head + _int_repr(value))
             elif cls is str:
@@ -145,7 +170,7 @@ def dumps(obj) -> str:
                 key_text = _key_text(key) + ": "
             cls = value.__class__
             if cls is float:
-                append(item_head + key_text + _float_text(value))
+                append(item_head + key_text + float_text(value))
             elif cls is int:
                 append(item_head + key_text + _int_repr(value))
             elif cls is str:

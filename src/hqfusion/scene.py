@@ -266,8 +266,9 @@ class RadarPointCloud:
 @dataclass
 class RadarSimConfig:
     points_per_object: int = bounded(8, 0, math.inf)
-    pos_noise: float = bounded(0.3, 0.0, MAX_FLOAT)
-    vel_noise: float = bounded(0.2, 0.0, MAX_FLOAT)
+    # metres and m/s, far past any radar's error; the renderers stay finite
+    pos_noise: float = bounded(0.3, 0.0, 1e3)
+    vel_noise: float = bounded(0.2, 0.0, 1e3)
     clutter_count: int = bounded(20, 0, math.inf)
 
 
@@ -473,10 +474,12 @@ def encode_radar_bev(points: RadarPointCloud, grid_config: GridConfig, d: int,
         0.0, 1.0 / math.sqrt(6.0), size=(6, d))
 
     if len(points) > 0:
-        cols = np.floor((points.xyz[:, 0] - grid.x_min) / grid.voxel).astype(int)
-        rows = np.floor((points.xyz[:, 1] - grid.y_min) / grid.voxel).astype(int)
-        inside = (cols >= 0) & (cols < n) & (rows >= 0) & (rows < n)
-        cols, rows = cols[inside], rows[inside]
+        # cell coordinates as floats: a far point's would not fit an int
+        fc = (points.xyz[:, 0] - grid.x_min) / grid.voxel
+        fr = (points.xyz[:, 1] - grid.y_min) / grid.voxel
+        inside = (fc >= 0) & (fc < n) & (fr >= 0) & (fr < n)
+        cols = np.floor(fc[inside]).astype(int)
+        rows = np.floor(fr[inside]).astype(int)
         pts = points.xyz[inside]
         vel = points.velocity[inside]
         rcs = points.rcs[inside]

@@ -13,7 +13,7 @@ import numpy as np
 
 from hqfusion.numkernel import AttentionMask, MaskGroup, MhaWeights
 from hqfusion.qinit import TYPE_NAMES, QuerySet
-from hqfusion.qswap import (BEV_KINDS, ORIGIN_SHARED, SampleSet,
+from hqfusion.qswap import (BEV_KINDS, ORIGIN_BASE, ORIGIN_SHARED, SampleSet,
                             adaptive_radius, score_shared_points)
 from hqfusion.scene import MIN_CAMERA_DEPTH
 
@@ -338,6 +338,26 @@ def naive_top_links(attn, types, confidences, conf_threshold=0.1, k=2):
             for j in ranked
         )
     return links
+
+
+def sample_dump_dicts(bank) -> list[dict]:
+    """The `--emit-samples` list of one bank as plain dicts: every query's
+    points on one grid, with absolute BEV positions."""
+    names = {ORIGIN_BASE: "base", ORIGIN_SHARED: "shared"}
+    xy = bank.points.tolist()
+    origins = bank.origins.tolist()
+    sources = bank.sources.tolist()
+    scores = bank.scores.tolist()
+    weights = bank.weights.tolist()
+    return [
+        {"owner": i,
+         "points": [{"origin": names[origins[i][k]], "source": sources[i][k],
+                     "position": xy[i][k], "score": scores[i][k],
+                     "weight": weights[i][k]}
+                    for k in range(size)]}
+        for i, size in enumerate(bank.sizes.tolist())
+    ]
+
 
 def naive_swap_samples(bank, neighbor_lists, affinities, cfg):
     """Per-query swap loop over the rows of a SampleBank; list of SampleSets.

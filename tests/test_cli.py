@@ -18,10 +18,12 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from hqfusion import cli
+from hqfusion import cli, jsontext, qswap
 from hqfusion import scene as sc
-from hqfusion.errors import ConfigError
+from hqfusion.errors import ConfigError, NonFiniteError
 from hqfusion.weights_io import init_weights, save_weights
+
+from reference import sample_dump_dicts
 
 
 TOY = ["--preset", "toy"]
@@ -119,6 +121,26 @@ UNDECLARED = {
 LEAF_VALUES = st.sampled_from(LEAVES).flatmap(
     lambda leaf: st.tuples(st.just(leaf), ANY_VALUE | st.sampled_from(
         _edges(*leaf) or [None])))
+
+
+def _bank(sizes, k, seed=0):
+    """A bank of random points; row i holds sizes[i] of them."""
+    rng = np.random.default_rng(seed)
+    n = len(sizes)
+    return qswap.SampleBank(rng.normal(0.0, 20.0, (n, k, 2)),
+                            rng.normal(size=(n, k)),
+                            rng.integers(0, 2, (n, k)).astype(np.uint8),
+                            rng.integers(0, n, (n, k)),
+                            np.array(sizes, dtype=np.int64), rng.random((n, k)))
+
+
+# a sample dump at several depths of a report-like tree
+SAMPLE_DUMP_NESTINGS = [
+    lambda dump: dump,
+    lambda dump: [dump],
+    lambda dump: {"a": 0.5, "dump": dump, "z": [1, dump]},
+    lambda dump: {"layers": [{"layer": 0, "sample_dump": {"img_bev": dump}}]},
+]
 
 
 def toy_config():
@@ -418,6 +440,58 @@ class TestCliCommands:
         weights = [p["weight"] for p in dump[0]["points"]]
         assert abs(sum(weights) - 1.0) < 1e-9
 
+    @pytest.mark.parametrize("source", ["append", "replace", "synthetic"])
+    def test_sample_dump_text_equals_the_dicts(self, source):
+        if source == "synthetic":
+            banks = [_bank([3, 0, 5, 1], 5), _bank([2], 4), _bank([0], 3)]
+        else:
+            cfg = toy_config()
+            cli.apply_override(cfg, "decoder.qswap.mode", source)
+            banks = [out.sample_sets[kind]
+                     for out in cli.run_pipeline(cfg)["outputs"]
+                     for kind in qswap.BEV_KINDS]
+            assert any((b.origins[b.valid] == qswap.ORIGIN_SHARED).any()
+                       for b in banks)
+        if source != "replace":
+            assert any(len(set(b.sizes.tolist())) > 1 for b in banks)
+        for bank in banks:
+            for nest in SAMPLE_DUMP_NESTINGS:
+                assert (jsontext.dumps(nest(cli._sample_dump(bank)))
+                        == json.dumps(nest(sample_dump_dicts(bank)),
+                                      sort_keys=True, indent=2))
+
+    @pytest.mark.parametrize("changes", [
+        [("points", (2, 2, 1), math.nan)], [("points", (0, 1, 0), math.inf)],
+        [("scores", (0, 0), -math.inf)], [("weights", (2, 4), math.nan)],
+        [("weights", (3, 0), math.inf), ("scores", (2, 1), math.nan)],
+        [("points", (2, 3, 1), -math.inf), ("weights", (2, 3), math.nan)]])
+    def test_non_finite_sample_refused(self, tmp_path, changes):
+        bank = _bank([3, 0, 5, 1], 6)
+        for column, index, value in changes:
+            getattr(bank, column)[index] = value
+        path = tmp_path / "r.json"
+        with pytest.raises(NonFiniteError, match="not JSON compliant") as ours:
+            cli.write_json(path, {"sample_dump": {"img_bev": cli._sample_dump(bank)}})
+        assert not path.exists()
+        # the same first value in text order as the encoder of the dicts
+        with pytest.raises(ValueError) as theirs:
+            json.dumps(sample_dump_dicts(bank), sort_keys=True, indent=2,
+                       allow_nan=False)
+        assert str(ours.value).endswith(str(theirs.value))
+
+    def test_non_finite_padding_is_not_written(self, tmp_path):
+        bank = _bank([3, 0, 5, 1], 6)
+        for i, size in enumerate(bank.sizes):
+            bank.points[i, size:] = math.nan
+            bank.scores[i, size:] = math.inf
+            bank.weights[i, size:] = -math.inf
+        report = {"layers": [{"sample_dump": {"img_bev": cli._sample_dump(bank)}}]}
+        path = tmp_path / "r.json"
+        cli.write_json(path, report)
+        report["layers"][0]["sample_dump"]["img_bev"] = sample_dump_dicts(bank)
+        assert path.read_text() == json.dumps(report, sort_keys=True, indent=2,
+                                              allow_nan=False) + "\n"
+
     def test_written_files_equal_the_stdlib_text(self, tmp_path):
         # a float's repr reads back to the same float, so re-dumping the
         # parsed file with the standard library must give the same bytes
@@ -538,11 +612,23 @@ class TestCliCommands:
                                ("radar.vel_noise=NaN", "radar.vel_noise"),
                                ("decoder.k_pv=100000000", "decoder.k_pv"),
                                ("render.pv_downsample=1048577", "render.pv_downsample"),
-                               (f"scene.num_classes={2 ** 63 + 1}", "scene.num_classes")]:
+                               (f"scene.num_classes={2 ** 63 + 1}", "scene.num_classes"),
+                               ("radar.pos_noise=1e308", "radar.pos_noise"),
+                               ("radar.vel_noise=1e308", "radar.vel_noise"),
+                               ("render.bev_noise=1e308", "render.bev_noise"),
+                               ("render.pv_noise=1e308", "render.pv_noise")]:
             for command in ("run", "ablate"):
                 message = assert_error_exit([command, *TOY, "--set", override],
                                             tmp_path / "out", capsys)
                 assert word in message, (command, override)
+
+    @pytest.mark.parametrize("path", ["radar.pos_noise", "radar.vel_noise",
+                                      "render.bev_noise", "render.pv_noise"])
+    def test_noise_at_its_bound_runs_clean(self, tmp_path, path):
+        # every RuntimeWarning is an error here: no renderer overflows
+        bound = _declared(path).metadata["range"][1]
+        assert run_cli(["run", *TOY, "--set", f"{path}={bound!r}",
+                        "--out", str(tmp_path / "r.json")]) == 0
 
     @pytest.mark.parametrize("pair, word", [
         (("scene.extent=1e308", "decoder.extent=1e308"), "extent"),

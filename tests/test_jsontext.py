@@ -1,6 +1,7 @@
 """jsontext.dumps against the standard library's indented encoder."""
 import collections
 import enum
+import functools
 import json
 import math
 
@@ -54,6 +55,45 @@ TREES = st.recursive(
 @example(obj=[1.0, float("nan")])
 def test_dumps_equals_stdlib(obj):
     assert outcome(jsontext.dumps, obj) == outcome(stdlib, obj)
+
+
+def _indented(sub, level):
+    return stdlib(sub).replace("\n", "\n" + "  " * level)
+
+
+def fragment(sub):
+    """A Fragment whose text is the standard library's for sub."""
+    return jsontext.Fragment(functools.partial(_indented, sub))
+
+
+def unwrapped(obj):
+    """obj with every Fragment replaced by the tree it renders."""
+    if obj.__class__ is jsontext.Fragment:
+        return obj.render.args[0]
+    if isinstance(obj, dict):
+        return {key: unwrapped(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [unwrapped(value) for value in obj]
+    return obj
+
+
+FRAGMENT_TREES = st.recursive(
+    st.one_of(SCALARS, TREES.map(fragment)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(KEYS, inner, max_size=5),
+        st.dictionaries(st.text(max_size=6), inner, max_size=5)),
+    max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(obj=FRAGMENT_TREES)
+@example(obj=fragment([1.5, {"a": []}]))
+@example(obj={"a": [0.5, fragment({"b": [1.0]})], "c": fragment([])})
+@example(obj=[1.0, fragment(float("nan")), float("inf")])
+def test_fragment_written_in_place(obj):
+    assert outcome(jsontext.dumps, obj) == outcome(stdlib, unwrapped(obj))
 
 
 @pytest.mark.parametrize("obj", [

@@ -271,6 +271,23 @@ class TestEncodeRadarBev:
                 assert np.allclose(grid.data[row, col], pooled @ embed, atol=1e-12)
         assert heatmap.min() >= 0.0 and heatmap.max() <= 1.0
 
+    def test_far_points_dropped_before_the_cell_cast(self):
+        # a point far beyond a small grid has a cell index past int64; it
+        # is dropped like any point off the grid, with no cast warning
+        rng = np.random.default_rng(7)
+        xyz = np.zeros((9, 3))
+        xyz[:6, :2] = rng.uniform(-1e-6, 1e-6, (6, 2))
+        xyz[6:, :2] = [[1e300, 0.0], [0.0, -1e300], [-1.0, 1.0]]
+        both = RadarPointCloud(xyz, rng.normal(size=(9, 2)),
+                               rng.uniform(0, 1, 9), np.zeros(9, dtype=int))
+        near = RadarPointCloud(xyz[:6], both.velocity[:6], both.rcs[:6],
+                               both.object_ids[:6])
+        gc = GridConfig(extent=1e-6, voxel=1e-7)
+        grid, heatmap = encode_radar_bev(both, gc, 4)
+        near_grid, near_heatmap = encode_radar_bev(near, gc, 4)
+        assert np.array_equal(grid.data, near_grid.data)
+        assert np.array_equal(heatmap, near_heatmap)
+
     def test_heatmap_range(self):
         rng = np.random.default_rng(6)
         m = 200
