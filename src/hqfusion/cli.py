@@ -130,9 +130,6 @@ class RunConfig:
 PRESETS: dict[str, dict[str, object]] = {
     # full-size defaults: 900 queries, 6 shared layers, mixing + append swap
     "default": {},
-    "qinit": {"decoder.enable_qmix": False, "decoder.enable_qswap": False},
-    "qmix": {"decoder.enable_qswap": False},
-    "qswap-replace": {"decoder.qswap.mode": "replace"},
     "toy": {
         "scene.extent": 25.6, "scene.num_objects": 6, "scene.num_clutter": 8,
         "scene.feature_dim": 32, "scene.num_cameras": 4,
@@ -272,11 +269,11 @@ def load_scene(cfg: RunConfig, path):
 def write_json(path, obj):
     """Write obj as sorted, 2-space indented JSON and a newline.
 
-    The text is `jsontext.dumps(obj)`, byte for byte what
-    `json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)` gives for
-    the plain tree, with each sample dump rendered from its bank's arrays
-    as the dicts of that tree would be written.  It is serialized in full
-    before the file is opened; a NaN or an infinity raises NonFiniteError.
+    The text is `jsontext.dumps(obj)`: the standard library's encoder
+    (`sort_keys=True, indent=2, allow_nan=False`) with each Fragment spliced
+    in, so each sample dump is rendered from its bank's arrays as the dicts
+    of the plain tree would be written.  It is serialized in full before
+    the file is opened; a NaN or an infinity raises NonFiniteError.
     """
     jsontext.write(path, obj)
 

@@ -73,8 +73,9 @@ def evaluate_layer(class_scores: np.ndarray, centers: np.ndarray, yaws: np.ndarr
         gts = np.flatnonzero(gt_classes == c)
         diff = centers[preds, None, :2] - gt_centers[None, gts, :2]
         dist = np.hypot(diff[..., 0], diff[..., 1])
-        match = {th: greedy_match(dist, th)
-                 for th in (*DEFAULT_THRESHOLDS, ERROR_MATCH_THRESHOLD)}
+        # each distinct threshold once: the error radius is also an AP one
+        match = {th: greedy_match(dist, th) for th in dict.fromkeys(
+            (*DEFAULT_THRESHOLDS, ERROR_MATCH_THRESHOLD))}
         aps += [interpolated_ap((match[th] >= 0) * 1.0, gts.size)
                 for th in DEFAULT_THRESHOLDS]
         match = match[ERROR_MATCH_THRESHOLD]

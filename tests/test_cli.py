@@ -944,9 +944,12 @@ class TestCliCommands:
             assert len(report["layers"]) == 2
 
     def test_unknown_preset(self, tmp_path, capsys):
-        code = run_cli(["run", "--preset", "nope", "--out",
-                        str(tmp_path / "r.json")])
-        assert code == 2
+        # qinit, qmix and qswap-replace were presets; --set gives their values
+        for name in ("nope", "qinit", "qmix", "qswap-replace"):
+            code = run_cli(["run", "--preset", name, "--out",
+                            str(tmp_path / "r.json")])
+            assert code == 2, name
+            assert not (tmp_path / "r.json").exists()
 
     def test_init_weights_roundtrip(self, tmp_path):
         from hqfusion.weights_io import load_weights

@@ -53,6 +53,10 @@ TREES = st.recursive(
 @example(obj={None: 1, False: 2.5, 0.5: -0.0})
 @example(obj={"x": 1, 2: 3})
 @example(obj=[1.0, float("nan")])
+# a string equal to the mark that stands in for a Fragment is a string
+@example(obj={"a": jsontext._MARK, jsontext._MARK: [1]})
+@example(obj=[0.5, jsontext._MARK, {"b": [jsontext._MARK]}])
+@example(obj=jsontext._MARK)
 def test_dumps_equals_stdlib(obj):
     assert outcome(jsontext.dumps, obj) == outcome(stdlib, obj)
 
@@ -92,6 +96,9 @@ FRAGMENT_TREES = st.recursive(
 @example(obj=fragment([1.5, {"a": []}]))
 @example(obj={"a": [0.5, fragment({"b": [1.0]})], "c": fragment([])})
 @example(obj=[1.0, fragment(float("nan")), float("inf")])
+@example(obj=[jsontext._MARK, fragment([jsontext._MARK]), jsontext._MARK])
+@example(obj={"a": fragment({"b": 1.5}), "b": jsontext._MARK,
+              "c": fragment(jsontext._MARK)})
 def test_fragment_written_in_place(obj):
     assert outcome(jsontext.dumps, obj) == outcome(stdlib, unwrapped(obj))
 

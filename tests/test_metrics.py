@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 
+from hqfusion import metrics
 from hqfusion.metrics import evaluate_layer, greedy_match, interpolated_ap
 from reference import (detections_from_arrays, gt_detections,
                        naive_evaluate_layer)
@@ -190,6 +191,19 @@ class TestAdapters:
         assert res["map_center"] == 1.0
         assert res["num_matches"] == 1 and res["num_gt"] == 1
         assert res["ate"] == 0.0
+
+    def test_each_threshold_matched_once(self, monkeypatch):
+        calls = []
+
+        def counting(dist, threshold):
+            calls.append(threshold)
+            return greedy_match(dist, threshold)
+
+        monkeypatch.setattr(metrics, "greedy_match", counting)
+        # two classes, each with a prediction and a ground truth
+        layer([det(0, 0), det(5, 5, cls=1)], [det(0, 0), det(5, 5, cls=1)])
+        distinct = {*metrics.DEFAULT_THRESHOLDS, metrics.ERROR_MATCH_THRESHOLD}
+        assert sorted(calls) == sorted([*distinct] * 2)   # once per class
 
 
 class TestOracle:
