@@ -169,9 +169,19 @@ def _json_int(text: str) -> int:
                           "limit") from None
 
 
+def _json_loads(text: str, **hooks):
+    """json.loads with every integer through _json_int; every JSON reader
+    here parses with it, so a document nested past the parser's recursion
+    limit ends in the one-line JSON error too."""
+    try:
+        return json.loads(text, parse_int=_json_int, **hooks)
+    except RecursionError:
+        raise ConfigError("a JSON document nested too deeply to parse") from None
+
+
 def _parse_value(text: str):
     try:
-        return json.loads(text, parse_int=_json_int)
+        return _json_loads(text)
     except json.JSONDecodeError:
         return text
 
@@ -224,7 +234,7 @@ def build_config(args) -> RunConfig:
     doc = {}
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
-            doc = json.load(fh, parse_int=_json_int)
+            doc = _json_loads(fh.read())
     cfg = config_from_dict(doc)
     preset = getattr(args, "preset", None)
     if preset and preset not in PRESETS:
@@ -251,7 +261,7 @@ def load_scene(cfg: RunConfig, path):
     were for the run that generated the scene.
     """
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh, parse_int=_json_int)
+        doc = _json_loads(fh.read())
     if not isinstance(doc, dict) or "config" not in doc:
         raise ConfigError(f"scene file {path} is not an object with a 'config' key")
     # defaults first, so a key the file omits does not keep a preset's value
@@ -569,8 +579,8 @@ def load_report(path, read):
         return value if math.isfinite(value) else refuse(text)
 
     with open(path, encoding="utf-8") as fh:
-        report = json.load(fh, parse_constant=refuse, parse_float=finite,
-                           parse_int=_json_int)
+        report = _json_loads(fh.read(), parse_constant=refuse,
+                             parse_float=finite)
     if not (isinstance(report, dict)
             and report.get("schema_version") == REPORT_SCHEMA_VERSION
             and isinstance(report.get("layers"), list)

@@ -36,7 +36,7 @@ from .errors import (MAX_FLOAT, MIN_POSITIVE, ConfigError, bounded, one_of,
                      require_finite)
 from .numkernel import (AttentionMask, MhaWeights, bilinear_at, layer_norm,
                         multi_head_attention, softmax_rows)
-from .qinit import TYPE_IMG, TYPE_RAD, TYPE_W, QuerySet
+from .qinit import BOX_PRIOR_WL, TYPE_IMG, TYPE_RAD, TYPE_W, QuerySet
 from .qmix import (QMixWeights, TypeAttentionStats, attention_block,
                    attention_type_stats, qmix_attention)
 from .qswap import (BEV_KINDS, IMG_BEV, QSwapConfig, SampleBank, base_bank,
@@ -414,7 +414,7 @@ def decode(features: SceneFeatures, queries: QuerySet, weights,
     emb = queries.embeddings.astype(np.float64).copy()
     pos = queries.positions.astype(np.float64).copy()
     types = queries.types.copy()
-    box_wl = queries.box_state[:, :2].astype(np.float64).copy()
+    box_wl = np.tile(BOX_PRIOR_WL, (queries.n, 1))
 
     qmix_w = mixing_weights(weights, "qmix", config.heads)
     postself_w = mixing_weights(weights, "postself", config.heads)

@@ -3,7 +3,10 @@
 Three query sources feed the decoder: world queries laid out on concentric
 rings (denser at range), image queries lifted from 2-D proposals, and radar
 queries taken from the hottest cells of the radar heatmap.  All three share
-one QuerySet layout so they can be concatenated into a single decoding set.
+one QuerySet layout (embeddings, positions, types) so they can be
+concatenated into a single decoding set.  The proposals of all views are one
+view-major Proposals table, ranked by one stable sort and lifted by one
+backprojection per camera; only the draws of visible objects loop in Python.
 """
 from __future__ import annotations
 
@@ -20,18 +23,20 @@ from .scene import (Camera, CameraRig, FeatureGrid, PvFeatureMap, Scene,
 TYPE_IMG, TYPE_RAD, TYPE_W = 0, 1, 2
 TYPE_NAMES = ("img", "rad", "w")
 
-# Box prior (w, l, h, yaw) applied to every fresh query; the swap-sampling
-# radius reads predicted w/l at layer 1, before any head refinement exists.
-BOX_PRIOR = (2.0, 4.0, 1.5, 0.0)
+# Box prior (w, l) of every fresh query; the swap-sampling radius reads the
+# predicted w/l at layer 1, before any head refinement exists.
+BOX_PRIOR_WL = (2.0, 4.0)
 
 _STREAM_WORLD_EMB = 1
 _STREAM_PROPOSALS = 3
 
 # Floor applied to noisy proposal depths before lifting.
 MINIMUM_DEPTH = 0.5
-# generate_2d_proposals spends about 13 us of Python per proposal, so this
-# many proposals over all views take about 3.5 s; each also carries a
-# d-vector, which RunConfig.validate bounds with the feature-map budget.
+# Distractors are drawn, sampled, ranked and lifted as arrays: this many
+# proposals over 4 or 128 views take 0.16-0.20 s to generate and rank.  The
+# draws of visible objects loop at about 15 us per object and view.  Each
+# proposal also carries a d-vector, which RunConfig.validate bounds with the
+# feature-map budget.
 MAX_PROPOSALS = 1 << 18
 
 
@@ -42,8 +47,6 @@ class QuerySet:
     embeddings: np.ndarray   # (N, d)
     positions: np.ndarray    # (N, 3) meters
     types: np.ndarray        # (N,) in {TYPE_IMG, TYPE_RAD, TYPE_W}
-    init_score: np.ndarray   # (N,) proposal/heatmap confidence, 1.0 for world
-    box_state: np.ndarray    # (N, 4) w, l, h, yaw
 
     @property
     def n(self) -> int:
@@ -55,20 +58,13 @@ class QuerySet:
 
     def validate(self, extent: float | None = None):
         n = self.n
-        for name in ("positions", "types", "init_score", "box_state"):
-            if getattr(self, name).shape[0] != n:
-                raise ConfigError(f"{name} length does not match embeddings ({n})")
-        if self.positions.shape[1] != 3 or self.box_state.shape[1] != 4:
-            raise ConfigError("positions must be (N,3) and box_state (N,4)")
+        if self.positions.shape != (n, 3) or self.types.shape != (n,):
+            raise ConfigError(f"positions must be ({n}, 3) and types ({n},)")
         if not np.isin(self.types, (TYPE_IMG, TYPE_RAD, TYPE_W)).all():
             raise ConfigError("unknown query type label")
         if extent is not None and n > 0:
             if np.abs(self.positions[:, :2]).max() > extent + 1e-9:
                 raise ConfigError("query positions exceed the scene extent")
-
-
-def _box_prior(n: int) -> np.ndarray:
-    return np.tile(np.array(BOX_PRIOR), (n, 1))
 
 
 def ring_counts(n_world: int, rings: int) -> np.ndarray:
@@ -82,11 +78,7 @@ def ring_counts(n_world: int, rings: int) -> np.ndarray:
     counts = np.floor(quota).astype(int)
     remainder = quota - counts
     short = n_world - int(counts.sum())
-    if short > 0:
-        # stable argsort on (-remainder, -index): outer rings win ties
-        order = sorted(range(rings), key=lambda k: (-remainder[k], -k))
-        for k in order[:short]:
-            counts[k] += 1
+    counts[np.lexsort((-radii, -remainder))[:short]] += 1
     return counts
 
 
@@ -101,113 +93,104 @@ def init_world_queries(n_world: int, extent: float, d: int, seed: int,
     if n_world < max(1, rings):
         raise ConfigError(f"n_world ({n_world}) must be >= max(1, rings={rings})")
     counts = ring_counts(n_world, rings)
-    xs, ys = [], []
-    for k in range(1, rings + 1):
-        n_k = counts[k - 1]
-        if n_k == 0:
-            continue
-        radius = k * extent / rings
-        phase = k * math.pi / rings
-        theta = 2.0 * math.pi * np.arange(n_k) / n_k + phase
-        xs.append(radius * np.cos(theta))
-        ys.append(radius * np.sin(theta))
-    x = np.clip(np.concatenate(xs), -extent, extent)
-    y = np.clip(np.concatenate(ys), -extent, extent)
+    ring = np.repeat(np.arange(1, rings + 1), counts)
+    index = np.arange(n_world) - np.repeat(np.cumsum(counts) - counts, counts)
+    theta = 2.0 * math.pi * index / counts[ring - 1] + ring * math.pi / rings
+    radius = ring * extent / rings
+    x = np.clip(radius * np.cos(theta), -extent, extent)
+    y = np.clip(radius * np.sin(theta), -extent, extent)
     positions = np.stack([x, y, np.zeros(n_world)], axis=1)
     rng = np.random.default_rng([seed, _STREAM_WORLD_EMB])
     emb = rng.normal(0.0, 1.0 / math.sqrt(d), size=(n_world, d))
-    return QuerySet(emb, positions, np.full(n_world, TYPE_W, dtype=np.int64),
-                    np.ones(n_world), _box_prior(n_world))
+    return QuerySet(emb, positions, np.full(n_world, TYPE_W, dtype=np.int64))
 
 
 @dataclass
-class Proposal:
-    """One 2-D detection proposal in a camera view."""
+class Proposals:
+    """The 2-D detection proposals of all views, view-major, one row each."""
 
-    u: float
-    v: float
-    score: float
-    depth: float           # noisy depth estimate used for lifting
-    feature: np.ndarray    # (d,) PV feature at (u, v)
-    view: int
-    object_id: int         # ground-truth source, -1 for distractors
+    uv: np.ndarray           # (P, 2) pixel coordinates
+    scores: np.ndarray       # (P,)
+    depths: np.ndarray       # (P,) noisy depth estimate used for lifting
+    features: np.ndarray     # (P, d) PV feature at uv
+    views: np.ndarray        # (P,) camera index
+    object_ids: np.ndarray   # (P,) int64 ground-truth source, -1 for distractors
 
 
 def generate_2d_proposals(scene: Scene, rig: CameraRig, pv_maps: list[PvFeatureMap],
                           per_view: int = 50, center_noise_px: float = 2.0,
-                          depth_noise: float = 1.0, seed: int = 0
-                          ) -> list[list[Proposal]]:
+                          depth_noise: float = 1.0, seed: int = 0) -> Proposals:
     """Oracle pre-detector: per view, proposals at noisy projected centers.
 
     Object proposals score 0.9 * exp(-depth / 60) plus uniform jitter in
     [0, 0.05); the remaining slots are filled with distractors scoring
-    below 0.2.  Each view returns exactly per_view proposals, whose PV
-    features are sampled in one bilinear call per view.
+    below 0.2.  Each view gets exactly per_view rows, whose PV features are
+    sampled in one bilinear call per view.
     """
     centers = np.array([o.center for o in scene.objects]).reshape(-1, 3)
-    out = []
+    ids = np.array([o.id for o in scene.objects], dtype=np.int64)
+    n = len(rig.cameras) * per_view
+    table = np.empty((n, 4))   # u, v, score, noisy depth
+    object_ids = np.full(n, -1, dtype=np.int64)
+    features = np.empty((n, scene.config.feature_dim))
     for ci, cam in enumerate(rig.cameras):
         rng = np.random.default_rng([seed, _STREAM_PROPOSALS, ci])
-        pv = pv_maps[ci]
-        cands = []  # (u, v, score, noisy depth, object id)
+        view = slice(ci * per_view, (ci + 1) * per_view)
         uv, depths, visible = project_points(centers, cam)
-        for k in np.flatnonzero(visible):
-            u0, v0 = uv[k]
+        seen = np.flatnonzero(visible)
+        found = np.empty((seen.size, 4))
+        # one object's normal and uniform draws interleave, so this loops
+        for row, k in zip(found, seen):
             depth = float(depths[k])
-            u = float(np.clip(u0 + rng.normal(0.0, center_noise_px), 0, cam.width - 1))
-            v = float(np.clip(v0 + rng.normal(0.0, center_noise_px), 0, cam.height - 1))
+            u = uv[k, 0] + rng.normal(0.0, center_noise_px)
+            v = uv[k, 1] + rng.normal(0.0, center_noise_px)
             score = 0.9 * math.exp(-depth / 60.0) + rng.uniform(0.0, 0.05)
-            noisy_depth = max(depth + rng.normal(0.0, depth_noise), MINIMUM_DEPTH)
-            cands.append((u, v, score, noisy_depth, scene.objects[k].id))
-        cands.sort(key=lambda c: -c[2])
-        cands = cands[:per_view]
-        while len(cands) < per_view:
-            u = rng.uniform(0.0, cam.width - 1)
-            v = rng.uniform(0.0, cam.height - 1)
-            cands.append((float(u), float(v), rng.uniform(0.0, 0.2),
-                          rng.uniform(1.0, 60.0), -1))
-        fy, fx = pv.pixel_to_frac([c[0] for c in cands], [c[1] for c in cands])
-        feats = bilinear_at(pv.data, fy, fx)
-        out.append([Proposal(u, v, score, depth, feat, ci, object_id)
-                    for (u, v, score, depth, object_id), feat in zip(cands, feats)])
-    return out
+            row[:] = u, v, score, max(depth + rng.normal(0.0, depth_noise), MINIMUM_DEPTH)
+        found[:, :2] = np.clip(found[:, :2], 0, (cam.width - 1, cam.height - 1))
+        keep = np.argsort(-found[:, 2], kind="stable")[:per_view]
+        rows = table[view]
+        rows[:keep.size] = found[keep]
+        object_ids[view][:keep.size] = ids[seen[keep]]
+        # the four rng.uniform draws of each distractor, as one array
+        lo = np.array([0.0, 0.0, 0.0, 1.0])
+        hi = np.array([cam.width - 1, cam.height - 1, 0.2, 60.0])
+        rows[keep.size:] = lo + (hi - lo) * rng.random((per_view - keep.size, 4))
+        fy, fx = pv_maps[ci].pixel_to_frac(rows[:, 0], rows[:, 1])
+        features[view] = bilinear_at(pv_maps[ci].data, fy, fx)
+    views = np.repeat(np.arange(len(rig.cameras)), per_view)
+    return Proposals(table[:, :2], table[:, 2], table[:, 3], features, views,
+                     object_ids)
 
 
-def backproject(camera: Camera, u: float, v: float, depth: float) -> np.ndarray:
-    """Invert the pinhole projection at a given depth."""
-    p_cam = np.array([(u - camera.cx) / camera.fx * depth,
-                      (v - camera.cy) / camera.fy * depth,
-                      depth])
-    return camera.r_wc.T @ p_cam + camera.position
+def backproject(camera: Camera, u, v, depth) -> np.ndarray:
+    """Invert the pinhole projection at the given depths; (m,) -> (m, 3)."""
+    depth = np.asarray(depth, dtype=np.float64)
+    p_cam = np.stack([(u - camera.cx) / camera.fx * depth,
+                      (v - camera.cy) / camera.fy * depth, depth], axis=-1)
+    return p_cam @ camera.r_wc + camera.position
 
 
-def init_image_queries(proposals: list[list[Proposal]], rig: CameraRig,
-                       n_img: int, extent: float, d: int) -> tuple[QuerySet, int]:
+def init_image_queries(proposals: Proposals, rig: CameraRig, n_img: int,
+                       extent: float, d: int) -> tuple[QuerySet, int]:
     """Top-scoring proposals lifted to 3-D; returns (queries, padded count).
 
-    When fewer proposals exist than n_img, zero-score queries with zero
-    d-dim embeddings at the origin pad the set, and the pad count is
-    reported for the run log.
+    Ties go to the earlier view, then to the earlier proposal of a view.
+    When fewer proposals exist than n_img, zero d-dim embeddings at the
+    origin pad the set, and the pad count is reported for the run log.
     """
-    flat = [(p, vi, i) for vi, view in enumerate(proposals)
-            for i, p in enumerate(view)]
-    flat.sort(key=lambda t: (-t[0].score, t[1], t[2]))
-    chosen = flat[:n_img]
-    padded = n_img - len(chosen)
-
+    chosen = np.argsort(-proposals.scores, kind="stable")[:n_img]
     emb = np.zeros((n_img, d))
     pos = np.zeros((n_img, 3))
-    score = np.zeros(n_img)
-    for row, (p, vi, _) in enumerate(chosen):
-        emb[row] = p.feature
-        world = backproject(rig.cameras[vi], p.u, p.v, p.depth)
-        pos[row, 0] = np.clip(world[0], -extent, extent)
-        pos[row, 1] = np.clip(world[1], -extent, extent)
-        pos[row, 2] = world[2]
-        score[row] = p.score
-    qs = QuerySet(emb, pos, np.full(n_img, TYPE_IMG, dtype=np.int64), score,
-                  _box_prior(n_img))
-    return qs, padded
+    emb[:chosen.size] = proposals.features[chosen]
+    views = proposals.views[chosen]
+    for ci in np.unique(views):
+        rows = np.flatnonzero(views == ci)
+        p = chosen[rows]
+        pos[rows] = backproject(rig.cameras[ci], proposals.uv[p, 0],
+                                proposals.uv[p, 1], proposals.depths[p])
+    pos[:, :2] = np.clip(pos[:, :2], -extent, extent)
+    image = QuerySet(emb, pos, np.full(n_img, TYPE_IMG, dtype=np.int64))
+    return image, n_img - chosen.size
 
 
 def init_radar_queries(heatmap: np.ndarray, radar_grid: FeatureGrid,
@@ -215,30 +198,22 @@ def init_radar_queries(heatmap: np.ndarray, radar_grid: FeatureGrid,
     """Top heatmap cells become radar queries (ties: row-major cell order).
 
     Embeddings copy the cell's radar BEV feature; positions are cell centers
-    at z = 0.  The heatmap carries classification confidence only, so the
-    box state stays at the prior.
+    at z = 0.
     """
     h, w = heatmap.shape
     if n_rad > h * w:
         raise ConfigError(f"n_rad ({n_rad}) exceeds heatmap cells ({h * w})")
-    flat = heatmap.ravel()
-    order = np.argsort(-flat, kind="stable")[:n_rad]
+    order = np.argsort(-heatmap.ravel(), kind="stable")[:n_rad]
     rows, cols = np.divmod(order, w)
     x = radar_grid.x_min + (cols + 0.5) * radar_grid.voxel
     y = radar_grid.y_min + (rows + 0.5) * radar_grid.voxel
     positions = np.stack([x, y, np.zeros(n_rad)], axis=1)
     emb = radar_grid.data[rows, cols].astype(np.float64)
-    return QuerySet(emb, positions, np.full(n_rad, TYPE_RAD, dtype=np.int64),
-                    flat[order].astype(np.float64), _box_prior(n_rad))
+    return QuerySet(emb, positions, np.full(n_rad, TYPE_RAD, dtype=np.int64))
 
 
 def concat_query_sets(world: QuerySet, image: QuerySet, radar: QuerySet) -> QuerySet:
     """Stable concatenation in (img, rad, w) block order."""
     parts = [image, radar, world]
-    return QuerySet(
-        np.concatenate([p.embeddings for p in parts]),
-        np.concatenate([p.positions for p in parts]),
-        np.concatenate([p.types for p in parts]),
-        np.concatenate([p.init_score for p in parts]),
-        np.concatenate([p.box_state for p in parts]),
-    )
+    return QuerySet(*(np.concatenate([getattr(p, f) for p in parts])
+                      for f in ("embeddings", "positions", "types")))

@@ -177,10 +177,10 @@ def load_weights(path, config) -> DecoderWeights:
     if sep < 0:
         raise WeightFormatError("missing manifest separator")
     # ValueError covers bad UTF-8, bad JSON and an integer literal longer
-    # than int() reads
+    # than int() reads; RecursionError a document nested past the parser
     try:
         manifest = json.loads(raw[:sep].decode("utf-8"))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise WeightFormatError(f"bad manifest: {exc}") from exc
     if not isinstance(manifest, dict):
         raise WeightFormatError("manifest is not a JSON object")

@@ -28,8 +28,7 @@ def identity_mha_weights(d: int, heads: int = 1) -> MhaWeights:
 
 def empty_query_set(d: int) -> QuerySet:
     return QuerySet(np.zeros((0, d)), np.zeros((0, 3)),
-                    np.zeros(0, dtype=np.int64), np.zeros(0),
-                    np.zeros((0, 4)))
+                    np.zeros(0, dtype=np.int64))
 
 
 def cell_center(grid, row: int, col: int) -> np.ndarray:

@@ -232,8 +232,7 @@ def test_permutation_equivariance_full_decode(monkeypatch):
     outs = decode(features, queries, weights, cfg)
     perm = np.random.default_rng(109).permutation(30)
     permuted = QuerySet(queries.embeddings[perm], queries.positions[perm],
-                        queries.types[perm], queries.init_score[perm],
-                        queries.box_state[perm])
+                        queries.types[perm])
     outs_p = decode(features, permuted, weights, cfg)
     assert len(affinities) == 2 * cfg.layers
     for a, b, aff_a, aff_b in zip(outs, outs_p, affinities[:cfg.layers],

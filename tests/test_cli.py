@@ -782,17 +782,18 @@ class TestCliCommands:
             cfg.validate()
 
     @pytest.mark.parametrize("overrides, word", [
-        (("scene.num_cameras=2000", "queries.per_view=1000000"),
+        (("scene.num_cameras=100", "queries.per_view=1000000"),
          "scene.num_cameras"),
         (("scene.feature_dim=1024", "decoder.d=1024", "queries.per_view=50000"),
          "queries.per_view"),
         (("scene.min_separation=0", "scene.num_objects=100000000"),
          "scene.num_objects"),
         (("scene.min_separation=0", "scene.num_objects=10000",
-          "radar.points_per_object=27"), "radar.points_per_object")])
+          "radar.points_per_object=27"), "radar.points_per_object"),
+        ((f"scene.num_cameras={sc.MAX_CAMERAS + 1}",), "scene.num_cameras")])
     def test_generator_work_bounded(self, tmp_path, capsys, monkeypatch,
                                     overrides, word):
-        # the proposal and radar generators loop in Python once per item
+        # cameras, proposals and radar points are each looped over in Python
         def no_generation(*args, **kwargs):
             raise AssertionError("a scene was generated")
 
@@ -879,27 +880,32 @@ class TestCliCommands:
     @pytest.mark.parametrize("reader", ["set", "config", "scene",
                                         "analyze-attn", "links"])
     def test_huge_integer_literal_refused(self, tmp_path, capsys, reader):
-        # int() refuses a literal past its digit limit with a bare ValueError
+        # int() refuses a literal past its digit limit with a bare ValueError,
+        # and the parser a value nested past its recursion limit with a
+        # RecursionError
         huge = "1" + "0" * 5000
+        nested = "[" * 100_000 + "]" * 100_000
         path = tmp_path / "in.json"
-        if reader == "set":
-            args = ["run", *TOY, "--set", f"decoder.k_pv={huge}"]
-        elif reader == "config":
-            path.write_text(f'{{"decoder": {{"k_pv": {huge}}}}}')
-            args = ["run", *TOY, "--config", str(path)]
-        elif reader == "scene":
-            assert run_cli(["gen-scene", *TOY, "--out", str(path)]) == 0
-            text = path.read_text()
-            assert text.count('"seed": 7') == 1
-            path.write_text(text.replace('"seed": 7', f'"seed": {huge}'))
-            args = ["run", *TOY, "--scene", str(path)]
-        else:
-            assert run_cli(["run", *TOY, "--out", str(path)]) == 0
-            text = path.read_text()
-            assert text.count('"n_total": 120') == 1
-            path.write_text(text.replace('"n_total": 120', f'"n_total": {huge}'))
-            args = [reader, "--report", str(path)]
-        assert "digit" in assert_error_exit(args, tmp_path / "out", capsys)
+        for value, word in ((huge, "digit"), (nested, "nested")):
+            if reader == "set":
+                args = ["run", *TOY, "--set", f"decoder.k_pv={value}"]
+            elif reader == "config":
+                path.write_text(f'{{"decoder": {{"k_pv": {value}}}}}')
+                args = ["run", *TOY, "--config", str(path)]
+            elif reader == "scene":
+                assert run_cli(["gen-scene", *TOY, "--out", str(path)]) == 0
+                text = path.read_text()
+                assert text.count('"seed": 7') == 1
+                path.write_text(text.replace('"seed": 7', f'"seed": {value}'))
+                args = ["run", *TOY, "--scene", str(path)]
+            else:
+                assert run_cli(["run", *TOY, "--out", str(path)]) == 0
+                text = path.read_text()
+                assert text.count('"n_total": 120') == 1
+                path.write_text(text.replace('"n_total": 120',
+                                             f'"n_total": {value}'))
+                args = [reader, "--report", str(path)]
+            assert word in assert_error_exit(args, tmp_path / "out", capsys)
 
     def test_scene_file_config_replaces_preset(self, tmp_path):
         scene_path = tmp_path / "scene.json"

@@ -13,7 +13,7 @@ from hqfusion.decoder import (DecoderConfig, SceneFeatures,
                               sinusoidal_position_encoding)
 from hqfusion.errors import ConfigError, NonFiniteError
 from hqfusion.numkernel import bilinear_at
-from hqfusion.qinit import (TYPE_IMG, TYPE_RAD, TYPE_W, QuerySet,
+from hqfusion.qinit import (BOX_PRIOR_WL, TYPE_IMG, TYPE_RAD, TYPE_W, QuerySet,
                             concat_query_sets, generate_2d_proposals,
                             init_image_queries, init_radar_queries,
                             init_world_queries)
@@ -769,7 +769,7 @@ class TestDecode:
         assert len(affinities) == 1
 
         pos0 = queries.positions.astype(np.float64).copy()
-        box_wl = queries.box_state[:, :2].copy()
+        box_wl = np.tile(BOX_PRIOR_WL, (queries.n, 1))
         emb = apply_type_adapter(queries.embeddings.copy(), queries.types,
                                  weights)
         emb, affinity = shared_self_attention(emb, pos0, weights, cfg.heads)
@@ -806,8 +806,7 @@ class TestDecode:
         rng = np.random.default_rng(9)
         perm = rng.permutation(queries.n)
         permuted = QuerySet(queries.embeddings[perm], queries.positions[perm],
-                            queries.types[perm], queries.init_score[perm],
-                            queries.box_state[perm])
+                            queries.types[perm])
         outs_p = decode(features, permuted, weights, cfg)
         assert len(affinities) == 2 * cfg.layers
         for a, b, aff_a, aff_b in zip(outs, outs_p, affinities[:cfg.layers],

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hqfusion.errors import ConfigError
-from hqfusion.qinit import (BOX_PRIOR, TYPE_IMG, TYPE_RAD, TYPE_W, QuerySet,
+from hqfusion.qinit import (TYPE_IMG, TYPE_RAD, TYPE_W, Proposals, QuerySet,
                             backproject, concat_query_sets,
                             generate_2d_proposals, init_image_queries,
                             init_radar_queries, init_world_queries, ring_counts)
@@ -39,7 +39,6 @@ class TestWorldQueries:
         assert np.abs(qs.positions[:, :2]).max() <= 30.0
         assert (qs.positions[:, 2] == 0.0).all()
         assert (qs.types == TYPE_W).all()
-        assert (qs.init_score == 1.0).all()
         qs.validate(extent=30.0)
 
     def test_deterministic(self):
@@ -52,10 +51,6 @@ class TestWorldQueries:
         with pytest.raises(ConfigError):
             init_world_queries(10, 20.0, 8, seed=0, rings=15)
 
-    def test_box_prior(self):
-        qs = init_world_queries(30, 20.0, 8, seed=0, rings=3)
-        assert np.allclose(qs.box_state, np.tile(BOX_PRIOR, (30, 1)))
-
 
 def proposals_setup(centers, noise=False, **scene_kw):
     scene, rig = manual_scene(centers, **scene_kw)
@@ -65,15 +60,34 @@ def proposals_setup(centers, noise=False, **scene_kw):
     return scene, rig, pv_maps, props
 
 
+def proposal_table(rows, features):
+    """Proposals of (u, v, score, depth, view, object id) rows."""
+    rows = np.array(rows, dtype=np.float64).reshape(-1, 6)
+    return Proposals(rows[:, :2], rows[:, 2], rows[:, 3],
+                     np.asarray(features, dtype=np.float64),
+                     rows[:, 4].astype(np.int64), rows[:, 5].astype(np.int64))
+
+
 class TestProposals:
     def test_empty_scene_all_distractors(self):
         _, rig, _, props = proposals_setup([])
-        assert len(props) == len(rig.cameras)
-        for view in props:
-            assert len(view) == 6
-            for p in view:
-                assert p.object_id == -1
-                assert p.score < 0.2
+        assert props.views.tolist() == [c for c in range(len(rig.cameras))
+                                        for _ in range(6)]
+        assert (props.object_ids == -1).all()
+        assert (props.scores < 0.2).all()
+
+    def test_empty_scene_draws_are_the_view_stream(self):
+        # each distractor is four uniform draws (u, v, score, depth) of its
+        # view's stream default_rng([seed, 3, view]); proposals_setup: seed 3
+        _, rig, _, props = proposals_setup([])
+        for c, cam in enumerate(rig.cameras):
+            rng = np.random.default_rng([3, 3, c])
+            for i in np.flatnonzero(props.views == c):
+                want = [rng.uniform(0.0, cam.width - 1),
+                        rng.uniform(0.0, cam.height - 1),
+                        rng.uniform(0.0, 0.2), rng.uniform(1.0, 60.0)]
+                got = [*props.uv[i], props.scores[i], props.depths[i]]
+                assert got == want
 
     def test_zero_noise_exact_centers(self):
         scene, rig, _, props = proposals_setup([(8.0, 0.5, 0.9)])
@@ -83,22 +97,21 @@ class TestProposals:
             hit = project_to_view(obj.center, cam)
             if hit is None:
                 continue
-            matches = [p for p in props[ci] if p.object_id == 0]
+            matches = np.flatnonzero((props.views == ci) & (props.object_ids == 0))
             assert len(matches) == 1
-            assert abs(matches[0].u - hit[0]) < 1e-9
-            assert abs(matches[0].v - hit[1]) < 1e-9
-            assert abs(matches[0].depth - hit[2]) < 1e-9
+            assert abs(props.uv[matches[0], 0] - hit[0]) < 1e-9
+            assert abs(props.uv[matches[0], 1] - hit[1]) < 1e-9
+            assert abs(props.depths[matches[0]] - hit[2]) < 1e-9
             found += 1
         assert found >= 1
 
     def test_score_at_depth_60(self):
         # oracle: 0.9 * exp(-60/60) = 0.33109149705429813, jitter in [0, 0.05)
         scene, rig, _, props = proposals_setup([(60.0, 0.0, 1.6)], extent=64.0)
-        cands = [p for view in props for p in view if p.object_id == 0]
-        assert cands
+        scores = props.scores[props.object_ids == 0]
+        assert scores.size
         base = 0.33109149705429813
-        for p in cands:
-            assert base <= p.score < base + 0.05
+        assert ((base <= scores) & (scores < base + 0.05)).all()
 
 
 class TestImageQueries:
@@ -112,30 +125,38 @@ class TestImageQueries:
     def test_top_k_by_score(self):
         cam = make_camera(100, 100, 10, 6, 0.0, (0, 0, 0), 20, 12)
         rig = CameraRig([cam])
-        feat = np.zeros(4)
-        from hqfusion.qinit import Proposal
-        props = [[Proposal(5.0, 5.0, 0.1, 10.0, feat, 0, -1),
-                  Proposal(6.0, 6.0, 0.9, 12.0, feat + 1.0, 0, 0)]]
+        props = proposal_table([(5.0, 5.0, 0.1, 10.0, 0, -1),
+                                (6.0, 6.0, 0.9, 12.0, 0, 0)],
+                               [np.zeros(4), np.ones(4)])
         qs, _ = init_image_queries(props, rig, 1, extent=30.0, d=4)
-        assert qs.init_score[0] == 0.9
         assert np.allclose(qs.embeddings[0], 1.0)
+
+    def test_score_ties_go_to_earlier_view_then_earlier_proposal(self):
+        # 3 views of 20 proposals with only 3 distinct scores; row i's
+        # feature is the one-hot e_i, so the embeddings name the chosen rows
+        cam = make_camera(100, 100, 10, 6, 0.0, (0, 0, 0), 20, 12)
+        scores = np.random.default_rng(0).choice([0.2, 0.5, 0.9], 60)
+        props = proposal_table([(5.0, 5.0, s, 10.0, i // 20, -1)
+                                for i, s in enumerate(scores)], np.eye(60))
+        qs, _ = init_image_queries(props, CameraRig([cam] * 3), 45,
+                                   extent=30.0, d=60)
+        oracle = sorted(range(60), key=lambda i: (-scores[i], i // 20, i))
+        assert np.argmax(qs.embeddings, axis=1).tolist() == oracle[:45]
 
     def test_padding_when_short(self):
         cam = make_camera(100, 100, 10, 6, 0.0, (0, 0, 0), 20, 12)
         rig = CameraRig([cam])
-        from hqfusion.qinit import Proposal
-        props = [[Proposal(5.0, 5.0, 0.4, 10.0, np.ones(4), 0, 0)]]
+        props = proposal_table([(5.0, 5.0, 0.4, 10.0, 0, 0)], [np.ones(4)])
         qs, padded = init_image_queries(props, rig, 3, extent=30.0, d=4)
         assert padded == 2
         assert qs.n == 3
-        assert (qs.init_score[1:] == 0.0).all()
         assert (qs.positions[1:] == 0.0).all()
 
     def test_embedding_is_pv_feature(self):
         scene, rig, pv_maps, props = proposals_setup([(8.0, 0.5, 0.9)])
         qs, _ = init_image_queries(props, rig, 1, extent=16.0, d=8)
-        best = max((p for view in props for p in view), key=lambda p: p.score)
-        assert np.array_equal(qs.embeddings[0], best.feature)
+        assert np.array_equal(qs.embeddings[0],
+                              props.features[np.argmax(props.scores)])
 
 
 def radar_grid_with(heatmap_shape=(6, 6), d=4, extent=3.0, voxel=1.0):
@@ -151,7 +172,6 @@ class TestRadarQueries:
         grid = radar_grid_with()
         heatmap = np.zeros((6, 6))
         qs = init_radar_queries(heatmap, grid, 4)
-        assert (qs.init_score == 0.0).all()
         expected = [cell_center(grid, 0, c) for c in range(4)]
         assert np.allclose(qs.positions[:, :2], expected)
         assert (qs.types == TYPE_RAD).all()
@@ -163,7 +183,6 @@ class TestRadarQueries:
         qs = init_radar_queries(heatmap, grid, 1)
         assert np.allclose(qs.positions[0, :2], cell_center(grid, 3, 2))
         assert np.array_equal(qs.embeddings[0], grid.data[3, 2])
-        assert qs.init_score[0] == 0.8
 
     def test_matches_full_sort_oracle(self):
         grid = radar_grid_with()
@@ -173,7 +192,6 @@ class TestRadarQueries:
         qs = init_radar_queries(heatmap, grid, n)
         flat = heatmap.ravel()
         oracle = sorted(range(36), key=lambda i: (-flat[i], i))[:n]
-        assert np.allclose(qs.init_score, flat[oracle])
         rows = [i // 6 for i in oracle]
         cols = [i % 6 for i in oracle]
         centers = np.array([cell_center(grid, r, c) for r, c in zip(rows, cols)])
@@ -191,8 +209,7 @@ class TestConcat:
         grid = radar_grid_with()
         radar = init_radar_queries(np.zeros((6, 6)), grid, 5)
         cam = make_camera(100, 100, 10, 6, 0.0, (0, 0, 0), 20, 12)
-        from hqfusion.qinit import Proposal
-        props = [[Proposal(5.0, 5.0, 0.4, 10.0, np.ones(4), 0, 0)]]
+        props = proposal_table([(5.0, 5.0, 0.4, 10.0, 0, 0)], [np.ones(4)])
         image, _ = init_image_queries(props, CameraRig([cam]), 3,
                                       extent=20.0, d=4)
         qs = concat_query_sets(world, image, radar)
@@ -210,8 +227,7 @@ class TestConcat:
         radar = init_radar_queries(heatmap, grid, 225)
         emb = np.zeros((225, 4))
         image = QuerySet(emb, np.zeros((225, 3)),
-                         np.full(225, TYPE_IMG, dtype=np.int64),
-                         np.zeros(225), np.tile(BOX_PRIOR, (225, 1)))
+                         np.full(225, TYPE_IMG, dtype=np.int64))
         qs = concat_query_sets(world, image, radar)
         assert qs.n == 900
 

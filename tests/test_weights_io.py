@@ -186,10 +186,13 @@ class TestMalformedManifest:
         assert cli.main(["init-weights", "--preset", "toy",
                          "--out", str(w_path)]) == 0
         self.rewrite(w_path, lambda m: {**m, "huge": 7})
-        w_path.write_bytes(w_path.read_bytes().replace(
-            b'"huge": 7', b'"huge": 1' + b"0" * 5000, 1))
-        assert cli.main(["run", "--preset", "toy", "--weights", str(w_path),
-                         "--out", str(out)]) == 2
-        err = capsys.readouterr().err.strip().splitlines()[-1]
-        assert json.loads(err)["error"] == "WeightFormatError"
-        assert not out.exists()
+        good = w_path.read_bytes()
+        # a literal past int()'s digit limit, and a value nested past the
+        # parser's recursion limit
+        for value in (b"1" + b"0" * 5000, b"[" * 100_000 + b"]" * 100_000):
+            w_path.write_bytes(good.replace(b'"huge": 7', b'"huge": ' + value, 1))
+            assert cli.main(["run", "--preset", "toy", "--weights", str(w_path),
+                             "--out", str(out)]) == 2
+            err = capsys.readouterr().err.strip().splitlines()[-1]
+            assert json.loads(err)["error"] == "WeightFormatError"
+            assert not out.exists()
