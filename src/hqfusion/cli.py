@@ -100,13 +100,18 @@ class RunConfig:
             raise ConfigError("decoder.extent must equal scene.extent")
         for section in (self.scene, self.queries, self.decoder):
             section.validate()
-        # decode keeps one (N, N) attention matrix per layer
+        # a layer's (N, N) attention matrices do not outlive the next layer
         n = q.n_world + q.n_img + q.n_rad
-        if self.decoder.layers * n * n > sc.MAX_FEATURE_VALUES:
+        if n * n > sc.MAX_FEATURE_VALUES:
             raise ConfigError(
-                f"{n} queries keep an attention matrix of {n * n} values in "
-                f"each of decoder.layers={self.decoder.layers}, over "
-                f"{sc.MAX_FEATURE_VALUES} in all: lower decoder.layers, "
+                f"{n} queries form an attention matrix of {n * n} values, "
+                f"over {sc.MAX_FEATURE_VALUES}: lower queries.n_world, "
+                "queries.n_img or queries.n_rad")
+        if self.decoder.layers * n > dec.MAX_QUERY_LAYERS:
+            raise ConfigError(
+                f"decoder.layers={self.decoder.layers} x {n} queries = "
+                f"{self.decoder.layers * n} query-layers exceed "
+                f"{dec.MAX_QUERY_LAYERS}: lower decoder.layers, "
                 "queries.n_world, queries.n_img or queries.n_rad")
         sc.check_feature_sizes(self.scene, self.render.pv_downsample,
                                self.render.voxel)
@@ -469,9 +474,9 @@ def build_report(cfg: RunConfig, result) -> dict:
             mass_acc["qmix"].append(out.qmix_stats.mass)
             mpk_acc["qmix"].append(out.qmix_stats.mean_per_key)
         if cfg.emit.links:
-            attn = out.qmix_attn if out.qmix_attn is not None else out.self_attn
+            rows = out.qmix_attn if out.qmix_attn is not None else out.self_attn
             conf = out.class_scores.max(axis=1)
-            rec["links"] = extract_top_links(attn, queries.types, conf)
+            rec["links"] = extract_top_links(rows, queries.types, conf)
         if cfg.emit.query_snapshots:
             rec["query_snapshot"] = {
                 "positions": out.centers.tolist(),

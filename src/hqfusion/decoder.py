@@ -20,10 +20,14 @@ query is mapped into token space once per layer (Wk^T q) and the
 attention-weighted token sum is projected once (Wv), so no per-token key or
 value is ever formed.
 
-A layer's output keeps one (N, N) attention matrix, the one its links are
-read from: the QMix attention when the layer ran it, else the shared
-self-attention.  Both matrices' type statistics are kept in every layer;
-swap sampling reads the self-attention affinity only inside its own layer.
+No layer's output keeps an (N, N) attention matrix.  The matrices are read
+only inside their layer: swap sampling reads the self-attention affinity,
+and both matrices' type statistics are taken there.  The links are reduced
+to each query's top cross-type keys (qmix.LinkRows) of one matrix, the QMix
+attention when the layer ran it, else the shared self-attention.  A layer's
+matrices are freed when the next layer reassigns their names: deleting them
+at the end of the layer made decode slower, since the allocator returns the
+freed blocks to the system and faults them in again.
 """
 from __future__ import annotations
 
@@ -37,8 +41,8 @@ from .errors import (MAX_FLOAT, MIN_POSITIVE, ConfigError, bounded, one_of,
 from .numkernel import (AttentionMask, MhaWeights, bilinear_at, layer_norm,
                         multi_head_attention, softmax_rows)
 from .qinit import BOX_PRIOR_WL, TYPE_IMG, TYPE_RAD, TYPE_W, QuerySet
-from .qmix import (QMixWeights, TypeAttentionStats, attention_block,
-                   attention_type_stats, qmix_attention)
+from .qmix import (LinkRows, QMixWeights, TypeAttentionStats, attention_block,
+                   attention_type_stats, link_rows, qmix_attention)
 from .qswap import (BEV_KINDS, IMG_BEV, QSwapConfig, SampleBank, base_bank,
                     normalize_sample_scores, predict_base_samples,
                     select_neighbors, swap_samples)
@@ -51,6 +55,11 @@ PLACEMENTS = ("post_agg", "pre_agg", "post_self", "post_self_cross")
 # reused buffer of a layer's token gather holds this many bytes (or one
 # query's tokens, when those are larger).
 TOKEN_BLOCK_BYTES = 8 << 20
+
+# Upper bound on decoder.layers x queries: decode selects the swap neighbours
+# of each query in every layer in a Python loop and keeps every layer's
+# per-query outputs (scores, boxes and sample banks).
+MAX_QUERY_LAYERS = 1 << 16
 
 
 @dataclass
@@ -103,11 +112,11 @@ class LayerOutput:
     sizes: np.ndarray           # (N, 3) w, l, h
     yaws: np.ndarray            # (N,)
     velocities: np.ndarray      # (N, 2)
-    # one (N, N) matrix per layer: the QMix attention when the layer mixed
-    # across types, else the head-averaged shared self-attention
-    self_attn: np.ndarray | None    # None when qmix_attn is kept
+    # the link rows of one matrix per layer: the QMix attention when the
+    # layer mixed across types, else the head-averaged shared self-attention
+    self_attn: LinkRows | None    # None when qmix_attn is kept
     self_stats: TypeAttentionStats
-    qmix_attn: np.ndarray | None    # None without QMix or at post_self
+    qmix_attn: LinkRows | None    # None without QMix or at post_self
     qmix_stats: TypeAttentionStats | None
     sample_sets: dict[str, SampleBank]
 
@@ -468,6 +477,7 @@ def decode(features: SceneFeatures, queries: QuerySet, weights,
             require_finite("detection head output", array, layer)
         pos = centers.copy()
         box_wl = sizes[:, :2].copy()
+        links = link_rows(affinity if qmix_attn is None else qmix_attn, types)
 
         outputs.append(LayerOutput(
             layer=layer,
@@ -476,9 +486,9 @@ def decode(features: SceneFeatures, queries: QuerySet, weights,
             sizes=sizes,
             yaws=yaws,
             velocities=velocities,
-            self_attn=affinity if qmix_attn is None else None,
+            self_attn=links if qmix_attn is None else None,
             self_stats=attention_type_stats(affinity, types),
-            qmix_attn=qmix_attn,
+            qmix_attn=links if qmix_attn is not None else None,
             qmix_stats=(attention_type_stats(qmix_attn, types)
                         if qmix_attn is not None else None),
             sample_sets=sets,

@@ -5,8 +5,9 @@ which starves the cross-modal exchange the heterogeneous initialization was
 meant to enable.  The mixing layer here blocks attention between distinct
 queries of the same type (diagonals stay open as a fallback), forcing each
 query to consolidate evidence from the other two types.  The module also
-hosts the type-to-type attention diagnostics and top-link extraction used
-by the analysis commands.
+hosts the type-to-type attention diagnostics and the top-link extraction
+used by the analysis commands: a decoder layer reduces its matrix to link
+rows, and the report filters them by confidence.
 """
 from __future__ import annotations
 
@@ -106,31 +107,58 @@ LINK_CONF_THRESHOLD = 0.1   # sources must be more confident than this
 LINKS_PER_QUERY = 2
 
 
-def extract_top_links(attn: np.ndarray, types: np.ndarray,
+@dataclass
+class LinkRows:
+    """Each query's LINKS_PER_QUERY heaviest cross-type keys of one matrix.
+
+    Row i holds query i's targets by descending weight, ties to the lower
+    target id, and their exact weights; only its first counts[i] =
+    min(cross-type partners, LINKS_PER_QUERY) entries are links.
+    """
+
+    targets: np.ndarray   # (N, LINKS_PER_QUERY) key ids
+    weights: np.ndarray   # (N, LINKS_PER_QUERY) attention weights
+    counts: np.ndarray    # (N,)
+
+
+def link_rows(attn: np.ndarray, types: np.ndarray) -> LinkRows:
+    """Reduce an attention matrix to the top cross-type keys of every row.
+
+    Each pass takes the masked row maxima and then masks them; argmax
+    returns the first maximum, so equal weights go to the lower key id.
+    Same-type keys (including self) are masked explicitly, so this is also
+    valid on unmasked self-attention matrices.
+    """
+    types = np.asarray(types)
+    ids = np.arange(len(types))
+    scores = np.where(types[None, :] == types[:, None], -np.inf, attn)
+    targets = np.empty((len(types), LINKS_PER_QUERY), dtype=np.int64)
+    for k in range(LINKS_PER_QUERY):
+        targets[:, k] = scores.argmax(axis=1)
+        scores[ids, targets[:, k]] = -np.inf
+    partners = len(types) - np.bincount(types, minlength=NUM_TYPES)[types]
+    return LinkRows(targets, attn[ids[:, None], targets],
+                    np.minimum(partners, LINKS_PER_QUERY))
+
+
+def extract_top_links(rows: LinkRows, types: np.ndarray,
                       confidences: np.ndarray) -> list[dict]:
     """Top cross-type links of every query above the confidence threshold.
 
-    Sources go in ascending id, each with its LINKS_PER_QUERY heaviest
-    cross-type targets by descending weight, ties to the lower target id.
-    Same-type targets (including self) are excluded explicitly, so the
-    extractor is also valid on unmasked self-attention matrices.
+    Sources go in ascending id, each with the first counts[i] targets of
+    its row, already in link order (see link_rows).
     """
     types = np.asarray(types)
     confidences = np.asarray(confidences)
     sources = np.flatnonzero(confidences > LINK_CONF_THRESHOLD)
-    same = types[None, :] == types[sources, None]
-    # one stable sort of all rows: equal weights keep ascending target ids
-    order = np.argsort(np.where(same, np.inf, -attn[sources]), axis=1,
-                       kind="stable")[:, :LINKS_PER_QUERY]
-    partners = len(types) - same.sum(axis=1)
-    keep = np.arange(order.shape[1]) < partners[:, None]
-    src = np.broadcast_to(sources[:, None], order.shape)[keep]
-    dst = order[keep]
+    keep = np.arange(LINKS_PER_QUERY) < rows.counts[sources, None]
+    src = np.broadcast_to(sources[:, None], keep.shape)[keep]
+    dst = rows.targets[sources][keep]
     return [
         {"source": i, "target": j, "weight": w, "source_type": TYPE_NAMES[a],
          "target_type": TYPE_NAMES[b], "source_confidence": c}
         for i, j, w, a, b, c in zip(
-            src.tolist(), dst.tolist(), attn[src, dst].tolist(),
+            src.tolist(), dst.tolist(), rows.weights[sources][keep].tolist(),
             types[src].tolist(), types[dst].tolist(),
             confidences[src].tolist())
     ]

@@ -23,7 +23,7 @@ from reference import (bilinear_sample, brute_force_selection, mask_blocked,
 from test_numkernel import make_grid, tokens_at
 from test_qmix import random_mixing_weights
 from test_qswap import make_bank, random_swap_instance
-from test_decoder import record_affinities, toy_config, toy_setup
+from test_decoder import record_affinities, record_qmix, toy_config, toy_setup
 
 
 def criterion(num, text):
@@ -62,16 +62,17 @@ def test_masked_attention_oracle():
 
 
 @criterion(3, "same-type attention mass after mixing is <= 1e-12 per layer")
-def test_exact_same_type_suppression():
+def test_exact_same_type_suppression(monkeypatch):
     cfg = cli.config_from_dict({})  # full-size defaults
+    qmixes = record_qmix(monkeypatch)
     result = cli.run_pipeline(cfg)
     types = result["queries"].types
     same = (types[:, None] == types[None, :]) & ~np.eye(len(types), dtype=bool)
-    assert len(result["outputs"]) == 6
-    for out in result["outputs"]:
+    assert len(result["outputs"]) == len(qmixes) == 6
+    for out, attn in zip(result["outputs"], qmixes):
         assert out.class_scores.shape == (900, 10)
         assert out.qmix_attn is not None
-        assert out.qmix_attn[same].sum() <= 1e-12
+        assert attn[same].sum() <= 1e-12
 
 
 @criterion(4, "swap sampling honors caps, radius and neighbor set on 500 instances")
@@ -229,14 +230,16 @@ def test_permutation_equivariance_full_decode(monkeypatch):
         seed=109, n_world=18, n_img=6, n_rad=6, cfg=cfg)
     assert queries.n == 30
     affinities = record_affinities(monkeypatch)
+    qmixes = record_qmix(monkeypatch)
     outs = decode(features, queries, weights, cfg)
     perm = np.random.default_rng(109).permutation(30)
     permuted = QuerySet(queries.embeddings[perm], queries.positions[perm],
                         queries.types[perm])
     outs_p = decode(features, permuted, weights, cfg)
-    assert len(affinities) == 2 * cfg.layers
-    for a, b, aff_a, aff_b in zip(outs, outs_p, affinities[:cfg.layers],
-                                  affinities[cfg.layers:]):
+    assert len(affinities) == len(qmixes) == 2 * cfg.layers
+    for a, b, aff_a, aff_b, mix_a, mix_b in zip(
+            outs, outs_p, affinities[:cfg.layers], affinities[cfg.layers:],
+            qmixes[:cfg.layers], qmixes[cfg.layers:]):
         pair = np.ix_(perm, perm)
         assert np.allclose(b.class_scores, a.class_scores[perm], atol=1e-9)
         assert np.allclose(b.centers, a.centers[perm], atol=1e-9)
@@ -244,7 +247,7 @@ def test_permutation_equivariance_full_decode(monkeypatch):
         assert np.allclose(b.yaws, a.yaws[perm], atol=1e-9)
         assert np.allclose(b.velocities, a.velocities[perm], atol=1e-9)
         assert np.allclose(aff_b, aff_a[pair], atol=1e-9)
-        assert np.allclose(b.qmix_attn, a.qmix_attn[pair], atol=1e-9)
+        assert np.allclose(mix_b, mix_a[pair], atol=1e-9)
 
 
 @criterion(10, "run command reports are byte-identical across invocations")

@@ -16,8 +16,9 @@ swap counts, taken through the SampleSet rows of each bank, must equal the
 counts read straight from the bank arrays.  Both attention calls of a layer
 must reach the traced kernel, with the FLOP count of their shapes, so a
 QMix that routed around it would make numkernel.mha_s read low.  The
-links probe of a traced run must find a matrix in every layer of a run
-that emits no links, with QMix off and at every placement.
+links probe of a traced run must give, in every layer of a run that emits
+no links, the links `--emit-links` writes for the same config, with QMix
+off and at every placement.
 """
 import importlib
 import importlib.util
@@ -149,7 +150,7 @@ def test_traced_toy_run_reaches_every_wrapped_function(tmp_path, monkeypatch):
 def test_links_probe_reads_every_layer_without_emitted_links(placement,
                                                              monkeypatch):
     # a traced run of a workload that emits no links calls links_probe on
-    # the decode outputs, which must still hold the matrix links read
+    # the decode outputs, which must still hold what links are read from
     from hqfusion import cli
     worker = _load("worker")
     cfg = cli.config_from_dict({})
@@ -160,18 +161,19 @@ def test_links_probe_reads_every_layer_without_emitted_links(placement,
         cli.apply_override(cfg, "decoder.qmix_placement", placement)
     assert not cfg.emit.links
     result = cli.run_pipeline(cfg)
-    read = []
+    cli.apply_override(cfg, "emit.links", True)
+    emitted = [rec["links"] for rec in cli.build_report(cfg, result)["layers"]]
+    assert len(emitted) == cfg.decoder.layers and all(emitted)
+    probed = []
     extract = cli.extract_top_links
 
-    def keep(attn, *args, **kwargs):
-        read.append(attn)
-        return extract(attn, *args, **kwargs)
+    def keep(*args, **kwargs):
+        probed.append(extract(*args, **kwargs))
+        return probed[-1]
 
     monkeypatch.setattr(cli, "extract_top_links", keep)
     worker.links_probe(cli, result)
-    n = result["queries"].n
-    assert len(read) == cfg.decoder.layers
-    assert all(attn.shape == (n, n) for attn in read)
+    assert probed == emitted
 
 
 def test_swap_counts_match_the_banks():

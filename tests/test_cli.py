@@ -829,6 +829,28 @@ class TestCliCommands:
         with pytest.raises(ConfigError, match="scene.num_objects"):
             cli.apply_override(cfg, "scene.num_objects", sc.MAX_OBJECTS + 1)
 
+    def test_query_bounds_at_one_matrix_and_the_query_layers(self):
+        # no layer's N x N attention matrix outlives the next layer, so N^2
+        # is bounded whatever decoder.layers is
+        from hqfusion.decoder import MAX_QUERY_LAYERS
+        cfg = cli.config_from_dict({})  # 6 layers, 225 image + 225 radar queries
+        cli.apply_override(cfg, "queries.n_world", 4800)
+        cfg.validate()
+        cli.apply_override(cfg, "decoder.layers", 1)
+        n_world = math.isqrt(sc.MAX_FEATURE_VALUES) - 450
+        cli.apply_override(cfg, "queries.n_world", n_world)  # N = 11,585
+        cfg.validate()
+        cli.apply_override(cfg, "queries.n_world", n_world + 1)
+        with pytest.raises(ConfigError, match="attention matrix"):
+            cfg.validate()
+        # the layer loop's per-query work and outputs have their own budget
+        cli.apply_override(cfg, "queries.n_world", 450)  # N = 900
+        cli.apply_override(cfg, "decoder.layers", MAX_QUERY_LAYERS // 900)
+        cfg.validate()
+        cli.apply_override(cfg, "decoder.layers", MAX_QUERY_LAYERS // 900 + 1)
+        with pytest.raises(ConfigError, match="decoder.layers"):
+            cfg.validate()
+
     def test_feasible_object_counts_pass_validation(self):
         # the densest packing of 2 m disks in the toy square holds far more
         # than 100 objects; the bound must not refuse such a count

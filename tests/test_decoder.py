@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from hqfusion.qinit import (BOX_PRIOR_WL, TYPE_IMG, TYPE_RAD, TYPE_W, QuerySet,
                             concat_query_sets, generate_2d_proposals,
                             init_image_queries, init_radar_queries,
                             init_world_queries)
-from hqfusion.qmix import extract_top_links, qmix_attention
+from hqfusion.qmix import qmix_attention
 from hqfusion.qswap import (BEV_KINDS, ORIGIN_SHARED, QSwapConfig, base_bank,
                             normalize_sample_scores, select_neighbors,
                             swap_samples)
@@ -28,7 +29,8 @@ from hqfusion.weights_io import init_weights
 
 from reference import (Token, aggregate_features, bilinear_sample,
                        naive_bilinear, naive_bilinear_frac, naive_layer_norm,
-                       naive_mha, project_to_view, sample_features)
+                       naive_mha, naive_top_links, project_to_view,
+                       sample_features)
 
 
 def token_space(emb, w):
@@ -343,22 +345,48 @@ def record_blocks(monkeypatch):
     return calls
 
 
-def record_affinities(monkeypatch):
-    """Wrap decoder.shared_self_attention; returns the list of affinities.
+def held_arrays(value):
+    """Every numpy array a value holds, through dataclasses and dicts."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from held_arrays(getattr(value, f.name))
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from held_arrays(item)
 
-    Decode keeps a layer's self-attention only when the layer ran no QMix,
-    so the tests read every layer's affinity here, as decode computed it.
-    """
-    affinities = []
-    attend = decoder.shared_self_attention
+
+def record_outputs(monkeypatch, name):
+    """Wrap decoder.<name>, a stage returning (embeddings, matrix); returns
+    the list of the matrices it gave, in call order."""
+    matrices = []
+    stage = getattr(decoder, name)
 
     def keep(*args, **kwargs):
-        emb, affinity = attend(*args, **kwargs)
-        affinities.append(affinity)
-        return emb, affinity
+        emb, matrix = stage(*args, **kwargs)
+        matrices.append(matrix)
+        return emb, matrix
 
-    monkeypatch.setattr(decoder, "shared_self_attention", keep)
-    return affinities
+    monkeypatch.setattr(decoder, name, keep)
+    return matrices
+
+
+def record_affinities(monkeypatch):
+    """Every layer's self-attention affinity, as decode computed it.
+
+    Decode keeps no attention matrix, so the tests read them here.
+    """
+    return record_outputs(monkeypatch, "shared_self_attention")
+
+
+def record_qmix(monkeypatch):
+    """Every layer's QMix attention matrix, as decode computed it.
+
+    Decode keeps only the link rows of a layer's QMix attention, so the
+    tests read the matrices here.
+    """
+    return record_outputs(monkeypatch, "qmix_attention")
 
 
 class TestTokenBlocks:
@@ -367,8 +395,10 @@ class TestTokenBlocks:
         n, d = queries.n, cfg.decoder.d
         calls = record_blocks(monkeypatch)
         affinities = record_affinities(monkeypatch)
+        qmixes = record_qmix(monkeypatch)
         whole = decode(features, queries, weights, cfg.decoder)
         whole_affinities = list(affinities)
+        whole_qmixes = list(qmixes)
         assert [c[0] for c in calls] == [slice(0, n)] * cfg.decoder.layers
         whole_valid = [c[3] for c in calls]
         t_max = [c[1][1] for c in calls]
@@ -379,6 +409,7 @@ class TestTokenBlocks:
             monkeypatch.setattr(decoder, "TOKEN_BLOCK_BYTES", limit)
             calls.clear()
             affinities.clear()
+            qmixes.clear()
             got = decode(features, queries, weights, cfg.decoder)
             starts = list(range(0, n, rows_per_block))
             assert [c[0] for c in calls] == [
@@ -393,12 +424,14 @@ class TestTokenBlocks:
                     assert np.array_equal(a.sample_sets[kind].sizes,
                                           b.sample_sets[kind].sizes)
                 for name in ("class_scores", "centers", "sizes", "yaws",
-                             "velocities", "qmix_attn"):
+                             "velocities"):
                     assert np.allclose(getattr(a, name), getattr(b, name),
                                        rtol=0.0, atol=1e-12), name
+                assert np.allclose(whole_qmixes[layer], qmixes[layer],
+                                   rtol=0.0, atol=1e-12)
                 assert np.allclose(whole_affinities[layer], affinities[layer],
                                    rtol=0.0, atol=1e-12)
-            assert len(affinities) == cfg.decoder.layers
+            assert len(affinities) == len(qmixes) == cfg.decoder.layers
 
     def test_blocks_stay_within_the_byte_bound(self, monkeypatch):
         cfg, features, queries, weights = preset_inputs(**{
@@ -635,14 +668,16 @@ class TestDecode:
                 assert all(s.size == cfg.qswap.k_base
                            for s in out.sample_sets[kind])
 
-    def test_qmix_same_type_suppression(self):
+    def test_qmix_same_type_suppression(self, monkeypatch):
         _, features, queries, weights, cfg = toy_setup()
+        qmixes = record_qmix(monkeypatch)
         outs = decode(features, queries, weights, cfg)
         types = queries.types
         same = (types[:, None] == types[None, :]) & ~np.eye(queries.n, dtype=bool)
-        for out in outs:
+        assert len(qmixes) == len(outs) == cfg.layers
+        for out, attn in zip(outs, qmixes):
             assert out.qmix_attn is not None
-            assert out.qmix_attn[same].sum() <= 1e-12
+            assert attn[same].sum() <= 1e-12
 
     def test_qswap_append_sizes(self):
         _, features, queries, weights, cfg = toy_setup()
@@ -691,30 +726,35 @@ class TestDecode:
 
     @pytest.mark.parametrize("placement", [None, *decoder.PLACEMENTS])
     def test_one_attention_matrix_per_layer(self, placement, monkeypatch):
-        # the kept matrix is the one build_report reads for links: QMix's
-        # when the layer mixed, else the shared self-attention
+        # a layer's links come from one matrix, QMix's when the layer mixed,
+        # else the shared self-attention; its output keeps the link rows of
+        # that matrix and no array of N x N values
         overrides = {"decoder.enable_qmix": placement is not None,
                      "emit.links": True}
         if placement:
             overrides["decoder.qmix_placement"] = placement
         cfg, _, _, _ = preset_inputs(**overrides)
         affinities = record_affinities(monkeypatch)
+        qmixes = record_qmix(monkeypatch)
         result = cli.run_pipeline(cfg)
         report = cli.build_report(cfg, result)
-        queries = result["queries"]
-        n = queries.n
-        assert len(affinities) == len(result["outputs"]) == cfg.decoder.layers
-        for out, affinity, rec in zip(result["outputs"], affinities,
-                                      report["layers"]):
-            square = [getattr(out, f.name) for f in dataclasses.fields(out)
-                      if np.shape(getattr(out, f.name)) == (n, n)]
-            assert len(square) == 1
-            (attn,) = square
-            mixed = placement not in (None, "post_self")
-            assert (attn is out.qmix_attn) == mixed
-            assert (attn is out.self_attn is affinity) == (not mixed)
-            assert rec["links"] == extract_top_links(
-                attn, queries.types, out.class_scores.max(axis=1))
+        types = result["queries"].types
+        n = len(types)
+        layers = cfg.decoder.layers
+        mixed = placement not in (None, "post_self")
+        assert len(affinities) == len(result["outputs"]) == layers
+        assert len(qmixes) == (layers if mixed else 0)
+        for layer, (out, rec) in enumerate(zip(result["outputs"],
+                                               report["layers"])):
+            for f in dataclasses.fields(out):
+                sizes = [a.size for a in held_arrays(getattr(out, f.name))]
+                assert max(sizes, default=0) < n * n, f.name
+            assert (out.qmix_attn is not None) == mixed
+            assert (out.self_attn is None) == mixed
+            attn = qmixes[layer] if mixed else affinities[layer]
+            want = naive_top_links(attn, types, out.class_scores.max(axis=1))
+            assert rec["links"] == want
+            assert json.dumps(rec["links"]) == json.dumps(want)
             assert rec["links"]
 
     def test_positions_stay_in_extent(self):
@@ -765,8 +805,9 @@ class TestDecode:
         cfg = toy_config(layers=1)
         _, features, queries, weights, cfg = toy_setup(cfg=cfg)
         affinities = record_affinities(monkeypatch)
+        qmixes = record_qmix(monkeypatch)
         out = decode(features, queries, weights, cfg)[0]
-        assert len(affinities) == 1
+        assert len(affinities) == len(qmixes) == 1
 
         pos0 = queries.positions.astype(np.float64).copy()
         box_wl = np.tile(BOX_PRIOR_WL, (queries.n, 1))
@@ -792,7 +833,7 @@ class TestDecode:
         cls, centers, sizes, yaws, vel = detection_head(emb, pos0, weights, cfg)
 
         assert np.allclose(affinities[0], affinity, atol=1e-12)
-        assert np.allclose(out.qmix_attn, qattn, rtol=1e-9, atol=1e-11)
+        assert np.allclose(qmixes[0], qattn, rtol=1e-9, atol=1e-11)
         assert np.allclose(out.class_scores, cls, rtol=1e-9, atol=1e-11)
         assert np.allclose(out.centers, centers, rtol=1e-9, atol=1e-11)
         assert np.allclose(out.sizes, sizes, rtol=1e-9, atol=1e-11)
@@ -802,17 +843,18 @@ class TestDecode:
         cfg = toy_config()
         _, features, queries, weights, cfg = toy_setup(cfg=cfg)
         affinities = record_affinities(monkeypatch)
+        qmixes = record_qmix(monkeypatch)
         outs = decode(features, queries, weights, cfg)
         rng = np.random.default_rng(9)
         perm = rng.permutation(queries.n)
         permuted = QuerySet(queries.embeddings[perm], queries.positions[perm],
                             queries.types[perm])
         outs_p = decode(features, permuted, weights, cfg)
-        assert len(affinities) == 2 * cfg.layers
-        for a, b, aff_a, aff_b in zip(outs, outs_p, affinities[:cfg.layers],
-                                      affinities[cfg.layers:]):
+        assert len(affinities) == len(qmixes) == 2 * cfg.layers
+        for a, b, aff_a, aff_b, mix_a, mix_b in zip(
+                outs, outs_p, affinities[:cfg.layers], affinities[cfg.layers:],
+                qmixes[:cfg.layers], qmixes[cfg.layers:]):
             assert np.allclose(b.class_scores, a.class_scores[perm], atol=1e-9)
             assert np.allclose(b.centers, a.centers[perm], atol=1e-9)
             assert np.allclose(aff_b, aff_a[np.ix_(perm, perm)], atol=1e-9)
-            assert np.allclose(b.qmix_attn, a.qmix_attn[np.ix_(perm, perm)],
-                               atol=1e-9)
+            assert np.allclose(mix_b, mix_a[np.ix_(perm, perm)], atol=1e-9)

@@ -10,7 +10,7 @@ from hqfusion.numkernel import MhaWeights, multi_head_attention
 from hqfusion.qinit import TYPE_IMG, TYPE_RAD, TYPE_W
 from hqfusion.qmix import (QMixWeights, attention_type_stats,
                            build_cross_type_mask, extract_top_links,
-                           qmix_attention)
+                           link_rows, qmix_attention)
 
 from reference import (identity_mha_weights, mask_blocked,
                        naive_cross_type_blocked, naive_mixing_block,
@@ -197,12 +197,14 @@ class TestTopLinks:
     def test_no_confident_queries(self):
         attn = np.eye(3)
         types = np.array([IMG, RAD, W])
-        assert extract_top_links(attn, types, np.zeros(3)) == []
+        assert extract_top_links(link_rows(attn, types), types,
+                                 np.zeros(3)) == []
 
     def test_ranked_cross_links(self):
         types = np.array([IMG, RAD, W])
         attn = np.array([[0.5, 0.3, 0.2], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        links = extract_top_links(attn, types, np.array([0.9, 0.0, 0.0]))
+        links = extract_top_links(link_rows(attn, types), types,
+                                  np.array([0.9, 0.0, 0.0]))
         assert [(l["source"], l["target"]) for l in links] == [(0, 1), (0, 2)]
         assert links[0]["weight"] == 0.3 and links[1]["weight"] == 0.2
         assert (links[0]["source_type"] == "img"
@@ -211,7 +213,8 @@ class TestTopLinks:
     def test_single_partner_truncates(self):
         types = np.array([IMG, RAD])
         attn = np.array([[0.7, 0.3], [0.4, 0.6]])
-        links = extract_top_links(attn, types, np.array([1.0, 0.0]))
+        links = extract_top_links(link_rows(attn, types), types,
+                                  np.array([1.0, 0.0]))
         assert len(links) == 1
         assert links[0]["target"] == 1
 
@@ -230,7 +233,7 @@ class TestTopLinks:
             attn = rng.integers(0, 4, (n, n)) / 4.0
             attn[(attn == 0.0) & (rng.random((n, n)) < 0.5)] = -0.0
             conf = rng.choice([0.0, 0.05, 0.1, 0.1 + 1e-12, 0.5, 1.0], n)
-            got = extract_top_links(attn, types, conf)
+            got = extract_top_links(link_rows(attn, types), types, conf)
             want = naive_top_links(attn, types, conf)
             assert got == want
             # == treats -0.0 and 0.0 alike; the report bytes do not
