@@ -107,6 +107,20 @@ class RunConfig:
                 f"{n} queries form an attention matrix of {n * n} values, "
                 f"over {sc.MAX_FEATURE_VALUES}: lower queries.n_world, "
                 "queries.n_img or queries.n_rad")
+        # a layer's sampling arrays: the base head's (N, 3 k_base) output, the
+        # token plan's (N, T) and one query's (T, d), swap's candidates
+        dc, qs = self.decoder, self.decoder.qswap
+        t = 2 * (qs.k_base + qs.k_extra) + self.scene.num_cameras * dc.k_pv
+        nbrs = min(qs.n_neighbors, n - 1) if dc.enable_qswap else 0
+        for values, fields in [
+                (n * 3 * qs.k_base, "decoder.qswap.k_base"),
+                (max(n, d) * t, "decoder.k_pv, decoder.qswap.k_base or "
+                                "decoder.qswap.k_extra"),
+                (n * nbrs * qs.k_base, "decoder.qswap.n_neighbors or "
+                                       "decoder.qswap.k_base")]:
+            if values > sc.MAX_FEATURE_VALUES:
+                raise ConfigError(f"sampling arrays of {values} values exceed "
+                                  f"{sc.MAX_FEATURE_VALUES}: lower {fields}")
         if self.decoder.layers * n > dec.MAX_QUERY_LAYERS:
             raise ConfigError(
                 f"decoder.layers={self.decoder.layers} x {n} queries = "

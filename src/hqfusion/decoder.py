@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import (MAX_FLOAT, MIN_POSITIVE, ConfigError, bounded, one_of,
                      require_finite)
-from .numkernel import (AttentionMask, MhaWeights, bilinear_at, layer_norm,
+from .numkernel import (MhaWeights, bilinear_at, layer_norm,
                         multi_head_attention, softmax_rows)
 from .qinit import BOX_PRIOR_WL, TYPE_IMG, TYPE_RAD, TYPE_W, QuerySet
 from .qmix import (LinkRows, QMixWeights, TypeAttentionStats, attention_block,
@@ -188,7 +188,7 @@ def shared_self_attention(emb: np.ndarray, positions: np.ndarray, weights,
     t = weights.tensors
     pe = sinusoidal_position_encoding(positions, emb.shape[1])
     qk = emb + pe
-    out, attn = multi_head_attention(qk, qk, emb, AttentionMask.open(emb.shape[0]),
+    out, attn = multi_head_attention(qk, qk, emb,
                                      mha_weights(weights, "self_attn", heads))
     return layer_norm(emb + out, t["self_attn.ln.gamma"], t["self_attn.ln.beta"]), attn
 
@@ -464,11 +464,9 @@ def decode(features: SceneFeatures, queries: QuerySet, weights,
             if config.qmix_placement == "post_agg":
                 emb, qmix_attn = qmix_attention(emb, types, qmix_w)
             elif config.qmix_placement == "post_self":
-                emb, _ = attention_block(emb, AttentionMask.open(queries.n),
-                                         postself_w)
+                emb, _ = attention_block(emb, postself_w)
             elif config.qmix_placement == "post_self_cross":
-                emb, _ = attention_block(emb, AttentionMask.open(queries.n),
-                                         postself_w)
+                emb, _ = attention_block(emb, postself_w)
                 emb, qmix_attn = qmix_attention(emb, types, qmix_w)
 
         cls, centers, sizes, yaws, velocities = detection_head(emb, pos, weights,

@@ -31,10 +31,6 @@ class ShapeError(ValueError):
     """Operand shapes do not conform."""
 
 
-class MaskError(ValueError):
-    """Attention mask violates its contract (e.g. a fully blocked row)."""
-
-
 class ConfigError(ValueError):
     """Invalid or inconsistent configuration."""
 

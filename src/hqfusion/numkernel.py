@@ -7,10 +7,10 @@ and every image proposal is read through bilinear_at.  Only softmax_rows
 works in place, on the logits it is given; no other kernel mutates its
 arguments.
 
-Attention masks are row groups, each with its own open key set, and the
-attention kernel forms logits only for a group's open keys, one block of
-rows at a time (block-sparse attention as in Sparse Transformers, with
-cache-sized row tiles as in FlashAttention).
+Cross-type attention rows are grouped by query type, each group with its
+own open key set, and the attention kernel forms logits only for a group's
+open keys, one block of rows at a time (block-sparse attention as in Sparse
+Transformers, with cache-sized row tiles as in FlashAttention).
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .errors import ConfigError, MaskError, ShapeError
+from .errors import ConfigError, ShapeError
 
 LN_EPS = 1e-6
 
@@ -28,57 +28,6 @@ LN_EPS = 1e-6
 # Upper bound on the float64 logits of one row block, over all heads: each
 # softmax pass over a block then stays in a per-core L2 cache.
 ATTN_BLOCK_BYTES = 1 << 20
-
-
-@dataclass(frozen=True)
-class MaskGroup:
-    """Query rows that share one open key set.
-
-    `rows` and `keys` are ascending id arrays, or None for every row / every
-    key.  With `self_key`, row i also sees key i, as one extra logit column
-    (i is then not in `keys`).
-    """
-
-    rows: np.ndarray | None = None
-    keys: np.ndarray | None = None
-    self_key: bool = False
-
-
-@dataclass(frozen=True)
-class AttentionMask:
-    """Attention mask as row groups, each with its own open key set.
-
-    Built by `from_groups` (or `open`), so the kernel never forms logits for
-    keys a row cannot see.  Every row must keep at least one key open, so an
-    attention row always sums to 1.
-    """
-
-    shape: tuple[int, int]
-    groups: tuple[MaskGroup, ...]
-
-    @classmethod
-    def from_groups(cls, shape: tuple[int, int], groups) -> "AttentionMask":
-        """Mask from row groups that together hold every row exactly once."""
-        groups = tuple(groups)
-        rows = [np.arange(shape[0]) if g.rows is None else g.rows for g in groups]
-        if not np.array_equal(np.sort(np.concatenate([[], *rows])),
-                              np.arange(shape[0])):
-            raise MaskError("mask groups do not hold every row exactly once")
-        for g, r in zip(groups, rows):
-            keys = np.arange(shape[1]) if g.keys is None else g.keys
-            if (np.diff(r) <= 0).any() or (np.diff(keys) <= 0).any():
-                raise MaskError("mask group ids must be strictly ascending")
-            if len(r) and not (len(keys) or g.self_key):
-                raise MaskError("mask has a fully blocked row")
-            if g.self_key and np.intersect1d(r, keys).size:
-                raise MaskError("a self key is also among the group's keys")
-        return cls((int(shape[0]), int(shape[1])), groups)
-
-    @classmethod
-    def open(cls, n_q: int, n_k: int | None = None) -> "AttentionMask":
-        """Mask with every entry attendable."""
-        return cls.from_groups((n_q, n_k if n_k is not None else n_q),
-                               [MaskGroup()])
 
 
 def softmax_rows(logits: np.ndarray, blocked: np.ndarray | None = None
@@ -128,14 +77,10 @@ class MhaWeights:
     bo: np.ndarray
 
 
-def _index(ids: np.ndarray | None):
-    """Ascending ids as a slice when they form one run, else as given.
-
-    None (every id) becomes slice(None), so a gather or scatter through the
-    result is a view or a plain block copy whenever it can be.
-    """
-    if ids is None:
-        return slice(None)
+def _index(ids: np.ndarray):
+    """Ascending ids as a slice when they form one run, else as given, so a
+    gather or scatter through the result is a view or a plain block copy
+    whenever it can be."""
     if len(ids) and ids[-1] - ids[0] == len(ids) - 1:
         return slice(int(ids[0]), int(ids[-1]) + 1)
     return ids
@@ -145,10 +90,15 @@ def multi_head_attention(
     q_in: np.ndarray,
     k_in: np.ndarray,
     v_in: np.ndarray,
-    mask: AttentionMask,
     weights: MhaWeights,
+    types: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Masked scaled dot-product attention over the mask's row groups.
+    """Scaled dot-product attention, cross-type masked when given `types`.
+
+    Without `types` every query sees every key.  With `types`, one query
+    type per row of a self-attention (n_k == n_q), the rows are grouped by
+    type: a row sees every key of the other types, plus its own key as one
+    extra logit column.
 
     Returns (output, attn) where attn is the (n_q, n_k) mean over heads of
     the post-softmax weights; each attn row sums to 1 and blocked entries are
@@ -167,12 +117,20 @@ def multi_head_attention(
     n_k = k_in.shape[0]
     if k_in.shape[1] != d or v_in.shape != k_in.shape:
         raise ShapeError("q/k/v feature dims do not match")
-    if mask.shape != (n_q, n_k):
-        raise ShapeError(f"mask shape {mask.shape} does not match ({n_q},{n_k})")
     h = weights.heads
     if d % h != 0:
         raise ConfigError(f"head count {h} does not divide model dim {d}")
     dh = d // h
+    # (row ids, open key ids, self key) of each row group
+    if types is None:
+        groups = [(np.arange(n_q), np.arange(n_k), False)]
+    else:
+        types = np.asarray(types)
+        if types.shape != (n_q,) or n_k != n_q:
+            raise ShapeError(f"types of shape {types.shape} do not match a "
+                             f"({n_q},{n_k}) self-attention")
+        groups = [(np.flatnonzero(types == t), np.flatnonzero(types != t), True)
+                  for t in np.unique(types)]
 
     q = q_in @ weights.wq.T + weights.bq
     q *= 1.0 / math.sqrt(dh)
@@ -186,12 +144,11 @@ def multi_head_attention(
     ctx = np.empty((n_q, h, dh))
     ctx_h = ctx.transpose(1, 0, 2)
     attn = np.zeros((n_q, n_k))
-    for g in mask.groups:
-        row_ids = np.arange(n_q) if g.rows is None else g.rows
-        rows, keys = _index(row_ids), _index(g.keys)
+    for row_ids, key_ids, self_key in groups:
+        rows, keys = _index(row_ids), _index(key_ids)
         q_g, kt_g, v_g = qh[:, rows], kt[:, :, keys], vh[:, keys]
         n_open = v_g.shape[1]
-        step = max(1, ATTN_BLOCK_BYTES // (8 * h * max(1, n_open + g.self_key)))
+        step = max(1, ATTN_BLOCK_BYTES // (8 * h * max(1, n_open + self_key)))
         # one logit buffer per group, reused by every block
         buf = np.empty(h * min(step, len(row_ids)) * n_open)
         for r0 in range(0, len(row_ids), step):
@@ -200,7 +157,7 @@ def multi_head_attention(
             qb = q_g[:, blk]
             e = buf[:h * qb.shape[1] * n_open].reshape(h, qb.shape[1], n_open)
             np.matmul(qb, kt_g, out=e)
-            if g.self_key:
+            if self_key:
                 e_self = np.einsum("hbd,hdb->hb", qb, kt[:, :, rb])
                 m = np.maximum(e.max(axis=-1), e_self) if n_open else e_self.copy()
                 e_self -= m
@@ -211,7 +168,7 @@ def multi_head_attention(
             np.exp(e, out=e)
             total = e.sum(axis=-1)
             ctx_b = e @ v_g
-            if g.self_key:
+            if self_key:
                 total += e_self
                 ctx_b += e_self[..., None] * vh[:, rb]
             inv = 1.0 / total
@@ -224,7 +181,7 @@ def multi_head_attention(
                 attn[rb, keys] = mean
             else:
                 attn[np.ix_(rb, keys)] = mean
-            if g.self_key:
+            if self_key:
                 ids = row_ids[blk]
                 attn[ids, ids] = np.einsum("hb,hb->b", e_self, inv)
 

@@ -4,10 +4,11 @@ Self-attention over a mixed query set tends to favor same-type partners,
 which starves the cross-modal exchange the heterogeneous initialization was
 meant to enable.  The mixing layer here blocks attention between distinct
 queries of the same type (diagonals stay open as a fallback), forcing each
-query to consolidate evidence from the other two types.  The module also
-hosts the type-to-type attention diagnostics and the top-link extraction
-used by the analysis commands: a decoder layer reduces its matrix to link
-rows, and the report filters them by confidence.
+query to consolidate evidence from the other two types: the attention
+kernel's rows are grouped by query type, and it forms no logit for a
+same-type key.  The module also hosts the type-to-type attention diagnostics
+and the top-link extraction used by the analysis commands: a decoder layer
+reduces its matrix to link rows, and the report filters them by confidence.
 """
 from __future__ import annotations
 
@@ -15,24 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkernel import (AttentionMask, MaskGroup, MhaWeights, layer_norm,
-                        multi_head_attention)
+from .numkernel import MhaWeights, layer_norm, multi_head_attention
 from .qinit import TYPE_NAMES
 
 NUM_TYPES = len(TYPE_NAMES)
-
-
-def build_cross_type_mask(types: np.ndarray) -> AttentionMask:
-    """Open entry iff same query (diagonal) or differing types.
-
-    One row group per present type: its rows see every key of the other
-    types, plus their own key as one extra column.
-    """
-    types = np.asarray(types)
-    groups = [MaskGroup(np.flatnonzero(types == t), np.flatnonzero(types != t),
-                        self_key=True)
-              for t in np.unique(types)]
-    return AttentionMask.from_groups((len(types), len(types)), groups)
 
 
 @dataclass
@@ -48,10 +35,12 @@ class QMixWeights:
     mlp_b2: np.ndarray
 
 
-def attention_block(q: np.ndarray, mask: AttentionMask, weights: QMixWeights
+def attention_block(q: np.ndarray, weights: QMixWeights,
+                    types: np.ndarray | None = None
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Residual masked attention followed by a pre-normalized residual MLP."""
-    attn_out, attn = multi_head_attention(q, q, q, mask, weights.mha)
+    """Residual attention, cross-type masked when given `types`, followed by
+    a pre-normalized residual MLP."""
+    attn_out, attn = multi_head_attention(q, q, q, weights.mha, types)
     h = layer_norm(q + attn_out, weights.ln_gamma, weights.ln_beta)
     hidden = np.maximum(h @ weights.mlp_w1.T + weights.mlp_b1, 0.0)
     return h + hidden @ weights.mlp_w2.T + weights.mlp_b2, attn
@@ -61,10 +50,11 @@ def qmix_attention(q: np.ndarray, types: np.ndarray, weights: QMixWeights
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Cross-type masked attention update.
 
-    Returns the updated embeddings and the head-averaged attention matrix;
-    same-type off-diagonal entries of the latter are exact zeros.
+    A query sees the keys of the other types and its own key.  Returns the
+    updated embeddings and the head-averaged attention matrix; same-type
+    off-diagonal entries of the latter are exact zeros.
     """
-    return attention_block(q, build_cross_type_mask(types), weights)
+    return attention_block(q, weights, types)
 
 
 @dataclass

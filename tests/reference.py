@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hqfusion.numkernel import AttentionMask, MaskGroup, MhaWeights
+from hqfusion.numkernel import MhaWeights
 from hqfusion.qinit import TYPE_NAMES, QuerySet
 from hqfusion.qswap import (BEV_KINDS, ORIGIN_BASE, ORIGIN_SHARED, SampleSet,
                             adaptive_radius, score_shared_points)
@@ -94,31 +94,6 @@ def naive_mha(q_in, k_in, v_in, blocked, weights):
                 ctx[i, sl] += a[j] * v[j, sl]
     out = np.array([_row_affine(weights.wo, row, weights.bo) for row in ctx])
     return out, attn_sum / h
-
-
-def dense_mask(blocked):
-    """AttentionMask of a dense boolean matrix (True = blocked).
-
-    One group per row, holding the row's open key ids; a fully blocked row
-    is refused by from_groups.
-    """
-    blocked = np.asarray(blocked, dtype=bool)
-    return AttentionMask.from_groups(blocked.shape, [
-        MaskGroup(np.array([i]), np.flatnonzero(~row))
-        for i, row in enumerate(blocked)])
-
-
-def mask_blocked(mask):
-    """The dense boolean form of an AttentionMask (True = blocked)."""
-    n_q, n_k = mask.shape
-    out = np.ones(mask.shape, dtype=bool)
-    for g in mask.groups:
-        rows = np.arange(n_q) if g.rows is None else g.rows
-        keys = np.arange(n_k) if g.keys is None else g.keys
-        out[np.ix_(rows, keys)] = False
-        if g.self_key:
-            out[rows, rows] = False
-    return out
 
 
 def naive_cross_type_blocked(types):

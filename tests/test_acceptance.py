@@ -8,18 +8,18 @@ import numpy as np
 
 from hqfusion import cli
 from hqfusion.decoder import decode
-from hqfusion.numkernel import bilinear_at
+from hqfusion.numkernel import bilinear_at, multi_head_attention
 from hqfusion.qinit import QuerySet
-from hqfusion.qmix import (attention_type_stats, build_cross_type_mask,
-                           qmix_attention)
+from hqfusion.qmix import attention_type_stats, qmix_attention
 from hqfusion.qswap import (ORIGIN_SHARED, QSwapConfig, adaptive_radius,
                             normalize_sample_scores, score_shared_points,
                             select_neighbors, swap_samples)
 from hqfusion.scene import GridConfig, project_points, render_image_bev
 
-from reference import (bilinear_sample, brute_force_selection, mask_blocked,
-                       naive_bilinear, naive_cross_type_blocked,
-                       naive_mixing_block, project_with_matrix)
+from reference import (bilinear_sample, brute_force_selection,
+                       identity_mha_weights, naive_bilinear,
+                       naive_cross_type_blocked, naive_mixing_block,
+                       project_with_matrix)
 from test_numkernel import make_grid, tokens_at
 from test_qmix import random_mixing_weights
 from test_qswap import make_bank, random_swap_instance
@@ -35,13 +35,19 @@ def criterion(num, text):
 
 @criterion(1, "cross-type mask matches the brute-force predicate")
 def test_mask_correctness():
+    # the mask the attention kernel applies: identity projections of zero
+    # queries give every open entry 1 / (open keys of its row) > 0
     rng = np.random.default_rng(101)
+    w = identity_mha_weights(4)
     start = time.perf_counter()
     for _ in range(200):
         n = int(rng.integers(1, 65))
         types = rng.integers(0, 3, n)
-        mask = build_cross_type_mask(types)
-        assert np.array_equal(mask_blocked(mask), naive_cross_type_blocked(types))
+        q = np.zeros((n, 4))
+        _, attn = multi_head_attention(q, q, q, w, types)
+        blocked = naive_cross_type_blocked(types)
+        assert (attn[blocked] == 0.0).all()
+        assert (attn[~blocked] > 0.0).all()
     assert time.perf_counter() - start < 1.0
 
 

@@ -611,6 +611,8 @@ class TestCliCommands:
                                ("radar.pos_noise=NaN", "radar.pos_noise"),
                                ("radar.vel_noise=NaN", "radar.vel_noise"),
                                ("decoder.k_pv=100000000", "decoder.k_pv"),
+                               ("decoder.k_pv=400000", "decoder.k_pv"),
+                               ("decoder.qswap.k_base=600000", "decoder.qswap.k_base"),
                                ("render.pv_downsample=1048577", "render.pv_downsample"),
                                (f"scene.num_classes={2 ** 63 + 1}", "scene.num_classes"),
                                ("radar.pos_noise=1e308", "radar.pos_noise"),
@@ -633,9 +635,13 @@ class TestCliCommands:
     @pytest.mark.parametrize("pair, word", [
         (("scene.extent=1e308", "decoder.extent=1e308"), "extent"),
         (("scene.feature_dim=0", "decoder.d=0"), "decoder.d"),
-        (("scene.extent=NaN", "decoder.extent=NaN"), "decoder.extent")])
+        (("scene.extent=NaN", "decoder.extent=NaN"), "decoder.extent"),
+        (("decoder.qswap.n_neighbors=119", "decoder.qswap.radius_factor=1e6",
+          "decoder.qswap.k_base=20000"), "decoder.qswap.n_neighbors")])
     def test_paired_overrides_refused(self, tmp_path, capsys, pair, word):
-        args = ["run", *TOY, "--set", pair[0], "--set", pair[1]]
+        args = ["run", *TOY]
+        for override in pair:
+            args += ["--set", override]
         assert word in assert_error_exit(args, tmp_path / "r.json", capsys)
 
     def test_bad_scene_file_refused(self, tmp_path, capsys):
@@ -850,6 +856,31 @@ class TestCliCommands:
         cli.apply_override(cfg, "decoder.layers", MAX_QUERY_LAYERS // 900 + 1)
         with pytest.raises(ConfigError, match="decoder.layers"):
             cfg.validate()
+
+    def test_sampling_arrays_at_the_bounds_pass(self):
+        # toy: 120 queries of 32 values, 4 cameras, k_base 20, k_extra 4
+        n, top = 120, sc.MAX_FEATURE_VALUES
+        cfg = toy_config()
+        cli.apply_override(cfg, "decoder.qswap.n_neighbors", 0)
+        # the base head's (N, 3 k_base) output, the token plan's (N, T)
+        for path, value, default in [
+                ("decoder.qswap.k_base", top // (3 * n), 20),
+                ("decoder.k_pv", (top // n - 2 * (20 + 4)) // 4, 4)]:
+            cli.apply_override(cfg, path, value)
+            cfg.validate()
+            cli.apply_override(cfg, path, value + 1)
+            with pytest.raises(ConfigError, match=path):
+                cfg.validate()
+            cli.apply_override(cfg, path, default)
+        # swap's (N, min(n_neighbors, N - 1), k_base) candidates
+        cli.apply_override(cfg, "decoder.qswap.k_base", 20000)
+        cli.apply_override(cfg, "decoder.qswap.n_neighbors", top // (n * 20000))
+        cfg.validate()
+        cli.apply_override(cfg, "decoder.qswap.n_neighbors", top // (n * 20000) + 1)
+        with pytest.raises(ConfigError, match="decoder.qswap.n_neighbors"):
+            cfg.validate()
+        cli.apply_override(cfg, "decoder.enable_qswap", False)
+        cfg.validate()
 
     def test_feasible_object_counts_pass_validation(self):
         # the densest packing of 2 m disks in the toy square holds far more

@@ -6,19 +6,17 @@ from hypothesis import strategies as st
 from hqfusion import decoder, numkernel
 from hqfusion.decoder import (DecoderConfig, SceneFeatures, build_tokens,
                               plan_tokens)
-from hqfusion.errors import ConfigError, MaskError
-from hqfusion.numkernel import (AttentionMask, MaskGroup, MhaWeights, bilinear_at,
-                                multi_head_attention, softmax_rows)
+from hqfusion.errors import ConfigError, ShapeError
+from hqfusion.numkernel import (MhaWeights, bilinear_at, multi_head_attention,
+                                softmax_rows)
 from hqfusion.qinit import TYPE_IMG, TYPE_RAD, TYPE_W
-from hqfusion.qmix import build_cross_type_mask
 from hqfusion.qswap import BEV_KINDS, base_bank, normalize_sample_scores
 from hqfusion.scene import CameraRig, FeatureGrid
 from hqfusion.weights_io import init_weights
 
-from reference import (cell_center, dense_mask, identity_mha_weights,
-                       mask_blocked, naive_bilinear, naive_bilinear_at,
-                       naive_cross_type_blocked, naive_masked_softmax,
-                       naive_mha)
+from reference import (cell_center, identity_mha_weights, naive_bilinear,
+                       naive_bilinear_at, naive_cross_type_blocked,
+                       naive_masked_softmax, naive_mha)
 
 IMG, RAD, W = TYPE_IMG, TYPE_RAD, TYPE_W
 
@@ -31,10 +29,8 @@ def random_mha_weights(rng, d, heads):
                       rng.normal(0, 0.1, d), rng.normal(0, 0.1, d))
 
 
-def random_open_diag_mask(rng, n):
-    blocked = rng.random((n, n)) < 0.4
-    np.fill_diagonal(blocked, False)
-    return dense_mask(blocked)
+def random_types(rng, n):
+    return rng.integers(0, 3, size=n)
 
 
 def softmax(logits, blocked):
@@ -91,19 +87,13 @@ class TestMaskedSoftmax:
         assert np.allclose(out, naive_masked_softmax(logits, blocked), atol=1e-12)
 
 
-class TestAttentionMask:
-    def test_fully_blocked_row_rejected(self):
-        with pytest.raises(MaskError):
-            dense_mask(np.array([[True, True], [False, False]]))
-
-
 class TestMultiHeadAttention:
     def test_self_only_single_query(self):
         rng = np.random.default_rng(1)
         d = 8
         w = random_mha_weights(rng, d, 2)
         q = rng.normal(size=(1, d))
-        out, attn = multi_head_attention(q, q, q, AttentionMask.open(1), w)
+        out, attn = multi_head_attention(q, q, q, w)
         assert np.allclose(attn, [[1.0]])
         v = q @ w.wv.T + w.bv
         assert np.allclose(out, v @ w.wo.T + w.bo, atol=1e-12)
@@ -116,7 +106,7 @@ class TestMultiHeadAttention:
         q = np.array([[1.0, 2.0, 0.0, -1.0], [0.5, -0.5, 3.0, 0.0]])
         k = np.zeros((2, d))
         v = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 2.0]])
-        out, attn = multi_head_attention(q, k, v, AttentionMask.open(2), w)
+        out, attn = multi_head_attention(q, k, v, w)
         assert np.allclose(attn, np.full((2, 2), 0.5), atol=1e-12)
         expected = np.tile(v.mean(axis=0), (2, 1))
         assert np.allclose(out, expected, atol=1e-12)
@@ -129,9 +119,9 @@ class TestMultiHeadAttention:
         q = rng.normal(size=(n, d))
         k = rng.normal(size=(n, d))
         v = rng.normal(size=(n, d))
-        mask = random_open_diag_mask(rng, n)
-        out, attn = multi_head_attention(q, k, v, mask, w)
-        ref_out, ref_attn = naive_mha(q, k, v, mask_blocked(mask), w)
+        types = random_types(rng, n)
+        out, attn = multi_head_attention(q, k, v, w, types)
+        ref_out, ref_attn = naive_mha(q, k, v, naive_cross_type_blocked(types), w)
         assert np.allclose(out, ref_out, rtol=1e-9, atol=1e-12)
         assert np.allclose(attn, ref_attn, rtol=1e-9, atol=1e-12)
         assert np.allclose(attn.sum(axis=1), 1.0, atol=1e-9)
@@ -141,18 +131,18 @@ class TestMultiHeadAttention:
         w = random_mha_weights(rng, 6, 4)
         q = rng.normal(size=(2, 6))
         with pytest.raises(ConfigError):
-            multi_head_attention(q, q, q, AttentionMask.open(2), w)
+            multi_head_attention(q, q, q, w)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(3)
         n, d = 6, 8
         w = random_mha_weights(rng, d, 2)
         q = rng.normal(size=(n, d))
-        mask = random_open_diag_mask(rng, n)
-        out, attn = multi_head_attention(q, q, q, mask, w)
+        types = random_types(rng, n)
+        out, attn = multi_head_attention(q, q, q, w, types)
         perm = rng.permutation(n)
-        mask_p = dense_mask(mask_blocked(mask)[np.ix_(perm, perm)])
-        out_p, attn_p = multi_head_attention(q[perm], q[perm], q[perm], mask_p, w)
+        out_p, attn_p = multi_head_attention(q[perm], q[perm], q[perm], w,
+                                             types[perm])
         assert np.allclose(out_p, out[perm], atol=1e-12)
         assert np.allclose(attn_p, attn[np.ix_(perm, perm)], atol=1e-12)
 
@@ -162,9 +152,13 @@ def rows_per_block(rows, heads, keys):
     return 8 * heads * keys * rows
 
 
-def check_against_naive(q, k, v, mask, blocked, w):
-    """The kernel against naive_mha at the oracle tolerances; blocked == 0.0."""
-    out, attn = multi_head_attention(q, k, v, mask, w)
+def check_against_naive(q, k, v, types, w):
+    """The kernel against naive_mha at the oracle tolerances; blocked == 0.0.
+
+    Every entry is open without `types`, else naive_cross_type_blocked's."""
+    blocked = (np.zeros((len(q), len(k)), dtype=bool) if types is None
+               else naive_cross_type_blocked(types))
+    out, attn = multi_head_attention(q, k, v, w, types)
     ref_out, ref_attn = naive_mha(q, k, v, blocked, w)
     assert np.allclose(out, ref_out, rtol=1e-9, atol=1e-12)
     assert np.allclose(attn, ref_attn, rtol=1e-9, atol=1e-12)
@@ -198,18 +192,16 @@ class TestGroupedAttention:
         rng = np.random.default_rng(n + (block_rows or 0))
         w = random_mha_weights(rng, d, heads)
         q, k, v = (rng.normal(size=(n, d)) for _ in range(3))
-        blocked = naive_cross_type_blocked(types)
-        mask = build_cross_type_mask(types)
-        assert np.array_equal(mask_blocked(mask), blocked)
-        attn = check_against_naive(q, k, v, mask, blocked, w)
+        attn = check_against_naive(q, k, v, types, w)
         same = (types[:, None] == types[None, :]) & ~np.eye(n, dtype=bool)
         assert (attn[same] == 0.0).all()
 
     @pytest.mark.parametrize("n", [1, 3, 4, 13])
-    @pytest.mark.parametrize("kind", ["open", "dense", "cross"])
+    @pytest.mark.parametrize("kind", ["open", "one_type", "cross"])
     def test_row_counts_around_the_block(self, monkeypatch, n, kind):
         # four rows per block of n logits: n = 1 and 3 fit in less than one
-        # block, 4 in exactly one, 13 leaves a one-row tail
+        # block, 4 in exactly one, 13 leaves a one-row tail; with one type
+        # every row sees only itself, a group with no open keys
         d, heads = 8, 4
         monkeypatch.setattr(numkernel, "ATTN_BLOCK_BYTES",
                             rows_per_block(4, heads, n))
@@ -217,12 +209,12 @@ class TestGroupedAttention:
         w = random_mha_weights(rng, d, heads)
         q, k, v = (rng.normal(size=(n, d)) for _ in range(3))
         if kind == "open":
-            mask = AttentionMask.open(n)
-        elif kind == "dense":
-            mask = random_open_diag_mask(rng, n)
+            types = None
+        elif kind == "one_type":
+            types = np.full(n, W)
         else:
-            mask = build_cross_type_mask(rng.integers(0, 3, size=n))
-        check_against_naive(q, k, v, mask, mask_blocked(mask), w)
+            types = rng.integers(0, 3, size=n)
+        check_against_naive(q, k, v, types, w)
 
     def test_rectangular_open_mask(self, monkeypatch):
         monkeypatch.setattr(numkernel, "ATTN_BLOCK_BYTES", rows_per_block(2, 2, 7))
@@ -230,41 +222,24 @@ class TestGroupedAttention:
         w = random_mha_weights(rng, 8, 2)
         q = rng.normal(size=(5, 8))
         k, v = rng.normal(size=(7, 8)), rng.normal(size=(7, 8))
-        check_against_naive(q, k, v, AttentionMask.open(5, 7),
-                            np.zeros((5, 7), dtype=bool), w)
+        check_against_naive(q, k, v, None, w)
 
     def test_no_queries(self):
         rng = np.random.default_rng(6)
         w = random_mha_weights(rng, 8, 2)
         empty = np.zeros((0, 8))
-        out, attn = multi_head_attention(empty, empty, empty,
-                                         AttentionMask.open(0), w)
-        assert out.shape == (0, 8) and attn.shape == (0, 0)
+        for types in (None, np.zeros(0, dtype=np.int64)):
+            out, attn = multi_head_attention(empty, empty, empty, w, types)
+            assert out.shape == (0, 8) and attn.shape == (0, 0)
 
-    def test_malformed_groups_refused(self):
-        keys = np.array([1])
-        for groups in ([MaskGroup(np.array([0]), keys, self_key=True)],
-                       [MaskGroup(np.array([0, 1]), keys),
-                        MaskGroup(np.array([1]), keys)]):
-            with pytest.raises(MaskError):
-                AttentionMask.from_groups((2, 2), groups)
-        for groups in ([MaskGroup(np.array([0]), keys),
-                        MaskGroup(np.array([1]), keys[:0])],
-                       [MaskGroup(np.array([1, 0]), keys)],
-                       [MaskGroup(np.array([0, 1]), keys, self_key=True)]):
-            with pytest.raises(MaskError):
-                AttentionMask.from_groups((2, 2), groups)
-
-    def test_dense_form_of_each_mask(self):
-        blocked = np.array([[False, True, False], [True, False, False],
-                            [False, False, False]])
-        assert np.array_equal(mask_blocked(dense_mask(blocked)), blocked)
-        assert not mask_blocked(AttentionMask.open(2, 3)).any()
-        assert AttentionMask.open(2, 3).shape == (2, 3)
-        mask = AttentionMask.from_groups((3, 3), [
-            MaskGroup(np.array([0, 1]), np.array([2]), self_key=True),
-            MaskGroup(np.array([2]))])
-        assert np.array_equal(mask_blocked(mask), blocked)
+    def test_types_must_match_a_self_attention(self):
+        rng = np.random.default_rng(7)
+        w = random_mha_weights(rng, 8, 2)
+        q, k = rng.normal(size=(3, 8)), rng.normal(size=(4, 8))
+        with pytest.raises(ShapeError):
+            multi_head_attention(q, q, q, w, np.array([IMG, RAD]))
+        with pytest.raises(ShapeError):
+            multi_head_attention(q, k, k, w, np.array([IMG, RAD, W]))
 
 
 def make_grid(rng, h=6, w=5, d=3, voxel=1.0, x_min=-2.5, y_min=-3.0):
@@ -421,7 +396,6 @@ class TestNoNonFinite:
         d = 8
         w = random_mha_weights(rng, d, 2)
         q = rng.normal(0, 10, size=(n, d))
-        mask = random_open_diag_mask(rng, n)
-        out, attn = multi_head_attention(q, q, q, mask, w)
+        out, attn = multi_head_attention(q, q, q, w, random_types(rng, n))
         assert np.isfinite(out).all()
         assert np.isfinite(attn).all()

@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 from hqfusion import numkernel
 from hqfusion.numkernel import MhaWeights, multi_head_attention
 from hqfusion.qinit import TYPE_IMG, TYPE_RAD, TYPE_W
-from hqfusion.qmix import (QMixWeights, attention_type_stats,
-                           build_cross_type_mask, extract_top_links,
+from hqfusion.qmix import (QMixWeights, attention_type_stats, extract_top_links,
                            link_rows, qmix_attention)
 
-from reference import (identity_mha_weights, mask_blocked,
-                       naive_cross_type_blocked, naive_mixing_block,
-                       naive_top_links, naive_type_stats)
+from reference import (identity_mha_weights, naive_cross_type_blocked,
+                       naive_mixing_block, naive_top_links, naive_type_stats)
 
 IMG, RAD, W = TYPE_IMG, TYPE_RAD, TYPE_W
 
@@ -38,28 +36,36 @@ def identity_mixing_weights(d):
                        np.zeros((d, 4 * d)), np.zeros(d))
 
 
+def kernel_blocked(types):
+    """The entries the attention kernel blocks for `types`: its exact zeros.
+
+    Identity projections of zero queries give every open entry the same
+    logit, so an open entry's weight is 1 / (open keys of its row) > 0.
+    """
+    zeros = np.zeros((len(types), 4))
+    _, attn = multi_head_attention(zeros, zeros, zeros, identity_mha_weights(4),
+                                   np.array(types))
+    return attn == 0.0
+
+
 class TestCrossTypeMask:
     def test_single_query_open_diagonal(self):
-        mask = build_cross_type_mask(np.array([W]))
-        assert mask_blocked(mask).tolist() == [[False]]
+        assert kernel_blocked([W]).tolist() == [[False]]
 
     def test_two_different_types_all_open(self):
-        mask = build_cross_type_mask(np.array([IMG, RAD]))
-        assert not mask_blocked(mask).any()
+        assert not kernel_blocked([IMG, RAD]).any()
 
     def test_mixed_example(self):
-        mask = build_cross_type_mask(np.array([IMG, IMG, RAD]))
         expected = [[False, True, False],
                     [True, False, False],
                     [False, False, False]]
-        assert mask_blocked(mask).tolist() == expected
+        assert kernel_blocked([IMG, IMG, RAD]).tolist() == expected
 
     @given(st.lists(st.sampled_from([IMG, RAD, W]), min_size=1, max_size=24))
     @settings(max_examples=60, deadline=None)
     def test_matches_predicate_and_symmetry(self, types):
         types = np.array(types)
-        mask = build_cross_type_mask(types)
-        blocked = mask_blocked(mask)
+        blocked = kernel_blocked(types)
         assert np.array_equal(blocked, naive_cross_type_blocked(types))
         assert np.array_equal(blocked, blocked.T)
         assert not blocked.diagonal().any()
@@ -75,7 +81,7 @@ class TestQMixAttention:
         _, attn = qmix_attention(q, types, w)
         assert np.array_equal(attn, np.eye(4))
         # the masked MHA inside reduces to each query's own value projection
-        out, _ = multi_head_attention(q, q, q, build_cross_type_mask(types), w.mha)
+        out, _ = multi_head_attention(q, q, q, w.mha, types)
         expected = (q @ w.mha.wv.T + w.mha.bv) @ w.mha.wo.T + w.mha.bo
         assert np.allclose(out, expected, atol=1e-12)
 
