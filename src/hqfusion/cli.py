@@ -80,6 +80,20 @@ class EmitConfig:
     include_timing: bool = False
 
 
+# The bounds of RunConfig.limits.  MAX_VALUES float64 values (1 GiB) bound
+# the decoder weights, one N x N attention matrix, each of a layer's sampling
+# arrays, all PV maps, one BEV grid and the proposals' d-vectors.
+MAX_VALUES = 1 << 27
+MAX_GRID_SIDE = 4096  # cells per side of a BEV grid
+# each layer selects swap neighbours per query in Python and keeps its outputs
+MAX_QUERY_LAYERS = 1 << 16
+MAX_PROPOSALS = 1 << 18  # drawn, ranked and lifted in 0.16-0.20 s
+MAX_RADAR_POINTS = 1 << 18  # simulated at 10-20 us each, in 3-5 s
+# the PV renderer and the proposal draws (15 us each) loop over each object
+# a camera sees: a toy run with 13 cameras x 10,000 objects takes 4.5-6 s
+MAX_CAMERA_OBJECTS = 1 << 17
+
+
 @dataclass
 class RunConfig:
     scene: sc.SceneConfig = field(default_factory=sc.SceneConfig)
@@ -92,58 +106,70 @@ class RunConfig:
 
     def validate(self):
         """Cross-field rules only; apply_override checks each field's range."""
-        q, d = self.queries, self.scene.feature_dim
-        if self.decoder.d != d:
+        if self.decoder.d != self.scene.feature_dim:
             raise ConfigError(f"decoder.d ({self.decoder.d}) must equal "
-                              f"scene.feature_dim ({d})")
+                              f"scene.feature_dim ({self.scene.feature_dim})")
         if not abs(self.decoder.extent - self.scene.extent) <= 1e-9:
             raise ConfigError("decoder.extent must equal scene.extent")
+        if self.decoder.num_classes != self.scene.num_classes:
+            raise ConfigError("decoder.num_classes must equal scene.num_classes")
         for section in (self.scene, self.queries, self.decoder):
             section.validate()
-        # a layer's (N, N) attention matrices do not outlive the next layer
+        for what, size, limit, fields in self.limits():
+            if not size <= limit:
+                shown = f"{size:.4g}" if isinstance(size, float) else size
+                raise ConfigError(f"{what} of {shown} exceeds {limit}: "
+                                  f"lower {fields}")
+
+    def limits(self):
+        """Rows (what, size, limit, fields) of the bounds on more than one
+        field, in checking order: a row may rely on the rows before it."""
+        scene, q, dc, r = self.scene, self.queries, self.decoder, self.radar
+        qs, d = dc.qswap, scene.feature_dim
         n = q.n_world + q.n_img + q.n_rad
-        if n * n > sc.MAX_FEATURE_VALUES:
-            raise ConfigError(
-                f"{n} queries form an attention matrix of {n * n} values, "
-                f"over {sc.MAX_FEATURE_VALUES}: lower queries.n_world, "
-                "queries.n_img or queries.n_rad")
+        queries = "queries.n_world, queries.n_img or queries.n_rad"
+        weights = sum(map(math.prod, weights_io.expected_shapes(dc).values()))
+        yield ("decoder weights", weights, MAX_VALUES, "decoder.d, "
+               "decoder.num_classes, decoder.k_pv or decoder.qswap.k_base")
+        # a layer's (N, N) attention matrices do not outlive the next layer
+        yield "attention matrix", n * n, MAX_VALUES, queries
         # a layer's sampling arrays: the base head's (N, 3 k_base) output, the
         # token plan's (N, T) and one query's (T, d), swap's candidates
-        dc, qs = self.decoder, self.decoder.qswap
-        t = 2 * (qs.k_base + qs.k_extra) + self.scene.num_cameras * dc.k_pv
+        t = 2 * (qs.k_base + qs.k_extra) + scene.num_cameras * dc.k_pv
         nbrs = min(qs.n_neighbors, n - 1) if dc.enable_qswap else 0
-        for values, fields in [
-                (n * 3 * qs.k_base, "decoder.qswap.k_base"),
-                (max(n, d) * t, "decoder.k_pv, decoder.qswap.k_base or "
-                                "decoder.qswap.k_extra"),
-                (n * nbrs * qs.k_base, "decoder.qswap.n_neighbors or "
-                                       "decoder.qswap.k_base")]:
-            if values > sc.MAX_FEATURE_VALUES:
-                raise ConfigError(f"sampling arrays of {values} values exceed "
-                                  f"{sc.MAX_FEATURE_VALUES}: lower {fields}")
-        if self.decoder.layers * n > dec.MAX_QUERY_LAYERS:
-            raise ConfigError(
-                f"decoder.layers={self.decoder.layers} x {n} queries = "
-                f"{self.decoder.layers * n} query-layers exceed "
-                f"{dec.MAX_QUERY_LAYERS}: lower decoder.layers, "
-                "queries.n_world, queries.n_img or queries.n_rad")
-        sc.check_feature_sizes(self.scene, self.render.pv_downsample,
-                               self.render.voxel)
-        props = self.scene.num_cameras * q.per_view
-        if props > qinit.MAX_PROPOSALS or props * d > sc.MAX_FEATURE_VALUES:
-            raise ConfigError(
-                f"scene.num_cameras x queries.per_view = {props} proposals of {d}"
-                f" values exceed {qinit.MAX_PROPOSALS} or {sc.MAX_FEATURE_VALUES}")
-        r = self.radar
-        points = self.scene.num_objects * r.points_per_object + r.clutter_count
-        if points > sc.MAX_RADAR_POINTS:
-            raise ConfigError(
-                f"scene.num_objects x radar.points_per_object + radar."
-                f"clutter_count = {points} radar points exceed {sc.MAX_RADAR_POINTS}")
-        cells = round(2.0 * self.scene.extent / self.render.voxel) ** 2
-        if q.n_rad > cells:
-            raise ConfigError(f"queries.n_rad ({q.n_rad}) exceeds "
-                              f"the {cells} cells of the radar heatmap")
+        yield ("sampling arrays", 3 * n * qs.k_base, MAX_VALUES,
+               "decoder.qswap.k_base")
+        yield ("sampling arrays", max(n, d) * t, MAX_VALUES, "decoder.k_pv, "
+               "decoder.qswap.k_base or decoder.qswap.k_extra")
+        yield ("sampling arrays", n * nbrs * qs.k_base, MAX_VALUES,
+               "decoder.qswap.n_neighbors or decoder.qswap.k_base")
+        yield ("query-layers", dc.layers * n, MAX_QUERY_LAYERS,
+               f"decoder.layers, {queries}")
+        # the shapes render_pv_features and FeatureGrid.allocate would give
+        down = self.render.pv_downsample
+        pv = (scene.num_cameras * max(1, scene.image_height // down)
+              * max(1, scene.image_width // down) * d)
+        yield ("PV maps", pv, MAX_VALUES, "scene.image_width, scene.image_height,"
+               " scene.num_cameras or scene.feature_dim, or raise "
+               "render.pv_downsample")
+        side = 2.0 * scene.extent / self.render.voxel
+        yield ("BEV grid cells per side", side, MAX_GRID_SIDE,
+               "scene.extent, or raise render.voxel")
+        yield ("BEV grid", side * side * d, MAX_VALUES,
+               "scene.feature_dim, or raise render.voxel")
+        props = scene.num_cameras * q.per_view
+        yield ("proposals", props, MAX_PROPOSALS,
+               "scene.num_cameras or queries.per_view")
+        yield ("proposals' d-vectors", props * d, MAX_VALUES,
+               "scene.num_cameras, queries.per_view or scene.feature_dim")
+        points = scene.num_objects * r.points_per_object + r.clutter_count
+        yield ("radar points", points, MAX_RADAR_POINTS, "scene.num_objects, "
+               "radar.points_per_object or radar.clutter_count")
+        yield ("camera-object pairs", scene.num_cameras * scene.num_objects,
+               MAX_CAMERA_OBJECTS, "scene.num_cameras or scene.num_objects")
+        # the radar heatmap's cells, counted once the grid side is bounded
+        yield ("radar queries (one per heatmap cell)", q.n_rad,
+               round(side) ** 2, "queries.n_rad or render.voxel")
 
 
 PRESETS: dict[str, dict[str, object]] = {

@@ -47,7 +47,7 @@ from .qswap import (BEV_KINDS, IMG_BEV, QSwapConfig, SampleBank, base_bank,
                     normalize_sample_scores, predict_base_samples,
                     select_neighbors, swap_samples)
 from .scene import CameraRig, FeatureGrid, PvFeatureMap, project_points
-from .weights_io import MAX_WEIGHT_VALUES, expected_shapes
+from .weights_io import expected_shapes
 
 PLACEMENTS = ("post_agg", "pre_agg", "post_self", "post_self_cross")
 
@@ -55,11 +55,6 @@ PLACEMENTS = ("post_agg", "pre_agg", "post_self", "post_self_cross")
 # reused buffer of a layer's token gather holds this many bytes (or one
 # query's tokens, when those are larger).
 TOKEN_BLOCK_BYTES = 8 << 20
-
-# Upper bound on decoder.layers x queries: decode selects the swap neighbours
-# of each query in every layer in a Python loop and keeps every layer's
-# per-query outputs (scores, boxes and sample banks).
-MAX_QUERY_LAYERS = 1 << 16
 
 
 @dataclass
@@ -83,12 +78,6 @@ class DecoderConfig:
             raise ConfigError(f"decoder.heads ({self.heads}) must divide "
                               f"decoder.d ({self.d})")
         self.qswap.validate()
-        values = sum(math.prod(shape) for shape in expected_shapes(self).values())
-        if values > MAX_WEIGHT_VALUES:
-            raise ConfigError(
-                f"decoder weights of {values} values exceed {MAX_WEIGHT_VALUES}: "
-                "lower decoder.d, decoder.num_classes, decoder.k_pv or "
-                "decoder.qswap.k_base")
 
 
 @dataclass

@@ -19,7 +19,7 @@ MIN_POSITIVE = math.ulp(0.0)  # "> 0" as a closed range's lower end
 def bounded(default, lo, hi):
     """A field whose values lie in [lo, hi] (a NaN never does): hi is
     MAX_FLOAT for a float that need only be finite, math.inf for a seed or
-    a count that a cross-field size or work budget bounds."""
+    a count that a row of cli.RunConfig.limits bounds."""
     return field(default=default, metadata={"range": (lo, hi)})
 
 

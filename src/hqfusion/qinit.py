@@ -32,12 +32,6 @@ _STREAM_PROPOSALS = 3
 
 # Floor applied to noisy proposal depths before lifting.
 MINIMUM_DEPTH = 0.5
-# Distractors are drawn, sampled, ranked and lifted as arrays: this many
-# proposals over 4 or 128 views take 0.16-0.20 s to generate and rank.  The
-# draws of visible objects loop at about 15 us per object and view.  Each
-# proposal also carries a d-vector, which RunConfig.validate bounds with the
-# feature-map budget.
-MAX_PROPOSALS = 1 << 18
 
 
 @dataclass

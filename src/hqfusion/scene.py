@@ -35,11 +35,6 @@ MIN_CAMERA_DEPTH = 0.1
 # bounds a scene is no longer plausible and its arithmetic can overflow.
 MAX_FOCAL = 1e6   # pixels
 MAX_SPEED = 1e3   # m/s per axis; generated objects move at most 10 m/s
-# Feature maps are refused before allocation beyond these sizes: the PV maps
-# of all cameras, or one BEV grid, hold at most MAX_FEATURE_VALUES float64
-# values (1 GiB); a BEV grid has at most MAX_GRID_SIDE cells per side.
-MAX_FEATURE_VALUES = 1 << 27
-MAX_GRID_SIDE = 4096
 _PLACEMENT_MARGIN = 2.0  # object centers keep this far from the scene edge
 # Object placement gives up after this many rejected draws in a row: past
 # it the free area is a vanishing fraction of the scene (random placement
@@ -47,14 +42,12 @@ _PLACEMENT_MARGIN = 2.0  # object centers keep this far from the scene edge
 MAX_REJECTED_DRAWS = 10_000
 # Work bounds of the generators that loop in Python once per item: placing
 # 10,000 objects at separation 0 takes about 2.3 s (it grows as the square
-# of the count) and a toy run with them about 4 s; simulate_radar_points
-# spends 10-20 us per point, so MAX_RADAR_POINTS of them take 3-5 s.
+# of the count) and a toy run with them about 4 s.
 # The rig, the PV renderer, the proposal generator and every decoder
 # layer's token plan loop over cameras: with one-cell PV maps
 # (render.pv_downsample at its bound) a `default` run with MAX_CAMERAS
 # cameras takes about 5-6 s, against 2.3 s with 6, and a `toy` run 0.8 s.
 MAX_OBJECTS = 10_000
-MAX_RADAR_POINTS = 1 << 18
 MAX_CAMERAS = 128
 
 # 3x3 binomial kernel used to smooth the radar heatmap.
@@ -139,30 +132,6 @@ class SceneConfig:
                 raise ConfigError(
                     f"scene.num_objects={self.num_objects} objects cannot be "
                     f"{s} m apart inside +/-{self.extent - _PLACEMENT_MARGIN} m")
-
-
-def check_feature_sizes(config: SceneConfig, pv_downsample: int, voxel: float):
-    """ConfigError when the PV maps or a BEV grid would exceed the bounds.
-
-    Uses the shapes render_pv_features and FeatureGrid.allocate would give,
-    so nothing is allocated before a size is refused.
-    """
-    d = config.feature_dim
-    pv = (config.num_cameras * max(1, config.image_height // pv_downsample)
-          * max(1, config.image_width // pv_downsample) * d)
-    if pv > MAX_FEATURE_VALUES:
-        raise ConfigError(
-            f"PV maps of {pv} values exceed {MAX_FEATURE_VALUES}: lower "
-            "scene.image_width, scene.image_height, scene.num_cameras or "
-            "scene.feature_dim, or raise render.pv_downsample")
-    side = 2.0 * config.extent / voxel
-    if not side <= MAX_GRID_SIDE:
-        raise ConfigError(f"a BEV grid of 2 * extent / render.voxel = {side:.4g} "
-                          f"cells per side exceeds {MAX_GRID_SIDE}")
-    if side * side * d > MAX_FEATURE_VALUES:
-        raise ConfigError(
-            f"a BEV grid of {side:.4g}^2 cells x {d} values exceeds "
-            f"{MAX_FEATURE_VALUES}: raise render.voxel or lower scene.feature_dim")
 
 
 @dataclass

@@ -27,9 +27,6 @@ _STREAM_WEIGHTS = 8
 # within [-4, 4]; a loaded value beyond this bound (a flipped exponent bit,
 # say) is refused rather than decoded into overflow.
 MAX_WEIGHT = 1e4
-# A decoder config whose weight tensors hold more float64 values than this
-# (1 GiB, the bound of one feature map) is refused before any is allocated.
-MAX_WEIGHT_VALUES = 1 << 27
 
 
 class DecoderWeights:

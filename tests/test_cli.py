@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import csv
@@ -6,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -121,6 +123,40 @@ UNDECLARED = {
 LEAF_VALUES = st.sampled_from(LEAVES).flatmap(
     lambda leaf: st.tuples(st.just(leaf), ANY_VALUE | st.sampled_from(
         _edges(*leaf) or [None])))
+
+# the limits of RunConfig.limits, and the leaves that must be set in pairs
+TABLE_LIMITS = (cli.MAX_VALUES, cli.MAX_GRID_SIDE, cli.MAX_QUERY_LAYERS,
+                cli.MAX_PROPOSALS, cli.MAX_RADAR_POINTS, cli.MAX_CAMERA_OBJECTS)
+TIED = {"decoder.d": "scene.feature_dim", "decoder.extent": "scene.extent",
+        "decoder.num_classes": "scene.num_classes"}
+TIED.update({b: a for a, b in TIED.items()})
+RANGED_LEAVES = [(path, default) for path, default in LEAVES
+                 if type(default) in (int, float)
+                 and "range" in _declared(path).metadata]
+
+
+def _near_limits(path, default):
+    """A numeric leaf's finite range ends, 0 and 1, and values within 2x of
+    a table limit, all inside its declared range."""
+    lo, hi = _declared(path).metadata["range"]
+    kind = type(default)
+    ends = [kind(v) for v in (lo, hi, 0, 1) if lo <= v <= hi and v < math.inf]
+    near = []
+    for limit in TABLE_LIMITS:
+        a, b = max(lo, limit / 2), min(hi, 2 * limit)
+        if kind is int and math.ceil(a) <= b:
+            near.append(st.integers(math.ceil(a), math.floor(b)))
+        elif kind is float and a <= b:
+            near.append(st.floats(a, b))
+    return st.one_of(st.sampled_from(ends), *near)
+
+
+# 2-4 distinct leaves, each with a value from _near_limits
+LEAF_COMBINATIONS = st.tuples(
+    st.integers(2, 4), st.permutations(RANGED_LEAVES)).flatmap(
+        lambda drawn: st.tuples(*(
+            st.tuples(st.just(path), _near_limits(path, default))
+            for path, default in drawn[1][:drawn[0]])))
 
 
 def _bank(sizes, k, seed=0):
@@ -637,7 +673,8 @@ class TestCliCommands:
         (("scene.feature_dim=0", "decoder.d=0"), "decoder.d"),
         (("scene.extent=NaN", "decoder.extent=NaN"), "decoder.extent"),
         (("decoder.qswap.n_neighbors=119", "decoder.qswap.radius_factor=1e6",
-          "decoder.qswap.k_base=20000"), "decoder.qswap.n_neighbors")])
+          "decoder.qswap.k_base=20000"), "decoder.qswap.n_neighbors"),
+        (("scene.num_classes=1000",), "decoder.num_classes")])
     def test_paired_overrides_refused(self, tmp_path, capsys, pair, word):
         args = ["run", *TOY]
         for override in pair:
@@ -744,25 +781,35 @@ class TestCliCommands:
         assert word in assert_error_exit(args, tmp_path / "r.json", capsys)
 
     def test_feature_maps_at_the_bounds_pass(self):
-        cfg = toy_config().scene
-        # toy PV maps: 4 cameras x (450 // 16) x (800 // 16) x 32 values
-        per_camera = (450 // 16) * (800 // 16) * 32
-        cfg.num_cameras = sc.MAX_FEATURE_VALUES // per_camera
-        sc.check_feature_sizes(cfg, 16, 0.8)
-        cfg.num_cameras += 1
+        cfg = toy_config()
+        # toy PV maps: 4 cameras x (450 // 16) x (image_width // 16) x 32 values
+        per_column = 4 * (450 // 16) * 32
+        cli.apply_override(cfg, "scene.image_width",
+                           cli.MAX_VALUES // per_column * 16)
+        cfg.validate()
+        cli.apply_override(cfg, "scene.image_width", cfg.scene.image_width + 16)
         with pytest.raises(ConfigError, match="PV maps"):
-            sc.check_feature_sizes(cfg, 16, 0.8)
+            cfg.validate()
         # a power-of-two span keeps 2 * extent / voxel exact
-        cfg.num_cameras, cfg.feature_dim, cfg.extent = 4, 1, 32.0
-        sc.check_feature_sizes(cfg, 16, 64.0 / sc.MAX_GRID_SIDE)
+        cfg = toy_config()
+        for path, value in [("scene.extent", 32.0), ("decoder.extent", 32.0),
+                            ("scene.feature_dim", 1), ("decoder.d", 1),
+                            ("decoder.heads", 1),
+                            ("render.voxel", 64.0 / cli.MAX_GRID_SIDE)]:
+            cli.apply_override(cfg, path, value)
+        cfg.validate()
+        cli.apply_override(cfg, "render.voxel", 64.0 / (2 * cli.MAX_GRID_SIDE))
         with pytest.raises(ConfigError, match="cells per side"):
-            sc.check_feature_sizes(cfg, 16, 64.0 / (2 * sc.MAX_GRID_SIDE))
-        cfg.feature_dim = sc.MAX_FEATURE_VALUES // (2048 * 2048)
-        sc.check_feature_sizes(cfg, 16, 64.0 / 2048)
+            cfg.validate()
+        for path in ("scene.feature_dim", "decoder.d"):
+            cli.apply_override(cfg, path, cli.MAX_VALUES // (2048 * 2048))
+        cli.apply_override(cfg, "render.voxel", 64.0 / 2048)
+        cfg.validate()
+        cli.apply_override(cfg, "render.voxel", 64.0 / 2049)
         with pytest.raises(ConfigError, match="BEV grid"):
-            sc.check_feature_sizes(cfg, 16, 64.0 / 2049)
+            cfg.validate()
 
-    def test_weight_size_bounded(self, tmp_path, capsys, monkeypatch):
+    def test_weight_size_bounded(self, tmp_path, capsys):
         # the weight tensors grow as d^2; with no PV map and an 8x8 grid,
         # only the weight bound stands before a 5 TB allocation
         args = ["run", *TOY, "--set", "scene.num_cameras=0",
@@ -776,14 +823,32 @@ class TestCliCommands:
                        "num_cameras": 0, "feature_dim": 131072}}))
         assert "decoder.d" in assert_error_exit(
             [*args, "--scene", str(scene_path)], tmp_path / "r.json", capsys)
-        # the bound is on the tensor table's total
-        from hqfusion import decoder
+        # the bound is on the tensor table's total: the largest d whose
+        # tensors fit passes, the next one is refused
         from hqfusion.weights_io import expected_shapes
-        cfg = toy_config().decoder
-        total = sum(math.prod(s) for s in expected_shapes(cfg).values())
-        monkeypatch.setattr(decoder, "MAX_WEIGHT_VALUES", total)
+        cfg = toy_config()
+        for path, value in [("scene.num_cameras", 0), ("render.voxel", 6.4),
+                            ("decoder.heads", 1)]:
+            cli.apply_override(cfg, path, value)
+
+        def weights_at(d):
+            for path in ("scene.feature_dim", "decoder.d"):
+                cli.apply_override(cfg, path, d)
+            total = sum(math.prod(s) for s in expected_shapes(cfg.decoder).values())
+            assert next(cfg.limits())[:3] == ("decoder weights", total,
+                                              cli.MAX_VALUES)
+            return total
+
+        fits, too_big = 1, 131072
+        while too_big - fits > 1:
+            mid = (fits + too_big) // 2
+            if weights_at(mid) <= cli.MAX_VALUES:
+                fits = mid
+            else:
+                too_big = mid
+        weights_at(fits)
         cfg.validate()
-        monkeypatch.setattr(decoder, "MAX_WEIGHT_VALUES", total - 1)
+        weights_at(too_big)
         with pytest.raises(ConfigError, match="decoder weights"):
             cfg.validate()
 
@@ -796,10 +861,14 @@ class TestCliCommands:
          "scene.num_objects"),
         (("scene.min_separation=0", "scene.num_objects=10000",
           "radar.points_per_object=27"), "radar.points_per_object"),
-        ((f"scene.num_cameras={sc.MAX_CAMERAS + 1}",), "scene.num_cameras")])
+        ((f"scene.num_cameras={sc.MAX_CAMERAS + 1}",), "scene.num_cameras"),
+        (("scene.num_cameras=128", "scene.num_objects=10000",
+          "scene.min_separation=0", "scene.focal=1e-3",
+          "render.pv_downsample=1048576"), "scene.num_cameras")])
     def test_generator_work_bounded(self, tmp_path, capsys, monkeypatch,
                                     overrides, word):
-        # cameras, proposals and radar points are each looped over in Python
+        # cameras, proposals, radar points and the objects each camera sees
+        # are looped over in Python
         def no_generation(*args, **kwargs):
             raise AssertionError("a scene was generated")
 
@@ -810,11 +879,10 @@ class TestCliCommands:
         assert word in assert_error_exit(args, tmp_path / "r.json", capsys)
 
     def test_generator_work_at_the_bounds_passes(self):
-        from hqfusion.qinit import MAX_PROPOSALS
         cfg = toy_config()
         # toy: 4 cameras of 32-value proposals, 6 objects of 8 radar points
-        for path, value in [("queries.per_view", MAX_PROPOSALS // 4),
-                            ("radar.clutter_count", sc.MAX_RADAR_POINTS - 48)]:
+        for path, value in [("queries.per_view", cli.MAX_PROPOSALS // 4),
+                            ("radar.clutter_count", cli.MAX_RADAR_POINTS - 48)]:
             cli.apply_override(cfg, path, value)
             cfg.validate()
             cli.apply_override(cfg, path, value + 1)
@@ -822,10 +890,10 @@ class TestCliCommands:
                 cfg.validate()
             cli.apply_override(cfg, path, value)
         for path, value in [("scene.feature_dim", 1024), ("decoder.d", 1024),
-                            ("queries.per_view", sc.MAX_FEATURE_VALUES // 4096)]:
+                            ("queries.per_view", cli.MAX_VALUES // 4096)]:
             cli.apply_override(cfg, path, value)
         cfg.validate()
-        cli.apply_override(cfg, "queries.per_view", sc.MAX_FEATURE_VALUES // 4096 + 1)
+        cli.apply_override(cfg, "queries.per_view", cli.MAX_VALUES // 4096 + 1)
         with pytest.raises(ConfigError, match="proposals"):
             cfg.validate()
         cfg = toy_config()
@@ -834,16 +902,26 @@ class TestCliCommands:
         cfg.validate()
         with pytest.raises(ConfigError, match="scene.num_objects"):
             cli.apply_override(cfg, "scene.num_objects", sc.MAX_OBJECTS + 1)
+        # camera-object pairs: 13 x 10,000 of them, and 128 cameras at the bound
+        cli.apply_override(cfg, "scene.num_cameras", 13)
+        cfg.validate()
+        cli.apply_override(cfg, "scene.num_cameras", sc.MAX_CAMERAS)
+        cli.apply_override(cfg, "scene.num_objects",
+                           cli.MAX_CAMERA_OBJECTS // sc.MAX_CAMERAS)
+        cfg.validate()
+        cli.apply_override(cfg, "scene.num_objects",
+                           cli.MAX_CAMERA_OBJECTS // sc.MAX_CAMERAS + 1)
+        with pytest.raises(ConfigError, match="camera-object pairs"):
+            cfg.validate()
 
     def test_query_bounds_at_one_matrix_and_the_query_layers(self):
         # no layer's N x N attention matrix outlives the next layer, so N^2
         # is bounded whatever decoder.layers is
-        from hqfusion.decoder import MAX_QUERY_LAYERS
         cfg = cli.config_from_dict({})  # 6 layers, 225 image + 225 radar queries
         cli.apply_override(cfg, "queries.n_world", 4800)
         cfg.validate()
         cli.apply_override(cfg, "decoder.layers", 1)
-        n_world = math.isqrt(sc.MAX_FEATURE_VALUES) - 450
+        n_world = math.isqrt(cli.MAX_VALUES) - 450
         cli.apply_override(cfg, "queries.n_world", n_world)  # N = 11,585
         cfg.validate()
         cli.apply_override(cfg, "queries.n_world", n_world + 1)
@@ -851,15 +929,15 @@ class TestCliCommands:
             cfg.validate()
         # the layer loop's per-query work and outputs have their own budget
         cli.apply_override(cfg, "queries.n_world", 450)  # N = 900
-        cli.apply_override(cfg, "decoder.layers", MAX_QUERY_LAYERS // 900)
+        cli.apply_override(cfg, "decoder.layers", cli.MAX_QUERY_LAYERS // 900)
         cfg.validate()
-        cli.apply_override(cfg, "decoder.layers", MAX_QUERY_LAYERS // 900 + 1)
+        cli.apply_override(cfg, "decoder.layers", cli.MAX_QUERY_LAYERS // 900 + 1)
         with pytest.raises(ConfigError, match="decoder.layers"):
             cfg.validate()
 
     def test_sampling_arrays_at_the_bounds_pass(self):
         # toy: 120 queries of 32 values, 4 cameras, k_base 20, k_extra 4
-        n, top = 120, sc.MAX_FEATURE_VALUES
+        n, top = 120, cli.MAX_VALUES
         cfg = toy_config()
         cli.apply_override(cfg, "decoder.qswap.n_neighbors", 0)
         # the base head's (N, 3 k_base) output, the token plan's (N, T)
@@ -881,6 +959,47 @@ class TestCliCommands:
             cfg.validate()
         cli.apply_override(cfg, "decoder.enable_qswap", False)
         cfg.validate()
+
+    def test_limit_fields_are_config_leaves(self):
+        # a renamed leaf cannot leave a stale name in a refusal message
+        leaves = {path for path, _ in LEAVES}
+        for what, size, limit, fields in cli.RunConfig().limits():
+            named = re.findall(r"[a-z_]+(?:\.[a-z_]+)+", fields)
+            assert named and set(named) <= leaves, (what, fields)
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(leaves=LEAF_COMBINATIONS)
+    def test_leaf_combinations_refused_or_within_limits(self, leaves):
+        # every accepted config holds every row of the table, and nothing
+        # but a ConfigError (an OverflowError, say) ever escapes the check
+        sets = [f"{path}={json.dumps(value)}" for path, value in leaves]
+        sets += [f"{TIED[path]}={json.dumps(value)}" for path, value in leaves
+                 if path in TIED]
+        try:
+            cfg = cli.build_config(argparse.Namespace(preset="toy", set=sets))
+        except ConfigError:
+            event("refused")
+            return
+        event("accepted")
+        for what, size, limit, _ in cfg.limits():
+            assert size <= limit, (what, sets)
+
+    @pytest.mark.parametrize("sets", [
+        ("scene.num_cameras=128", "render.pv_downsample=1048576",
+         "queries.per_view=1"),
+        ("queries.n_img=0", "decoder.k_pv=0", "decoder.qswap.n_neighbors=0",
+         "decoder.qswap.k_base=1"),
+        ("queries.n_world=15", "queries.n_rad=0", "scene.num_objects=0")])
+    def test_leaf_combinations_run_end_to_end(self, tmp_path, sets):
+        out = tmp_path / "r.json"
+        args = ["run", *TOY, "--set", "decoder.layers=1", "--out", str(out)]
+        for item in sets:
+            args += ["--set", item]
+        assert run_cli(args) == 0
+
+        def refuse(constant):
+            raise AssertionError(f"{constant} in the report")
+        json.loads(out.read_text(), parse_constant=refuse)
 
     def test_feasible_object_counts_pass_validation(self):
         # the densest packing of 2 m disks in the toy square holds far more
