@@ -368,7 +368,8 @@ def prepare_inputs(cfg: RunConfig, scene_path=None, weights_path=None):
     rad_bev, heatmap = sc.encode_radar_bev(cloud, grid_cfg, d,
                                            seed=cfg.seeds.scene)
     for name, data in [("image BEV grid", img_bev.data),
-                       ("radar BEV grid", rad_bev.data),
+                       ("radar BEV channels", rad_bev.data),
+                       ("radar BEV basis", rad_bev.basis),
                        *((f"PV map {c}", pv.data) for c, pv in enumerate(pv_maps))]:
         require_finite(f"features stage: {name}", data)
     timing["features"] = time.perf_counter() - t0

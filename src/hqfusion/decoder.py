@@ -15,6 +15,9 @@ grid is a zero token, never interpolated) and then read by bilinear_at and
 aggregated one block of queries at a time: a block's tokens fill one reused
 (B, T_max, d) buffer of at most TOKEN_BLOCK_BYTES, so no (N, T_max, d)
 tensor is ever formed (row tiling as in FlashAttention, on the query axis).
+The radar BEV grid is stored as 6 channels a cell times a (6, d) basis:
+its tokens are interpolated at 6 channels and mapped to d by the basis
+afterwards, since bilinear sampling commutes with a channel projection.
 The aggregation folds its key and value projections into the query: every
 query is mapped into token space once per layer (Wk^T q) and the
 attention-weighted token sum is projected once (Wv), so no per-token key or
@@ -59,8 +62,8 @@ TOKEN_BLOCK_BYTES = 8 << 20
 
 @dataclass
 class DecoderConfig:
-    # d and extent carry the ranges of scene.feature_dim and scene.extent,
-    # which RunConfig.validate ties to them
+    # d carries the range of scene.feature_dim, and extent the range that
+    # scene.extent declares too; RunConfig.validate ties each pair
     layers: int = bounded(6, 1, math.inf)
     d: int = bounded(256, 1, math.inf)
     heads: int = bounded(8, 1, math.inf)
@@ -197,8 +200,9 @@ class TokenSource:
     """One feature map's token points of a layer, in query-major order.
 
     Point j belongs to query rows[j] (ascending), fills its token column
-    slots[j] and is read from `data` (H, W, d) at fractional cell
-    coordinates (fy[j], fx[j]).
+    slots[j] and is read from `data` (H, W, c) at fractional cell
+    coordinates (fy[j], fx[j]), then mapped to d features by the map's
+    (c, d) basis, if it has one.
     """
 
     rows: np.ndarray
@@ -206,6 +210,7 @@ class TokenSource:
     data: np.ndarray
     fy: np.ndarray
     fx: np.ndarray
+    basis: np.ndarray | None = None
 
 
 @dataclass
@@ -270,7 +275,7 @@ def plan_tokens(emb: np.ndarray, positions: np.ndarray, features: SceneFeatures,
         on = ((x >= grid.x_min) & (x <= grid.x_max)
               & (y >= grid.y_min) & (y <= grid.y_max))
         sources.append(TokenSource(rows[on], at[on], grid.data,
-                                   *grid.frac_coords(x[on], y[on])))
+                                   *grid.frac_coords(x[on], y[on]), grid.basis))
         # a sampling weight that underflowed to 0 is a log weight of -inf:
         # that token gets no attention
         with np.errstate(divide="ignore"):
@@ -305,7 +310,8 @@ def build_tokens(plan: TokenPlan, rows: slice
     """Token gather of one block of queries: (feats, log-weight, valid-mask).
 
     Interpolates each source's points of the queries in `rows` (a slice of
-    the plan's rows) with bilinear_at and scatters them into their slots.
+    the plan's rows) with bilinear_at, applies the source's basis, and
+    scatters them into their slots.
     The feature tensor is a view of the plan's buffer, overwritten by the
     next call; its padded and off-grid slots hold zeros.
     """
@@ -319,8 +325,10 @@ def build_tokens(plan: TokenPlan, rows: slice
     for src in plan.sources:
         lo, hi = np.searchsorted(src.rows, (r0, r1))
         if hi > lo:
-            flat[(src.rows[lo:hi] - r0) * t_max + src.slots[lo:hi]] = (
-                bilinear_at(src.data, src.fy[lo:hi], src.fx[lo:hi]))
+            feats = bilinear_at(src.data, src.fy[lo:hi], src.fx[lo:hi])
+            if src.basis is not None:
+                feats = feats @ src.basis
+            flat[(src.rows[lo:hi] - r0) * t_max + src.slots[lo:hi]] = feats
     return tok, plan.logw[r0:r1], plan.valid[r0:r1]
 
 

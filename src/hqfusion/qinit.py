@@ -191,8 +191,8 @@ def init_radar_queries(heatmap: np.ndarray, radar_grid: FeatureGrid,
                        n_rad: int) -> QuerySet:
     """Top heatmap cells become radar queries (ties: row-major cell order).
 
-    Embeddings copy the cell's radar BEV feature; positions are cell centers
-    at z = 0.
+    Embeddings are the cell's radar BEV feature, its channels times the
+    grid's basis when it has one; positions are cell centers at z = 0.
     """
     h, w = heatmap.shape
     if n_rad > h * w:
@@ -202,7 +202,9 @@ def init_radar_queries(heatmap: np.ndarray, radar_grid: FeatureGrid,
     x = radar_grid.x_min + (cols + 0.5) * radar_grid.voxel
     y = radar_grid.y_min + (rows + 0.5) * radar_grid.voxel
     positions = np.stack([x, y, np.zeros(n_rad)], axis=1)
-    emb = radar_grid.data[rows, cols].astype(np.float64)
+    emb = radar_grid.data[rows, cols]
+    if radar_grid.basis is not None:
+        emb = emb @ radar_grid.basis
     return QuerySet(emb, positions, np.full(n_rad, TYPE_RAD, dtype=np.int64))
 
 

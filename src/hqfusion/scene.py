@@ -101,9 +101,10 @@ class CameraRig:
 
 @dataclass
 class SceneConfig:
-    # extent and feature_dim are tied to decoder.extent and decoder.d, which
-    # declare their ranges; num_clutter is kept for the report's config block
-    extent: float = 51.2          # scene spans [-extent, extent]^2 in x, y
+    # feature_dim is tied to decoder.d, which declares its range; num_clutter
+    # is kept for the report's config block
+    # the scene spans [-extent, extent]^2 in x, y
+    extent: float = bounded(51.2, MIN_POSITIVE, MAX_FLOAT / 2.0)
     num_objects: int = bounded(12, 0, MAX_OBJECTS)
     num_clutter: int = 20
     # rng.integers draws class ids as int64
@@ -160,8 +161,12 @@ class GridConfig:
 
 @dataclass
 class FeatureGrid:
-    """Dense H x W x d BEV feature grid with metric extent.
+    """H x W BEV feature grid with metric extent, stored as c channels a cell.
 
+    With no basis the channels are the d features (c = d).  With a (c, d)
+    basis, cell (i, j)'s feature is data[i, j] @ basis: a grid of rank c is
+    kept at c channels, and a reader applies the basis to what it reads
+    (bilinear interpolation commutes with it).
     Rows index y, columns index x; cell (i, j) is centered at
     (x_min + (j+.5)*voxel, y_min + (i+.5)*voxel).
     """
@@ -172,13 +177,18 @@ class FeatureGrid:
     y_min: float
     y_max: float
     voxel: float
+    basis: np.ndarray | None = None
 
     def __post_init__(self):
-        h, w = self.data.shape[:2]
+        h, w, c = self.data.shape
         for span, n, axis in ((self.x_max - self.x_min, w, "x"),
                               (self.y_max - self.y_min, h, "y")):
             if abs(span / self.voxel - n) > 1e-9:
                 raise ShapeError(f"{axis} extent does not tile into {n} voxels")
+        if self.basis is not None and (self.basis.ndim != 2
+                                       or self.basis.shape[0] != c):
+            raise ShapeError(f"a basis of shape {self.basis.shape} does not "
+                             f"map {c} channels")
 
     @property
     def h(self) -> int:
@@ -190,7 +200,8 @@ class FeatureGrid:
 
     @property
     def d(self) -> int:
-        return self.data.shape[2]
+        """The feature width: the basis's columns, else the channels."""
+        return (self.data if self.basis is None else self.basis).shape[-1]
 
     @classmethod
     def allocate(cls, grid_config: GridConfig, d: int) -> "FeatureGrid":
@@ -437,15 +448,18 @@ def encode_radar_bev(points: RadarPointCloud, grid_config: GridConfig, d: int,
 
     Per cell, the feature is the mean of a fixed hand-rolled featurization
     (in-cell offsets, velocity, RCS, count) pushed through a seeded fixed
-    linear embedding to d channels.  The heatmap is the per-cell point count
+    linear embedding to d channels.  No noise is added, so the grid has rank
+    6: it holds the 6 pooled channels of each cell, with the (6, d)
+    embedding as its basis.  The heatmap is the per-cell point count
     normalized by its max, smoothed with a 3x3 Gaussian and clipped to [0,1].
     Clutter contributes exactly like object points.
     """
-    grid = FeatureGrid.allocate(grid_config, d)
-    n = grid.h
-    heatmap = np.zeros((n, n))
     embed = np.random.default_rng([seed, _STREAM_RADAR_EMBED]).normal(
         0.0, 1.0 / math.sqrt(6.0), size=(6, d))
+    n, e = grid_config.cells(), grid_config.extent
+    grid = FeatureGrid(np.zeros((n, n, 6)), -e, e, -e, e, grid_config.voxel,
+                       basis=embed)
+    heatmap = np.zeros((n, n))
 
     if len(points) > 0:
         # cell coordinates as floats: a far point's would not fit an int
@@ -467,10 +481,9 @@ def encode_radar_bev(points: RadarPointCloud, grid_config: GridConfig, d: int,
         sums = np.zeros((n * n, 6))
         np.add.at(sums, flat, raw)
         occupied = counts > 0
-        pooled = np.zeros((n * n, 6))
+        pooled = grid.data.reshape(n * n, 6)
         pooled[occupied] = sums[occupied] / counts[occupied, None]
         pooled[occupied, 5] = counts[occupied]  # count channel stays a count
-        grid.data[:] = (pooled @ embed).reshape(n, n, d)
 
         cgrid = counts.reshape(n, n)
         if cgrid.max() > 0:

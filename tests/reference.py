@@ -136,10 +136,17 @@ def naive_convolve3x3(image, kernel):
     return out
 
 
+def dense_features(grid):
+    """A FeatureGrid's (H, W, d) features: its channels times its basis, if
+    it has one, so the oracles interpolate the un-factored grid."""
+    return grid.data if grid.basis is None else grid.data @ grid.basis
+
+
 def naive_bilinear(grid, x, y):
     """Brute-force bilinear weights computed from cell-center geometry."""
     if not (grid.x_min <= x <= grid.x_max and grid.y_min <= y <= grid.y_max):
         return np.zeros(grid.d)
+    data = dense_features(grid)
     fx = (x - grid.x_min) / grid.voxel - 0.5
     fy = (y - grid.y_min) / grid.voxel - 0.5
     x0, y0 = math.floor(fx), math.floor(fy)
@@ -151,7 +158,7 @@ def naive_bilinear(grid, x, y):
             continue
         yc = min(max(yy, 0), grid.h - 1)
         xc = min(max(xx, 0), grid.w - 1)
-        acc += wx * wy * grid.data[yc, xc]
+        acc += wx * wy * data[yc, xc]
     return acc
 
 
@@ -201,7 +208,7 @@ def naive_sample_many(grid, points):
     inside = ((x >= grid.x_min) & (x <= grid.x_max)
               & (y >= grid.y_min) & (y <= grid.y_max))
     fy, fx = grid.frac_coords(x, y)
-    out = naive_bilinear_at(grid.data, np.where(inside, fy, 0.0),
+    out = naive_bilinear_at(dense_features(grid), np.where(inside, fy, 0.0),
                             np.where(inside, fx, 0.0))
     out[~inside] = 0.0
     return out

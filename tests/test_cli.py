@@ -114,7 +114,6 @@ def _legal(path, default, value):
 
 # leaves that declare no values of their own, and why
 UNDECLARED = {
-    "scene.extent": "tied to decoder.extent, which declares the range",
     "scene.feature_dim": "tied to decoder.d, which declares the range",
     "scene.num_clutter": "read by nothing but the report's config block",
     "decoder.qswap.prior_strength":
@@ -631,6 +630,7 @@ class TestCliCommands:
                                ("decoder.qswap.affinity_floor=NaN", "affinity_floor"),
                                ("queries.depth_noise=NaN", "depth_noise"),
                                ("decoder.extent=NaN", "decoder.extent"),
+                               (f"scene.extent=1{'0' * 400}", "scene.extent"),
                                ("queries.n_world=0", "n_world"),
                                ("queries.n_world=14", "n_world"),
                                ("queries.n_world=200000", "attention matrix"),
@@ -671,7 +671,7 @@ class TestCliCommands:
     @pytest.mark.parametrize("pair, word", [
         (("scene.extent=1e308", "decoder.extent=1e308"), "extent"),
         (("scene.feature_dim=0", "decoder.d=0"), "decoder.d"),
-        (("scene.extent=NaN", "decoder.extent=NaN"), "decoder.extent"),
+        (("scene.extent=NaN", "decoder.extent=NaN"), "scene.extent"),
         (("decoder.qswap.n_neighbors=119", "decoder.qswap.radius_factor=1e6",
           "decoder.qswap.k_base=20000"), "decoder.qswap.n_neighbors"),
         (("scene.num_classes=1000",), "decoder.num_classes")])

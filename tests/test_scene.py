@@ -248,6 +248,12 @@ class TestEncodeRadarBev:
         embed = np.random.default_rng([seed, 2]).normal(
             0.0, 1.0 / math.sqrt(6.0), size=(6, 8))
         n = grid.h
+        assert grid.data.shape == (n, n, 6) and grid.d == 8, (
+            "the radar BEV grid has rank 6 and is stored as 6 pooled channels "
+            "times a (6, d) basis; radar noise would make it full rank and "
+            "break that factored storage")
+        assert np.array_equal(grid.basis, embed)
+        dense = grid.data @ grid.basis
         # brute-force grouping oracle
         for row in range(n):
             for col in range(n):
@@ -258,7 +264,7 @@ class TestEncodeRadarBev:
                     if (r, c) == (row, col):
                         members.append(i)
                 if not members:
-                    assert np.allclose(grid.data[row, col], 0.0, atol=1e-12)
+                    assert (grid.data[row, col] == 0.0).all()
                     continue
                 cx, cy = cell_center(grid, row, col)
                 feats = np.array([
@@ -268,7 +274,9 @@ class TestEncodeRadarBev:
                 ])
                 pooled = feats.mean(axis=0)
                 pooled[5] = len(members)
-                assert np.allclose(grid.data[row, col], pooled @ embed, atol=1e-12)
+                assert np.array_equal(grid.data[row, col], pooled)
+                assert np.allclose(dense[row, col], pooled @ embed, atol=1e-12), \
+                    "radar BEV features are the pooled channels times the basis"
         assert heatmap.min() >= 0.0 and heatmap.max() <= 1.0
 
     def test_far_points_dropped_before_the_cell_cast(self):
@@ -370,6 +378,13 @@ class TestGridTypes:
     def test_feature_grid_invariant(self):
         with pytest.raises(ShapeError):
             FeatureGrid(np.zeros((4, 4, 2)), -2.0, 2.0, -2.0, 2.1, 1.0)
+        for basis in (np.zeros((3, 5)), np.zeros(2), np.zeros((2, 5, 1))):
+            with pytest.raises(ShapeError):
+                FeatureGrid(np.zeros((4, 4, 2)), -2.0, 2.0, -2.0, 2.0, 1.0,
+                            basis=basis)
+        grid = FeatureGrid(np.zeros((4, 4, 2)), -2.0, 2.0, -2.0, 2.0, 1.0,
+                           basis=np.zeros((2, 5)))
+        assert grid.d == 5
 
 
 class TestSceneSerialization:
