@@ -189,7 +189,7 @@ PRESETS: dict[str, dict[str, object]] = {
 def config_from_dict(doc: dict) -> RunConfig:
     """Defaults overlaid with a config document; unknown keys raise ConfigError."""
     if not isinstance(doc, dict):
-        raise ConfigError(f"a config document is an object, got {doc!r}")
+        raise ConfigError(f"a config document is an object, got {doc!r:.60}")
     cfg = RunConfig()
     for key, value in doc.items():
         apply_override(cfg, key, value)
@@ -247,7 +247,7 @@ def apply_override(cfg, path: str, value):
     for name in path.split("."):
         known = {f.name: f for f in fields(node)} if is_dataclass(node) else {}
         if name not in known:
-            raise ConfigError(f"unknown config path {path!r}")
+            raise ConfigError(f"unknown config path {path!r:.60}")
         parent, node = node, getattr(node, name)
     if is_dataclass(node):
         if not isinstance(value, dict):
@@ -258,14 +258,14 @@ def apply_override(cfg, path: str, value):
     leaf = known[name]
     kind = type(leaf.default)
     if type(value) not in _ACCEPTS[kind]:
-        raise ConfigError(f"{path} must be of type {kind.__name__}, got {value!r}")
+        raise ConfigError(f"{path} must be of type {kind.__name__}, got {value!r:.60}")
     if "range" in leaf.metadata:
         lo, hi = leaf.metadata["range"]
         if not lo <= value <= hi:
-            raise ConfigError(f"{path} must lie in [{lo}, {hi}], got {value!r}")
+            raise ConfigError(f"{path} must lie in [{lo}, {hi}], got {value!r:.60}")
     choices = leaf.metadata.get("choices")
     if choices is not None and value not in choices:
-        raise ConfigError(f"{path} must be one of {choices}, got {value!r}")
+        raise ConfigError(f"{path} must be one of {choices}, got {value!r:.60}")
     setattr(parent, name, value)
 
 
@@ -283,11 +283,11 @@ def build_config(args) -> RunConfig:
     cfg = config_from_dict(doc)
     preset = getattr(args, "preset", None)
     if preset and preset not in PRESETS:
-        raise ConfigError(f"unknown preset {preset!r}; available: {sorted(PRESETS)}")
+        raise ConfigError(f"unknown preset {preset!r:.60}; available: {sorted(PRESETS)}")
     pairs = list(PRESETS[preset].items()) if preset else []
     for item in getattr(args, "set", None) or []:
         if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
+            raise ConfigError(f"--set expects key=value, got {item!r:.60}")
         path, _, raw = item.partition("=")
         pairs.append((path.strip(), _parse_value(raw.strip())))
     pairs += [(path, True) for flag, path in _EMIT_FLAGS.items()

@@ -8,13 +8,15 @@ One weight set is applied at every layer; there is no per-layer state other
 than the query embeddings, positions and box predictions.
 
 Sampling runs on whole arrays: each BEV grid's points live in one qswap
-SampleBank, as absolute BEV points from base-set prediction on.  The token
-gather is planned once per layer (slots, log weights and fractional cell
-coordinates of every query's tokens, no feature axis; a BEV point off its
-grid is a zero token, never interpolated) and then read by bilinear_at and
-aggregated one block of queries at a time: a block's tokens fill one reused
-(B, T_max, d) buffer of at most TOKEN_BLOCK_BYTES, so no (N, T_max, d)
-tensor is ever formed (row tiling as in FlashAttention, on the query axis).
+SampleBank, as absolute BEV points from base-set prediction on.  Every map
+is a FeatureGrid (a PV map in pixels), so one frac_coords gives any token's
+cell coordinates.  The token gather is planned once per layer (slots, log
+weights and fractional cell coordinates of every query's tokens, no feature
+axis; a BEV point off its grid is a zero token, never interpolated) and then
+read by bilinear_at and aggregated one block of queries at a time: a block's
+tokens fill one reused (B, T_max, d) buffer of at most TOKEN_BLOCK_BYTES, so
+no (N, T_max, d) tensor is ever formed (row tiling as in FlashAttention, on
+the query axis).
 The radar BEV grid is stored as 6 channels a cell times a (6, d) basis:
 its tokens are interpolated at 6 channels and mapped to d by the basis
 afterwards, since bilinear sampling commutes with a channel projection.
@@ -49,7 +51,7 @@ from .qmix import (LinkRows, QMixWeights, TypeAttentionStats, attention_block,
 from .qswap import (BEV_KINDS, IMG_BEV, QSwapConfig, SampleBank, base_bank,
                     normalize_sample_scores, predict_base_samples,
                     select_neighbors, swap_samples)
-from .scene import CameraRig, FeatureGrid, PvFeatureMap, project_points
+from .scene import Camera, FeatureGrid, project_points
 from .weights_io import expected_shapes
 
 PLACEMENTS = ("post_agg", "pre_agg", "post_self", "post_self_cross")
@@ -85,12 +87,12 @@ class DecoderConfig:
 
 @dataclass
 class SceneFeatures:
-    """The three feature sources a decode run samples from."""
+    """The feature maps a decode run samples from: one PV map a camera."""
 
     img_bev: FeatureGrid
     rad_bev: FeatureGrid
-    pv_maps: list[PvFeatureMap]
-    rig: CameraRig
+    pv_maps: list[FeatureGrid]
+    rig: list[Camera]
 
     def grid(self, kind: str) -> FeatureGrid:
         return self.img_bev if kind == IMG_BEV else self.rad_bev
@@ -200,17 +202,16 @@ class TokenSource:
     """One feature map's token points of a layer, in query-major order.
 
     Point j belongs to query rows[j] (ascending), fills its token column
-    slots[j] and is read from `data` (H, W, c) at fractional cell
-    coordinates (fy[j], fx[j]), then mapped to d features by the map's
+    slots[j] and is read from the grid's data (H, W, c) at fractional cell
+    coordinates (fy[j], fx[j]), then mapped to d features by the grid's
     (c, d) basis, if it has one.
     """
 
     rows: np.ndarray
     slots: np.ndarray
-    data: np.ndarray
+    grid: FeatureGrid
     fy: np.ndarray
     fx: np.ndarray
-    basis: np.ndarray | None = None
 
 
 @dataclass
@@ -254,7 +255,7 @@ def plan_tokens(emb: np.ndarray, positions: np.ndarray, features: SceneFeatures,
     banks = [sets_by_kind[kind] for kind in BEV_KINDS]
     views = []  # (pv map, projected uv, ids of the queries the camera sees)
     if k_pv > 0:
-        for cam, pv in zip(features.rig.cameras, features.pv_maps):
+        for cam, pv in zip(features.rig, features.pv_maps):
             uv, _, vis = project_points(positions, cam)
             if vis.any():
                 views.append((pv, uv, np.flatnonzero(vis)))
@@ -274,8 +275,8 @@ def plan_tokens(emb: np.ndarray, positions: np.ndarray, features: SceneFeatures,
         x, y = bank.points[rows, cols].T
         on = ((x >= grid.x_min) & (x <= grid.x_max)
               & (y >= grid.y_min) & (y <= grid.y_max))
-        sources.append(TokenSource(rows[on], at[on], grid.data,
-                                   *grid.frac_coords(x[on], y[on]), grid.basis))
+        sources.append(TokenSource(rows[on], at[on], grid,
+                                   *grid.frac_coords(x[on], y[on])))
         # a sampling weight that underflowed to 0 is a log weight of -inf:
         # that token gets no attention
         with np.errstate(divide="ignore"):
@@ -290,10 +291,10 @@ def plan_tokens(emb: np.ndarray, positions: np.ndarray, features: SceneFeatures,
         pv_w = pv_w.reshape(n, len(views), k_pv)
         for c, (pv, uv, idx) in enumerate(views):
             pts = uv[idx][:, None, :] + pv_off[None, :, :]
-            fy, fx = pv.pixel_to_frac(pts[..., 0], pts[..., 1])
+            fy, fx = pv.frac_coords(pts[..., 0], pts[..., 1])
             at = fill[idx][:, None] + np.arange(k_pv)
             sources.append(TokenSource(np.repeat(idx, k_pv), at.ravel(),
-                                       pv.data, fy.ravel(), fx.ravel()))
+                                       pv, fy.ravel(), fx.ravel()))
             with np.errstate(divide="ignore"):
                 logw[idx[:, None], at] = np.log(pv_w[idx, c])
             fill[idx] += k_pv
@@ -325,9 +326,9 @@ def build_tokens(plan: TokenPlan, rows: slice
     for src in plan.sources:
         lo, hi = np.searchsorted(src.rows, (r0, r1))
         if hi > lo:
-            feats = bilinear_at(src.data, src.fy[lo:hi], src.fx[lo:hi])
-            if src.basis is not None:
-                feats = feats @ src.basis
+            feats = bilinear_at(src.grid.data, src.fy[lo:hi], src.fx[lo:hi])
+            if src.grid.basis is not None:
+                feats = feats @ src.grid.basis
             flat[(src.rows[lo:hi] - r0) * t_max + src.slots[lo:hi]] = feats
     return tok, plan.logw[r0:r1], plan.valid[r0:r1]
 
@@ -407,8 +408,11 @@ def decode(features: SceneFeatures, queries: QuerySet, weights,
     config.validate()
     if queries.d != config.d:
         raise ConfigError(f"query dim {queries.d} does not match config d {config.d}")
-    if features.img_bev.d != config.d or features.rad_bev.d != config.d:
-        raise ConfigError("feature grid channels do not match config d")
+    pv, rig = features.pv_maps, features.rig
+    if len(pv) != len(rig):
+        raise ConfigError(f"{len(pv)} PV maps for {len(rig)} cameras")
+    if any(m.d != config.d for m in (features.img_bev, features.rad_bev, *pv)):
+        raise ConfigError("feature map widths do not match config d")
     want = expected_shapes(config)
     if set(weights.tensors) != set(want):
         raise ConfigError("weight tensor set does not match config")

@@ -17,8 +17,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .numkernel import bilinear_at
-from .scene import (Camera, CameraRig, FeatureGrid, PvFeatureMap, Scene,
-                    project_points)
+from .scene import Camera, FeatureGrid, Scene, project_points
 
 TYPE_IMG, TYPE_RAD, TYPE_W = 0, 1, 2
 TYPE_NAMES = ("img", "rad", "w")
@@ -111,7 +110,7 @@ class Proposals:
     object_ids: np.ndarray   # (P,) int64 ground-truth source, -1 for distractors
 
 
-def generate_2d_proposals(scene: Scene, rig: CameraRig, pv_maps: list[PvFeatureMap],
+def generate_2d_proposals(scene: Scene, rig: list[Camera], pv_maps: list[FeatureGrid],
                           per_view: int = 50, center_noise_px: float = 2.0,
                           depth_noise: float = 1.0, seed: int = 0) -> Proposals:
     """Oracle pre-detector: per view, proposals at noisy projected centers.
@@ -123,11 +122,11 @@ def generate_2d_proposals(scene: Scene, rig: CameraRig, pv_maps: list[PvFeatureM
     """
     centers = np.array([o.center for o in scene.objects]).reshape(-1, 3)
     ids = np.array([o.id for o in scene.objects], dtype=np.int64)
-    n = len(rig.cameras) * per_view
+    n = len(rig) * per_view
     table = np.empty((n, 4))   # u, v, score, noisy depth
     object_ids = np.full(n, -1, dtype=np.int64)
     features = np.empty((n, scene.config.feature_dim))
-    for ci, cam in enumerate(rig.cameras):
+    for ci, cam in enumerate(rig):
         rng = np.random.default_rng([seed, _STREAM_PROPOSALS, ci])
         view = slice(ci * per_view, (ci + 1) * per_view)
         uv, depths, visible = project_points(centers, cam)
@@ -149,9 +148,9 @@ def generate_2d_proposals(scene: Scene, rig: CameraRig, pv_maps: list[PvFeatureM
         lo = np.array([0.0, 0.0, 0.0, 1.0])
         hi = np.array([cam.width - 1, cam.height - 1, 0.2, 60.0])
         rows[keep.size:] = lo + (hi - lo) * rng.random((per_view - keep.size, 4))
-        fy, fx = pv_maps[ci].pixel_to_frac(rows[:, 0], rows[:, 1])
+        fy, fx = pv_maps[ci].frac_coords(rows[:, 0], rows[:, 1])
         features[view] = bilinear_at(pv_maps[ci].data, fy, fx)
-    views = np.repeat(np.arange(len(rig.cameras)), per_view)
+    views = np.repeat(np.arange(len(rig)), per_view)
     return Proposals(table[:, :2], table[:, 2], table[:, 3], features, views,
                      object_ids)
 
@@ -164,7 +163,7 @@ def backproject(camera: Camera, u, v, depth) -> np.ndarray:
     return p_cam @ camera.r_wc + camera.position
 
 
-def init_image_queries(proposals: Proposals, rig: CameraRig, n_img: int,
+def init_image_queries(proposals: Proposals, rig: list[Camera], n_img: int,
                        extent: float, d: int) -> tuple[QuerySet, int]:
     """Top-scoring proposals lifted to 3-D; returns (queries, padded count).
 
@@ -180,7 +179,7 @@ def init_image_queries(proposals: Proposals, rig: CameraRig, n_img: int,
     for ci in np.unique(views):
         rows = np.flatnonzero(views == ci)
         p = chosen[rows]
-        pos[rows] = backproject(rig.cameras[ci], proposals.uv[p, 0],
+        pos[rows] = backproject(rig[ci], proposals.uv[p, 0],
                                 proposals.uv[p, 1], proposals.depths[p])
     pos[:, :2] = np.clip(pos[:, :2], -extent, extent)
     image = QuerySet(emb, pos, np.full(n_img, TYPE_IMG, dtype=np.int64))
@@ -199,8 +198,7 @@ def init_radar_queries(heatmap: np.ndarray, radar_grid: FeatureGrid,
         raise ConfigError(f"n_rad ({n_rad}) exceeds heatmap cells ({h * w})")
     order = np.argsort(-heatmap.ravel(), kind="stable")[:n_rad]
     rows, cols = np.divmod(order, w)
-    x = radar_grid.x_min + (cols + 0.5) * radar_grid.voxel
-    y = radar_grid.y_min + (rows + 0.5) * radar_grid.voxel
+    x, y = radar_grid.cell_centers(rows, cols)
     positions = np.stack([x, y, np.zeros(n_rad)], axis=1)
     emb = radar_grid.data[rows, cols]
     if radar_grid.basis is not None:

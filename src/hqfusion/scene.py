@@ -1,12 +1,13 @@
 """Synthetic 3-D scenes and the multi-modal feature maps rendered from them.
 
 This module stands in for real sensor backbones: it generates ground-truth
-objects, a surround-view camera rig and a radar point cloud, then renders
-per-camera perspective-view (PV) feature maps, an image BEV grid and a
-radar BEV grid plus detection heatmap.  Every object carries a distinct
-unit-norm "signature" embedding that the renderers splat at the object
-location, so tests can verify that sampled evidence really comes from the
-object it claims to.
+objects, a surround-view camera rig (a list of Cameras) and a radar point
+cloud, then renders per-camera perspective-view (PV) feature maps, an image
+BEV grid and a radar BEV grid plus detection heatmap.  Every map is a
+FeatureGrid, a PV map in pixels and a BEV grid in metres.  Every object
+carries a distinct unit-norm "signature" embedding that the renderers splat
+at the object location, so tests can verify that sampled evidence really
+comes from the object it claims to.
 
 All generation and rendering is deterministic given (seed, config); random
 streams are isolated per purpose via numpy SeedSequence lists.
@@ -92,14 +93,6 @@ class Camera:
 
 
 @dataclass
-class CameraRig:
-    cameras: list[Camera]
-
-    def __len__(self) -> int:
-        return len(self.cameras)
-
-
-@dataclass
 class SceneConfig:
     # feature_dim is tied to decoder.d, which declares its range; num_clutter
     # is kept for the report's config block
@@ -161,13 +154,14 @@ class GridConfig:
 
 @dataclass
 class FeatureGrid:
-    """H x W BEV feature grid with metric extent, stored as c channels a cell.
+    """H x W feature map over an extent, stored as c channels a cell.
 
-    With no basis the channels are the d features (c = d).  With a (c, d)
-    basis, cell (i, j)'s feature is data[i, j] @ basis: a grid of rank c is
-    kept at c channels, and a reader applies the basis to what it reads
-    (bilinear interpolation commutes with it).
-    Rows index y, columns index x; cell (i, j) is centered at
+    A BEV grid's extent and voxel are in metres; a PV map's are in pixels,
+    its voxel the render downsample.  With no basis the channels are the d
+    features (c = d).  With a (c, d) basis, cell (i, j)'s feature is
+    data[i, j] @ basis: a grid of rank c is kept at c channels, and a reader
+    applies the basis to what it reads (bilinear interpolation commutes with
+    it).  Rows index y, columns index x; cell (i, j) is centered at
     (x_min + (j+.5)*voxel, y_min + (i+.5)*voxel).
     """
 
@@ -191,14 +185,6 @@ class FeatureGrid:
                              f"map {c} channels")
 
     @property
-    def h(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def w(self) -> int:
-        return self.data.shape[1]
-
-    @property
     def d(self) -> int:
         """The feature width: the basis's columns, else the channels."""
         return (self.data if self.basis is None else self.basis).shape[-1]
@@ -210,26 +196,14 @@ class FeatureGrid:
         return cls(np.zeros((n, n, d)), -e, e, -e, e, grid_config.voxel)
 
     def frac_coords(self, x, y):
-        """Metric x, y (scalars or arrays) -> fractional (fy, fx) cell coords."""
+        """x, y (scalars or arrays) -> fractional (fy, fx) cell coords."""
         return ((y - self.y_min) / self.voxel - 0.5,
                 (x - self.x_min) / self.voxel - 0.5)
 
-
-@dataclass
-class PvFeatureMap:
-    """Per-camera feature map at image resolution / downsample."""
-
-    data: np.ndarray          # (H_f, W_f, d)
-    downsample: int
-
-    @property
-    def d(self) -> int:
-        return self.data.shape[2]
-
-    def pixel_to_frac(self, u, v):
-        """Pixel coords -> fractional feature-cell coords (fy, fx)."""
-        return (np.asarray(v, dtype=np.float64) / self.downsample - 0.5,
-                np.asarray(u, dtype=np.float64) / self.downsample - 0.5)
+    def cell_centers(self, rows, cols):
+        """(x, y) centers of the cells at integer (rows, cols)."""
+        return (self.x_min + (cols + 0.5) * self.voxel,
+                self.y_min + (rows + 0.5) * self.voxel)
 
 
 @dataclass
@@ -270,7 +244,7 @@ def make_camera(fx, fy, cx, cy, yaw, position, width, height) -> Camera:
                   width, height)
 
 
-def build_rig(config: SceneConfig) -> CameraRig:
+def build_rig(config: SceneConfig) -> list[Camera]:
     """Surround-view rig: cameras at scene center, evenly spaced in yaw."""
     cams = []
     for k in range(config.num_cameras):
@@ -281,10 +255,10 @@ def build_rig(config: SceneConfig) -> CameraRig:
             yaw, (0.0, 0.0, config.camera_height),
             config.image_width, config.image_height,
         ))
-    return CameraRig(cams)
+    return cams
 
 
-def generate_scene(seed: int, config: SceneConfig) -> tuple[Scene, CameraRig]:
+def generate_scene(seed: int, config: SceneConfig) -> tuple[Scene, list[Camera]]:
     """Place objects uniformly with a minimum center separation.
 
     Raises GenerationError when MAX_REJECTED_DRAWS draws in a row land too
@@ -399,21 +373,22 @@ def _splat(data: np.ndarray, fy: float, fx: float, vec: np.ndarray, sigma: float
     data[y0:y1 + 1, x0:x1 + 1] += weight[:, :, None] * vec
 
 
-def render_pv_features(scene: Scene, rig: CameraRig, d: int, noise_sigma: float,
-                       seed: int = 0, downsample: int = 16) -> list[PvFeatureMap]:
+def render_pv_features(scene: Scene, rig: list[Camera], d: int, noise_sigma: float,
+                       seed: int = 0, downsample: int = 16) -> list[FeatureGrid]:
     """Per-camera PV maps: noise background + signature splats at projected centers."""
     if d != scene.config.feature_dim:
         raise ConfigError("feature dim does not match scene signatures")
     centers = np.array([o.center for o in scene.objects]).reshape(-1, 3)
     maps = []
-    for ci, cam in enumerate(rig.cameras):
+    for ci, cam in enumerate(rig):
         hf = max(1, cam.height // downsample)
         wf = max(1, cam.width // downsample)
         rng = np.random.default_rng([seed, _STREAM_PV_NOISE, ci])
         data = rng.normal(0.0, 1.0, size=(hf, wf, d)) * noise_sigma
-        pv = PvFeatureMap(data, downsample)
+        pv = FeatureGrid(data, 0.0, wf * downsample, 0.0, hf * downsample,
+                         downsample)
         uv, _, visible = project_points(centers, cam)
-        fy, fx = pv.pixel_to_frac(uv[:, 0], uv[:, 1])
+        fy, fx = pv.frac_coords(uv[:, 0], uv[:, 1])
         for k in np.flatnonzero(visible):
             _splat(data, float(fy[k]), float(fx[k]), scene.objects[k].signature,
                    sigma=1.5)
@@ -474,8 +449,7 @@ def encode_radar_bev(points: RadarPointCloud, grid_config: GridConfig, d: int,
 
         flat = rows * n + cols
         counts = np.bincount(flat, minlength=n * n).astype(np.float64)
-        cx = grid.x_min + (cols + 0.5) * grid.voxel
-        cy = grid.y_min + (rows + 0.5) * grid.voxel
+        cx, cy = grid.cell_centers(rows, cols)
         raw = np.stack([pts[:, 0] - cx, pts[:, 1] - cy, vel[:, 0], vel[:, 1],
                         rcs, np.ones(len(rcs))], axis=1)
         sums = np.zeros((n * n, 6))
@@ -512,7 +486,7 @@ def smooth_heatmap(heatmap: np.ndarray) -> np.ndarray:
 # Serialization
 # ---------------------------------------------------------------------------
 
-def scene_to_dict(scene: Scene, rig: CameraRig) -> dict:
+def scene_to_dict(scene: Scene, rig: list[Camera]) -> dict:
     return {
         "seed": scene.seed,
         "config": asdict(scene.config),
@@ -530,7 +504,7 @@ def scene_to_dict(scene: Scene, rig: CameraRig) -> dict:
                 "r_wc": c.r_wc.tolist(), "position": c.position.tolist(),
                 "width": c.width, "height": c.height,
             }
-            for c in rig.cameras
+            for c in rig
         ],
     }
 
@@ -611,7 +585,7 @@ def _camera(c: dict, where: str, config: SceneConfig) -> Camera:
                   width, height)
 
 
-def scene_from_dict(doc: dict, config: SceneConfig) -> tuple[Scene, CameraRig]:
+def scene_from_dict(doc: dict, config: SceneConfig) -> tuple[Scene, list[Camera]]:
     """Scene and rig of a scene document; `config` is its hydrated config block.
 
     Every field is checked against the config, and a bad one raises
@@ -636,10 +610,10 @@ def scene_from_dict(doc: dict, config: SceneConfig) -> tuple[Scene, CameraRig]:
     _require(len(cams) == config.num_cameras,
              f"rig holds {len(cams)} cameras, scene.num_cameras is "
              f"{config.num_cameras}")
-    return Scene(objects, seed, config), CameraRig(cams)
+    return Scene(objects, seed, config), cams
 
 
-def save_scene(scene: Scene, rig: CameraRig, path):
+def save_scene(scene: Scene, rig: list[Camera], path):
     """Write the scene document, with no trailing newline.
 
     A NaN or an infinity raises NonFiniteError before the file is opened.

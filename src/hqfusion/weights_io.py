@@ -182,7 +182,7 @@ def load_weights(path, config) -> DecoderWeights:
     if not isinstance(manifest, dict):
         raise WeightFormatError("manifest is not a JSON object")
     if manifest.get("format") != FORMAT_TAG:
-        raise WeightFormatError(f"unsupported format {manifest.get('format')!r}")
+        raise WeightFormatError(f"unsupported format {manifest.get('format')!r:.60}")
 
     blob = raw[sep + 2:]
     entries = manifest.get("tensors", [])
@@ -190,7 +190,7 @@ def load_weights(path, config) -> DecoderWeights:
         raise WeightFormatError("manifest 'tensors' is not a list")
     for e in entries:
         if not _well_formed(e):
-            raise WeightFormatError(f"malformed tensor entry {e!r}")
+            raise WeightFormatError(f"malformed tensor entry {e!r:.60}")
     names = [e["name"] for e in entries]
     if len(set(names)) != len(names):
         raise WeightFormatError("duplicate tensor names in manifest")
@@ -198,7 +198,7 @@ def load_weights(path, config) -> DecoderWeights:
     cursor = 0
     for e in sorted(entries, key=lambda e: e["offset"]):
         if e["dtype"] != "<f4":
-            raise WeightFormatError(f"unsupported dtype {e['dtype']!r}")
+            raise WeightFormatError(f"unsupported dtype {e['dtype']!r:.60}")
         expect_len = math.prod(e["shape"]) * 4
         if e["length"] != expect_len:
             raise WeightFormatError(f"tensor {e['name']} length mismatch")

@@ -156,8 +156,8 @@ def naive_bilinear(grid, x, y):
         wy = 1.0 - abs(fy - yy)
         if wx <= 0.0 or wy <= 0.0:
             continue
-        yc = min(max(yy, 0), grid.h - 1)
-        xc = min(max(xx, 0), grid.w - 1)
+        yc = min(max(yy, 0), grid.data.shape[0] - 1)
+        xc = min(max(xx, 0), grid.data.shape[1] - 1)
         acc += wx * wy * data[yc, xc]
     return acc
 
@@ -431,13 +431,13 @@ def sample_features(position, embedding, features, weights, sample_sets, k_pv):
     pv_off = t["sample.pv.offsets"]
     scores = embedding @ t["sample.pv.score.w"].T + t["sample.pv.score.b"]
     groups = []
-    for cam, pv in zip(features.rig.cameras, features.pv_maps):
+    for cam, pv in zip(features.rig, features.pv_maps):
         hit = project_to_view(position, cam)
         if hit is None:
             continue
         u, v, _ = hit
         pts = np.array([u, v]) + pv_off
-        fy, fx = pv.pixel_to_frac(pts[:, 0], pts[:, 1])
+        fy, fx = pv.frac_coords(pts[:, 0], pts[:, 1])
         groups.append(naive_bilinear_at(pv.data, fy, fx))
     if groups:
         w = _softmax(np.tile(scores, len(groups)))

@@ -179,7 +179,7 @@ def test_sampling_oracles():
     for _ in range(1000):
         p = rng.uniform(-40, 40, 3)
         p[2] = rng.uniform(0, 4)
-        cam = rig.cameras[int(rng.integers(6))]
+        cam = rig[int(rng.integers(6))]
         uv, depth, vis = project_points([p], cam)
         if not vis[0]:
             continue

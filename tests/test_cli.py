@@ -659,6 +659,21 @@ class TestCliCommands:
                 message = assert_error_exit([command, *TOY, "--set", override],
                                             tmp_path / "out", capsys)
                 assert word in message, (command, override)
+        # a refused value of 5,000 characters is echoed cut short
+        long, doc = "x" * 5000, tmp_path / "config.json"
+        doc.write_text(json.dumps([0] * 2500))
+        for probe in (["--set", f"decoder.layers={long}"],
+                      ["--set", f"scene.extent=1{'0' * 4000}"],
+                      ["--set", f"decoder.qswap.mode={long}"],
+                      ["--set", f"{long}=1"], ["--set", long],
+                      ["--preset", long], ["--config", str(doc)]):
+            for command in ("run", "ablate"):
+                out = tmp_path / "out"
+                assert run_cli([command, *TOY, *probe, "--out", str(out)]) == 2
+                [line] = capsys.readouterr().err.strip().splitlines()
+                assert len(line.encode()) <= 300, (command, probe[0], line[:80])
+                assert json.loads(line)["error"] == "ConfigError"
+                assert not out.exists()
 
     @pytest.mark.parametrize("path", ["radar.pos_noise", "radar.vel_noise",
                                       "render.bev_noise", "render.pv_noise"])

@@ -160,7 +160,7 @@ class TestSampleFeatures:
                                  cfg.qswap.k_base)
         per_q = {kind: sets[kind][0] for kind in BEV_KINDS}
         assert all(project_to_view(center, c) is None
-                   for c in features.rig.cameras)
+                   for c in features.rig)
         tokens = sample_features(center, np.zeros(cfg.d), features, weights,
                                  per_q, cfg.k_pv)
         assert all(t.kind != "pv" for t in tokens)
@@ -208,7 +208,7 @@ class TestSampleFeatures:
         pv_tokens = [t for t in tokens if t.kind == "pv"]
         pv_off = weights["sample.pv.offsets"]
         want_feats = []
-        for cam, pv in zip(features.rig.cameras, features.pv_maps):
+        for cam, pv in zip(features.rig, features.pv_maps):
             hit = project_to_view(pos, cam)
             if hit is None:
                 continue
@@ -216,7 +216,7 @@ class TestSampleFeatures:
                 u = hit[0] + pv_off[k, 0]
                 v = hit[1] + pv_off[k, 1]
                 want_feats.append(naive_bilinear_frac(
-                    pv.data, v / pv.downsample - 0.5, u / pv.downsample - 0.5))
+                    pv.data, v / pv.voxel - 0.5, u / pv.voxel - 0.5))
         assert len(pv_tokens) == len(want_feats)
         for t, want in zip(pv_tokens, want_feats):
             assert np.allclose(t.feature, want, atol=1e-12)
@@ -777,11 +777,23 @@ class TestDecode:
         assert not np.allclose(results["post_agg"], results["pre_agg"])
         assert not np.allclose(results["post_agg"], results["post_self"])
 
-    def test_config_errors_surface_before_layers(self):
+    def test_config_errors_surface_before_layers(self, monkeypatch):
         _, features, queries, weights, cfg = toy_setup()
         bad = toy_config(heads=3)  # 3 does not divide 16
         with pytest.raises(ConfigError):
             decode(features, queries, weights, bad)
+
+        def no_layer(*args, **kwargs):
+            raise AssertionError("layer 0 ran")
+
+        monkeypatch.setattr(decoder, "apply_type_adapter", no_layer)
+        # a PV map of width 4 under d = 16, and a rig with one PV map too few
+        pv = features.pv_maps
+        narrow = dataclasses.replace(pv[0], data=pv[0].data[..., :4].copy())
+        for maps, word in (([narrow, *pv[1:]], "width"), (pv[1:], "3 PV maps")):
+            with pytest.raises(ConfigError, match=word):
+                decode(dataclasses.replace(features, pv_maps=maps), queries,
+                       weights, cfg)
 
     @pytest.mark.parametrize("tensor, stage", [
         ("self_attn.ln.beta", "self-attention output of layer 0"),

@@ -11,7 +11,7 @@ from hqfusion.numkernel import (MhaWeights, bilinear_at, multi_head_attention,
                                 softmax_rows)
 from hqfusion.qinit import TYPE_IMG, TYPE_RAD, TYPE_W
 from hqfusion.qswap import BEV_KINDS, base_bank, normalize_sample_scores
-from hqfusion.scene import CameraRig, FeatureGrid
+from hqfusion.scene import FeatureGrid
 from hqfusion.weights_io import init_weights
 
 from reference import (cell_center, identity_mha_weights, naive_bilinear,
@@ -267,7 +267,7 @@ def tokens_at(grid, points, scores=None):
     bank.weights = normalize_sample_scores(bank)
     cfg = DecoderConfig(layers=1, d=grid.d, heads=1, k_pv=0)
     plan = plan_tokens(np.zeros((1, grid.d)), np.zeros((1, 3)),
-                       SceneFeatures(grid, grid, [], CameraRig([])),
+                       SceneFeatures(grid, grid, [], []),
                        init_weights(0, cfg), dict.fromkeys(BEV_KINDS, bank), 0)
     tok, logw, valid = build_tokens(plan, slice(0, 1))
     return tok[0].copy(), logw[0], valid[0], bank.weights[0]

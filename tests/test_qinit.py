@@ -8,7 +8,7 @@ from hqfusion.qinit import (TYPE_IMG, TYPE_RAD, TYPE_W, Proposals, QuerySet,
                             backproject, concat_query_sets,
                             generate_2d_proposals, init_image_queries,
                             init_radar_queries, init_world_queries, ring_counts)
-from hqfusion.scene import (CameraRig, FeatureGrid, GridConfig, SceneConfig,
+from hqfusion.scene import (FeatureGrid, GridConfig, SceneConfig,
                             build_rig, make_camera, render_pv_features)
 
 from reference import cell_center, empty_query_set, project_to_view
@@ -71,7 +71,7 @@ def proposal_table(rows, features):
 class TestProposals:
     def test_empty_scene_all_distractors(self):
         _, rig, _, props = proposals_setup([])
-        assert props.views.tolist() == [c for c in range(len(rig.cameras))
+        assert props.views.tolist() == [c for c in range(len(rig))
                                         for _ in range(6)]
         assert (props.object_ids == -1).all()
         assert (props.scores < 0.2).all()
@@ -80,7 +80,7 @@ class TestProposals:
         # each distractor is four uniform draws (u, v, score, depth) of its
         # view's stream default_rng([seed, 3, view]); proposals_setup: seed 3
         _, rig, _, props = proposals_setup([])
-        for c, cam in enumerate(rig.cameras):
+        for c, cam in enumerate(rig):
             rng = np.random.default_rng([3, 3, c])
             for i in np.flatnonzero(props.views == c):
                 want = [rng.uniform(0.0, cam.width - 1),
@@ -93,7 +93,7 @@ class TestProposals:
         scene, rig, _, props = proposals_setup([(8.0, 0.5, 0.9)])
         obj = scene.objects[0]
         found = 0
-        for ci, cam in enumerate(rig.cameras):
+        for ci, cam in enumerate(rig):
             hit = project_to_view(obj.center, cam)
             if hit is None:
                 continue
@@ -124,7 +124,7 @@ class TestImageQueries:
 
     def test_top_k_by_score(self):
         cam = make_camera(100, 100, 10, 6, 0.0, (0, 0, 0), 20, 12)
-        rig = CameraRig([cam])
+        rig = [cam]
         props = proposal_table([(5.0, 5.0, 0.1, 10.0, 0, -1),
                                 (6.0, 6.0, 0.9, 12.0, 0, 0)],
                                [np.zeros(4), np.ones(4)])
@@ -138,14 +138,14 @@ class TestImageQueries:
         scores = np.random.default_rng(0).choice([0.2, 0.5, 0.9], 60)
         props = proposal_table([(5.0, 5.0, s, 10.0, i // 20, -1)
                                 for i, s in enumerate(scores)], np.eye(60))
-        qs, _ = init_image_queries(props, CameraRig([cam] * 3), 45,
+        qs, _ = init_image_queries(props, [cam] * 3, 45,
                                    extent=30.0, d=60)
         oracle = sorted(range(60), key=lambda i: (-scores[i], i // 20, i))
         assert np.argmax(qs.embeddings, axis=1).tolist() == oracle[:45]
 
     def test_padding_when_short(self):
         cam = make_camera(100, 100, 10, 6, 0.0, (0, 0, 0), 20, 12)
-        rig = CameraRig([cam])
+        rig = [cam]
         props = proposal_table([(5.0, 5.0, 0.4, 10.0, 0, 0)], [np.ones(4)])
         qs, padded = init_image_queries(props, rig, 3, extent=30.0, d=4)
         assert padded == 2
@@ -210,7 +210,7 @@ class TestConcat:
         radar = init_radar_queries(np.zeros((6, 6)), grid, 5)
         cam = make_camera(100, 100, 10, 6, 0.0, (0, 0, 0), 20, 12)
         props = proposal_table([(5.0, 5.0, 0.4, 10.0, 0, 0)], [np.ones(4)])
-        image, _ = init_image_queries(props, CameraRig([cam]), 3,
+        image, _ = init_image_queries(props, [cam], 3,
                                       extent=20.0, d=4)
         qs = concat_query_sets(world, image, radar)
         assert qs.n == 20
@@ -223,7 +223,8 @@ class TestConcat:
         world = init_world_queries(450, 51.2, 4, seed=0)
         gc = GridConfig(extent=12.0, voxel=0.8)
         grid = FeatureGrid.allocate(gc, 4)
-        heatmap = np.random.default_rng(0).uniform(0, 1, (grid.h, grid.w))
+        heatmap = np.random.default_rng(0).uniform(
+            0, 1, (grid.data.shape[0], grid.data.shape[1]))
         radar = init_radar_queries(heatmap, grid, 225)
         emb = np.zeros((225, 4))
         image = QuerySet(emb, np.zeros((225, 3)),
@@ -244,7 +245,7 @@ class TestBackproject:
         rng = np.random.default_rng(1)
         for _ in range(50):
             p = rng.uniform(-30, 30, 3)
-            for cam in rig.cameras:
+            for cam in rig:
                 hit = project_to_view(p, cam)
                 if hit is None:
                     continue

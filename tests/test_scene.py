@@ -5,7 +5,7 @@ import pytest
 
 from hqfusion.cli import RunConfig, load_scene
 from hqfusion.errors import ConfigError, GenerationError, ShapeError
-from hqfusion.scene import (Camera, CameraRig, FeatureGrid, GridConfig,
+from hqfusion.scene import (Camera, FeatureGrid, GridConfig,
                             RadarPointCloud, RadarSimConfig, Scene, SceneConfig,
                             SceneObject, build_rig, encode_radar_bev,
                             generate_scene, make_camera,
@@ -90,7 +90,7 @@ class TestProjection:
         for _ in range(200):
             p = rng.uniform(-15, 15, size=3)
             p[2] = rng.uniform(0.0, 3.0)
-            for cam in rig.cameras:
+            for cam in rig:
                 uv, depth, vis = project_points([p], cam)
                 if not vis[0]:
                     continue
@@ -103,7 +103,7 @@ class TestProjection:
 
     def test_project_points_matches_scalar(self):
         rng = np.random.default_rng(1)
-        cam = build_rig(small_config()).cameras[1]
+        cam = build_rig(small_config())[1]
         pts = rng.uniform(-20, 20, size=(100, 3))
         uv, depth, vis = project_points(pts, cam)
         for i, p in enumerate(pts):
@@ -116,7 +116,7 @@ class TestProjection:
 
     def test_rotations_orthonormal(self):
         rig = build_rig(small_config(num_cameras=6))
-        for cam in rig.cameras:
+        for cam in rig:
             assert np.allclose(cam.r_wc @ cam.r_wc.T, np.eye(3), atol=1e-9)
 
 
@@ -160,7 +160,7 @@ class TestRenderPv:
         # camera chosen so the projected center lands on feature cell (1, 2)
         scene, _ = manual_scene([(5.0, 0.0, 0.0)])
         cam = make_camera(100, 100, 10.0, 6.0, 0.0, (0.0, 0.0, 0.0), 20, 12)
-        rig = CameraRig([cam])
+        rig = [cam]
         maps = render_pv_features(scene, rig, 8, 0.0, downsample=4)
         assert np.allclose(maps[0].data[1, 2], scene.objects[0].signature,
                            atol=1e-9)
@@ -171,15 +171,32 @@ class TestRenderPv:
                                     np.sin(np.pi / 6) * 12, 0.9)],
                                   num_cameras=6)
         obj = scene.objects[0]
-        seen = [i for i, cam in enumerate(rig.cameras)
+        seen = [i for i, cam in enumerate(rig)
                 if project_to_view(obj.center, cam) is not None]
         assert len(seen) >= 2
         maps = render_pv_features(scene, rig, 8, 0.0)
         for ci in seen:
-            hit = project_to_view(obj.center, rig.cameras[ci])
-            fy, fx = maps[ci].pixel_to_frac(hit[0], hit[1])
+            hit = project_to_view(obj.center, rig[ci])
+            fy, fx = maps[ci].frac_coords(hit[0], hit[1])
             cell = maps[ci].data[round(float(fy)), round(float(fx))]
             assert cell @ obj.signature > 0.5
+
+    @pytest.mark.parametrize("ds", [7, 16])
+    def test_map_is_grid_in_pixels(self, ds):
+        # 7 does not divide the image, so the map covers fewer pixels than it
+        scene, rig = manual_scene([(5.0, 1.0, 0.9)])
+        cam = rig[0]
+        pv = render_pv_features(scene, rig, 8, 0.1, downsample=ds)[0]
+        hf, wf = cam.height // ds, cam.width // ds
+        assert isinstance(pv, FeatureGrid) and pv.data.shape == (hf, wf, 8)
+        assert (pv.x_min, pv.x_max, pv.y_min, pv.y_max, pv.voxel) == (
+            0.0, wf * ds, 0.0, hf * ds, ds)
+        # the first, middle and last pixel
+        u = np.array([0.0, cam.width // 2, cam.width - 1])
+        v = np.array([0.0, cam.height // 2, cam.height - 1])
+        fy, fx = pv.frac_coords(u, v)
+        assert fy.tobytes() == (v / ds - 0.5).tobytes()
+        assert fx.tobytes() == (u / ds - 0.5).tobytes()
 
     def test_deterministic(self):
         scene, rig = manual_scene([(5.0, 1.0, 0.9)])
@@ -247,7 +264,7 @@ class TestEncodeRadarBev:
         grid, heatmap = encode_radar_bev(pts, gc, 8, seed=seed)
         embed = np.random.default_rng([seed, 2]).normal(
             0.0, 1.0 / math.sqrt(6.0), size=(6, 8))
-        n = grid.h
+        n = grid.data.shape[0]
         assert grid.data.shape == (n, n, 6) and grid.d == 8, (
             "the radar BEV grid has rank 6 and is stored as 6 pooled channels "
             "times a (6, d) basis; radar noise would make it full rank and "
@@ -322,11 +339,11 @@ def preset_radar_heatmaps():
             cloud = simulate_radar_points(scene, seed, cfg.radar)
             gc = GridConfig(extent=cfg.scene.extent, voxel=cfg.render.voxel)
             grid, encoded = encode_radar_bev(cloud, gc, 1, seed=seed)
-            counts = np.zeros((grid.h, grid.w))
+            counts = np.zeros((grid.data.shape[0], grid.data.shape[1]))
             for x, y, _ in cloud.xyz:
                 col = int(np.floor((x - grid.x_min) / grid.voxel))
                 row = int(np.floor((y - grid.y_min) / grid.voxel))
-                if 0 <= row < grid.h and 0 <= col < grid.w:
+                if 0 <= row < grid.data.shape[0] and 0 <= col < grid.data.shape[1]:
                     counts[row, col] += 1
             assert counts.max() > 0
             yield counts / counts.max(), encoded

@@ -180,6 +180,30 @@ class TestMalformedManifest:
             assert json.loads(err)["error"] == "WeightFormatError"
             assert not out.exists()
 
+        # a refused value of 5,000 characters is echoed cut short
+        def long_value(*keys):
+            def change(m):
+                node = m
+                for key in keys[:-1]:
+                    node = node[key]
+                node[keys[-1]] = "x" * 5000
+                return m
+            return change
+
+        for change in (long_value("format"), long_value("tensors", 0, "shape"),
+                       long_value("tensors", 0, "dtype")):
+            w_path, out = tmp_path / "w.cfw", tmp_path / "r.json"
+            assert cli.main(["init-weights", "--preset", "toy",
+                             "--out", str(w_path)]) == 0
+            capsys.readouterr()
+            self.rewrite(w_path, change)
+            assert cli.main(["run", "--preset", "toy", "--weights", str(w_path),
+                             "--out", str(out)]) == 2
+            [err] = capsys.readouterr().err.strip().splitlines()
+            assert len(err.encode()) <= 300, err[:80]
+            assert json.loads(err)["error"] == "WeightFormatError"
+            assert not out.exists()
+
     def test_huge_integer_literal_refused(self, tmp_path, capsys):
         from hqfusion import cli
         w_path, out = tmp_path / "w.cfw", tmp_path / "r.json"

@@ -10,12 +10,13 @@ checkout's run, each line also says how the output compares with DIR's:
 "identical", or the largest relative (and absolute) difference of its
 floats.  An output that differs in anything but its float literals (keys,
 strings, ints, list lengths, whitespace, CSV text), or is missing from
-DIR, is named as differing, and the exit code is 1.  The list covers the benchmark workloads
-(`emit` at input seeds 0-4, `default` and `swap-dense` at input seed 1),
-toy runs with every `--emit-*` flag at each QMix placement, with QMix off
-and in replace mode, toy `gen-scene`, `run --scene`, `links`,
-`analyze-attn` and `ablate`, and toy runs with empty or oversized query
-sources.  BLAS threads are pinned before numpy is imported, as
+DIR, is named as differing, and the exit code is 1.  The list covers the
+benchmark workloads (`emit` at input seeds 0-4, `default` and `swap-dense`
+at input seed 1), toy runs with every `--emit-*` flag at each QMix
+placement, with QMix off and in replace mode, toy `gen-scene`,
+`run --scene`, `links`, `analyze-attn` and `ablate`, toy runs with empty or
+oversized query sources, and a toy run at PV downsample 7, which divides
+neither image side.  BLAS threads are pinned before numpy is imported, as
 `perfbench/run.py` pins them, so every checkout computes with the same
 thread count.
 """
@@ -34,7 +35,7 @@ BLAS_THREADS = 2
 TOY = ["--preset", "toy"]
 EMIT_FLAGS = ["--emit-links", "--emit-samples", "--emit-snapshots"]
 EDGE_RUNS = ["queries.per_view=0", "scene.num_cameras=0", "scene.num_objects=0",
-             "queries.n_img=0", "queries.n_img=200"]
+             "queries.n_img=0", "queries.n_img=200", "render.pv_downsample=7"]
 
 
 def commands(out: Path, workloads: dict, placements) -> list[tuple[str, list]]:
