@@ -8,10 +8,10 @@ from .qmix import (TypeAttentionStats, attention_type_stats, extract_top_links,
                    qmix_attention)
 from .qswap import (QSwapConfig, SampleBank, SampleSet, normalize_sample_scores,
                     score_shared_points, select_neighbors, swap_samples)
-from .scene import (FeatureGrid, GridConfig, RadarPointCloud, RadarSimConfig,
-                    Scene, SceneConfig, SceneObject, encode_radar_bev,
+from .scene import (FeatureGrid, RadarPointCloud, RadarSimConfig, Scene,
+                    SceneConfig, SceneObject, bev_cells, encode_radar_bev,
                     generate_scene, project_points, render_image_bev,
                     render_pv_features, simulate_radar_points)
-from .weights_io import DecoderWeights, init_weights, load_weights, save_weights
+from .weights_io import init_weights, load_weights, save_weights
 
 __version__ = "0.1.0"

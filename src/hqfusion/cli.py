@@ -145,7 +145,7 @@ class RunConfig:
                "decoder.qswap.n_neighbors or decoder.qswap.k_base")
         yield ("query-layers", dc.layers * n, MAX_QUERY_LAYERS,
                f"decoder.layers, {queries}")
-        # the shapes render_pv_features and FeatureGrid.allocate would give
+        # the shapes render_pv_features and FeatureGrid.square would give
         down = self.render.pv_downsample
         pv = (scene.num_cameras * max(1, scene.image_height // down)
               * max(1, scene.image_width // down) * d)
@@ -298,8 +298,8 @@ def build_config(args) -> RunConfig:
     return cfg
 
 
-def load_scene(cfg: RunConfig, path):
-    """Scene and rig of a gen-scene file.
+def load_scene(cfg: RunConfig, path) -> sc.Scene:
+    """The scene of a gen-scene file.
 
     The file's config block replaces cfg.scene and its seed replaces
     cfg.seeds.scene, so features, radar and query noise are drawn as they
@@ -312,9 +312,9 @@ def load_scene(cfg: RunConfig, path):
     # defaults first, so a key the file omits does not keep a preset's value
     apply_override(cfg, "scene", asdict(sc.SceneConfig()))
     apply_override(cfg, "scene", doc["config"])
-    scn, rig = sc.scene_from_dict(doc, cfg.scene)
+    scn = sc.scene_from_dict(doc, cfg.scene)
     apply_override(cfg, "seeds.scene", doc["seed"])
-    return scn, rig
+    return scn
 
 
 # ---------------------------------------------------------------------------
@@ -340,32 +340,32 @@ def write_json(path, obj):
 def prepare_inputs(cfg: RunConfig, scene_path=None, weights_path=None):
     """Scene -> features -> queries -> weights: everything decode reads.
 
-    Returns (inputs, features): inputs holds the scene, rig, queries, image
-    pad count, weights and the stage timings so far.
+    Returns (inputs, features): inputs holds the scene, queries, image pad
+    count, weights and the stage timings so far.
     """
     timing = {}
     t0 = time.perf_counter()
     if scene_path:
-        scn, rig = load_scene(cfg, scene_path)
+        scn = load_scene(cfg, scene_path)
         cfg.validate()
     # gen-scene takes any extent, but a grid needs whole voxels: refuse a
     # partial one before a scene is generated
-    grid_cfg = sc.GridConfig(extent=cfg.scene.extent, voxel=cfg.render.voxel)
-    grid_cfg.cells()
+    sc.bev_cells(cfg.scene.extent, cfg.render.voxel)
     if not scene_path:
-        scn, rig = sc.generate_scene(cfg.seeds.scene, cfg.scene)
+        scn = sc.generate_scene(cfg.seeds.scene, cfg.scene)
     timing["scene"] = time.perf_counter() - t0
 
     d = cfg.scene.feature_dim
     t0 = time.perf_counter()
-    pv_maps = sc.render_pv_features(scn, rig, d, cfg.render.pv_noise,
+    pv_maps = sc.render_pv_features(scn, d, cfg.render.pv_noise,
                                     seed=cfg.seeds.scene,
                                     downsample=cfg.render.pv_downsample)
-    img_bev = sc.render_image_bev(scn, grid_cfg, d, cfg.render.bev_noise,
+    img_bev = sc.render_image_bev(scn, cfg.render.voxel, d, cfg.render.bev_noise,
                                   miss_rate=cfg.render.miss_rate,
                                   seed=cfg.seeds.scene)
     cloud = sc.simulate_radar_points(scn, cfg.seeds.scene, cfg.radar)
-    rad_bev, heatmap = sc.encode_radar_bev(cloud, grid_cfg, d,
+    rad_bev, heatmap = sc.encode_radar_bev(cloud, cfg.scene.extent,
+                                           cfg.render.voxel, d,
                                            seed=cfg.seeds.scene)
     for name, data in [("image BEV grid", img_bev.data),
                        ("radar BEV channels", rad_bev.data),
@@ -378,10 +378,10 @@ def prepare_inputs(cfg: RunConfig, scene_path=None, weights_path=None):
     world = qinit.init_world_queries(cfg.queries.n_world, cfg.scene.extent, d,
                                      cfg.seeds.scene, rings=cfg.queries.rings)
     proposals = qinit.generate_2d_proposals(
-        scn, rig, pv_maps, per_view=cfg.queries.per_view,
+        scn, pv_maps, per_view=cfg.queries.per_view,
         center_noise_px=cfg.queries.center_noise_px,
         depth_noise=cfg.queries.depth_noise, seed=cfg.seeds.scene)
-    image, padded = qinit.init_image_queries(proposals, rig, cfg.queries.n_img,
+    image, padded = qinit.init_image_queries(proposals, scn.rig, cfg.queries.n_img,
                                              cfg.scene.extent, d)
     radar = qinit.init_radar_queries(heatmap, rad_bev, cfg.queries.n_rad)
     queries = qinit.concat_query_sets(world, image, radar)
@@ -396,9 +396,9 @@ def prepare_inputs(cfg: RunConfig, scene_path=None, weights_path=None):
         weights = weights_io.init_weights(cfg.seeds.weights, cfg.decoder)
     timing["weights"] = time.perf_counter() - t0
 
-    inputs = {"scene": scn, "rig": rig, "queries": queries, "padded": padded,
+    inputs = {"scene": scn, "queries": queries, "padded": padded,
               "weights": weights, "timing": timing}
-    return inputs, dec.SceneFeatures(img_bev, rad_bev, pv_maps, rig)
+    return inputs, dec.SceneFeatures(img_bev, rad_bev, pv_maps, scn.rig)
 
 
 def evaluate_outputs(outputs, objects) -> list[dict]:
@@ -489,8 +489,6 @@ def build_report(cfg: RunConfig, result) -> dict:
     outputs = result["outputs"]
     queries = result["queries"]
     layers = []
-    mass_acc = {"self": [], "qmix": []}
-    mpk_acc = {"self": [], "qmix": []}
     # ate/aoe are undefined (NaN) without matches; any other NaN is an error
     layer_metrics = [
         {k: None if k in ("ate", "aoe") and math.isnan(v) else v
@@ -509,11 +507,6 @@ def build_report(cfg: RunConfig, result) -> dict:
                 for kind in qswap.BEV_KINDS
             },
         }
-        mass_acc["self"].append(out.self_stats.mass)
-        mpk_acc["self"].append(out.self_stats.mean_per_key)
-        if out.qmix_stats is not None:
-            mass_acc["qmix"].append(out.qmix_stats.mass)
-            mpk_acc["qmix"].append(out.qmix_stats.mean_per_key)
         if cfg.emit.links:
             rows = out.qmix_attn if out.qmix_attn is not None else out.self_attn
             conf = out.class_scores.max(axis=1)
@@ -530,14 +523,12 @@ def build_report(cfg: RunConfig, result) -> dict:
         layers.append(rec)
 
     attn_mean = {}
-    for key in ("self", "qmix"):
-        if mass_acc[key]:
-            attn_mean[key] = {
-                "mass": np.mean(mass_acc[key], axis=0).tolist(),
-                "mean_per_key": np.mean(mpk_acc[key], axis=0).tolist(),
-            }
-        else:
-            attn_mean[key] = None
+    for key, stats in (("self", [out.self_stats for out in outputs]),
+                       ("qmix", [out.qmix_stats for out in outputs
+                                 if out.qmix_stats is not None])):
+        attn_mean[key] = {
+            stat: np.mean([getattr(s, stat) for s in stats], axis=0).tolist()
+            for stat in ("mass", "mean_per_key")} if stats else None
 
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
@@ -575,8 +566,8 @@ def _log_timing(timing: dict):
 
 def cmd_gen_scene(args) -> int:
     cfg = build_config(args)
-    scn, rig = sc.generate_scene(cfg.seeds.scene, cfg.scene)
-    sc.save_scene(scn, rig, args.out)
+    scn = sc.generate_scene(cfg.seeds.scene, cfg.scene)
+    sc.save_scene(scn, args.out)
     print(f"[hqfusion] wrote scene with {len(scn.objects)} objects to {args.out}",
           file=sys.stderr)
     return 0
@@ -602,8 +593,8 @@ def cmd_run(args) -> int:
 def cmd_init_weights(args) -> int:
     cfg = build_config(args)
     weights = weights_io.init_weights(cfg.seeds.weights, cfg.decoder)
-    weights_io.save_weights(weights, args.out)
-    print(f"[hqfusion] wrote {len(weights.tensors)} tensors to {args.out}",
+    weights_io.save_weights(weights, cfg.decoder, args.out)
+    print(f"[hqfusion] wrote {len(weights)} tensors to {args.out}",
           file=sys.stderr)
     return 0
 

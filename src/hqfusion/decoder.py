@@ -4,8 +4,9 @@ Per layer: type adapters + type embeddings -> shared self-attention ->
 deformable sampling on the BEV grids (with optional swap sampling) and
 perspective-view sampling -> cross-attention feature aggregation -> optional
 cross-type mixing -> detection head -> iterative position refinement.
-One weight set is applied at every layer; there is no per-layer state other
-than the query embeddings, positions and box predictions.
+One weight set, weights_io's name -> array dict, is applied at every layer;
+there is no per-layer state other than the query embeddings, positions and
+box predictions.
 
 Sampling runs on whole arrays: each BEV grid's points live in one qswap
 SampleBank, as absolute BEV points from base-set prediction on.  Every map
@@ -120,18 +121,15 @@ class LayerOutput:
 # ---------------------------------------------------------------------------
 
 def mha_weights(weights, block: str, heads: int) -> MhaWeights:
-    t = weights.tensors
-    return MhaWeights(heads, t[f"{block}.wq"], t[f"{block}.wk"], t[f"{block}.wv"],
-                      t[f"{block}.wo"], t[f"{block}.bq"], t[f"{block}.bk"],
-                      t[f"{block}.bv"], t[f"{block}.bo"])
+    return MhaWeights(heads, *(weights[f"{block}.{p}"] for p in
+                               ("wq", "wk", "wv", "wo", "bq", "bk", "bv", "bo")))
 
 
 def mixing_weights(weights, block: str, heads: int) -> QMixWeights:
-    t = weights.tensors
     return QMixWeights(mha_weights(weights, block, heads),
-                       t[f"{block}.ln.gamma"], t[f"{block}.ln.beta"],
-                       t[f"{block}.mlp.lin1.w"], t[f"{block}.mlp.lin1.b"],
-                       t[f"{block}.mlp.lin2.w"], t[f"{block}.mlp.lin2.b"])
+                       weights[f"{block}.ln.gamma"], weights[f"{block}.ln.beta"],
+                       weights[f"{block}.mlp.lin1.w"], weights[f"{block}.mlp.lin1.b"],
+                       weights[f"{block}.mlp.lin2.w"], weights[f"{block}.mlp.lin2.b"])
 
 
 # ---------------------------------------------------------------------------
@@ -140,17 +138,16 @@ def mixing_weights(weights, block: str, heads: int) -> QMixWeights:
 
 def apply_type_adapter(emb: np.ndarray, types: np.ndarray, weights) -> np.ndarray:
     """Residual 2-layer adapter per type, then the learnable type embedding."""
-    t = weights.tensors
     out = emb.copy()
     for code, name in ((TYPE_IMG, "img"), (TYPE_RAD, "rad"), (TYPE_W, "w")):
         sel = types == code
         if not sel.any():
             continue
         x = emb[sel]
-        h = np.maximum(x @ t[f"adapter.{name}.lin1.w"].T
-                       + t[f"adapter.{name}.lin1.b"], 0.0)
-        out[sel] = (x + h @ t[f"adapter.{name}.lin2.w"].T
-                    + t[f"adapter.{name}.lin2.b"] + t[f"type_emb.{name}"])
+        h = np.maximum(x @ weights[f"adapter.{name}.lin1.w"].T
+                       + weights[f"adapter.{name}.lin1.b"], 0.0)
+        out[sel] = (x + h @ weights[f"adapter.{name}.lin2.w"].T
+                    + weights[f"adapter.{name}.lin2.b"] + weights[f"type_emb.{name}"])
     return out
 
 
@@ -179,21 +176,20 @@ def shared_self_attention(emb: np.ndarray, positions: np.ndarray, weights,
     embedding space; the head-averaged weights feed swap sampling as the
     query affinity prior.
     """
-    t = weights.tensors
     pe = sinusoidal_position_encoding(positions, emb.shape[1])
     qk = emb + pe
     out, attn = multi_head_attention(qk, qk, emb,
                                      mha_weights(weights, "self_attn", heads))
-    return layer_norm(emb + out, t["self_attn.ln.gamma"], t["self_attn.ln.beta"]), attn
+    return (layer_norm(emb + out, weights["self_attn.ln.gamma"],
+                       weights["self_attn.ln.beta"]), attn)
 
 
 def predict_base_sets(emb: np.ndarray, positions: np.ndarray, weights,
                       k_base: int) -> dict[str, SampleBank]:
     """Base sampling banks of every query on both BEV grids, around positions."""
-    t = weights.tensors
     return {kind: base_bank(positions, *predict_base_samples(
-                emb, t[f"sample.{kind}.w"], t[f"sample.{kind}.b"],
-                float(t[f"sample.{kind}.range"][0]), k_base))
+                emb, weights[f"sample.{kind}.w"], weights[f"sample.{kind}.b"],
+                float(weights[f"sample.{kind}.range"][0]), k_base))
             for kind in BEV_KINDS}
 
 
@@ -250,7 +246,6 @@ def plan_tokens(emb: np.ndarray, positions: np.ndarray, features: SceneFeatures,
     weights.  A BEV point outside its grid's extent keeps its slot and log
     weight but is left out of its source, so it is never interpolated.
     """
-    t = weights.tensors
     n, d = emb.shape
     banks = [sets_by_kind[kind] for kind in BEV_KINDS]
     views = []  # (pv map, projected uv, ids of the queries the camera sees)
@@ -284,8 +279,9 @@ def plan_tokens(emb: np.ndarray, positions: np.ndarray, features: SceneFeatures,
         fill += bank.sizes
 
     if views:
-        pv_scores = emb @ t["sample.pv.score.w"].T + t["sample.pv.score.b"]
-        pv_off = t["sample.pv.offsets"]
+        pv_scores = (emb @ weights["sample.pv.score.w"].T
+                     + weights["sample.pv.score.b"])
+        pv_off = weights["sample.pv.offsets"]
         pv_w = softmax_rows(np.tile(pv_scores, len(views)),
                             np.repeat(~seen, k_pv, axis=1))
         pv_w = pv_w.reshape(n, len(views), k_pv)
@@ -348,7 +344,6 @@ def aggregate_features_batch(emb: np.ndarray, u: np.ndarray, tok: np.ndarray,
     get weight exactly 0 and must hold finite values (build_tokens zero-fills
     them), so they add nothing to the weighted token sum.
     """
-    t = weights.tensors
     d = emb.shape[1]
     if tok.shape[1] == 0:
         return emb.copy()
@@ -358,8 +353,8 @@ def aggregate_features_batch(emb: np.ndarray, u: np.ndarray, tok: np.ndarray,
     logits += logw
     a = softmax_rows(logits, ~valid)
     mixed = np.matmul(a[:, None, :], tok)[:, 0, :]
-    ctx = mixed @ t["agg.wv"].T + t["agg.bv"]
-    upd = ctx @ t["agg.wo"].T + t["agg.bo"]
+    ctx = mixed @ weights["agg.wv"].T + weights["agg.bv"]
+    upd = ctx @ weights["agg.wo"].T + weights["agg.bo"]
     return np.where(any_tok[:, None], emb + upd, emb)
 
 
@@ -368,10 +363,9 @@ def gather_and_aggregate(emb: np.ndarray, positions: np.ndarray,
                          sets_by_kind: dict[str, SampleBank], k_pv: int
                          ) -> np.ndarray:
     """Feature sampling and aggregation of a layer, one query block at a time."""
-    t = weights.tensors
     plan = plan_tokens(emb, positions, features, weights, sets_by_kind, k_pv)
     # every query in token space, projected once for all blocks
-    u = (emb @ t["agg.wq"].T + t["agg.bq"]) @ t["agg.wk"]
+    u = (emb @ weights["agg.wq"].T + weights["agg.bq"]) @ weights["agg.wk"]
     out = np.empty_like(emb)
     for rows in plan.blocks():
         tok, logw, valid = build_tokens(plan, rows)
@@ -383,12 +377,12 @@ def gather_and_aggregate(emb: np.ndarray, positions: np.ndarray,
 def detection_head(emb: np.ndarray, positions: np.ndarray, weights,
                    config: DecoderConfig):
     """Class scores plus box regression; box center becomes the new position."""
-    t = weights.tensors
-    raw = emb @ t["head.box.w"].T + t["head.box.b"]
+    raw = emb @ weights["head.box.w"].T + weights["head.box.b"]
     # an exp that overflows to inf is exact here: the sigmoid gives 0 and the
     # size clip 30
     with np.errstate(over="ignore"):
-        cls = 1.0 / (1.0 + np.exp(-(emb @ t["head.cls.w"].T + t["head.cls.b"])))
+        cls = 1.0 / (1.0 + np.exp(-(emb @ weights["head.cls.w"].T
+                                    + weights["head.cls.b"])))
         sizes = np.clip(np.exp(raw[:, 3:6]), 0.1, 30.0)
     centers = positions + raw[:, :3]
     centers = np.clip(centers, -config.extent, config.extent)
@@ -414,12 +408,12 @@ def decode(features: SceneFeatures, queries: QuerySet, weights,
     if any(m.d != config.d for m in (features.img_bev, features.rad_bev, *pv)):
         raise ConfigError("feature map widths do not match config d")
     want = expected_shapes(config)
-    if set(weights.tensors) != set(want):
+    if set(weights) != set(want):
         raise ConfigError("weight tensor set does not match config")
     for name, shape in want.items():
-        if weights.tensors[name].shape != shape:
+        if weights[name].shape != shape:
             raise ConfigError(f"weight tensor {name} has shape "
-                              f"{weights.tensors[name].shape}, config wants {shape}")
+                              f"{weights[name].shape}, config wants {shape}")
 
     emb = queries.embeddings.astype(np.float64).copy()
     pos = queries.positions.astype(np.float64).copy()

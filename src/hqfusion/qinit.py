@@ -110,10 +110,10 @@ class Proposals:
     object_ids: np.ndarray   # (P,) int64 ground-truth source, -1 for distractors
 
 
-def generate_2d_proposals(scene: Scene, rig: list[Camera], pv_maps: list[FeatureGrid],
+def generate_2d_proposals(scene: Scene, pv_maps: list[FeatureGrid],
                           per_view: int = 50, center_noise_px: float = 2.0,
                           depth_noise: float = 1.0, seed: int = 0) -> Proposals:
-    """Oracle pre-detector: per view, proposals at noisy projected centers.
+    """Oracle pre-detector: per camera, proposals at noisy projected centers.
 
     Object proposals score 0.9 * exp(-depth / 60) plus uniform jitter in
     [0, 0.05); the remaining slots are filled with distractors scoring
@@ -122,11 +122,11 @@ def generate_2d_proposals(scene: Scene, rig: list[Camera], pv_maps: list[Feature
     """
     centers = np.array([o.center for o in scene.objects]).reshape(-1, 3)
     ids = np.array([o.id for o in scene.objects], dtype=np.int64)
-    n = len(rig) * per_view
+    n = len(scene.rig) * per_view
     table = np.empty((n, 4))   # u, v, score, noisy depth
     object_ids = np.full(n, -1, dtype=np.int64)
     features = np.empty((n, scene.config.feature_dim))
-    for ci, cam in enumerate(rig):
+    for ci, cam in enumerate(scene.rig):
         rng = np.random.default_rng([seed, _STREAM_PROPOSALS, ci])
         view = slice(ci * per_view, (ci + 1) * per_view)
         uv, depths, visible = project_points(centers, cam)
@@ -150,7 +150,7 @@ def generate_2d_proposals(scene: Scene, rig: list[Camera], pv_maps: list[Feature
         rows[keep.size:] = lo + (hi - lo) * rng.random((per_view - keep.size, 4))
         fy, fx = pv_maps[ci].frac_coords(rows[:, 0], rows[:, 1])
         features[view] = bilinear_at(pv_maps[ci].data, fy, fx)
-    views = np.repeat(np.arange(len(rig)), per_view)
+    views = np.repeat(np.arange(len(scene.rig)), per_view)
     return Proposals(table[:, :2], table[:, 2], table[:, 3], features, views,
                      object_ids)
 

@@ -1,9 +1,10 @@
 """Synthetic 3-D scenes and the multi-modal feature maps rendered from them.
 
-This module stands in for real sensor backbones: it generates ground-truth
-objects, a surround-view camera rig (a list of Cameras) and a radar point
-cloud, then renders per-camera perspective-view (PV) feature maps, an image
-BEV grid and a radar BEV grid plus detection heatmap.  Every map is a
+This module stands in for real sensor backbones: it generates a Scene
+(ground-truth objects and the surround-view camera rig, a list of Cameras)
+and a radar point cloud, then renders per-camera perspective-view (PV)
+feature maps, an image BEV grid and a radar BEV grid plus detection
+heatmap; both BEV grids come from FeatureGrid.square.  Every map is a
 FeatureGrid, a PV map in pixels and a BEV grid in metres.  Every object
 carries a distinct unit-norm "signature" embedding that the renderers splat
 at the object location, so tests can verify that sampled evidence really
@@ -133,23 +134,17 @@ class Scene:
     objects: list[SceneObject]
     seed: int
     config: SceneConfig
+    rig: list[Camera]
 
 
-@dataclass
-class GridConfig:
-    """Square BEV grid layout: [-extent, extent]^2 at the given voxel size."""
-
-    extent: float = 51.2
-    voxel: float = 0.8
-
-    def cells(self) -> int:
-        span = 2.0 * self.extent
-        n = round(span / self.voxel)
-        if n < 1 or abs(n * self.voxel - span) > 1e-9 * max(span, 1.0):
-            raise ConfigError(
-                f"extent {self.extent} is not an integer number of {self.voxel} m voxels"
-            )
-        return n
+def bev_cells(extent: float, voxel: float) -> int:
+    """Cells per side of the BEV grid over [-extent, extent]^2 at voxel size."""
+    span = 2.0 * extent
+    n = round(span / voxel)
+    if n < 1 or abs(n * voxel - span) > 1e-9 * max(span, 1.0):
+        raise ConfigError(
+            f"extent {extent} is not an integer number of {voxel} m voxels")
+    return n
 
 
 @dataclass
@@ -190,10 +185,12 @@ class FeatureGrid:
         return (self.data if self.basis is None else self.basis).shape[-1]
 
     @classmethod
-    def allocate(cls, grid_config: GridConfig, d: int) -> "FeatureGrid":
-        n = grid_config.cells()
-        e = grid_config.extent
-        return cls(np.zeros((n, n, d)), -e, e, -e, e, grid_config.voxel)
+    def square(cls, extent: float, voxel: float, c: int,
+               basis: np.ndarray | None = None) -> "FeatureGrid":
+        """A zero BEV grid of c channels over [-extent, extent]^2."""
+        n = bev_cells(extent, voxel)
+        return cls(np.zeros((n, n, c)), -extent, extent, -extent, extent, voxel,
+                   basis)
 
     def frac_coords(self, x, y):
         """x, y (scalars or arrays) -> fractional (fy, fx) cell coords."""
@@ -258,7 +255,7 @@ def build_rig(config: SceneConfig) -> list[Camera]:
     return cams
 
 
-def generate_scene(seed: int, config: SceneConfig) -> tuple[Scene, list[Camera]]:
+def generate_scene(seed: int, config: SceneConfig) -> Scene:
     """Place objects uniformly with a minimum center separation.
 
     Raises GenerationError when MAX_REJECTED_DRAWS draws in a row land too
@@ -302,7 +299,7 @@ def generate_scene(seed: int, config: SceneConfig) -> tuple[Scene, list[Camera]]
         sig /= np.linalg.norm(sig)
         objects.append(SceneObject(i, center, np.array([w, l, h]), float(yaw),
                                    vel, class_id, sig))
-    return Scene(objects, seed, config), build_rig(config)
+    return Scene(objects, seed, config, build_rig(config))
 
 
 def project_points(points: np.ndarray, camera: Camera):
@@ -373,14 +370,14 @@ def _splat(data: np.ndarray, fy: float, fx: float, vec: np.ndarray, sigma: float
     data[y0:y1 + 1, x0:x1 + 1] += weight[:, :, None] * vec
 
 
-def render_pv_features(scene: Scene, rig: list[Camera], d: int, noise_sigma: float,
-                       seed: int = 0, downsample: int = 16) -> list[FeatureGrid]:
+def render_pv_features(scene: Scene, d: int, noise_sigma: float, seed: int = 0,
+                       downsample: int = 16) -> list[FeatureGrid]:
     """Per-camera PV maps: noise background + signature splats at projected centers."""
     if d != scene.config.feature_dim:
         raise ConfigError("feature dim does not match scene signatures")
     centers = np.array([o.center for o in scene.objects]).reshape(-1, 3)
     maps = []
-    for ci, cam in enumerate(rig):
+    for ci, cam in enumerate(scene.rig):
         hf = max(1, cam.height // downsample)
         wf = max(1, cam.width // downsample)
         rng = np.random.default_rng([seed, _STREAM_PV_NOISE, ci])
@@ -396,16 +393,15 @@ def render_pv_features(scene: Scene, rig: list[Camera], d: int, noise_sigma: flo
     return maps
 
 
-def render_image_bev(scene: Scene, grid_config: GridConfig, d: int,
-                     noise_sigma: float, miss_rate: float = 0.0,
-                     seed: int = 0) -> FeatureGrid:
-    """Image-view BEV grid: signature splats at object BEV centers.
+def render_image_bev(scene: Scene, voxel: float, d: int, noise_sigma: float,
+                     miss_rate: float = 0.0, seed: int = 0) -> FeatureGrid:
+    """Image-view BEV grid of the scene: signature splats at object centers.
 
     A seeded fraction `miss_rate` of objects is omitted, emulating camera
     depth-lifting failures.  Miss decisions use the first len(objects) draws
     of stream [seed, 5] so tests can reproduce them independently.
     """
-    grid = FeatureGrid.allocate(grid_config, d)
+    grid = FeatureGrid.square(scene.config.extent, voxel, d)
     miss = np.random.default_rng([seed, _STREAM_BEV_MISS]).random(len(scene.objects))
     noise_rng = np.random.default_rng([seed, _STREAM_BEV_NOISE])
     grid.data += noise_rng.normal(0.0, 1.0, size=grid.data.shape) * noise_sigma
@@ -417,9 +413,9 @@ def render_image_bev(scene: Scene, grid_config: GridConfig, d: int,
     return grid
 
 
-def encode_radar_bev(points: RadarPointCloud, grid_config: GridConfig, d: int,
+def encode_radar_bev(points: RadarPointCloud, extent: float, voxel: float, d: int,
                      seed: int = 0) -> tuple[FeatureGrid, np.ndarray]:
-    """Pillar-style radar encoding plus a detection heatmap.
+    """Pillar-style radar encoding of [-extent, extent]^2 plus a detection heatmap.
 
     Per cell, the feature is the mean of a fixed hand-rolled featurization
     (in-cell offsets, velocity, RCS, count) pushed through a seeded fixed
@@ -431,9 +427,8 @@ def encode_radar_bev(points: RadarPointCloud, grid_config: GridConfig, d: int,
     """
     embed = np.random.default_rng([seed, _STREAM_RADAR_EMBED]).normal(
         0.0, 1.0 / math.sqrt(6.0), size=(6, d))
-    n, e = grid_config.cells(), grid_config.extent
-    grid = FeatureGrid(np.zeros((n, n, 6)), -e, e, -e, e, grid_config.voxel,
-                       basis=embed)
+    grid = FeatureGrid.square(extent, voxel, 6, basis=embed)
+    n = grid.data.shape[0]
     heatmap = np.zeros((n, n))
 
     if len(points) > 0:
@@ -486,7 +481,7 @@ def smooth_heatmap(heatmap: np.ndarray) -> np.ndarray:
 # Serialization
 # ---------------------------------------------------------------------------
 
-def scene_to_dict(scene: Scene, rig: list[Camera]) -> dict:
+def scene_to_dict(scene: Scene) -> dict:
     return {
         "seed": scene.seed,
         "config": asdict(scene.config),
@@ -504,7 +499,7 @@ def scene_to_dict(scene: Scene, rig: list[Camera]) -> dict:
                 "r_wc": c.r_wc.tolist(), "position": c.position.tolist(),
                 "width": c.width, "height": c.height,
             }
-            for c in rig
+            for c in scene.rig
         ],
     }
 
@@ -585,8 +580,8 @@ def _camera(c: dict, where: str, config: SceneConfig) -> Camera:
                   width, height)
 
 
-def scene_from_dict(doc: dict, config: SceneConfig) -> tuple[Scene, list[Camera]]:
-    """Scene and rig of a scene document; `config` is its hydrated config block.
+def scene_from_dict(doc: dict, config: SceneConfig) -> Scene:
+    """The scene of a scene document; `config` is its hydrated config block.
 
     Every field is checked against the config, and a bad one raises
     ConfigError: shapes, finite values, objects and cameras inside the scene
@@ -610,12 +605,12 @@ def scene_from_dict(doc: dict, config: SceneConfig) -> tuple[Scene, list[Camera]
     _require(len(cams) == config.num_cameras,
              f"rig holds {len(cams)} cameras, scene.num_cameras is "
              f"{config.num_cameras}")
-    return Scene(objects, seed, config), cams
+    return Scene(objects, seed, config, cams)
 
 
-def save_scene(scene: Scene, rig: list[Camera], path):
+def save_scene(scene: Scene, path):
     """Write the scene document, with no trailing newline.
 
     A NaN or an infinity raises NonFiniteError before the file is opened.
     """
-    jsontext.write(path, scene_to_dict(scene, rig), end="")
+    jsontext.write(path, scene_to_dict(scene), end="")

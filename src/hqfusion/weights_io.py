@@ -29,20 +29,6 @@ _STREAM_WEIGHTS = 8
 MAX_WEIGHT = 1e4
 
 
-class DecoderWeights:
-    """Flat name -> float64 tensor map shared by every decoder layer."""
-
-    def __init__(self, tensors: dict[str, np.ndarray], config_hash: str):
-        self.tensors = tensors
-        self.config_hash = config_hash
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.tensors[name]
-
-    def names(self) -> list[str]:
-        return sorted(self.tensors)
-
-
 def config_hash(config) -> str:
     """Hash of the weight-shaping config fields."""
     key = {
@@ -117,20 +103,20 @@ def _init_tensor(name: str, shape: tuple[int, ...], rng: np.random.Generator
     return rng.uniform(-bound, bound, size=shape)
 
 
-def init_weights(seed: int, config) -> DecoderWeights:
-    """Seeded init; values are quantized to float32 for file round-trips."""
+def init_weights(seed: int, config) -> dict[str, np.ndarray]:
+    """Seeded init of the name -> float64 tensor map every decoder layer
+    shares; values are quantized to float32 for file round-trips."""
     rng = np.random.default_rng([seed, _STREAM_WEIGHTS])
-    tensors = {}
-    for name, shape in sorted(expected_shapes(config).items()):
-        tensors[name] = _init_tensor(name, shape, rng).astype("<f4").astype(np.float64)
-    return DecoderWeights(tensors, config_hash(config))
+    return {name: _init_tensor(name, shape, rng).astype("<f4").astype(np.float64)
+            for name, shape in sorted(expected_shapes(config).items())}
 
 
-def save_weights(weights: DecoderWeights, path):
+def save_weights(weights: dict[str, np.ndarray], config, path):
+    """Write the tensors in name order, tagged with config_hash(config)."""
     entries = []
     chunks = []
     offset = 0
-    for name in weights.names():
+    for name in sorted(weights):
         arr = weights[name].astype("<f4")
         raw = arr.tobytes()
         entries.append({
@@ -144,7 +130,7 @@ def save_weights(weights: DecoderWeights, path):
         offset += len(raw)
     manifest = {
         "format": FORMAT_TAG,
-        "config_hash": weights.config_hash,
+        "config_hash": config_hash(config),
         "tensors": entries,
     }
     with open(path, "wb") as fh:
@@ -166,7 +152,13 @@ def _well_formed(entry) -> bool:
             and _is_count(entry.get("offset")) and _is_count(entry.get("length")))
 
 
-def load_weights(path, config) -> DecoderWeights:
+def _some(names: list[str]) -> str:
+    """How many names, and the first two, each cut at 60 characters."""
+    shown = ", ".join(f"{n!r:.60}" for n in names[:2])
+    return f"{len(names)} [{shown}{', ...' if len(names) > 2 else ''}]"
+
+
+def load_weights(path, config) -> dict[str, np.ndarray]:
     """Parse, validate against config, and reject anything inconsistent."""
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -201,7 +193,7 @@ def load_weights(path, config) -> DecoderWeights:
             raise WeightFormatError(f"unsupported dtype {e['dtype']!r:.60}")
         expect_len = math.prod(e["shape"]) * 4
         if e["length"] != expect_len:
-            raise WeightFormatError(f"tensor {e['name']} length mismatch")
+            raise WeightFormatError(f"tensor {e['name']!r:.60} length mismatch")
         if e["offset"] != cursor:
             raise WeightFormatError("tensor offsets are not contiguous")
         cursor += e["length"]
@@ -212,11 +204,10 @@ def load_weights(path, config) -> DecoderWeights:
 
     want = expected_shapes(config)
     if set(names) != set(want):
-        missing = sorted(set(want) - set(names))
-        extra = sorted(set(names) - set(want))
         raise WeightFormatError(
-            f"tensor set does not match config (missing {missing}, extra {extra})"
-        )
+            f"tensor set does not match config (missing "
+            f"{_some(sorted(set(want) - set(names)))}, extra "
+            f"{_some(sorted(set(names) - set(want)))})")
     want_hash = config_hash(config)
     if manifest.get("config_hash") != want_hash:
         raise WeightFormatError("weight file was produced for a different config")
@@ -226,8 +217,8 @@ def load_weights(path, config) -> DecoderWeights:
         shape = tuple(e["shape"])
         if shape != want[e["name"]]:
             raise WeightFormatError(
-                f"tensor {e['name']} has shape {shape}, config wants {want[e['name']]}"
-            )
+                f"tensor {e['name']!r:.60} has shape {shape!r:.60}, config "
+                f"wants {want[e['name']]}")
         start = e["offset"]
         arr = np.frombuffer(blob[start:start + e["length"]], dtype="<f4")
         if not (np.abs(arr) <= MAX_WEIGHT).all():
@@ -235,4 +226,4 @@ def load_weights(path, config) -> DecoderWeights:
                 f"tensor {e['name']} holds a value that is not finite or "
                 f"exceeds {MAX_WEIGHT} in magnitude")
         tensors[e["name"]] = arr.reshape(shape).astype(np.float64)
-    return DecoderWeights(tensors, manifest["config_hash"])
+    return tensors

@@ -419,7 +419,6 @@ def sample_features(position, embedding, features, weights, sample_sets, k_pv):
     learned pixel-offset points, their scores softmaxed apart from the BEV
     sets.
     """
-    t = weights.tensors
     tokens = []
     for kind in BEV_KINDS:
         sset = sample_sets[kind]
@@ -428,8 +427,8 @@ def sample_features(position, embedding, features, weights, sample_sets, k_pv):
         tokens.extend(Token(feats[k], float(w[k]), kind) for k in range(sset.size))
     if k_pv == 0:
         return tokens
-    pv_off = t["sample.pv.offsets"]
-    scores = embedding @ t["sample.pv.score.w"].T + t["sample.pv.score.b"]
+    pv_off = weights["sample.pv.offsets"]
+    scores = embedding @ weights["sample.pv.score.w"].T + weights["sample.pv.score.b"]
     groups = []
     for cam, pv in zip(features.rig, features.pv_maps):
         hit = project_to_view(position, cam)
@@ -456,19 +455,18 @@ def aggregate_features(embedding, tokens, weights):
     """
     if not tokens:
         return embedding.copy()
-    t = weights.tensors
     d = len(embedding)
-    qp = _row_affine(t["agg.wq"], embedding, t["agg.bq"])
+    qp = _row_affine(weights["agg.wq"], embedding, weights["agg.bq"])
     logits, values = [], []
     for tk in tokens:
-        kp = _row_affine(t["agg.wk"], tk.feature, t["agg.bk"])
-        values.append(_row_affine(t["agg.wv"], tk.feature, t["agg.bv"]))
+        kp = _row_affine(weights["agg.wk"], tk.feature, weights["agg.bk"])
+        values.append(_row_affine(weights["agg.wv"], tk.feature, weights["agg.bv"]))
         logits.append(np.dot(qp, kp) / math.sqrt(d) + np.log(tk.weight))
     a = naive_masked_softmax(logits, [False] * len(tokens))
     ctx = np.zeros(d)
     for j, v in enumerate(values):
         ctx += a[j] * v
-    return embedding + _row_affine(t["agg.wo"], ctx, t["agg.bo"])
+    return embedding + _row_affine(weights["agg.wo"], ctx, weights["agg.bo"])
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from hqfusion.qmix import attention_type_stats, qmix_attention
 from hqfusion.qswap import (ORIGIN_SHARED, QSwapConfig, adaptive_radius,
                             normalize_sample_scores, score_shared_points,
                             select_neighbors, swap_samples)
-from hqfusion.scene import GridConfig, project_points, render_image_bev
+from hqfusion.scene import project_points, render_image_bev
 
 from reference import (bilinear_sample, brute_force_selection,
                        identity_mha_weights, naive_bilinear,
@@ -196,8 +196,8 @@ def test_planted_evidence_end_to_end():
     from test_scene import manual_scene
 
     # two objects, zero noise; object A sits exactly on a BEV cell center
-    scene, _ = manual_scene([(0.5, 0.5, 0.75), (9.5, 9.5, 0.75)])
-    grid = render_image_bev(scene, GridConfig(extent=16.0, voxel=1.0), 8, 0.0)
+    scene = manual_scene([(0.5, 0.5, 0.75), (9.5, 9.5, 0.75)])
+    grid = render_image_bev(scene, 1.0, 8, 0.0)
     a_center = scene.objects[0].center[:2]
 
     # image query 0 on A; radar query 1 nearby, its base set holds one

@@ -187,7 +187,7 @@ def toy_config():
 
 # what `gen-scene --preset toy` writes
 TOY_SCENE = json.loads(json.dumps(sc.scene_to_dict(
-    *sc.generate_scene(7, toy_config().scene))))
+    sc.generate_scene(7, toy_config().scene))))
 
 
 def _scene_paths(node, prefix=()):
@@ -207,7 +207,8 @@ def _toy_weight_file() -> bytes:
     """What `init-weights --preset toy` writes."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "w.cfw"
-        save_weights(init_weights(0, toy_config().decoder), path)
+        decoder = toy_config().decoder
+        save_weights(init_weights(0, decoder), decoder, path)
         return path.read_bytes()
 
 
@@ -350,8 +351,7 @@ class TestConfig:
         assert cfg.decoder.qswap.radius_factor == 1.5
         assert cfg.decoder.qswap.prior_strength == 1.0
         assert cfg.render.voxel == 0.8
-        from hqfusion.scene import GridConfig
-        assert GridConfig(cfg.scene.extent, cfg.render.voxel).cells() == 128
+        assert sc.bev_cells(cfg.scene.extent, cfg.render.voxel) == 128
 
 
 class TestCliCommands:
@@ -549,9 +549,9 @@ class TestCliCommands:
         generate = sc.generate_scene
 
         def with_nan_yaw(seed, config):
-            scn, rig = generate(seed, config)
+            scn = generate(seed, config)
             scn.objects[0].yaw = float("nan")
-            return scn, rig
+            return scn
 
         monkeypatch.setattr(sc, "generate_scene", with_nan_yaw)
         assert "not JSON compliant" in assert_error_exit(
@@ -975,6 +975,41 @@ class TestCliCommands:
         cli.apply_override(cfg, "decoder.enable_qswap", False)
         cfg.validate()
 
+    @pytest.mark.parametrize("route", ["toy", "default", "scene"])
+    def test_bev_grids_have_the_limits_geometry(self, route, tmp_path,
+                                                monkeypatch):
+        # the radar-query row of limits() counts round(2 extent / voxel) ** 2
+        # heatmap cells: both grids and the heatmap must have that side
+        args = [] if route == "default" else [*TOY]
+        if route == "scene":
+            args += ["--set", "scene.extent=12.8", "--set", "decoder.extent=12.8"]
+            scene = tmp_path / "scene.json"
+            assert run_cli(["gen-scene", *args, "--out", str(scene)]) == 0
+            args += ["--scene", str(scene)]
+        args = cli.make_parser().parse_args(["run", *args, "--out", "r.json"])
+        cfg = cli.build_config(args)
+        heatmaps = []
+        encode = sc.encode_radar_bev
+
+        def keep(*a, **kw):
+            out = encode(*a, **kw)
+            heatmaps.append(out[1])
+            return out
+
+        monkeypatch.setattr(sc, "encode_radar_bev", keep)
+        _, features = cli.prepare_inputs(cfg, getattr(args, "scene", None))
+        side = sc.bev_cells(cfg.scene.extent, cfg.render.voxel)
+        assert side == {"toy": 64, "default": 128, "scene": 32}[route]
+        img, rad = features.img_bev, features.rad_bev
+        for grid in (img, rad):
+            assert grid.data.shape[:2] == (side, side)
+            assert ((grid.x_min, grid.x_max, grid.y_min, grid.y_max, grid.voxel)
+                    == (img.x_min, img.x_max, img.y_min, img.y_max, img.voxel))
+        [limit] = [limit for what, _, limit, _ in cfg.limits()
+                   if what.startswith("radar queries")]
+        [heatmap] = heatmaps
+        assert heatmap.shape == (side, side) and heatmap.size == limit
+
     def test_limit_fields_are_config_leaves(self):
         # a renamed leaf cannot leave a stale name in a refusal message
         leaves = {path for path, _ in LEAVES}
@@ -1022,7 +1057,7 @@ class TestCliCommands:
         cfg = toy_config()
         cli.apply_override(cfg, "scene.num_objects", 100)
         cfg.validate()
-        scene, _ = sc.generate_scene(7, cfg.scene)
+        scene = sc.generate_scene(7, cfg.scene)
         assert len(scene.objects) == 100
 
     def test_unreadable_inputs_refused(self, tmp_path, capsys):
@@ -1150,7 +1185,7 @@ class TestCliCommands:
         assert run_cli(["init-weights", *TOY, "--out", str(path)]) == 0
         cfg = toy_config()
         weights = load_weights(path, cfg.decoder)
-        assert "qmix.wq" in weights.tensors
+        assert "qmix.wq" in weights
 
     def test_run_with_weight_file_matches_seeded_init(self, tmp_path):
         w_path = tmp_path / "w.cfw"

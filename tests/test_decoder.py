@@ -22,7 +22,7 @@ from hqfusion.qmix import qmix_attention
 from hqfusion.qswap import (BEV_KINDS, ORIGIN_SHARED, QSwapConfig, base_bank,
                             normalize_sample_scores, select_neighbors,
                             swap_samples)
-from hqfusion.scene import (GridConfig, RadarSimConfig, encode_radar_bev,
+from hqfusion.scene import (RadarSimConfig, encode_radar_bev,
                             generate_scene, render_image_bev,
                             render_pv_features, simulate_radar_points)
 from hqfusion.weights_io import init_weights
@@ -51,18 +51,17 @@ def toy_setup(seed=5, n_world=9, n_img=4, n_rad=4, num_objects=3, cfg=None):
     scfg = SceneConfig(extent=cfg.extent, num_objects=num_objects,
                        num_clutter=4, num_classes=cfg.num_classes,
                        num_cameras=4, feature_dim=cfg.d)
-    scene, rig = generate_scene(seed, scfg)
-    gc = GridConfig(extent=cfg.extent, voxel=1.0)
-    pv = render_pv_features(scene, rig, cfg.d, 0.02, seed=seed)
-    img_bev = render_image_bev(scene, gc, cfg.d, 0.02, miss_rate=0.2, seed=seed)
+    scene = generate_scene(seed, scfg)
+    pv = render_pv_features(scene, cfg.d, 0.02, seed=seed)
+    img_bev = render_image_bev(scene, 1.0, cfg.d, 0.02, miss_rate=0.2, seed=seed)
     cloud = simulate_radar_points(scene, seed, RadarSimConfig(clutter_count=6))
-    rad_bev, heatmap = encode_radar_bev(cloud, gc, cfg.d, seed=seed)
+    rad_bev, heatmap = encode_radar_bev(cloud, cfg.extent, 1.0, cfg.d, seed=seed)
     world = init_world_queries(n_world, cfg.extent, cfg.d, seed, rings=3)
-    props = generate_2d_proposals(scene, rig, pv, per_view=6, seed=seed)
-    image, _ = init_image_queries(props, rig, n_img, cfg.extent, cfg.d)
+    props = generate_2d_proposals(scene, pv, per_view=6, seed=seed)
+    image, _ = init_image_queries(props, scene.rig, n_img, cfg.extent, cfg.d)
     radar = init_radar_queries(heatmap, rad_bev, n_rad)
     queries = concat_query_sets(world, image, radar)
-    features = SceneFeatures(img_bev, rad_bev, pv, rig)
+    features = SceneFeatures(img_bev, rad_bev, pv, scene.rig)
     weights = init_weights(seed, cfg)
     return scene, features, queries, weights, cfg
 
@@ -71,9 +70,9 @@ class TestTypeAdapter:
     def test_zero_adapter_is_identity(self):
         cfg = toy_config()
         w = init_weights(0, cfg)
-        for name in list(w.tensors):
+        for name in list(w):
             if name.startswith(("adapter.", "type_emb.")):
-                w.tensors[name] = np.zeros_like(w.tensors[name])
+                w[name] = np.zeros_like(w[name])
         rng = np.random.default_rng(0)
         emb = rng.normal(size=(6, cfg.d))
         types = np.array([TYPE_IMG, TYPE_RAD, TYPE_W, TYPE_W, TYPE_IMG, TYPE_RAD])
@@ -83,10 +82,10 @@ class TestTypeAdapter:
     def test_only_w_embedding_moves_w_queries(self):
         cfg = toy_config()
         w = init_weights(0, cfg)
-        for name in list(w.tensors):
+        for name in list(w):
             if name.startswith(("adapter.", "type_emb.")):
-                w.tensors[name] = np.zeros_like(w.tensors[name])
-        w.tensors["type_emb.w"] = np.full(cfg.d, 0.5)
+                w[name] = np.zeros_like(w[name])
+        w["type_emb.w"] = np.full(cfg.d, 0.5)
         rng = np.random.default_rng(1)
         emb = rng.normal(size=(4, cfg.d))
         types = np.array([TYPE_IMG, TYPE_W, TYPE_RAD, TYPE_W])
@@ -486,8 +485,8 @@ class TestAggregate:
         w = init_weights(0, cfg)
         d = cfg.d
         for p in ("q", "k", "v", "o"):
-            w.tensors[f"agg.w{p}"] = np.eye(d)
-            w.tensors[f"agg.b{p}"] = np.zeros(d)
+            w[f"agg.w{p}"] = np.eye(d)
+            w[f"agg.b{p}"] = np.zeros(d)
         rng = np.random.default_rng(1)
         emb = rng.normal(size=d)
         tok = rng.normal(size=d)
@@ -561,7 +560,7 @@ class TestAggregate:
         d = cfg.d
         rng = np.random.default_rng(7)
         for p in ("q", "k", "v", "o"):
-            w.tensors[f"agg.b{p}"] = rng.normal(0.0, 0.5, size=d)
+            w[f"agg.b{p}"] = rng.normal(0.0, 0.5, size=d)
         counts = np.array([9, 3, 0, 6, 1])
         n, t_max = len(counts), int(counts.max())
         emb = rng.normal(size=(n, d))
@@ -590,8 +589,8 @@ class TestDetectionHead:
     def test_zero_weights(self):
         cfg = toy_config()
         w = init_weights(0, cfg)
-        w.tensors["head.cls.w"] = np.zeros_like(w.tensors["head.cls.w"])
-        w.tensors["head.box.w"] = np.zeros_like(w.tensors["head.box.w"])
+        w["head.cls.w"] = np.zeros_like(w["head.cls.w"])
+        w["head.box.w"] = np.zeros_like(w["head.box.w"])
         pos = np.array([[1.0, 2.0, 0.0], [-3.0, 0.5, 0.2]])
         emb = np.random.default_rng(0).normal(size=(2, cfg.d))
         cls, centers, sizes, yaws, vel = detection_head(emb, pos, w, cfg)
@@ -604,10 +603,10 @@ class TestDetectionHead:
     def test_center_clipped_to_extent(self):
         cfg = toy_config(extent=5.0)
         w = init_weights(0, cfg)
-        w.tensors["head.box.w"] = np.zeros_like(w.tensors["head.box.w"])
+        w["head.box.w"] = np.zeros_like(w["head.box.w"])
         b = np.zeros(10)
         b[0] = 100.0
-        w.tensors["head.box.b"] = b
+        w["head.box.b"] = b
         pos = np.array([[0.0, 0.0, 0.0]])
         emb = np.zeros((1, cfg.d))
         _, centers, _, _, _ = detection_head(emb, pos, w, cfg)
@@ -617,10 +616,10 @@ class TestDetectionHead:
         # logits past exp's range give score 0 / size 30 and no warning
         cfg = toy_config()
         w = init_weights(0, cfg)
-        w.tensors["head.cls.w"] = np.zeros_like(w.tensors["head.cls.w"])
-        w.tensors["head.box.w"] = np.zeros_like(w.tensors["head.box.w"])
-        w.tensors["head.cls.b"] = np.full(cfg.num_classes, -1e4)
-        w.tensors["head.box.b"] = np.r_[0.0, 0.0, 0.0, 1e4, -1e4, 1e4, 0, 1, 0, 0]
+        w["head.cls.w"] = np.zeros_like(w["head.cls.w"])
+        w["head.box.w"] = np.zeros_like(w["head.box.w"])
+        w["head.cls.b"] = np.full(cfg.num_classes, -1e4)
+        w["head.box.b"] = np.r_[0.0, 0.0, 0.0, 1e4, -1e4, 1e4, 0, 1, 0, 0]
         emb = np.zeros((1, cfg.d))
         cls, _, sizes, _, _ = detection_head(emb, np.zeros((1, 3)), w, cfg)
         assert (cls == 0.0).all()
@@ -801,7 +800,7 @@ class TestDecode:
         ("head.box.b", "detection head output of layer 0")])
     def test_non_finite_stage_named(self, tensor, stage):
         _, features, queries, weights, cfg = toy_setup()
-        weights.tensors[tensor][:] = np.nan
+        weights[tensor][:] = np.nan
         with pytest.raises(NonFiniteError, match=stage):
             decode(features, queries, weights, cfg)
 

@@ -35,3 +35,11 @@ def test_anything_but_floats_differs():
                          (b"a,1,0.5\n", b"a,2,0.5\n"),
                          (b"a,1,0.5\n", b"b,1,0.5\n")]:
         assert compare(mine, theirs) is None, (mine, theirs)
+
+
+def test_differing_binary_output_differs():
+    # a weight file's float32 blob is not UTF-8; it is compared as bytes
+    blob = b'{"format": "cfw/1"}\n\n\x00\x00\x80\xbf'
+    assert compare(blob, blob) == "identical"
+    assert compare(blob, blob[:-1] + b"\xff") is None
+    assert compare(b"\xff\xfe", b"{}") is None

@@ -8,8 +8,8 @@ from hqfusion.qinit import (TYPE_IMG, TYPE_RAD, TYPE_W, Proposals, QuerySet,
                             backproject, concat_query_sets,
                             generate_2d_proposals, init_image_queries,
                             init_radar_queries, init_world_queries, ring_counts)
-from hqfusion.scene import (FeatureGrid, GridConfig, SceneConfig,
-                            build_rig, make_camera, render_pv_features)
+from hqfusion.scene import (FeatureGrid, SceneConfig, build_rig, make_camera,
+                            render_pv_features)
 
 from reference import cell_center, empty_query_set, project_to_view
 from test_scene import manual_scene
@@ -53,11 +53,11 @@ class TestWorldQueries:
 
 
 def proposals_setup(centers, noise=False, **scene_kw):
-    scene, rig = manual_scene(centers, **scene_kw)
-    pv_maps = render_pv_features(scene, rig, scene.config.feature_dim, 0.0)
+    scene = manual_scene(centers, **scene_kw)
+    pv_maps = render_pv_features(scene, scene.config.feature_dim, 0.0)
     kw = dict(center_noise_px=0.0, depth_noise=0.0) if not noise else {}
-    props = generate_2d_proposals(scene, rig, pv_maps, per_view=6, seed=3, **kw)
-    return scene, rig, pv_maps, props
+    props = generate_2d_proposals(scene, pv_maps, per_view=6, seed=3, **kw)
+    return scene, scene.rig, pv_maps, props
 
 
 def proposal_table(rows, features):
@@ -160,8 +160,7 @@ class TestImageQueries:
 
 
 def radar_grid_with(heatmap_shape=(6, 6), d=4, extent=3.0, voxel=1.0):
-    gc = GridConfig(extent=extent, voxel=voxel)
-    grid = FeatureGrid.allocate(gc, d)
+    grid = FeatureGrid.square(extent, voxel, d)
     rng = np.random.default_rng(0)
     grid.data[:] = rng.normal(size=grid.data.shape)
     return grid
@@ -221,8 +220,7 @@ class TestConcat:
 
     def test_default_counts_total_900(self):
         world = init_world_queries(450, 51.2, 4, seed=0)
-        gc = GridConfig(extent=12.0, voxel=0.8)
-        grid = FeatureGrid.allocate(gc, 4)
+        grid = FeatureGrid.square(12.0, 0.8, 4)
         heatmap = np.random.default_rng(0).uniform(
             0, 1, (grid.data.shape[0], grid.data.shape[1]))
         radar = init_radar_queries(heatmap, grid, 225)

@@ -490,14 +490,13 @@ class TestNormalize:
 
 class TestPlantedEvidence:
     def test_signature_token_transfers(self):
-        from hqfusion.scene import GridConfig, render_image_bev
+        from hqfusion.scene import render_image_bev
         from test_scene import manual_scene
 
         # object A at a cell center; query 0 sits on A, query 1 is a nearby
         # radar query whose base set contains a point exactly on A
-        scene, _ = manual_scene([(0.5, 0.5, 0.75), (8.5, 8.5, 0.75)])
-        grid = render_image_bev(scene, GridConfig(extent=16.0, voxel=1.0),
-                                8, 0.0)
+        scene = manual_scene([(0.5, 0.5, 0.75), (8.5, 8.5, 0.75)])
+        grid = render_image_bev(scene, 1.0, 8, 0.0)
         a_center = scene.objects[0].center[:2]
         pos = np.array([a_center, a_center + [3.0, 0.0]])
         cfg = QSwapConfig(k_base=4)

@@ -5,9 +5,9 @@ import pytest
 
 from hqfusion.cli import RunConfig, load_scene
 from hqfusion.errors import ConfigError, GenerationError, ShapeError
-from hqfusion.scene import (Camera, FeatureGrid, GridConfig,
+from hqfusion.scene import (Camera, FeatureGrid,
                             RadarPointCloud, RadarSimConfig, Scene, SceneConfig,
-                            SceneObject, build_rig, encode_radar_bev,
+                            SceneObject, bev_cells, build_rig, encode_radar_bev,
                             generate_scene, make_camera,
                             project_points, render_image_bev,
                             render_pv_features, save_scene,
@@ -36,18 +36,18 @@ def manual_scene(centers, d=8, extent=16.0, sizes=None, num_cameras=4):
         size = np.array(sizes[i]) if sizes else np.array([2.0, 4.0, 1.5])
         objects.append(SceneObject(i, np.array(c, dtype=float), size, 0.0,
                                    np.zeros(2), i % cfg.num_classes, sig))
-    return Scene(objects, 0, cfg), build_rig(cfg)
+    return Scene(objects, 0, cfg, build_rig(cfg))
 
 
 class TestGenerateScene:
     def test_empty(self):
-        scene, rig = generate_scene(7, small_config(num_objects=0))
+        scene = generate_scene(7, small_config(num_objects=0))
         assert scene.objects == []
-        assert len(rig) == 4
+        assert len(scene.rig) == 4
 
     def test_deterministic(self):
-        a, _ = generate_scene(7, small_config())
-        b, _ = generate_scene(7, small_config())
+        a = generate_scene(7, small_config())
+        b = generate_scene(7, small_config())
         for oa, ob in zip(a.objects, b.objects):
             assert np.array_equal(oa.center, ob.center)
             assert np.array_equal(oa.signature, ob.signature)
@@ -55,7 +55,7 @@ class TestGenerateScene:
 
     def test_min_separation(self):
         cfg = SceneConfig(extent=51.2, num_objects=20, feature_dim=8)
-        scene, _ = generate_scene(7, cfg)
+        scene = generate_scene(7, cfg)
         centers = np.array([o.center[:2] for o in scene.objects])
         for i in range(20):
             for j in range(i + 1, 20):
@@ -66,7 +66,7 @@ class TestGenerateScene:
             generate_scene(7, small_config(extent=3.0, num_objects=50))
 
     def test_signatures_unit_norm(self):
-        scene, _ = generate_scene(3, small_config())
+        scene = generate_scene(3, small_config())
         for o in scene.objects:
             assert abs(np.linalg.norm(o.signature) - 1.0) < 1e-12
 
@@ -122,12 +122,12 @@ class TestProjection:
 
 class TestRadarSim:
     def test_empty(self):
-        scene, _ = manual_scene([])
+        scene = manual_scene([])
         cloud = simulate_radar_points(scene, 0, RadarSimConfig(clutter_count=0))
         assert len(cloud) == 0
 
     def test_zero_noise_on_perimeter(self):
-        scene, _ = manual_scene([(6.0, 2.0, 0.75)])
+        scene = manual_scene([(6.0, 2.0, 0.75)])
         cfg = RadarSimConfig(points_per_object=16, pos_noise=0.0, vel_noise=0.0,
                              clutter_count=0)
         cloud = simulate_radar_points(scene, 1, cfg)
@@ -142,7 +142,7 @@ class TestRadarSim:
         assert np.allclose(cloud.velocity, 0.0)
 
     def test_counts(self):
-        scene, _ = manual_scene([(i * 4.0 - 8.0, 0.0, 0.75) for i in range(5)])
+        scene = manual_scene([(i * 4.0 - 8.0, 0.0, 0.75) for i in range(5)])
         cfg = RadarSimConfig(points_per_object=8, clutter_count=10)
         cloud = simulate_radar_points(scene, 2, cfg)
         assert len(cloud) == 50
@@ -152,31 +152,31 @@ class TestRadarSim:
 
 class TestRenderPv:
     def test_empty_zero_noise(self):
-        scene, rig = manual_scene([])
-        maps = render_pv_features(scene, rig, 8, 0.0)
+        scene = manual_scene([])
+        maps = render_pv_features(scene, 8, 0.0)
         assert all((m.data == 0.0).all() for m in maps)
 
     def test_peak_equals_signature(self):
         # camera chosen so the projected center lands on feature cell (1, 2)
-        scene, _ = manual_scene([(5.0, 0.0, 0.0)])
+        scene = manual_scene([(5.0, 0.0, 0.0)])
         cam = make_camera(100, 100, 10.0, 6.0, 0.0, (0.0, 0.0, 0.0), 20, 12)
-        rig = [cam]
-        maps = render_pv_features(scene, rig, 8, 0.0, downsample=4)
+        scene.rig = [cam]
+        maps = render_pv_features(scene, 8, 0.0, downsample=4)
         assert np.allclose(maps[0].data[1, 2], scene.objects[0].signature,
                            atol=1e-9)
 
     def test_visible_in_two_cameras(self):
         # 30 deg sits inside the overlap of cameras 0 and 1 on a 6-camera rig
-        scene, rig = manual_scene([(np.cos(np.pi / 6) * 12,
+        scene = manual_scene([(np.cos(np.pi / 6) * 12,
                                     np.sin(np.pi / 6) * 12, 0.9)],
                                   num_cameras=6)
         obj = scene.objects[0]
-        seen = [i for i, cam in enumerate(rig)
+        seen = [i for i, cam in enumerate(scene.rig)
                 if project_to_view(obj.center, cam) is not None]
         assert len(seen) >= 2
-        maps = render_pv_features(scene, rig, 8, 0.0)
+        maps = render_pv_features(scene, 8, 0.0)
         for ci in seen:
-            hit = project_to_view(obj.center, rig[ci])
+            hit = project_to_view(obj.center, scene.rig[ci])
             fy, fx = maps[ci].frac_coords(hit[0], hit[1])
             cell = maps[ci].data[round(float(fy)), round(float(fx))]
             assert cell @ obj.signature > 0.5
@@ -184,9 +184,9 @@ class TestRenderPv:
     @pytest.mark.parametrize("ds", [7, 16])
     def test_map_is_grid_in_pixels(self, ds):
         # 7 does not divide the image, so the map covers fewer pixels than it
-        scene, rig = manual_scene([(5.0, 1.0, 0.9)])
-        cam = rig[0]
-        pv = render_pv_features(scene, rig, 8, 0.1, downsample=ds)[0]
+        scene = manual_scene([(5.0, 1.0, 0.9)])
+        cam = scene.rig[0]
+        pv = render_pv_features(scene, 8, 0.1, downsample=ds)[0]
         hf, wf = cam.height // ds, cam.width // ds
         assert isinstance(pv, FeatureGrid) and pv.data.shape == (hf, wf, 8)
         assert (pv.x_min, pv.x_max, pv.y_min, pv.y_max, pv.voxel) == (
@@ -199,31 +199,31 @@ class TestRenderPv:
         assert fx.tobytes() == (u / ds - 0.5).tobytes()
 
     def test_deterministic(self):
-        scene, rig = manual_scene([(5.0, 1.0, 0.9)])
-        a = render_pv_features(scene, rig, 8, 0.1, seed=3)
-        b = render_pv_features(scene, rig, 8, 0.1, seed=3)
+        scene = manual_scene([(5.0, 1.0, 0.9)])
+        a = render_pv_features(scene, 8, 0.1, seed=3)
+        b = render_pv_features(scene, 8, 0.1, seed=3)
         for ma, mb in zip(a, b):
             assert np.array_equal(ma.data, mb.data)
 
 
 class TestRenderImageBev:
     def test_empty_zero_noise(self):
-        scene, _ = manual_scene([])
-        grid = render_image_bev(scene, GridConfig(extent=16.0, voxel=1.0), 8, 0.0)
+        scene = manual_scene([])
+        grid = render_image_bev(scene, 1.0, 8, 0.0)
         assert (grid.data == 0.0).all()
 
     def test_peak_equals_signature(self):
-        scene, _ = manual_scene([(0.5, 0.5, 0.75)])
-        grid = render_image_bev(scene, GridConfig(extent=16.0, voxel=1.0), 8, 0.0)
+        scene = manual_scene([(0.5, 0.5, 0.75)])
+        grid = render_image_bev(scene, 1.0, 8, 0.0)
         assert np.allclose(bilinear_sample(grid, (0.5, 0.5)),
                            scene.objects[0].signature, atol=1e-9)
 
     def test_miss_rate_omits_seeded_half(self):
         centers = [(x, y, 0.75) for x in (-10.5, -3.5, 3.5, 10.5)
                    for y in (-10.5, 10.5)]
-        scene, _ = manual_scene(centers)
+        scene = manual_scene(centers)
         seed = 11
-        grid = render_image_bev(scene, GridConfig(extent=16.0, voxel=1.0), 8,
+        grid = render_image_bev(scene, 1.0, 8,
                                 0.0, miss_rate=0.5, seed=seed)
         # reproduce the documented miss stream independently
         draws = np.random.default_rng([seed, 5]).random(len(centers))
@@ -237,7 +237,7 @@ class TestRenderImageBev:
 class TestEncodeRadarBev:
     def test_empty_cloud(self):
         grid, heatmap = encode_radar_bev(RadarPointCloud.empty(),
-                                         GridConfig(extent=8.0, voxel=1.0), 8)
+                                         8.0, 1.0, 8)
         assert (grid.data == 0.0).all()
         assert (heatmap == 0.0).all()
 
@@ -245,7 +245,7 @@ class TestEncodeRadarBev:
         pts = RadarPointCloud(
             np.array([[0.3, 0.2, 0.0], [0.1, 0.4, 0.0], [0.45, 0.05, 0.0]]),
             np.ones((3, 2)), np.full(3, 0.5), np.zeros(3, dtype=int))
-        grid, heatmap = encode_radar_bev(pts, GridConfig(extent=8.0, voxel=1.0), 8)
+        grid, heatmap = encode_radar_bev(pts, 8.0, 1.0, 8)
         nz = np.argwhere((grid.data != 0.0).any(axis=2))
         assert nz.shape[0] == 1
         row, col = nz[0]
@@ -259,9 +259,8 @@ class TestEncodeRadarBev:
                              np.zeros(m)]),
             rng.normal(size=(m, 2)), rng.uniform(0, 1, m),
             rng.integers(-1, 4, m))
-        gc = GridConfig(extent=8.0, voxel=1.0)
         seed = 9
-        grid, heatmap = encode_radar_bev(pts, gc, 8, seed=seed)
+        grid, heatmap = encode_radar_bev(pts, 8.0, 1.0, 8, seed=seed)
         embed = np.random.default_rng([seed, 2]).normal(
             0.0, 1.0 / math.sqrt(6.0), size=(6, 8))
         n = grid.data.shape[0]
@@ -307,9 +306,8 @@ class TestEncodeRadarBev:
                                rng.uniform(0, 1, 9), np.zeros(9, dtype=int))
         near = RadarPointCloud(xyz[:6], both.velocity[:6], both.rcs[:6],
                                both.object_ids[:6])
-        gc = GridConfig(extent=1e-6, voxel=1e-7)
-        grid, heatmap = encode_radar_bev(both, gc, 4)
-        near_grid, near_heatmap = encode_radar_bev(near, gc, 4)
+        grid, heatmap = encode_radar_bev(both, 1e-6, 1e-7, 4)
+        near_grid, near_heatmap = encode_radar_bev(near, 1e-6, 1e-7, 4)
         assert np.array_equal(grid.data, near_grid.data)
         assert np.array_equal(heatmap, near_heatmap)
 
@@ -321,7 +319,7 @@ class TestEncodeRadarBev:
                              np.zeros(m)]),
             rng.normal(size=(m, 2)), rng.uniform(0, 1, m),
             np.full(m, -1, dtype=int))
-        _, heatmap = encode_radar_bev(pts, GridConfig(extent=8.0, voxel=1.0), 4)
+        _, heatmap = encode_radar_bev(pts, 8.0, 1.0, 4)
         assert heatmap.min() >= 0.0 and heatmap.max() <= 1.0
 
 
@@ -335,10 +333,10 @@ def preset_radar_heatmaps():
     for preset in ("default", "toy"):
         for seed in range(5):
             cfg = cli.config_from_dict(cli.PRESETS[preset])
-            scene, _ = generate_scene(seed, cfg.scene)
+            scene = generate_scene(seed, cfg.scene)
             cloud = simulate_radar_points(scene, seed, cfg.radar)
-            gc = GridConfig(extent=cfg.scene.extent, voxel=cfg.render.voxel)
-            grid, encoded = encode_radar_bev(cloud, gc, 1, seed=seed)
+            grid, encoded = encode_radar_bev(cloud, cfg.scene.extent,
+                                             cfg.render.voxel, 1, seed=seed)
             counts = np.zeros((grid.data.shape[0], grid.data.shape[1]))
             for x, y, _ in cloud.xyz:
                 col = int(np.floor((x - grid.x_min) / grid.voxel))
@@ -377,9 +375,8 @@ class TestSmoothHeatmap:
 
 class TestSignatureRecoverability:
     def test_bev_center_cosine(self):
-        scene, _ = generate_scene(13, small_config(num_objects=5, extent=20.0))
-        grid = render_image_bev(scene, GridConfig(extent=20.0, voxel=0.8),
-                                8, 0.0)
+        scene = generate_scene(13, small_config(num_objects=5, extent=20.0))
+        grid = render_image_bev(scene, 0.8, 8, 0.0)
         for obj in scene.objects:
             feat = bilinear_sample(grid, obj.center[:2])
             cos = feat @ obj.signature / max(np.linalg.norm(feat), 1e-12)
@@ -387,10 +384,10 @@ class TestSignatureRecoverability:
 
 
 class TestGridTypes:
-    def test_grid_config_cells(self):
-        assert GridConfig(extent=51.2, voxel=0.8).cells() == 128
+    def test_bev_cells(self):
+        assert bev_cells(51.2, 0.8) == 128
         with pytest.raises(ConfigError):
-            GridConfig(extent=1.0, voxel=0.3).cells()
+            bev_cells(1.0, 0.3)
 
     def test_feature_grid_invariant(self):
         with pytest.raises(ShapeError):
@@ -406,16 +403,16 @@ class TestGridTypes:
 
 class TestSceneSerialization:
     def test_roundtrip(self, tmp_path):
-        scene, rig = generate_scene(21, small_config())
+        scene = generate_scene(21, small_config())
         path = tmp_path / "scene.json"
-        save_scene(scene, rig, path)
-        back, back_rig = load_scene(RunConfig(), path)
-        assert scene_to_dict(back, back_rig) == scene_to_dict(scene, rig)
+        save_scene(scene, path)
+        back = load_scene(RunConfig(), path)
+        assert scene_to_dict(back) == scene_to_dict(scene)
 
     def test_dict_roundtrip_objects(self):
-        scene, rig = generate_scene(22, small_config())
-        doc = scene_to_dict(scene, rig)
-        back, _ = scene_from_dict(doc, scene.config)
+        scene = generate_scene(22, small_config())
+        doc = scene_to_dict(scene)
+        back = scene_from_dict(doc, scene.config)
         for a, b in zip(scene.objects, back.objects):
             assert np.array_equal(a.center, b.center)
             assert a.class_id == b.class_id

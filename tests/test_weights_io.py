@@ -23,15 +23,15 @@ class TestInit:
         cfg = small_config()
         a = init_weights(3, cfg)
         b = init_weights(3, cfg)
-        assert a.names() == b.names()
-        for name in a.names():
+        assert sorted(a) == sorted(b)
+        for name in sorted(a):
             assert np.array_equal(a[name], b[name])
 
     def test_different_seeds_differ(self):
         cfg = small_config()
         a = init_weights(3, cfg)
         b = init_weights(4, cfg)
-        assert any(not np.array_equal(a[n], b[n]) for n in a.names())
+        assert any(not np.array_equal(a[n], b[n]) for n in sorted(a))
 
     def test_biases_zero_gamma_one(self):
         w = init_weights(0, small_config())
@@ -46,8 +46,8 @@ class TestInit:
         cfg = small_config()
         w = init_weights(0, cfg)
         want = expected_shapes(cfg)
-        assert set(w.names()) == set(want)
-        for name in w.names():
+        assert set(sorted(w)) == set(want)
+        for name in sorted(w):
             assert w[name].shape == want[name]
 
     def test_empirical_stddev(self):
@@ -62,7 +62,7 @@ class TestInit:
 
     def test_values_survive_float32(self):
         w = init_weights(2, small_config())
-        for name in w.names():
+        for name in sorted(w):
             t = w[name]
             assert np.array_equal(t, t.astype("<f4").astype(np.float64))
 
@@ -72,24 +72,24 @@ class TestFileFormat:
         cfg = small_config()
         w = init_weights(5, cfg)
         path = tmp_path / "w.cfw"
-        save_weights(w, path)
+        save_weights(w, cfg, path)
         back = load_weights(path, cfg)
-        assert back.names() == w.names()
-        for name in w.names():
+        assert sorted(back) == sorted(w)
+        for name in sorted(w):
             assert np.array_equal(back[name], w[name])
 
     def test_double_save_bit_identical(self, tmp_path):
         cfg = small_config()
         w = init_weights(5, cfg)
         p1, p2 = tmp_path / "a.cfw", tmp_path / "b.cfw"
-        save_weights(w, p1)
-        save_weights(load_weights(p1, cfg), p2)
+        save_weights(w, cfg, p1)
+        save_weights(load_weights(p1, cfg), cfg, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_truncated_rejected(self, tmp_path):
         cfg = small_config()
         path = tmp_path / "w.cfw"
-        save_weights(init_weights(0, cfg), path)
+        save_weights(init_weights(0, cfg), cfg, path)
         blob = path.read_bytes()
         path.write_bytes(blob[:-17])
         with pytest.raises(WeightFormatError):
@@ -104,7 +104,7 @@ class TestFileFormat:
     def test_manifest_offsets_cover_blob(self, tmp_path):
         cfg = small_config()
         path = tmp_path / "w.cfw"
-        save_weights(init_weights(0, cfg), path)
+        save_weights(init_weights(0, cfg), cfg, path)
         raw = path.read_bytes()
         sep = raw.find(b"\n\n")
         manifest = json.loads(raw[:sep].decode("utf-8"))
@@ -120,7 +120,7 @@ class TestFileFormat:
     def test_cross_config_rejected(self, tmp_path):
         cfg = small_config()
         path = tmp_path / "w.cfw"
-        save_weights(init_weights(0, cfg), path)
+        save_weights(init_weights(0, cfg), cfg, path)
         with pytest.raises(WeightFormatError):
             load_weights(path, small_config(d=32))
         with pytest.raises(WeightFormatError):
@@ -135,9 +135,9 @@ class TestFileFormat:
     def test_value_bound(self, tmp_path, value, ok):
         cfg = small_config()
         w = init_weights(0, cfg)
-        w.tensors["head.box.w"][1, 2] = value
+        w["head.box.w"][1, 2] = value
         path = tmp_path / "w.cfw"
-        save_weights(w, path)
+        save_weights(w, cfg, path)
         if ok:
             assert load_weights(path, cfg)["head.box.w"][1, 2] == value
         else:
@@ -202,6 +202,46 @@ class TestMalformedManifest:
             [err] = capsys.readouterr().err.strip().splitlines()
             assert len(err.encode()) <= 300, err[:80]
             assert json.loads(err)["error"] == "WeightFormatError"
+            assert not out.exists()
+
+    def test_long_tensor_names_cut(self, tmp_path, capsys):
+        # each echoed name is cut at 60 characters, and a tensor set that
+        # does not match lists two names of each side and their counts
+        from hqfusion import cli
+
+        def rename(m):
+            m["tensors"][0]["name"] = "x" * 5000
+            return m
+
+        def add_extras(m):
+            end = sum(e["length"] for e in m["tensors"])
+            m["tensors"] += [{"name": f"extra.{i}", "shape": [0], "dtype": "<f4",
+                              "offset": end, "length": 0} for i in range(2000)]
+            return m
+
+        def rename_and_grow(m):
+            m["tensors"][0].update(name="x" * 5000, length=4 * 10 ** 6)
+            return m
+
+        def long_shape(m):
+            m["tensors"][0]["shape"] = [1] * 5000 + m["tensors"][0]["shape"]
+            return m
+
+        for change, word in [(rename, "extra 1 ['xxx"),
+                             (add_extras, "extra 2000 ['extra.0', 'extra.1', ...]"),
+                             (rename_and_grow, "length mismatch"),
+                             (long_shape, "has shape (1, 1,")]:
+            w_path, out = tmp_path / "w.cfw", tmp_path / "r.json"
+            assert cli.main(["init-weights", "--preset", "toy",
+                             "--out", str(w_path)]) == 0
+            capsys.readouterr()
+            self.rewrite(w_path, change)
+            assert cli.main(["run", "--preset", "toy", "--weights", str(w_path),
+                             "--out", str(out)]) == 2
+            [err] = capsys.readouterr().err.strip().splitlines()
+            assert len(err.encode()) <= 300, err[:80]
+            doc = json.loads(err)
+            assert doc["error"] == "WeightFormatError" and word in doc["message"]
             assert not out.exists()
 
     def test_huge_integer_literal_refused(self, tmp_path, capsys):

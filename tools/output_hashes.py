@@ -9,14 +9,14 @@ then be compared with `diff`.  With `--against DIR`, the OUTDIR of another
 checkout's run, each line also says how the output compares with DIR's:
 "identical", or the largest relative (and absolute) difference of its
 floats.  An output that differs in anything but its float literals (keys,
-strings, ints, list lengths, whitespace, CSV text), or is missing from
-DIR, is named as differing, and the exit code is 1.  The list covers the
-benchmark workloads (`emit` at input seeds 0-4, `default` and `swap-dense`
-at input seed 1), toy runs with every `--emit-*` flag at each QMix
-placement, with QMix off and in replace mode, toy `gen-scene`,
-`run --scene`, `links`, `analyze-attn` and `ablate`, toy runs with empty or
-oversized query sources, and a toy run at PV downsample 7, which divides
-neither image side.  BLAS threads are pinned before numpy is imported, as
+strings, ints, list lengths, whitespace, CSV text, the bytes of a weight
+file), or is missing from DIR, is named as differing, and the exit code is
+1.  The list covers the benchmark workloads (`emit` at input seeds 0-4,
+`default` and `swap-dense` at input seed 1), toy runs with every `--emit-*`
+flag at each QMix placement, with QMix off and in replace mode, toy
+`gen-scene`, `run --scene`, `init-weights`, `run --weights`, `links`,
+`analyze-attn` and `ablate`, toy runs with empty or oversized query
+sources, and a toy run at PV downsample 7, which divides neither image side.  BLAS threads are pinned before numpy is imported, as
 `perfbench/run.py` pins them, so every checkout computes with the same
 thread count.
 """
@@ -58,6 +58,9 @@ def commands(out: Path, workloads: dict, placements) -> list[tuple[str, list]]:
             ["run", *TOY, *EMIT_FLAGS, *(a for s in sets for a in ("--set", s))])
     add("toy-scene.json", ["gen-scene", *TOY])
     add("toy-run-scene.json", ["run", *TOY, "--scene", str(out / "toy-scene.json")])
+    add("toy-weights.cfw", ["init-weights", *TOY])
+    add("toy-run-weights.json",
+        ["run", *TOY, "--weights", str(out / "toy-weights.cfw")])
     report = str(out / f"toy-emit-{placements[0]}.json")
     add("toy-links.json", ["links", "--report", report])
     add("toy-attn.csv", ["analyze-attn", "--report", report])
@@ -89,13 +92,17 @@ def split_floats(text: str) -> tuple[str, list[float]]:
 
 def compare_output(mine: bytes, theirs: bytes | None) -> str | None:
     """How an output compares with another checkout's: "identical", the
-    largest float differences, or None when anything else differs."""
+    largest float differences, or None when anything else differs or either
+    side is not UTF-8 text."""
     if theirs is None:
         return None
     if mine == theirs:
         return "identical"
-    skeleton, floats = split_floats(mine.decode("utf-8"))
-    their_skeleton, their_floats = split_floats(theirs.decode("utf-8"))
+    try:
+        skeleton, floats = split_floats(mine.decode("utf-8"))
+        their_skeleton, their_floats = split_floats(theirs.decode("utf-8"))
+    except UnicodeDecodeError:
+        return None
     if skeleton != their_skeleton:
         return None
     rel = absolute = 0.0
