@@ -24,7 +24,7 @@ from . import decoder as dec
 from . import metrics as met
 from . import jsontext, qinit, qswap, scene as sc, weights_io
 from .errors import (MAX_FLOAT, MIN_POSITIVE, ConfigError, GenerationError,
-                     NonFiniteError, WeightFormatError, bounded,
+                     NonFiniteError, WeightFormatError, bounded, echo,
                      require_finite)
 from .qmix import extract_top_links
 
@@ -189,7 +189,7 @@ PRESETS: dict[str, dict[str, object]] = {
 def config_from_dict(doc: dict) -> RunConfig:
     """Defaults overlaid with a config document; unknown keys raise ConfigError."""
     if not isinstance(doc, dict):
-        raise ConfigError(f"a config document is an object, got {doc!r:.60}")
+        raise ConfigError(f"a config document is an object, got {echo(doc)}")
     cfg = RunConfig()
     for key, value in doc.items():
         apply_override(cfg, key, value)
@@ -247,7 +247,7 @@ def apply_override(cfg, path: str, value):
     for name in path.split("."):
         known = {f.name: f for f in fields(node)} if is_dataclass(node) else {}
         if name not in known:
-            raise ConfigError(f"unknown config path {path!r:.60}")
+            raise ConfigError(f"unknown config path {echo(path)}")
         parent, node = node, getattr(node, name)
     if is_dataclass(node):
         if not isinstance(value, dict):
@@ -258,14 +258,14 @@ def apply_override(cfg, path: str, value):
     leaf = known[name]
     kind = type(leaf.default)
     if type(value) not in _ACCEPTS[kind]:
-        raise ConfigError(f"{path} must be of type {kind.__name__}, got {value!r:.60}")
+        raise ConfigError(f"{path} must be of type {kind.__name__}, got {echo(value)}")
     if "range" in leaf.metadata:
         lo, hi = leaf.metadata["range"]
         if not lo <= value <= hi:
-            raise ConfigError(f"{path} must lie in [{lo}, {hi}], got {value!r:.60}")
+            raise ConfigError(f"{path} must lie in [{lo}, {hi}], got {echo(value)}")
     choices = leaf.metadata.get("choices")
     if choices is not None and value not in choices:
-        raise ConfigError(f"{path} must be one of {choices}, got {value!r:.60}")
+        raise ConfigError(f"{path} must be one of {choices}, got {echo(value)}")
     setattr(parent, name, value)
 
 
@@ -283,11 +283,11 @@ def build_config(args) -> RunConfig:
     cfg = config_from_dict(doc)
     preset = getattr(args, "preset", None)
     if preset and preset not in PRESETS:
-        raise ConfigError(f"unknown preset {preset!r:.60}; available: {sorted(PRESETS)}")
+        raise ConfigError(f"unknown preset {echo(preset)}; available: {sorted(PRESETS)}")
     pairs = list(PRESETS[preset].items()) if preset else []
     for item in getattr(args, "set", None) or []:
         if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r:.60}")
+            raise ConfigError(f"--set expects key=value, got {echo(item)}")
         path, _, raw = item.partition("=")
         pairs.append((path.strip(), _parse_value(raw.strip())))
     pairs += [(path, True) for flag, path in _EMIT_FLAGS.items()
@@ -308,7 +308,7 @@ def load_scene(cfg: RunConfig, path) -> sc.Scene:
     with open(path, encoding="utf-8") as fh:
         doc = _json_loads(fh.read())
     if not isinstance(doc, dict) or "config" not in doc:
-        raise ConfigError(f"scene file {path} is not an object with a 'config' key")
+        raise ConfigError(f"scene file {echo(path)} is not an object with a 'config' key")
     # defaults first, so a key the file omits does not keep a preset's value
     apply_override(cfg, "scene", asdict(sc.SceneConfig()))
     apply_override(cfg, "scene", doc["config"])
@@ -327,8 +327,10 @@ def write_json(path, obj):
     The text is `jsontext.dumps(obj)`: the standard library's encoder
     (`sort_keys=True, indent=2, allow_nan=False`) with each Fragment spliced
     in, so each sample dump is rendered from its bank's arrays as the dicts
-    of the plain tree would be written.  It is serialized in full before
-    the file is opened; a NaN or an infinity raises NonFiniteError.
+    of the plain tree would be written.  `jsontext.write` streams it to disk
+    in pieces of about a MiB, each dump rendered, written and dropped in
+    turn, and puts the file at path once it is complete; a NaN or an
+    infinity raises NonFiniteError and leaves path as it was.
     """
     jsontext.write(path, obj)
 
@@ -609,7 +611,7 @@ def load_report(path, read):
     becomes a ConfigError, as for a malformed scene file.
     """
     def refuse(constant):
-        raise ConfigError(f"{path} holds the non-finite JSON value {constant}")
+        raise ConfigError(f"{echo(path)} holds the non-finite JSON value {constant}")
 
     def finite(text):
         value = float(text)
@@ -622,12 +624,12 @@ def load_report(path, read):
             and report.get("schema_version") == REPORT_SCHEMA_VERSION
             and isinstance(report.get("layers"), list)
             and all(isinstance(rec, dict) for rec in report["layers"])):
-        raise ConfigError(f"{path} is not a schema-{REPORT_SCHEMA_VERSION} report "
+        raise ConfigError(f"{echo(path)} is not a schema-{REPORT_SCHEMA_VERSION} report "
                           f"with a list of layer objects")
     try:
         return read(report)
     except (KeyError, TypeError, IndexError, AttributeError) as exc:
-        raise ConfigError(f"malformed report {path}: {exc!r}") from exc
+        raise ConfigError(f"malformed report {echo(path)}: {exc!r}") from exc
 
 
 def _attn_rows(report) -> list[list]:
@@ -805,9 +807,19 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigError, WeightFormatError, GenerationError, NonFiniteError,
             OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        error = {"error": type(exc).__name__, "message": str(exc)}
+        error = {"error": type(exc).__name__, "message": _message(exc)}
         print(json.dumps(error, sort_keys=True), file=sys.stderr)
         return 2
+
+
+def _message(exc: Exception) -> str:
+    """str(exc), with an OSError's file names cut by `echo` like any other
+    echoed value."""
+    if not isinstance(exc, OSError) or exc.filename is None:
+        return str(exc)
+    names = [echo(name) for name in (exc.filename, exc.filename2)
+             if name is not None]
+    return f"[Errno {exc.errno}] {exc.strerror}: {' -> '.join(names)}"
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ neither is bounded by a cross-field rule in its section's `validate`.
 """
 from __future__ import annotations
 
+import json
 import math
 import sys
 from dataclasses import field
@@ -25,6 +26,19 @@ def bounded(default, lo, hi):
 
 def one_of(default, *choices):
     return field(default=default, metadata={"choices": choices})
+
+
+def echo(value, limit: int = 60) -> str:
+    """repr(value), cut where its JSON text would pass `limit` bytes.
+
+    An error message is echoed as one line of JSON that spells each
+    character outside ASCII as an escape of up to 12 bytes, so a cut by
+    characters would not bound the line.
+    """
+    text = repr(value)[:limit]
+    while len(json.dumps(text)) - 2 > limit:
+        text = text[:-1]
+    return text
 
 
 class ShapeError(ValueError):

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import jsontext
 from .errors import (MAX_FLOAT, MIN_POSITIVE, ConfigError, GenerationError,
-                     ShapeError, bounded)
+                     ShapeError, bounded, echo)
 
 # Seed-stream tags, so independent draws never alias each other.
 _STREAM_OBJECTS = 0
@@ -403,8 +403,12 @@ def render_image_bev(scene: Scene, voxel: float, d: int, noise_sigma: float,
     """
     grid = FeatureGrid.square(scene.config.extent, voxel, d)
     miss = np.random.default_rng([seed, _STREAM_BEV_MISS]).random(len(scene.objects))
-    noise_rng = np.random.default_rng([seed, _STREAM_BEV_NOISE])
-    grid.data += noise_rng.normal(0.0, 1.0, size=grid.data.shape) * noise_sigma
+    # the noise is drawn into the grid, with no temporary of its size;
+    # += 0.0 makes it exactly zero + noise, turning the -0.0 of a negative
+    # draw times a zero sigma into 0.0
+    np.random.default_rng([seed, _STREAM_BEV_NOISE]).standard_normal(out=grid.data)
+    grid.data *= noise_sigma
+    grid.data += 0.0
     for obj, m in zip(scene.objects, miss):
         if m < miss_rate:
             continue
@@ -527,13 +531,13 @@ def _numbers(value, shape: tuple, what: str, bound: float = math.inf) -> np.ndar
     _require(arr is not None and np.isfinite(arr).all()
              and (np.abs(arr) <= bound).all(),
              f"{what} must be {'x'.join(map(str, shape)) or 'a'} finite "
-             f"number(s) within +/-{bound}, got {value!r:.60}")
+             f"number(s) within +/-{bound}, got {echo(value)}")
     return arr
 
 
 def _int(value, what: str, lo: int, hi: int) -> int:
     _require(type(value) is int and lo <= value < hi,
-             f"{what} must be an int in [{lo}, {hi}), got {value!r:.60}")
+             f"{what} must be an int in [{lo}, {hi}), got {echo(value)}")
     return value
 
 
@@ -565,7 +569,7 @@ def _camera(c: dict, where: str, config: SceneConfig) -> Camera:
     _require(type(width) is int and type(height) is int
              and (width, height) == (config.image_width, config.image_height),
              f"{where}.width and height must equal scene.image_width and "
-             f"image_height, got {width!r:.20} and {height!r:.20}")
+             f"image_height, got {echo(width, 20)} and {echo(height, 20)}")
     fx, fy = (float(_numbers(c[k], (), f"{where}.{k}", MAX_FOCAL))
               for k in ("fx", "fy"))
     cx, cy = (float(_numbers(c[k], (), f"{where}.{k}")) for k in ("cx", "cy"))
@@ -609,8 +613,9 @@ def scene_from_dict(doc: dict, config: SceneConfig) -> Scene:
 
 
 def save_scene(scene: Scene, path):
-    """Write the scene document, with no trailing newline.
+    """Write the scene document, with no trailing newline, through
+    `jsontext.write`.
 
-    A NaN or an infinity raises NonFiniteError before the file is opened.
+    A NaN or an infinity raises NonFiniteError and leaves path as it was.
     """
     jsontext.write(path, scene_to_dict(scene), end="")

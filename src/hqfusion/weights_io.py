@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .errors import WeightFormatError
+from .errors import WeightFormatError, echo
 
 FORMAT_TAG = "cfw/1"
 _STREAM_WEIGHTS = 8
@@ -153,8 +153,8 @@ def _well_formed(entry) -> bool:
 
 
 def _some(names: list[str]) -> str:
-    """How many names, and the first two, each cut at 60 characters."""
-    shown = ", ".join(f"{n!r:.60}" for n in names[:2])
+    """How many names, and the first two, each cut with `echo`."""
+    shown = ", ".join(echo(n) for n in names[:2])
     return f"{len(names)} [{shown}{', ...' if len(names) > 2 else ''}]"
 
 
@@ -174,7 +174,7 @@ def load_weights(path, config) -> dict[str, np.ndarray]:
     if not isinstance(manifest, dict):
         raise WeightFormatError("manifest is not a JSON object")
     if manifest.get("format") != FORMAT_TAG:
-        raise WeightFormatError(f"unsupported format {manifest.get('format')!r:.60}")
+        raise WeightFormatError(f"unsupported format {echo(manifest.get('format'))}")
 
     blob = raw[sep + 2:]
     entries = manifest.get("tensors", [])
@@ -182,7 +182,7 @@ def load_weights(path, config) -> dict[str, np.ndarray]:
         raise WeightFormatError("manifest 'tensors' is not a list")
     for e in entries:
         if not _well_formed(e):
-            raise WeightFormatError(f"malformed tensor entry {e!r:.60}")
+            raise WeightFormatError(f"malformed tensor entry {echo(e)}")
     names = [e["name"] for e in entries]
     if len(set(names)) != len(names):
         raise WeightFormatError("duplicate tensor names in manifest")
@@ -190,10 +190,10 @@ def load_weights(path, config) -> dict[str, np.ndarray]:
     cursor = 0
     for e in sorted(entries, key=lambda e: e["offset"]):
         if e["dtype"] != "<f4":
-            raise WeightFormatError(f"unsupported dtype {e['dtype']!r:.60}")
+            raise WeightFormatError(f"unsupported dtype {echo(e['dtype'])}")
         expect_len = math.prod(e["shape"]) * 4
         if e["length"] != expect_len:
-            raise WeightFormatError(f"tensor {e['name']!r:.60} length mismatch")
+            raise WeightFormatError(f"tensor {echo(e['name'])} length mismatch")
         if e["offset"] != cursor:
             raise WeightFormatError("tensor offsets are not contiguous")
         cursor += e["length"]
@@ -217,7 +217,7 @@ def load_weights(path, config) -> dict[str, np.ndarray]:
         shape = tuple(e["shape"])
         if shape != want[e["name"]]:
             raise WeightFormatError(
-                f"tensor {e['name']!r:.60} has shape {shape!r:.60}, config "
+                f"tensor {echo(e['name'])} has shape {echo(shape)}, config "
                 f"wants {want[e['name']]}")
         start = e["offset"]
         arr = np.frombuffer(blob[start:start + e["length"]], dtype="<f4")

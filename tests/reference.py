@@ -136,6 +136,15 @@ def naive_convolve3x3(image, kernel):
     return out
 
 
+def image_bev_noise(shape, noise_sigma, seed):
+    """The image BEV grid's noise as first written: normal(0, 1) draws from
+    stream [seed, 6] times noise_sigma, added to a zero grid."""
+    grid = np.zeros(shape)
+    grid += (np.random.default_rng([seed, 6]).normal(0.0, 1.0, size=shape)
+             * noise_sigma)
+    return grid
+
+
 def dense_features(grid):
     """A FeatureGrid's (H, W, d) features: its channels times its basis, if
     it has one, so the oracles interpolate the un-factored grid."""

@@ -659,11 +659,13 @@ class TestCliCommands:
                 message = assert_error_exit([command, *TOY, "--set", override],
                                             tmp_path / "out", capsys)
                 assert word in message, (command, override)
-        # a refused value of 5,000 characters is echoed cut short
+        # a refused value of 5,000 characters is echoed cut short, by the
+        # bytes of its escaped text: U+1F600 is 12 bytes in the JSON line
         long, doc = "x" * 5000, tmp_path / "config.json"
         doc.write_text(json.dumps([0] * 2500))
         for probe in (["--set", f"decoder.layers={long}"],
                       ["--set", f"scene.extent=1{'0' * 4000}"],
+                      ["--set", f'scene.extent="{chr(0x1F600) * 5000}"'],
                       ["--set", f"decoder.qswap.mode={long}"],
                       ["--set", f"{long}=1"], ["--set", long],
                       ["--preset", long], ["--config", str(doc)]):
@@ -1098,6 +1100,24 @@ class TestCliCommands:
                 (["links", "--report", str(tmp_path)], "IsADirectoryError"),
                 (["run", *TOY, "--config", str(binary)], "UnicodeDecodeError")):
             assert_error_exit(args, tmp_path / "out", capsys, error=error)
+
+    def test_long_paths_cut(self, tmp_path, capsys):
+        # an OSError names its file cut like any echoed value; --out fails
+        # only once the report is due
+        for name in ("x" * 5000, chr(0x1F600) * 5000):
+            long = str(tmp_path / f"{name}.json")
+            for probe in (["--out", long], ["--scene", long],
+                          ["--weights", long], ["--config", long]):
+                args = ["run", *TOY, *probe]
+                if probe[0] != "--out":
+                    args += ["--out", str(tmp_path / "r.json")]
+                assert run_cli(args) == 2, probe[0]
+                [line] = capsys.readouterr().err.strip().splitlines()
+                assert len(line.encode()) <= 300, (probe[0], line[:80])
+                doc = json.loads(line)
+                assert doc["error"] == "OSError", doc
+                assert "File name too long" in doc["message"]
+                assert sorted(p.name for p in tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("reader", ["set", "config", "scene",
                                         "analyze-attn", "links"])

@@ -4,10 +4,13 @@ import enum
 import functools
 import json
 import math
+import os
+import stat
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hqfusion import cli, jsontext
@@ -152,3 +155,110 @@ def test_overflowing_sum_of_finite_floats_is_written(tmp_path):
     path = tmp_path / "r.json"
     cli.write_json(path, obj)
     assert path.read_text() == stdlib(obj) + "\n"
+
+
+def leftovers(directory, *keep):
+    return sorted(p.name for p in directory.iterdir() if p.name not in keep)
+
+
+@pytest.mark.parametrize("piece", [1, 7, 64])
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(obj=FRAGMENT_TREES)
+@example(obj={"a": ["x" * 40] * 4, "b": {"c": fragment([1.5, {"d": [0.5]}])}})
+def test_write_streams_dumps(tmp_path, monkeypatch, piece, obj):
+    # every chunk a piece of its own (so each Fragment's line began in an
+    # earlier piece), cut into slices, or gathered: the file is dumps(obj)
+    # + end, and a failure leaves neither it nor a temporary file
+    monkeypatch.setattr(jsontext, "PIECE", piece)
+    path = tmp_path / "r.json"
+    path.unlink(missing_ok=True)
+    try:
+        jsontext.write(path, obj, end="\n")
+        written = path.read_text()
+    except NonFiniteError as exc:
+        written = type(exc.__cause__), str(exc.__cause__)
+    except TypeError as exc:
+        written = TypeError, str(exc)
+    assert written == outcome(lambda o: jsontext.dumps(o) + "\n", obj)
+    assert leftovers(tmp_path, "r.json") == []
+
+
+def test_nan_in_last_fragment_leaves_target(tmp_path, monkeypatch):
+    monkeypatch.setattr(jsontext, "PIECE", 64)
+    obj = {"a": [0.5] * 100, "z": fragment([1.0, float("nan")])}
+    path = tmp_path / "r.json"
+    with pytest.raises(NonFiniteError, match="not JSON compliant"):
+        jsontext.write(path, obj)
+    assert leftovers(tmp_path) == []
+    path.write_bytes(b"an earlier report")
+    with pytest.raises(NonFiniteError, match="not JSON compliant"):
+        jsontext.write(path, obj)
+    assert path.read_bytes() == b"an earlier report"
+    assert leftovers(tmp_path, "r.json") == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_mode_is_a_plain_opens(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        with open(tmp_path / "plain.json", "w") as fh:
+            fh.write("{}")
+        jsontext.write(tmp_path / "new.json", {})
+        # an existing file keeps its mode, as open leaves it
+        (tmp_path / "old.json").write_text("{}")
+        os.chmod(tmp_path / "old.json", 0o640)
+        jsontext.write(tmp_path / "old.json", {})
+    finally:
+        os.umask(old)
+    new, plain, kept = (stat.S_IMODE(os.stat(tmp_path / name).st_mode)
+                        for name in ("new.json", "plain.json", "old.json"))
+    assert new == plain == 0o666 & ~umask
+    assert kept == 0o640
+
+
+def test_symlink_target_written_through(tmp_path):
+    (tmp_path / "real.json").write_text("old")
+    (tmp_path / "link.json").symlink_to("real.json")
+    jsontext.write(tmp_path / "link.json", [1])
+    assert (tmp_path / "link.json").is_symlink()
+    assert (tmp_path / "real.json").read_text() == "[\n  1\n]\n"
+    assert leftovers(tmp_path, "real.json", "link.json") == []
+
+
+def test_unwritable_targets_refused(tmp_path, monkeypatch, capsys):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    with pytest.raises(FileExistsError, match="Not a regular file"):
+        jsontext.write(fifo, {"a": 1})
+    assert cli.main(["gen-scene", "--preset", "toy", "--out", str(fifo)]) == 2
+    [line] = capsys.readouterr().err.strip().splitlines()
+    assert json.loads(line)["error"] == "FileExistsError"
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    # a path that cannot be created or replaced: the error names it, not
+    # the temporary file
+    monkeypatch.chdir(tmp_path)
+    for path in ("", "missing/r.json"):
+        with pytest.raises(FileNotFoundError) as refused:
+            jsontext.write(path, {"a": 1})
+        assert refused.value.filename == path
+    assert leftovers(tmp_path, "fifo") == []
+
+
+def test_write_holds_a_bounded_share_of_the_text(tmp_path):
+    # sample-dump-like Fragments and a plain list, 20 MB in all; the whole
+    # text is never held, so the peak stays far below it
+    values = np.linspace(-1.0, 1.0, 12_000).tolist()
+    obj = {"dumps": [jsontext.Fragment(lambda level: json.dumps(values))
+                     for _ in range(80)],
+           "plain": values[:4_000]}
+    path = tmp_path / "r.json"
+    tracemalloc.start()
+    try:
+        jsontext.write(path, obj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size >= 16e6
+    assert peak < size / 4, (peak, size)

@@ -1,7 +1,9 @@
-"""tools/output_hashes.py --against: an output that differs from another
-checkout's only in its float literals gets the size of that drift; any
-other difference fails the comparison."""
+"""tools/output_hashes.py: with --against, an output that differs from
+another checkout's only in its float literals gets the size of that drift,
+and any other difference fails the comparison; a file in OUTDIR that is not
+a listed output fails the run."""
 import importlib.util
+import sys
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "output_hashes.py"
@@ -43,3 +45,20 @@ def test_differing_binary_output_differs():
     assert compare(blob, blob) == "identical"
     assert compare(blob, blob[:-1] + b"\xff") is None
     assert compare(b"\xff\xfe", b"{}") is None
+
+
+def test_unlisted_file_fails(tmp_path, monkeypatch, capsys):
+    # a leftover temporary file is not an output; the run names it
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(output_hashes, "commands", lambda out, *_: [
+        ("scene.json", ["gen-scene", "--preset", "toy",
+                        "--out", str(out / "scene.json")])])
+    assert output_hashes.main([str(tmp_path)]) == 0
+    (tmp_path / ".hqfusion-0a1b2c3d.tmp").write_text("{")
+    capsys.readouterr()
+    assert output_hashes.main([str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert "scene.json" in captured.out
+    assert ".hqfusion-0a1b2c3d.tmp" in captured.err

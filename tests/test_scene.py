@@ -14,8 +14,8 @@ from hqfusion.scene import (Camera, FeatureGrid,
                             scene_from_dict, scene_to_dict, simulate_radar_points,
                             smooth_heatmap)
 
-from reference import (bilinear_sample, cell_center, naive_convolve3x3,
-                       project_to_view, project_with_matrix)
+from reference import (bilinear_sample, cell_center, image_bev_noise,
+                       naive_convolve3x3, project_to_view, project_with_matrix)
 
 
 def small_config(**kw):
@@ -211,6 +211,14 @@ class TestRenderImageBev:
         scene = manual_scene([])
         grid = render_image_bev(scene, 1.0, 8, 0.0)
         assert (grid.data == 0.0).all()
+
+    @pytest.mark.parametrize("sigma", [0.05, 0.0, 1e3])
+    def test_noise_bit_equal_to_reference(self, sigma):
+        # drawn into the grid in place; bit for bit the noise added to a
+        # zero grid, -0.0 included (at sigma 0 every draw below 0 gives one)
+        grid = render_image_bev(manual_scene([]), 1.0, 8, sigma, seed=4)
+        want = image_bev_noise(grid.data.shape, sigma, 4)
+        assert grid.data.view(np.int64).tolist() == want.view(np.int64).tolist()
 
     def test_peak_equals_signature(self):
         scene = manual_scene([(0.5, 0.5, 0.75)])

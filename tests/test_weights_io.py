@@ -205,12 +205,18 @@ class TestMalformedManifest:
             assert not out.exists()
 
     def test_long_tensor_names_cut(self, tmp_path, capsys):
-        # each echoed name is cut at 60 characters, and a tensor set that
-        # does not match lists two names of each side and their counts
+        # each echoed name is cut at 60 bytes of its escaped text, and a
+        # tensor set that does not match lists two names of each side and
+        # their counts
         from hqfusion import cli
 
         def rename(m):
             m["tensors"][0]["name"] = "x" * 5000
+            return m
+
+        def rename_wide(m):
+            # 12 bytes each in the JSON line
+            m["tensors"][0]["name"] = chr(0x1F600) * 5000
             return m
 
         def add_extras(m):
@@ -228,6 +234,7 @@ class TestMalformedManifest:
             return m
 
         for change, word in [(rename, "extra 1 ['xxx"),
+                             (rename_wide, f"extra 1 ['{chr(0x1F600) * 3}"),
                              (add_extras, "extra 2000 ['extra.0', 'extra.1', ...]"),
                              (rename_and_grow, "length mismatch"),
                              (long_shape, "has shape (1, 1,")]:

@@ -11,7 +11,9 @@ checkout's run, each line also says how the output compares with DIR's:
 floats.  An output that differs in anything but its float literals (keys,
 strings, ints, list lengths, whitespace, CSV text, the bytes of a weight
 file), or is missing from DIR, is named as differing, and the exit code is
-1.  The list covers the benchmark workloads (`emit` at input seeds 0-4,
+1.  So is the exit code when OUTDIR ends up holding a file that is not a
+listed output, such as a writer's leftover temporary file; it is named on
+stderr.  The list covers the benchmark workloads (`emit` at input seeds 0-4,
 `default` and `swap-dense` at input seed 1), toy runs with every `--emit-*`
 flag at each QMix placement, with QMix off and in replace mode, toy
 `gen-scene`, `run --scene`, `init-weights`, `run --weights`, `links`,
@@ -134,7 +136,8 @@ def main(argv: list[str]) -> int:
     from hqfusion.decoder import PLACEMENTS
 
     status = 0
-    for name, cli_args in commands(out, WORKLOADS, PLACEMENTS):
+    runs = commands(out, WORKLOADS, PLACEMENTS)
+    for name, cli_args in runs:
         if cli.main(cli_args) != 0:
             print(f"hqfusion {' '.join(cli_args)} failed", file=sys.stderr)
             return 1
@@ -149,6 +152,10 @@ def main(argv: list[str]) -> int:
                 status = 1
             line += f"  {verdict}"
         print(line, flush=True)
+    listed = {name for name, _ in runs}
+    for stray in sorted(p.name for p in out.iterdir() if p.name not in listed):
+        print(f"{stray} in {out} is not a listed output", file=sys.stderr)
+        status = 1
     return status
 
 
