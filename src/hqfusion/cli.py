@@ -81,8 +81,8 @@ class EmitConfig:
 
 
 # The bounds of RunConfig.limits.  MAX_VALUES float64 values (1 GiB) bound
-# the decoder weights, one N x N attention matrix, each of a layer's sampling
-# arrays, all PV maps, one BEV grid and the proposals' d-vectors.
+# the decoder weights, the N x N logits of one attention, each of a layer's
+# sampling arrays, all PV maps, one BEV grid and the proposals' d-vectors.
 MAX_VALUES = 1 << 27
 MAX_GRID_SIDE = 4096  # cells per side of a BEV grid
 # each layer selects swap neighbours per query in Python and keeps its outputs
@@ -131,7 +131,8 @@ class RunConfig:
         weights = sum(map(math.prod, weights_io.expected_shapes(dc).values()))
         yield ("decoder weights", weights, MAX_VALUES, "decoder.d, "
                "decoder.num_classes, decoder.k_pv or decoder.qswap.k_base")
-        # a layer's (N, N) attention matrices do not outlive the next layer
+        # the (N, N) logits each attention of a layer computes, a row block
+        # at a time; no attention matrix is held
         yield "attention matrix", n * n, MAX_VALUES, queries
         # a layer's sampling arrays: the base head's (N, 3 k_base) output, the
         # token plan's (N, T) and one query's (T, d), swap's candidates

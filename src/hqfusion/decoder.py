@@ -26,14 +26,14 @@ query is mapped into token space once per layer (Wk^T q) and the
 attention-weighted token sum is projected once (Wv), so no per-token key or
 value is ever formed.
 
-No layer's output keeps an (N, N) attention matrix.  The matrices are read
-only inside their layer: swap sampling reads the self-attention affinity,
-and both matrices' type statistics are taken there.  The links are reduced
-to each query's top cross-type keys (qmix.LinkRows) of one matrix, the QMix
-attention when the layer ran it, else the shared self-attention.  A layer's
-matrices are freed when the next layer reassigns their names: deleting them
-at the end of the layer made decode slower, since the allocator returns the
-freed blocks to the system and faults them in again.
+No (N, N) attention matrix is ever formed.  The attention kernel hands
+each row block's head-mean weights to a qmix.AttentionRows reducer, which
+keeps per-row reductions only: each row's mass per key type, for the type
+statistics and the finite check; its top partners with their affinities,
+from which swap sampling keeps those inside the radius; and its top
+cross-type keys (qmix.LinkRows).  The links come from one attention per
+layer, the QMix attention when the layer ran it, else the shared
+self-attention.
 """
 from __future__ import annotations
 
@@ -47,8 +47,8 @@ from .errors import (MAX_FLOAT, MIN_POSITIVE, ConfigError, bounded, one_of,
 from .numkernel import (MhaWeights, bilinear_at, layer_norm,
                         multi_head_attention, softmax_rows)
 from .qinit import BOX_PRIOR_WL, TYPE_IMG, TYPE_RAD, TYPE_W, QuerySet
-from .qmix import (LinkRows, QMixWeights, TypeAttentionStats, attention_block,
-                   attention_type_stats, link_rows, qmix_attention)
+from .qmix import (AttentionRows, LinkRows, QMixWeights, TypeAttentionStats,
+                   attention_block, attention_type_stats, qmix_attention)
 from .qswap import (BEV_KINDS, IMG_BEV, QSwapConfig, SampleBank, base_bank,
                     normalize_sample_scores, predict_base_samples,
                     select_neighbors, swap_samples)
@@ -107,7 +107,7 @@ class LayerOutput:
     sizes: np.ndarray           # (N, 3) w, l, h
     yaws: np.ndarray            # (N,)
     velocities: np.ndarray      # (N, 2)
-    # the link rows of one matrix per layer: the QMix attention when the
+    # the link rows of one attention per layer: the QMix attention when the
     # layer mixed across types, else the head-averaged shared self-attention
     self_attn: LinkRows | None    # None when qmix_attn is kept
     self_stats: TypeAttentionStats
@@ -169,19 +169,20 @@ def sinusoidal_position_encoding(positions: np.ndarray, d: int) -> np.ndarray:
 
 
 def shared_self_attention(emb: np.ndarray, positions: np.ndarray, weights,
-                          heads: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unmasked attention over all queries; returns the affinity matrix.
+                          heads: int, reduce=None) -> np.ndarray:
+    """Unmasked attention over all queries; `reduce` gets its affinities.
 
     Positional encoding is added to queries/keys only so values stay in the
-    embedding space; the head-averaged weights feed swap sampling as the
-    query affinity prior.
+    embedding space; the head-averaged weights, handed to `reduce` block by
+    block, feed swap sampling as the query affinity prior.
     """
     pe = sinusoidal_position_encoding(positions, emb.shape[1])
     qk = emb + pe
-    out, attn = multi_head_attention(qk, qk, emb,
-                                     mha_weights(weights, "self_attn", heads))
-    return (layer_norm(emb + out, weights["self_attn.ln.gamma"],
-                       weights["self_attn.ln.beta"]), attn)
+    out = multi_head_attention(qk, qk, emb,
+                               mha_weights(weights, "self_attn", heads),
+                               reduce=reduce)
+    return layer_norm(emb + out, weights["self_attn.ln.gamma"],
+                      weights["self_attn.ln.beta"])
 
 
 def predict_base_sets(emb: np.ndarray, positions: np.ndarray, weights,
@@ -423,29 +424,36 @@ def decode(features: SceneFeatures, queries: QuerySet, weights,
     qmix_w = mixing_weights(weights, "qmix", config.heads)
     postself_w = mixing_weights(weights, "postself", config.heads)
 
+    # whether a layer runs the QMix attention, whose links it then keeps
+    mixed = config.enable_qmix and config.qmix_placement != "post_self"
+    n_neighbors = config.qswap.n_neighbors if config.enable_qswap else 0
+
     outputs: list[LayerOutput] = []
     for layer in range(config.layers):
         emb = apply_type_adapter(emb, types, weights)
-        emb, affinity = shared_self_attention(emb, pos, weights, config.heads)
+        self_rows = AttentionRows(types, n_neighbors, links=not mixed)
+        emb = shared_self_attention(emb, pos, weights, config.heads, self_rows)
         require_finite("self-attention output", emb, layer)
-        require_finite("self-attention affinities", affinity, layer)
+        require_finite("self-attention affinities", self_rows.mass, layer)
 
-        qmix_attn = None
-        if config.enable_qmix and config.qmix_placement == "pre_agg":
-            emb, qmix_attn = qmix_attention(emb, types, qmix_w)
+        qmix_rows = AttentionRows(types) if mixed else None
+        if mixed and config.qmix_placement == "pre_agg":
+            emb = qmix_attention(emb, types, qmix_w, qmix_rows)
 
         sets = predict_base_sets(emb, pos, weights, config.qswap.k_base)
         # before swap_samples, whose sorts would read a NaN score as no point
         for kind, bank in sets.items():
             require_finite(f"{kind} base scores", bank.scores, layer)
         if config.enable_qswap:
-            neighbors = [
-                select_neighbors(i, affinity[i], box_wl, pos[:, :2], config.qswap)
-                for i in range(queries.n)
-            ]
+            candidates = self_rows.neighbors
+            neighbors = np.full_like(candidates, -1)
+            for i in range(queries.n):
+                inside = select_neighbors(i, candidates[i], box_wl, pos[:, :2],
+                                          config.qswap)
+                neighbors[i, inside] = candidates[i, inside]
             # cfg by keyword: perfbench/tracer.py counts caps from kwargs["cfg"]
             sets = {
-                kind: swap_samples(sets[kind], neighbors, affinity,
+                kind: swap_samples(sets[kind], neighbors, self_rows.affinities,
                                    cfg=config.qswap)
                 for kind in BEV_KINDS
             }
@@ -457,12 +465,12 @@ def decode(features: SceneFeatures, queries: QuerySet, weights,
 
         if config.enable_qmix:
             if config.qmix_placement == "post_agg":
-                emb, qmix_attn = qmix_attention(emb, types, qmix_w)
+                emb = qmix_attention(emb, types, qmix_w, qmix_rows)
             elif config.qmix_placement == "post_self":
-                emb, _ = attention_block(emb, postself_w)
+                emb = attention_block(emb, postself_w)
             elif config.qmix_placement == "post_self_cross":
-                emb, _ = attention_block(emb, postself_w)
-                emb, qmix_attn = qmix_attention(emb, types, qmix_w)
+                emb = attention_block(emb, postself_w)
+                emb = qmix_attention(emb, types, qmix_w, qmix_rows)
 
         cls, centers, sizes, yaws, velocities = detection_head(emb, pos, weights,
                                                                config)
@@ -470,7 +478,6 @@ def decode(features: SceneFeatures, queries: QuerySet, weights,
             require_finite("detection head output", array, layer)
         pos = centers.copy()
         box_wl = sizes[:, :2].copy()
-        links = link_rows(affinity if qmix_attn is None else qmix_attn, types)
 
         outputs.append(LayerOutput(
             layer=layer,
@@ -479,11 +486,11 @@ def decode(features: SceneFeatures, queries: QuerySet, weights,
             sizes=sizes,
             yaws=yaws,
             velocities=velocities,
-            self_attn=links if qmix_attn is None else None,
-            self_stats=attention_type_stats(affinity, types),
-            qmix_attn=links if qmix_attn is not None else None,
-            qmix_stats=(attention_type_stats(qmix_attn, types)
-                        if qmix_attn is not None else None),
+            self_attn=None if mixed else self_rows.links,
+            self_stats=attention_type_stats(self_rows.mass, types),
+            qmix_attn=qmix_rows.links if mixed else None,
+            qmix_stats=(attention_type_stats(qmix_rows.mass, types)
+                        if mixed else None),
             sample_sets=sets,
         ))
     return outputs

@@ -1,16 +1,20 @@
 """Float64 numeric kernels.
 
-The one masked row softmax, multi-head attention that exposes its
-(head-averaged) attention weights, and bilinear interpolation at fractional
-cell coordinates as a sparse corner-weight operator: every BEV and PV token
-and every image proposal is read through bilinear_at.  Only softmax_rows
-works in place, on the logits it is given; no other kernel mutates its
-arguments.
+The one masked row softmax, multi-head attention that hands its
+head-averaged attention weights to a reducer one row block at a time, the
+per-row top-key selection those reducers use, and bilinear interpolation at
+fractional cell coordinates as a sparse corner-weight operator: every BEV
+and PV token and every image proposal is read through bilinear_at.  Only
+softmax_rows works in place, on the logits it is given, and the attention
+kernel's reducer may overwrite the block it is handed; no other kernel
+mutates its arguments.
 
 Cross-type attention rows are grouped by query type, each group with its
 own open key set, and the attention kernel forms logits only for a group's
 open keys, one block of rows at a time (block-sparse attention as in Sparse
-Transformers, with cache-sized row tiles as in FlashAttention).
+Transformers, with cache-sized row tiles as in FlashAttention).  No
+(n_q, n_k) attention matrix is formed: whatever a caller needs of the
+weights is reduced from each block while it is in cache.
 """
 from __future__ import annotations
 
@@ -28,6 +32,12 @@ LN_EPS = 1e-6
 # Upper bound on the float64 logits of one row block, over all heads: each
 # softmax pass over a block then stays in a per-core L2 cache.
 ATTN_BLOCK_BYTES = 1 << 20
+
+# top_keys takes up to this many keys a row by argmax passes, whose cost
+# grows with the keys taken; a partition costs the same for any count.  On
+# (18, 900) blocks, one core of a 2-vCPU VM: 2 keys 18 us against 118 us,
+# 16 keys about even at 95 us, 32 keys 179 us against 104 us.
+ARGMAX_KEYS = 8
 
 
 def softmax_rows(logits: np.ndarray, blocked: np.ndarray | None = None
@@ -92,7 +102,8 @@ def multi_head_attention(
     v_in: np.ndarray,
     weights: MhaWeights,
     types: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+    reduce=None,
+) -> np.ndarray:
     """Scaled dot-product attention, cross-type masked when given `types`.
 
     Without `types` every query sees every key.  With `types`, one query
@@ -100,9 +111,14 @@ def multi_head_attention(
     type: a row sees every key of the other types, plus its own key as one
     extra logit column.
 
-    Returns (output, attn) where attn is the (n_q, n_k) mean over heads of
-    the post-softmax weights; each attn row sums to 1 and blocked entries are
-    exact zeros, since no logit is formed for them.
+    Returns the (n_q, d) output.  The attention weights are never stored:
+    when given `reduce`, the kernel calls reduce(rows, keys, w, w_self) once
+    per row block, where rows (B,) are the block's row ids, keys the
+    ascending ids of its group's open keys, w (B, len(keys)) the mean over
+    heads of the post-softmax weights of those keys, and w_self (B,) each
+    row's weight on its own key when masked, else None.  A row's w and
+    w_self sum to 1; a blocked key is not in keys, as no logit is formed
+    for it.  The reducer may overwrite w.
 
     Each group's rows are taken in blocks whose logits over all heads fit in
     ATTN_BLOCK_BYTES.  1/sqrt(dh) is folded into q; a block's softmax
@@ -143,7 +159,6 @@ def multi_head_attention(
 
     ctx = np.empty((n_q, h, dh))
     ctx_h = ctx.transpose(1, 0, 2)
-    attn = np.zeros((n_q, n_k))
     for row_ids, key_ids, self_key in groups:
         rows, keys = _index(row_ids), _index(key_ids)
         q_g, kt_g, v_g = qh[:, rows], kt[:, :, keys], vh[:, keys]
@@ -174,19 +189,54 @@ def multi_head_attention(
             inv = 1.0 / total
             ctx_b *= inv[..., None]
             ctx_h[:, rb] = ctx_b
-            inv /= h
-            # head mean: (B, 1, h) @ (B, h, n_open)
-            mean = (inv.T[:, None, :] @ e.transpose(1, 0, 2))[:, 0]
-            if isinstance(rb, slice) or isinstance(keys, slice):
-                attn[rb, keys] = mean
-            else:
-                attn[np.ix_(rb, keys)] = mean
-            if self_key:
-                ids = row_ids[blk]
-                attn[ids, ids] = np.einsum("hb,hb->b", e_self, inv)
+            if reduce is not None:
+                inv /= h
+                # head mean: (B, 1, h) @ (B, h, n_open)
+                mean = (inv.T[:, None, :] @ e.transpose(1, 0, 2))[:, 0]
+                reduce(row_ids[blk], key_ids, mean,
+                       np.einsum("hb,hb->b", e_self, inv) if self_key else None)
 
-    out = ctx.reshape(n_q, d) @ weights.wo.T + weights.bo
-    return out, attn
+    return ctx.reshape(n_q, d) @ weights.wo.T + weights.bo
+
+
+def top_keys(w: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's n largest entries: (columns, values), each (B, min(n, K)).
+
+    A row's entries go by descending value, ties to the lower column.  An
+    entry of -inf is not a key: a row with fewer than n others ends in
+    column -1 with value 0.0.
+
+    Up to ARGMAX_KEYS keys, each pass takes every row's first maximum and
+    masks it.  Beyond, one partition of the block finds every row's n
+    largest values; only a row whose n-th largest value is also held by an
+    entry left out is sorted in full.
+    """
+    b, k = w.shape
+    n = min(n, k)
+    if n <= ARGMAX_KEYS:
+        rest = w.copy()
+        rows = np.arange(b)
+        cols = np.empty((b, n), dtype=np.int64)
+        vals = np.empty((b, n))
+        for j in range(n):
+            cols[:, j] = c = rest.argmax(axis=1)
+            vals[:, j] = rest[rows, c]
+            rest[rows, c] = -np.inf
+    else:
+        cols = np.argpartition(w, k - n, axis=1)[:, k - n:]
+        vals = np.take_along_axis(w, cols, axis=1)
+        kth = vals.min(axis=1)
+        tied = np.flatnonzero(np.count_nonzero(w >= kth[:, None], axis=1) > n)
+        if len(tied):
+            cols[tied] = np.argsort(-w[tied], axis=1, kind="stable")[:, :n]
+            vals[tied] = np.take_along_axis(w[tied], cols[tied], axis=1)
+        order = np.lexsort((cols, -vals))
+        cols = np.take_along_axis(cols, order, axis=1)
+        vals = np.take_along_axis(vals, order, axis=1)
+    none = vals == -np.inf
+    cols[none] = -1
+    vals[none] = 0.0
+    return cols, vals
 
 
 def bilinear_at(data: np.ndarray, fy: np.ndarray, fx: np.ndarray) -> np.ndarray:

@@ -159,26 +159,16 @@ def adaptive_radius(width: float, length: float, radius_factor: float) -> float:
     return radius_factor * math.hypot(width, length)
 
 
-def select_neighbors(i: int, affinity_row: np.ndarray, boxes_wl: np.ndarray,
+def select_neighbors(i: int, candidates: np.ndarray, boxes_wl: np.ndarray,
                      positions_bev: np.ndarray, cfg: QSwapConfig) -> np.ndarray:
-    """Top-affinity partners of query i inside its adaptive radius.
+    """Positions in `candidates` of the partners inside query i's radius.
 
-    affinity_row is the head-averaged shared self-attention row for i; the
-    self entry is ignored.  Ties in affinity resolve to the lower id.  Only
-    the partners at or above the n-th largest affinity are sorted, so a
-    call costs one partition of the row.
+    candidates holds query i's top-affinity partner ids (see
+    qmix.AttentionRows); the radius adapts to query i's predicted footprint.
     """
-    a = np.array(affinity_row, dtype=np.float64)
-    a[i] = -np.inf
-    n = min(cfg.n_neighbors, a.shape[0] - 1)
-    if n <= 0:
-        return np.zeros(0, dtype=np.int64)
-    kth = np.partition(a, a.shape[0] - n)[a.shape[0] - n]
-    ids = np.flatnonzero(a >= kth)
-    top = ids[np.argsort(-a[ids], kind="stable")][:n]
     r = adaptive_radius(boxes_wl[i, 0], boxes_wl[i, 1], cfg.radius_factor)
-    dist = np.linalg.norm(positions_bev[top] - positions_bev[i], axis=1)
-    return top[dist <= r]
+    dist = np.linalg.norm(positions_bev[candidates] - positions_bev[i], axis=1)
+    return np.flatnonzero(dist <= r)
 
 
 def score_shared_points(score, affinity, prior_strength: float,
@@ -187,10 +177,12 @@ def score_shared_points(score, affinity, prior_strength: float,
     return score + prior_strength * np.log(np.maximum(affinity, affinity_floor))
 
 
-def swap_samples(base: SampleBank, neighbor_lists: list[np.ndarray],
+def swap_samples(base: SampleBank, neighbors: np.ndarray,
                  affinities: np.ndarray, cfg: QSwapConfig) -> SampleBank:
     """Exchange sampling points between neighbors on one grid.
 
+    neighbors (N, w) holds each receiver's neighbor ids in any order, -1
+    for an empty slot, and affinities (N, w) the affinity of each pair.
     Acceptance is two top-k selections on s-tilde.  Each (receiver,
     neighbor) pair gives its k_per best points (ties: lower point index);
     the receiver then takes its k_extra best gifts (ties: lower neighbor
@@ -203,23 +195,22 @@ def swap_samples(base: SampleBank, neighbor_lists: list[np.ndarray],
     """
     cfg.validate()
     n = len(base)
-    width = max((len(nb) for nb in neighbor_lists), default=0)
-    nbr = np.full((n, width), -1, dtype=np.int64)
-    for i, nb in enumerate(neighbor_lists):
-        nbr[i, :len(nb)] = nb
-    nbr.sort(axis=1)  # so gifts are flattened in neighbor-id order
+    # so gifts are flattened in neighbor-id order
+    order = np.argsort(neighbors, axis=1, kind="stable")
+    nbr = np.take_along_axis(neighbors, order, axis=1)
+    aff = np.take_along_axis(affinities, order, axis=1)
 
     # s-tilde of every (receiver i, neighbor slot, point k)
     st = np.where((nbr >= 0)[:, :, None] & base.valid[nbr],
-                  score_shared_points(base.scores[nbr],
-                                      affinities[np.arange(n)[:, None], nbr][:, :, None],
+                  score_shared_points(base.scores[nbr], aff[:, :, None],
                                       cfg.prior_strength, cfg.affinity_floor),
                   -np.inf)
     # each pair's gifts, then each row's k_extra best gifts in acceptance
     # order; the finite ones are taken and their position is their rank
     gifts = np.argsort(-st, axis=2, kind="stable")[:, :, :cfg.k_per]
     k_gift = gifts.shape[2]
-    gift_st = np.take_along_axis(st, gifts, axis=2).reshape(n, width * k_gift)
+    gift_st = np.take_along_axis(st, gifts, axis=2).reshape(
+        n, nbr.shape[1] * k_gift)
     pick = np.argsort(-gift_st, axis=1, kind="stable")[:, :cfg.k_extra]
     ti, rank = np.nonzero(np.take_along_axis(gift_st, pick, axis=1) > -np.inf)
     slot, g = np.divmod(pick[ti, rank], k_gift)

@@ -11,8 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hqfusion.numkernel import MhaWeights
+from hqfusion.numkernel import MhaWeights, multi_head_attention
 from hqfusion.qinit import TYPE_NAMES, QuerySet
+from hqfusion.qmix import qmix_attention
 from hqfusion.qswap import (BEV_KINDS, ORIGIN_BASE, ORIGIN_SHARED, SampleSet,
                             adaptive_radius, score_shared_points)
 from hqfusion.scene import MIN_CAMERA_DEPTH
@@ -94,6 +95,63 @@ def naive_mha(q_in, k_in, v_in, blocked, weights):
                 ctx[i, sl] += a[j] * v[j, sl]
     out = np.array([_row_affine(weights.wo, row, weights.bo) for row in ctx])
     return out, attn_sum / h
+
+
+class DenseAttention:
+    """An attention kernel reducer that writes the (n_q, n_k) head-mean
+    matrix, blocked entries as exact zeros, then hands each block on to
+    `then`, if given, so the oracles can read what a reducer was given."""
+
+    def __init__(self, n_q, n_k=None, then=None):
+        self.matrix = np.zeros((n_q, n_q if n_k is None else n_k))
+        self.then = then
+
+    def __call__(self, rows, keys, w, w_self):
+        self.matrix[np.ix_(rows, keys)] = w
+        if w_self is not None:
+            self.matrix[rows, rows] = w_self
+        if self.then is not None:
+            self.then(rows, keys, w, w_self)
+
+
+def dense_attention(q, k, v, weights, types=None):
+    """multi_head_attention's output and its head-mean attention matrix."""
+    dense = DenseAttention(len(q), len(k))
+    return multi_head_attention(q, k, v, weights, types, dense), dense.matrix
+
+
+def dense_qmix(q, types, weights):
+    """qmix_attention's output and its head-mean attention matrix."""
+    dense = DenseAttention(len(q))
+    return qmix_attention(q, types, weights, dense), dense.matrix
+
+
+def reduce_matrix(attn, reduce, block_rows=3):
+    """Hand a dense (N, N) matrix to a reducer as an unmasked kernel would:
+    every key open, `block_rows` rows a block, each block a copy."""
+    keys = np.arange(attn.shape[1])
+    for r0 in range(0, len(attn), block_rows):
+        rows = np.arange(r0, min(r0 + block_rows, len(attn)))
+        reduce(rows, keys, attn[rows].copy(), None)
+    return reduce
+
+
+def naive_row_mass(attn, types, num_types=3):
+    """(N, 3): each row's summed weight on the keys of each type."""
+    mass = np.zeros((len(attn), num_types))
+    for i in range(len(attn)):
+        for j in range(attn.shape[1]):
+            mass[i, types[j]] += attn[i, j]
+    return mass
+
+
+def naive_top_keys(row, eligible, n):
+    """The n heaviest eligible keys of one row by (-weight, id), and their
+    weights, padded to n with -1 and 0.0."""
+    ranked = sorted(eligible, key=lambda j: (-row[j], j))[:n]
+    pad = n - len(ranked)
+    return ([int(j) for j in ranked] + [-1] * pad,
+            [float(row[j]) for j in ranked] + [0.0] * pad)
 
 
 def naive_cross_type_blocked(types):
@@ -312,6 +370,28 @@ def naive_type_stats(attn, types, num_types=3):
             mpk[a, b] = mass[a, b] / counts[b] if counts[b] > 0 else 0.0
     return mass, mpk
 
+
+
+def naive_link_rows(attn, types, k=2):
+    """(targets, weights) of every row's top k keys of another type, padded
+    with -1 and 0.0, by naive_top_keys."""
+    rows = [naive_top_keys(attn[i], np.flatnonzero(types != types[i]), k)
+            for i in range(len(types))]
+    return (np.array([t for t, _ in rows], dtype=np.int64).reshape(-1, k),
+            np.array([w for _, w in rows], dtype=np.float64).reshape(-1, k))
+
+
+def pad_neighbors(neighbor_lists, affinities):
+    """Neighbor lists and a dense affinity matrix as swap_samples takes them:
+    (N, w) ids padded with -1, in list order, and each pair's affinity."""
+    n = len(neighbor_lists)
+    width = max((len(nb) for nb in neighbor_lists), default=0)
+    ids = np.full((n, width), -1, dtype=np.int64)
+    pair = np.zeros((n, width))
+    for i, nb in enumerate(neighbor_lists):
+        ids[i, :len(nb)] = nb
+        pair[i, :len(nb)] = [affinities[i, j] for j in nb]
+    return ids, pair
 
 
 def naive_top_links(attn, types, confidences, conf_threshold=0.1, k=2):

@@ -8,21 +8,22 @@ import numpy as np
 
 from hqfusion import cli
 from hqfusion.decoder import decode
-from hqfusion.numkernel import bilinear_at, multi_head_attention
+from hqfusion.numkernel import bilinear_at
 from hqfusion.qinit import QuerySet
-from hqfusion.qmix import attention_type_stats, qmix_attention
+from hqfusion.qmix import attention_type_stats
 from hqfusion.qswap import (ORIGIN_SHARED, QSwapConfig, adaptive_radius,
                             normalize_sample_scores, score_shared_points,
-                            select_neighbors, swap_samples)
+                            swap_samples)
 from hqfusion.scene import project_points, render_image_bev
 
 from reference import (bilinear_sample, brute_force_selection,
-                       identity_mha_weights, naive_bilinear,
-                       naive_cross_type_blocked, naive_mixing_block,
+                       dense_attention, dense_qmix, identity_mha_weights,
+                       naive_bilinear, naive_cross_type_blocked,
+                       naive_mixing_block, naive_row_mass, pad_neighbors,
                        project_with_matrix)
 from test_numkernel import make_grid, tokens_at
 from test_qmix import random_mixing_weights
-from test_qswap import make_bank, random_swap_instance
+from test_qswap import make_bank, random_swap_instance, select_in_row
 from test_decoder import record_affinities, record_qmix, toy_config, toy_setup
 
 
@@ -44,7 +45,7 @@ def test_mask_correctness():
         n = int(rng.integers(1, 65))
         types = rng.integers(0, 3, n)
         q = np.zeros((n, 4))
-        _, attn = multi_head_attention(q, q, q, w, types)
+        _, attn = dense_attention(q, q, q, w, types)
         blocked = naive_cross_type_blocked(types)
         assert (attn[blocked] == 0.0).all()
         assert (attn[~blocked] > 0.0).all()
@@ -61,7 +62,7 @@ def test_masked_attention_oracle():
         types = rng.integers(0, 3, n)
         q = rng.normal(size=(n, d))
         w = random_mixing_weights(rng, d, heads)
-        out, attn = qmix_attention(q, types, w)
+        out, attn = dense_qmix(q, types, w)
         ref_out, ref_attn = naive_mixing_block(q, naive_cross_type_blocked(types), w)
         assert np.allclose(out, ref_out, rtol=1e-9, atol=1e-12)
         assert np.allclose(attn, ref_attn, rtol=1e-9, atol=1e-12)
@@ -90,7 +91,7 @@ def test_qswap_constraint_suite():
         cfg = QSwapConfig(mode=mode)  # defaults: k_base=20, k_per=2, k_extra=4
         base, nbs, aff, pos, boxes, cfg = random_swap_instance(
             rng, n=n, k_base=20, cfg=cfg)
-        out = swap_samples(base, nbs, aff, cfg)
+        out = swap_samples(base, *pad_neighbors(nbs, aff), cfg)
         for i, s in enumerate(out):
             shared = s.origins == ORIGIN_SHARED
             assert shared.sum() <= 4
@@ -123,7 +124,7 @@ def test_qswap_selection_oracle():
         base = make_bank([(rng.normal(size=(k_base, 2)), rng.normal(0, 2, k_base))
                           for i in range(n)], pos)
         nbs = [np.arange(1, n)] + [np.array([], dtype=int)] * n_nb
-        out = swap_samples(base, nbs, aff, cfg)
+        out = swap_samples(base, *pad_neighbors(nbs, aff), cfg)
 
         pool = []
         for j in range(1, n):
@@ -213,11 +214,11 @@ def test_planted_evidence_end_to_end():
     base = make_bank([(off0, np.zeros(20)), (off1, scores1)], pos)
     aff = np.array([[0.1, 0.9], [0.9, 0.1]])
     boxes = np.tile([2.0, 4.0], (2, 1))
-    neighbors = [select_neighbors(0, aff[0], boxes, pos, cfg),
+    neighbors = [select_in_row(0, aff[0], boxes, pos, cfg),
                  np.array([], dtype=int)]
     assert neighbors[0].tolist() == [1]
 
-    out = swap_samples(base, neighbors, aff, cfg)
+    out = swap_samples(base, *pad_neighbors(neighbors, aff), cfg)
     out.weights = normalize_sample_scores(out)
     swapped = out[0]
 
@@ -298,12 +299,12 @@ def test_statistics_correctness():
     # uniform attention, two queries of each type
     types = np.array([0, 0, 1, 1, 2, 2])
     uniform = np.full((6, 6), 1.0 / 6.0)
-    stats = attention_type_stats(uniform, types)
+    stats = attention_type_stats(naive_row_mass(uniform, types), types)
     assert np.allclose(stats.mass, 1.0 / 3.0, atol=1e-12)
     assert np.allclose(stats.mean_per_key, 1.0 / 6.0, atol=1e-12)
 
     # identity attention: all mass stays on the own type
-    stats = attention_type_stats(np.eye(6), types)
+    stats = attention_type_stats(naive_row_mass(np.eye(6), types), types)
     assert np.allclose(stats.mass, np.eye(3), atol=1e-12)
     assert np.allclose(stats.mean_per_key, np.eye(3) * 0.5, atol=1e-12)
 
@@ -316,7 +317,7 @@ def test_statistics_correctness():
         [1 / 4, 1 / 4, 1 / 4, 1 / 4],
         [1 / 4, 1 / 4, 1 / 4, 1 / 4],
     ])
-    stats = attention_type_stats(attn, types)
+    stats = attention_type_stats(naive_row_mass(attn, types), types)
     want_mass = np.array([
         [1 / 3, 1 / 3, 1 / 3],
         [1 / 2, 1 / 4, 1 / 4],

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from hqfusion import cli, jsontext, qswap
+from hqfusion import cli, decoder, jsontext, qswap
 from hqfusion import scene as sc
 from hqfusion.errors import ConfigError, NonFiniteError
 from hqfusion.weights_io import init_weights, save_weights
@@ -558,6 +558,31 @@ class TestCliCommands:
             ["gen-scene", *TOY], tmp_path / "scene.json", capsys,
             error="NonFiniteError")
 
+    def test_non_finite_affinity_refused(self, tmp_path, capsys, monkeypatch):
+        # one head-mean weight of layer 1's self-attention is NaN: its row's
+        # type mass carries it to the finite check, and no report is written
+        kernel = decoder.multi_head_attention
+        calls = []
+
+        def with_nan(q, k, v, weights, types=None, reduce=None):
+            calls.append(reduce)
+            if len(calls) == 2:
+                inner, hit = reduce, []
+
+                def reduce(rows, keys, w, w_self):
+                    if not hit:
+                        hit.append(rows[0])
+                        w[0, 0] = np.nan
+                    inner(rows, keys, w, w_self)
+            return kernel(q, k, v, weights, types, reduce)
+
+        monkeypatch.setattr(decoder, "multi_head_attention", with_nan)
+        message = assert_error_exit(["run", *TOY], tmp_path / "r.json", capsys,
+                                    error="NonFiniteError")
+        assert message == ("non-finite value in the self-attention affinities"
+                           " of layer 1")
+        assert len(calls) == 2 and all(calls)
+
     def test_partial_voxel_extent_refused_before_generation(
             self, tmp_path, capsys, monkeypatch):
         # 2 * 25 m is 62.5 voxels of 0.8 m: a scene file may hold it, but no
@@ -932,8 +957,9 @@ class TestCliCommands:
             cfg.validate()
 
     def test_query_bounds_at_one_matrix_and_the_query_layers(self):
-        # no layer's N x N attention matrix outlives the next layer, so N^2
-        # is bounded whatever decoder.layers is
+        # the N x N logits of an attention are computed a row block at a
+        # time and no matrix is held, so N^2 is bounded whatever
+        # decoder.layers is
         cfg = cli.config_from_dict({})  # 6 layers, 225 image + 225 radar queries
         cli.apply_override(cfg, "queries.n_world", 4800)
         cfg.validate()

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,19 +19,25 @@ from hqfusion.qinit import (BOX_PRIOR_WL, TYPE_IMG, TYPE_RAD, TYPE_W, QuerySet,
                             concat_query_sets, generate_2d_proposals,
                             init_image_queries, init_radar_queries,
                             init_world_queries)
-from hqfusion.qmix import qmix_attention
 from hqfusion.qswap import (BEV_KINDS, ORIGIN_SHARED, QSwapConfig, base_bank,
-                            normalize_sample_scores, select_neighbors,
-                            swap_samples)
+                            normalize_sample_scores, swap_samples)
 from hqfusion.scene import (RadarSimConfig, encode_radar_bev,
                             generate_scene, render_image_bev,
                             render_pv_features, simulate_radar_points)
 from hqfusion.weights_io import init_weights
 
-from reference import (Token, aggregate_features, bilinear_sample,
-                       naive_bilinear, naive_bilinear_frac, naive_layer_norm,
-                       naive_mha, naive_top_links, project_to_view,
+from reference import (DenseAttention, Token, aggregate_features,
+                       bilinear_sample, dense_qmix, naive_bilinear,
+                       naive_bilinear_frac, naive_layer_norm, naive_mha,
+                       naive_top_links, pad_neighbors, project_to_view,
                        sample_features)
+from test_qswap import select_in_row
+
+
+def dense_self_attention(emb, pos, w, heads):
+    """shared_self_attention's output and its affinity matrix."""
+    dense = DenseAttention(len(emb))
+    return shared_self_attention(emb, pos, w, heads, dense), dense.matrix
 
 
 def token_space(emb, w):
@@ -116,7 +123,7 @@ class TestSharedSelfAttention:
         w = init_weights(0, cfg)
         emb = np.random.default_rng(0).normal(size=(1, cfg.d))
         pos = np.zeros((1, 3))
-        _, affinity = shared_self_attention(emb, pos, w, cfg.heads)
+        _, affinity = dense_self_attention(emb, pos, w, cfg.heads)
         assert np.allclose(affinity, [[1.0]])
 
     def test_permutation_equivariance(self):
@@ -125,9 +132,9 @@ class TestSharedSelfAttention:
         rng = np.random.default_rng(3)
         emb = rng.normal(size=(4, cfg.d))
         pos = rng.uniform(-10, 10, (4, 3))
-        out_emb, out_aff = shared_self_attention(emb, pos, w, cfg.heads)
+        out_emb, out_aff = dense_self_attention(emb, pos, w, cfg.heads)
         perm = np.array([2, 0, 3, 1])
-        p_emb, p_aff = shared_self_attention(emb[perm], pos[perm], w, cfg.heads)
+        p_emb, p_aff = dense_self_attention(emb[perm], pos[perm], w, cfg.heads)
         assert np.allclose(p_emb, out_emb[perm], atol=1e-12)
         assert np.allclose(p_aff, out_aff[np.ix_(perm, perm)], atol=1e-12)
 
@@ -138,7 +145,7 @@ class TestSharedSelfAttention:
         n = 8
         emb = rng.normal(size=(n, cfg.d))
         pos = rng.uniform(-10, 10, (n, 3))
-        got_emb, got_aff = shared_self_attention(emb, pos, w, cfg.heads)
+        got_emb, got_aff = dense_self_attention(emb, pos, w, cfg.heads)
         pe = sinusoidal_position_encoding(pos, cfg.d)
         from hqfusion.decoder import mha_weights
         mw = mha_weights(w, "self_attn", cfg.heads)
@@ -233,9 +240,10 @@ class TestBuildTokens:
         sets = predict_base_sets(emb, pos, weights, cfg.qswap.k_base)
         aff = np.full((n, n), 1.0 / n)
         boxes = np.tile([2.0, 4.0], (n, 1))
-        nbs = [select_neighbors(i, aff[i], boxes, pos[:, :2], cfg.qswap)
+        nbs = [select_in_row(i, aff[i], boxes, pos[:, :2], cfg.qswap)
                for i in range(n)]
-        sets = {kind: swap_samples(sets[kind], nbs, aff, cfg.qswap)
+        padded = pad_neighbors(nbs, aff)
+        sets = {kind: swap_samples(sets[kind], *padded, cfg.qswap)
                 for kind in BEV_KINDS}
         for kind in BEV_KINDS:
             sets[kind].weights = normalize_sample_scores(sets[kind])
@@ -357,15 +365,17 @@ def held_arrays(value):
 
 
 def record_outputs(monkeypatch, name):
-    """Wrap decoder.<name>, a stage returning (embeddings, matrix); returns
-    the list of the matrices it gave, in call order."""
+    """Wrap decoder.<name>, an attention stage whose last argument is its
+    reducer; returns the list of the matrices that reducer was handed, in
+    call order, written by a DenseAttention in front of it."""
     matrices = []
     stage = getattr(decoder, name)
 
-    def keep(*args, **kwargs):
-        emb, matrix = stage(*args, **kwargs)
-        matrices.append(matrix)
-        return emb, matrix
+    def keep(*args):
+        *rest, reduce = args
+        dense = DenseAttention(len(args[0]), then=reduce)
+        matrices.append(dense.matrix)
+        return stage(*rest, dense)
 
     monkeypatch.setattr(decoder, name, keep)
     return matrices
@@ -374,7 +384,7 @@ def record_outputs(monkeypatch, name):
 def record_affinities(monkeypatch):
     """Every layer's self-attention affinity, as decode computed it.
 
-    Decode keeps no attention matrix, so the tests read them here.
+    Decode forms no attention matrix, so the tests rebuild them here.
     """
     return record_outputs(monkeypatch, "shared_self_attention")
 
@@ -382,8 +392,8 @@ def record_affinities(monkeypatch):
 def record_qmix(monkeypatch):
     """Every layer's QMix attention matrix, as decode computed it.
 
-    Decode keeps only the link rows of a layer's QMix attention, so the
-    tests read the matrices here.
+    Decode keeps only per-row reductions of a layer's QMix attention, so
+    the tests rebuild the matrices here.
     """
     return record_outputs(monkeypatch, "qmix_attention")
 
@@ -756,6 +766,49 @@ class TestDecode:
             assert json.dumps(rec["links"]) == json.dumps(want)
             assert rec["links"]
 
+    @pytest.mark.parametrize("qmix", [True, False])
+    def test_link_rows_padding(self, qmix):
+        # a row with fewer cross-type partners than LINKS_PER_QUERY ends in
+        # target -1 and weight 0.0: world queries only, then one image query
+        # among them, from the QMix attention or the shared self-attention
+        for n_img in (0, 1):
+            cfg, features, queries, weights = preset_inputs(**{
+                "queries.n_img": n_img, "queries.n_rad": 0,
+                "decoder.enable_qmix": qmix})
+            img = np.flatnonzero(queries.types == TYPE_IMG)
+            world = np.flatnonzero(queries.types == TYPE_W)
+            assert len(img) == n_img and len(world) == queries.n - n_img
+            for out in decode(features, queries, weights, cfg.decoder):
+                rows = out.qmix_attn if qmix else out.self_attn
+                if n_img == 0:
+                    assert (rows.counts == 0).all()
+                    assert (rows.targets == -1).all()
+                    assert (rows.weights == 0.0).all()
+                    continue
+                assert (rows.counts[world] == 1).all()
+                assert (rows.targets[world, 0] == img[0]).all()
+                assert (rows.targets[world, 1] == -1).all()
+                assert (rows.weights[world, 1] == 0.0).all()
+                assert rows.counts[img[0]] == 2
+                assert (rows.targets[img[0]] >= 0).all()
+
+    def test_decode_forms_no_attention_matrix(self):
+        # 3,060 queries and one layer: decode's peak above its entry stays
+        # under 0.75 N^2 doubles (about 3.2 while each attention matrix was
+        # formed and held)
+        cfg, features, queries, weights = preset_inputs(**{
+            "queries.n_world": 3000, "decoder.layers": 1})
+        n = queries.n
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            decode(features, queries, weights, cfg.decoder)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert n == 3060
+        assert peak < 0.75 * 8 * n * n
+
     def test_positions_stay_in_extent(self):
         _, features, queries, weights, cfg = toy_setup()
         outs = decode(features, queries, weights, cfg)
@@ -824,11 +877,12 @@ class TestDecode:
         box_wl = np.tile(BOX_PRIOR_WL, (queries.n, 1))
         emb = apply_type_adapter(queries.embeddings.copy(), queries.types,
                                  weights)
-        emb, affinity = shared_self_attention(emb, pos0, weights, cfg.heads)
+        emb, affinity = dense_self_attention(emb, pos0, weights, cfg.heads)
         sets = predict_base_sets(emb, pos0, weights, cfg.qswap.k_base)
-        neighbors = [select_neighbors(i, affinity[i], box_wl, pos0[:, :2],
-                                      cfg.qswap) for i in range(queries.n)]
-        sets = {kind: swap_samples(sets[kind], neighbors, affinity, cfg.qswap)
+        neighbors = [select_in_row(i, affinity[i], box_wl, pos0[:, :2],
+                                   cfg.qswap) for i in range(queries.n)]
+        padded = pad_neighbors(neighbors, affinity)
+        sets = {kind: swap_samples(sets[kind], *padded, cfg.qswap)
                 for kind in BEV_KINDS}
         for kind in BEV_KINDS:
             sets[kind].weights = normalize_sample_scores(sets[kind])
@@ -839,8 +893,8 @@ class TestDecode:
                                      cfg.k_pv)
             rows.append(aggregate_features(emb[i], tokens, weights))
         emb = np.vstack(rows)
-        emb, qattn = qmix_attention(emb, queries.types,
-                                    mixing_weights(weights, "qmix", cfg.heads))
+        emb, qattn = dense_qmix(emb, queries.types,
+                                mixing_weights(weights, "qmix", cfg.heads))
         cls, centers, sizes, yaws, vel = detection_head(emb, pos0, weights, cfg)
 
         assert np.allclose(affinities[0], affinity, atol=1e-12)

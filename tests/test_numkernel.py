@@ -8,15 +8,16 @@ from hqfusion.decoder import (DecoderConfig, SceneFeatures, build_tokens,
                               plan_tokens)
 from hqfusion.errors import ConfigError, ShapeError
 from hqfusion.numkernel import (MhaWeights, bilinear_at, multi_head_attention,
-                                softmax_rows)
+                                softmax_rows, top_keys)
 from hqfusion.qinit import TYPE_IMG, TYPE_RAD, TYPE_W
 from hqfusion.qswap import BEV_KINDS, base_bank, normalize_sample_scores
 from hqfusion.scene import FeatureGrid
 from hqfusion.weights_io import init_weights
 
-from reference import (cell_center, identity_mha_weights, naive_bilinear,
-                       naive_bilinear_at, naive_cross_type_blocked,
-                       naive_masked_softmax, naive_mha)
+from reference import (cell_center, dense_attention, identity_mha_weights,
+                       naive_bilinear, naive_bilinear_at,
+                       naive_cross_type_blocked, naive_masked_softmax,
+                       naive_mha, naive_top_keys)
 
 IMG, RAD, W = TYPE_IMG, TYPE_RAD, TYPE_W
 
@@ -93,7 +94,7 @@ class TestMultiHeadAttention:
         d = 8
         w = random_mha_weights(rng, d, 2)
         q = rng.normal(size=(1, d))
-        out, attn = multi_head_attention(q, q, q, w)
+        out, attn = dense_attention(q, q, q, w)
         assert np.allclose(attn, [[1.0]])
         v = q @ w.wv.T + w.bv
         assert np.allclose(out, v @ w.wo.T + w.bo, atol=1e-12)
@@ -106,7 +107,7 @@ class TestMultiHeadAttention:
         q = np.array([[1.0, 2.0, 0.0, -1.0], [0.5, -0.5, 3.0, 0.0]])
         k = np.zeros((2, d))
         v = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 2.0]])
-        out, attn = multi_head_attention(q, k, v, w)
+        out, attn = dense_attention(q, k, v, w)
         assert np.allclose(attn, np.full((2, 2), 0.5), atol=1e-12)
         expected = np.tile(v.mean(axis=0), (2, 1))
         assert np.allclose(out, expected, atol=1e-12)
@@ -120,7 +121,7 @@ class TestMultiHeadAttention:
         k = rng.normal(size=(n, d))
         v = rng.normal(size=(n, d))
         types = random_types(rng, n)
-        out, attn = multi_head_attention(q, k, v, w, types)
+        out, attn = dense_attention(q, k, v, w, types)
         ref_out, ref_attn = naive_mha(q, k, v, naive_cross_type_blocked(types), w)
         assert np.allclose(out, ref_out, rtol=1e-9, atol=1e-12)
         assert np.allclose(attn, ref_attn, rtol=1e-9, atol=1e-12)
@@ -139,9 +140,9 @@ class TestMultiHeadAttention:
         w = random_mha_weights(rng, d, 2)
         q = rng.normal(size=(n, d))
         types = random_types(rng, n)
-        out, attn = multi_head_attention(q, q, q, w, types)
+        out, attn = dense_attention(q, q, q, w, types)
         perm = rng.permutation(n)
-        out_p, attn_p = multi_head_attention(q[perm], q[perm], q[perm], w,
+        out_p, attn_p = dense_attention(q[perm], q[perm], q[perm], w,
                                              types[perm])
         assert np.allclose(out_p, out[perm], atol=1e-12)
         assert np.allclose(attn_p, attn[np.ix_(perm, perm)], atol=1e-12)
@@ -158,7 +159,7 @@ def check_against_naive(q, k, v, types, w):
     Every entry is open without `types`, else naive_cross_type_blocked's."""
     blocked = (np.zeros((len(q), len(k)), dtype=bool) if types is None
                else naive_cross_type_blocked(types))
-    out, attn = multi_head_attention(q, k, v, w, types)
+    out, attn = dense_attention(q, k, v, w, types)
     ref_out, ref_attn = naive_mha(q, k, v, blocked, w)
     assert np.allclose(out, ref_out, rtol=1e-9, atol=1e-12)
     assert np.allclose(attn, ref_attn, rtol=1e-9, atol=1e-12)
@@ -229,7 +230,7 @@ class TestGroupedAttention:
         w = random_mha_weights(rng, 8, 2)
         empty = np.zeros((0, 8))
         for types in (None, np.zeros(0, dtype=np.int64)):
-            out, attn = multi_head_attention(empty, empty, empty, w, types)
+            out, attn = dense_attention(empty, empty, empty, w, types)
             assert out.shape == (0, 8) and attn.shape == (0, 0)
 
     def test_types_must_match_a_self_attention(self):
@@ -240,6 +241,69 @@ class TestGroupedAttention:
             multi_head_attention(q, q, q, w, np.array([IMG, RAD]))
         with pytest.raises(ShapeError):
             multi_head_attention(q, k, k, w, np.array([IMG, RAD, W]))
+
+
+class TestReducer:
+    @pytest.mark.parametrize("types", [None, *TYPE_CASES[:4]])
+    def test_output_is_the_reducers_and_only_the_output(self, monkeypatch,
+                                                         types):
+        # the kernel hands every row's weights to the reducer exactly once,
+        # returns only the (n_q, d) output, and its output is the same
+        # without a reducer
+        n = 10 if types is None else len(types)
+        types = None if types is None else np.array(types)
+        monkeypatch.setattr(numkernel, "ATTN_BLOCK_BYTES",
+                            rows_per_block(3, 2, n))
+        rng = np.random.default_rng(n)
+        w = random_mha_weights(rng, 8, 2)
+        q = rng.normal(size=(n, 8))
+        seen = []
+        out = multi_head_attention(q, q, q, w, types,
+                                   lambda rows, *_: seen.extend(rows))
+        assert isinstance(out, np.ndarray) and out.shape == (n, 8)
+        assert sorted(seen) == list(range(n))
+        assert np.array_equal(multi_head_attention(q, q, q, w, types), out)
+        assert np.array_equal(dense_attention(q, q, q, w, types)[0], out)
+
+
+class TestTopKeys:
+    @pytest.mark.parametrize("n", [0, 1, 2, 8, 9, 16, 23, 24, 30])
+    def test_matches_sorted_rows(self, n):
+        # eighths tie within a row and at its n-th largest value, zeros
+        # come in both signs, and -inf entries are no keys: row 0 has none,
+        # row 1 one, row 2 is one tie over the whole row
+        rng = np.random.default_rng(40 + n)
+        w = rng.integers(0, 9, (60, 24)) / 8.0
+        w[(w == 0.0) & (rng.random(w.shape) < 0.5)] = -0.0
+        w[rng.random(w.shape) < 0.2] = -np.inf
+        w[0] = -np.inf
+        w[1, 1:] = -np.inf
+        w[2] = 0.5
+        kept = w.copy()
+        cols, vals = top_keys(w, n)
+        assert np.array_equal(w, kept)
+        m = min(n, 24)
+        assert cols.shape == vals.shape == (60, m) and cols.dtype == np.int64
+        for i, row in enumerate(w):
+            want_cols, want_vals = naive_top_keys(
+                row, np.flatnonzero(row > -np.inf), m)
+            assert cols[i].tolist() == want_cols, i
+            # bit for bit, so -0.0 stays -0.0
+            assert np.array_equal(vals[i].view(np.int64),
+                                  np.array(want_vals).view(np.int64)), i
+
+    def test_both_paths_agree(self, monkeypatch):
+        # argmax passes and the partition give the same keys at every n
+        rng = np.random.default_rng(7)
+        w = rng.integers(0, 5, (40, 30)) / 4.0
+        w[rng.random(w.shape) < 0.3] = -np.inf
+        for n in (1, 3, 8, 12, 29, 30):
+            monkeypatch.setattr(numkernel, "ARGMAX_KEYS", 0)
+            part = top_keys(w, n)
+            monkeypatch.setattr(numkernel, "ARGMAX_KEYS", 30)
+            passes = top_keys(w, n)
+            assert np.array_equal(part[0], passes[0])
+            assert np.array_equal(part[1], passes[1])
 
 
 def make_grid(rng, h=6, w=5, d=3, voxel=1.0, x_min=-2.5, y_min=-3.0):
@@ -396,6 +460,6 @@ class TestNoNonFinite:
         d = 8
         w = random_mha_weights(rng, d, 2)
         q = rng.normal(0, 10, size=(n, d))
-        out, attn = multi_head_attention(q, q, q, w, random_types(rng, n))
+        out, attn = dense_attention(q, q, q, w, random_types(rng, n))
         assert np.isfinite(out).all()
         assert np.isfinite(attn).all()

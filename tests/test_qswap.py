@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from hqfusion.errors import ConfigError
+from hqfusion.numkernel import top_keys
 from hqfusion.qswap import (ORIGIN_BASE, ORIGIN_SHARED, QSwapConfig,
                             adaptive_radius, base_bank, normalize_sample_scores,
                             predict_base_samples, score_shared_points,
                             select_neighbors, swap_samples)
 
 from reference import (bilinear_sample, brute_force_selection, naive_affine,
-                       naive_select_neighbors, naive_swap_samples)
+                       naive_select_neighbors, naive_swap_samples,
+                       pad_neighbors)
 
 
 def make_bank(rows, positions=None):
@@ -31,6 +33,17 @@ def make_bank(rows, positions=None):
     return bank
 
 
+def select_in_row(i, affinity_row, boxes_wl, positions_bev, cfg):
+    """Query i's neighbor ids as decode picks them from its affinity row:
+    the top n_neighbors keys other than its own (qmix.AttentionRows'
+    top_keys), then select_neighbors' radius test."""
+    row = np.array(affinity_row, dtype=np.float64)[None]
+    row[0, i] = -np.inf
+    candidates = top_keys(row, min(cfg.n_neighbors, row.shape[1] - 1))[0][0]
+    return candidates[select_neighbors(i, candidates, boxes_wl, positions_bev,
+                                       cfg)]
+
+
 def random_swap_instance(rng, n=8, k_base=20, cfg=None):
     """Row-stochastic affinities, random boxes/positions/base sets."""
     cfg = cfg or QSwapConfig()
@@ -43,7 +56,7 @@ def random_swap_instance(rng, n=8, k_base=20, cfg=None):
         (rng.normal(0.0, 2.0, (k_base, 2)), rng.normal(0.0, 1.0, k_base))
         for i in range(n)
     ], positions)
-    neighbors = [select_neighbors(i, aff[i], boxes_wl, positions, cfg)
+    neighbors = [select_in_row(i, aff[i], boxes_wl, positions, cfg)
                  for i in range(n)]
     return base_sets, neighbors, aff, positions, boxes_wl, cfg
 
@@ -77,7 +90,7 @@ class TestSelectNeighbors:
         positions = np.array([[0.0, 0.0], [10.0, 0.0], [3.0, 0.0]])
         boxes = np.tile([2.0, 4.0], (3, 1))
         aff = np.array([[0.2, 0.7, 0.1]] * 3)
-        got = select_neighbors(0, aff[0], boxes, positions, cfg)
+        got = select_in_row(0, aff[0], boxes, positions, cfg)
         assert 1 not in got
         assert 2 in got
 
@@ -87,7 +100,7 @@ class TestSelectNeighbors:
         positions = np.zeros((n, 2))
         boxes = np.tile([2.0, 4.0], (n, 1))
         row = np.array([0.0, 0.30, 0.05, 0.20, 0.15, 0.10, 0.20001])
-        got = select_neighbors(0, row, boxes, positions, cfg)
+        got = select_in_row(0, row, boxes, positions, cfg)
         assert sorted(got.tolist()) == [1, 3, 4, 6]
 
     def test_affinity_tie_lower_id(self):
@@ -95,14 +108,14 @@ class TestSelectNeighbors:
         positions = np.zeros((4, 2))
         boxes = np.tile([2.0, 4.0], (4, 1))
         row = np.array([0.0, 0.5, 0.5, 0.5])
-        got = select_neighbors(0, row, boxes, positions, cfg)
+        got = select_in_row(0, row, boxes, positions, cfg)
         assert got.tolist() == [1]
 
     def test_empty_result_is_valid(self):
         cfg = QSwapConfig()
         positions = np.array([[0.0, 0.0], [40.0, 0.0]])
         boxes = np.tile([2.0, 4.0], (2, 1))
-        got = select_neighbors(0, np.array([0.0, 1.0]), boxes, positions, cfg)
+        got = select_in_row(0, np.array([0.0, 1.0]), boxes, positions, cfg)
         assert got.size == 0
 
     def test_matches_full_sort(self):
@@ -117,7 +130,7 @@ class TestSelectNeighbors:
         for n_neighbors in (0, 1, 4, n - 1, n + 3):
             cfg = QSwapConfig(n_neighbors=n_neighbors)
             for i in range(n):
-                got = select_neighbors(i, rows[i], boxes, positions, cfg)
+                got = select_in_row(i, rows[i], boxes, positions, cfg)
                 want = naive_select_neighbors(i, rows[i], boxes, positions, cfg)
                 assert got.dtype == want.dtype
                 assert got.tolist() == want.tolist(), (n_neighbors, i)
@@ -174,7 +187,8 @@ class TestSwapSamples:
     def test_no_neighbors_unchanged(self):
         rng = np.random.default_rng(0)
         base = make_bank([(rng.normal(size=(4, 2)), rng.normal(size=4))])
-        out = swap_samples(base, [np.array([], dtype=int)], np.eye(1),
+        out = swap_samples(base, *pad_neighbors([np.array([], dtype=int)],
+                                                np.eye(1)),
                            QSwapConfig(k_base=4))
         assert out[0].size == 4
         assert np.array_equal(out[0].points, base[0].points)
@@ -183,7 +197,7 @@ class TestSwapSamples:
     def test_per_neighbor_cap(self):
         sets, nbs, aff, cfg = two_query_instance(
             [5.0, 4.0, 3.0, 2.0, 1.0], k_base=5, cfg=QSwapConfig(k_base=5))
-        out = swap_samples(sets, nbs, aff, cfg)
+        out = swap_samples(sets, *pad_neighbors(nbs, aff), cfg)
         assert out[0].shared_count() == 2
         shared = out[0].scores[out[0].origins == ORIGIN_SHARED]
         expected = score_shared_points(np.array([5.0, 4.0]), 0.5, 1.0)
@@ -198,7 +212,7 @@ class TestSwapSamples:
         base = make_bank([(rng.normal(size=(2, 2)), rng.normal(0, 3, 2))
                           for i in range(4)], positions)
         neighbors = [np.array([1, 2, 3])] + [np.array([], dtype=int)] * 3
-        out = swap_samples(base, neighbors, aff, cfg)
+        out = swap_samples(base, *pad_neighbors(neighbors, aff), cfg)
         assert out[0].shared_count() == 4
         pool = []
         for j in (1, 2, 3):
@@ -215,8 +229,8 @@ class TestSwapSamples:
                           (np.full((3, 2), 0.5), np.array([30.0, 40.0, -50.0]))],
                          pos)
         aff = np.array([[0.5, 0.5], [0.5, 0.5]])
-        out = swap_samples(sets, [np.array([1]), np.array([], dtype=int)],
-                           aff, cfg)
+        out = swap_samples(sets, *pad_neighbors(
+            [np.array([1]), np.array([], dtype=int)], aff), cfg)
         assert out[0].size == 20
         assert out[0].shared_count() == 2
         kept_base = out[0].scores[out[0].origins == ORIGIN_BASE]
@@ -226,7 +240,7 @@ class TestSwapSamples:
     def test_shared_offsets_are_absolute_transfers(self):
         sets, nbs, aff, cfg = two_query_instance([3.0, 1.0], k_base=2,
                                                  cfg=QSwapConfig(k_base=2))
-        out = swap_samples(sets, nbs, aff, cfg)
+        out = swap_samples(sets, *pad_neighbors(nbs, aff), cfg)
         shared_mask = out[0].origins == ORIGIN_SHARED
         # both points move over as they are, best s-tilde first
         assert np.array_equal(out[0].points[shared_mask], sets[1].points)
@@ -245,7 +259,7 @@ class TestSwapSamples:
             cfg = QSwapConfig(mode="append" if rng.random() < 0.5 else "replace")
             base, nbs, aff, pos, boxes, cfg = random_swap_instance(
                 rng, n=n, k_base=20, cfg=cfg)
-            out = swap_samples(base, nbs, aff, cfg)
+            out = swap_samples(base, *pad_neighbors(nbs, aff), cfg)
             for i, s in enumerate(out):
                 shared = s.origins == ORIGIN_SHARED
                 assert shared.sum() <= cfg.k_extra
@@ -271,12 +285,12 @@ class TestSwapSamples:
                           (np.zeros((1, 2)), np.array([-100.0]))], positions)
         aff = np.array([[0.0, 0.01, 0.99], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         nbs = [np.array([1, 2]), np.array([], dtype=int), np.array([], dtype=int)]
-        out = swap_samples(base, nbs, aff, cfg)
+        out = swap_samples(base, *pad_neighbors(nbs, aff), cfg)
         assert out[0].sources[out[0].origins == ORIGIN_SHARED].tolist() == [2]
         # with the prior disabled the raw score wins instead
         cfg0 = QSwapConfig(k_base=1, prior_strength=0.0, n_neighbors=2,
                            k_per=1, k_extra=1)
-        out0 = swap_samples(base, nbs, aff, cfg0)
+        out0 = swap_samples(base, *pad_neighbors(nbs, aff), cfg0)
         assert out0[0].sources[out0[0].origins == ORIGIN_SHARED].tolist() == [1]
 
     def test_k_extra_monotonicity(self):
@@ -292,7 +306,7 @@ class TestSwapSamples:
             for k_extra in (2, 3, 4, 6, 8):
                 cfg = QSwapConfig(k_base=5, k_per=2, k_extra=k_extra,
                                   prior_strength=0.0)
-                out = swap_samples(base, nbs, aff, cfg)
+                out = swap_samples(base, *pad_neighbors(nbs, aff), cfg)
                 shared = out[0].origins == ORIGIN_SHARED
                 accepted = set(zip(out[0].sources[shared].tolist(),
                                    map(tuple, out[0].points[shared])))
@@ -329,8 +343,8 @@ class TestSwapSamples:
             bank = make_bank(rows, pos)
             aff = rng.choice([0.9, 0.5, 0.1, 0.0], (n, n))
             boxes = rng.uniform(0.5, 3.0, (n, 2))
-            nbs = [select_neighbors(i, aff[i], boxes, pos, cfg) for i in range(n)]
-            got = swap_samples(bank, nbs, aff, cfg)
+            nbs = [select_in_row(i, aff[i], boxes, pos, cfg) for i in range(n)]
+            got = swap_samples(bank, *pad_neighbors(nbs, aff), cfg)
             want = naive_swap_samples(bank, nbs, aff, cfg)
             assert len(got) == n
             for i in range(n):
@@ -345,7 +359,7 @@ class TestSwapSamples:
         # the edges of the two top-k selections (k_per per pair, then k_extra
         # per row) must leave the result bit-identical to the full-pool loop
         def check(bank, nbs, aff, cfg):
-            got = swap_samples(bank, nbs, aff, cfg)
+            got = swap_samples(bank, *pad_neighbors(nbs, aff), cfg)
             want = naive_swap_samples(bank, nbs, aff, cfg)
             assert np.array_equal(got.sizes, [w.size for w in want])
             for i, w in enumerate(want):
@@ -419,10 +433,12 @@ class TestSwapSamples:
             nbs = [rng.permutation(np.delete(np.arange(n), i))[:rng.integers(0, n)]
                    for i in range(n)]
             nbs[0] = np.arange(n - 1, 0, -1)
-            given = [nb.copy() for nb in nbs]
-            got = swap_samples(bank, nbs, aff, cfg)
+            ids, pair = pad_neighbors(nbs, aff)
+            given = ids.copy(), pair.copy()
+            got = swap_samples(bank, ids, pair, cfg)
             want = naive_swap_samples(bank, nbs, aff, cfg)
-            assert all(np.array_equal(a, b) for a, b in zip(nbs, given))
+            assert np.array_equal(ids, given[0])
+            assert np.array_equal(pair, given[1])
             for i, w in enumerate(want):
                 assert got.sizes[i] == w.size
                 for name in ("points", "scores", "origins", "sources"):
@@ -436,7 +452,7 @@ class TestSwapSamples:
         aff = np.full((2, 2), 0.9)
         st = score_shared_points(np.array(scores), 0.9, 1000.0)
         assert st[0] == st[1]
-        out = swap_samples(sets, nbs, aff, cfg)
+        out = swap_samples(sets, *pad_neighbors(nbs, aff), cfg)
         shared = out[0].origins == ORIGIN_SHARED
         # the s-tilde tie goes to the lower point index
         assert np.array_equal(out[0].points[shared], sets[1].points[:1])
@@ -507,7 +523,7 @@ class TestPlantedEvidence:
                          pos)
         aff = np.array([[0.1, 0.9], [0.9, 0.1]])
         nbs = [np.array([1]), np.array([], dtype=int)]
-        out = swap_samples(base, nbs, aff, cfg)
+        out = swap_samples(base, *pad_neighbors(nbs, aff), cfg)
         out.weights = normalize_sample_scores(out)
 
         abs_pts = out[0].points

@@ -18,9 +18,11 @@ stderr.  The list covers the benchmark workloads (`emit` at input seeds 0-4,
 flag at each QMix placement, with QMix off and in replace mode, toy
 `gen-scene`, `run --scene`, `init-weights`, `run --weights`, `links`,
 `analyze-attn` and `ablate`, toy runs with empty or oversized query
-sources, and a toy run at PV downsample 7, which divides neither image side.  BLAS threads are pinned before numpy is imported, as
-`perfbench/run.py` pins them, so every checkout computes with the same
-thread count.
+sources, a world-only toy run (its QMix rows have no open key), a toy run
+with more swap neighbours than queries, and a toy run at PV downsample 7,
+which divides neither image side.  BLAS threads are pinned before numpy is
+imported, as `perfbench/run.py` pins them, so every checkout computes with
+the same thread count.
 """
 from __future__ import annotations
 
@@ -36,8 +38,11 @@ BLAS_THREADS = 2
 
 TOY = ["--preset", "toy"]
 EMIT_FLAGS = ["--emit-links", "--emit-samples", "--emit-snapshots"]
-EDGE_RUNS = ["queries.per_view=0", "scene.num_cameras=0", "scene.num_objects=0",
-             "queries.n_img=0", "queries.n_img=200", "render.pv_downsample=7"]
+# the --set values of each edge run
+EDGE_RUNS = [["queries.per_view=0"], ["scene.num_cameras=0"],
+             ["scene.num_objects=0"], ["queries.n_img=0"], ["queries.n_img=200"],
+             ["render.pv_downsample=7"], ["queries.n_img=0", "queries.n_rad=0"],
+             ["decoder.qswap.n_neighbors=200", "decoder.qswap.radius_factor=30"]]
 
 
 def commands(out: Path, workloads: dict, placements) -> list[tuple[str, list]]:
@@ -67,8 +72,9 @@ def commands(out: Path, workloads: dict, placements) -> list[tuple[str, list]]:
     add("toy-links.json", ["links", "--report", report])
     add("toy-attn.csv", ["analyze-attn", "--report", report])
     add("toy-ablate.csv", ["ablate", *TOY])
-    for setting in EDGE_RUNS:
-        add(f"toy-{setting.replace('=', '-')}.json", ["run", *TOY, "--set", setting])
+    for sets in EDGE_RUNS:
+        add(f"toy-{'_'.join(s.replace('=', '-') for s in sets)}.json",
+            ["run", *TOY, *(a for s in sets for a in ("--set", s))])
     return runs
 
 
